@@ -22,6 +22,7 @@ from scipy.integrate import cumulative_simpson
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
 from .calculus import frozen_coefficients
+from .quadrature import tensor_grid
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ def _rk4_path(G, phi, j, a0, T, steps):
             b[d - n:] += dy
             return b
 
-        k1 = _vertical_velocity(G, phi, j, a)
-        k2 = _vertical_velocity(G, phi, j, shift(0.5 * h, 0.5 * h * k1))
-        k3 = _vertical_velocity(G, phi, j, shift(0.5 * h, 0.5 * h * k2))
-        k4 = _vertical_velocity(G, phi, j, shift(h, h * k3))
+        k1 = frozen_coefficients(G, phi, j, a)
+        k2 = frozen_coefficients(G, phi, j, shift(0.5 * h, 0.5 * h * k1))
+        k3 = frozen_coefficients(G, phi, j, shift(0.5 * h, 0.5 * h * k2))
+        k4 = frozen_coefficients(G, phi, j, shift(h, h * k3))
         nxt = shift(h, h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteState(f"characteristic state became non-finite at step {k}")
@@ -75,11 +76,6 @@ def _rk4_path(G, phi, j, a0, T, steps):
             break
         out[k + 1] = nxt
     return out[:inside_limit + 1], h, inside_limit
-
-
-def _vertical_velocity(G, phi, j, base):
-    # identical to the frozen-direction coefficients of D_j
-    return frozen_coefficients(G, phi, j, base)
 
 
 def integrate_characteristic(G, phi, j, a0, T, steps=1000):
@@ -157,10 +153,7 @@ def sup_w_estimate(G, phi, w_j, curve, per_axis=5, inflation=1.05):
     pts = curve.base_points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    axes = [np.linspace(lo[i], hi[i], per_axis) if hi[i] > lo[i]
-            else np.array([lo[i]]) for i in range(pts.shape[1])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    box_pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    box_pts = tensor_grid(lo, hi, np.where(hi > lo, per_axis, 1), nodes="endpoint")
     allpts = np.concatenate([pts, box_pts], axis=0)
     return inflation * float(np.max(np.abs(w_j(allpts))))
 
@@ -261,15 +254,10 @@ def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L=None):
 def conservation_residual(G, curve, phi, w_j):
     """Max mismatch of d/dt f_s(phi(gamma(t))) against gamma_dot_s * w_j
     along the curve, centered differences at interior grid times."""
-    f = flux_values(G, curve.j, _xhat_with_moving(G, curve), curve.phi_along)
+    # the full x-block: the flux drift ignores the moving coordinate (b_jj = 0)
+    f = flux_values(G, curve.j, curve.base_points[:, :G.m - 1], curve.phi_along)
     t = curve.t_grid
     dfdt = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
-    vel = _vertical_velocity(G, phi, curve.j, curve.base_points[1:-1])
+    vel = frozen_coefficients(G, phi, curve.j, curve.base_points[1:-1])
     w_vals = np.asarray(w_j(curve.base_points[1:-1]), dtype=float)
     return float(np.max(np.abs(dfdt - vel * w_vals[:, None])))
-
-
-def _xhat_with_moving(G, curve):
-    """Full x-block along the curve (the flux drift ignores the moving
-    coordinate anyway because b_{jj} = 0)."""
-    return curve.base_points[:, :G.m - 1]

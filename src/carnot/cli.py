@@ -4,7 +4,10 @@ Subcommands: group {validate,info}, gradient, residual, lipschitz,
 characteristics, broadstar, area, mollify, cone, suite.  Structured output
 is JSON (sorted keys, no timestamps) so identical configs and seeds yield
 byte-identical reports; curves are CSV.  Exit codes: 0 success, 1
-validation error, 2 numerical failure.
+validation or usage error, 2 numerical failure.
+
+Every ``cmd_*`` returns its report; :func:`run` parses and runs one command
+and :func:`main` emits the report once.
 """
 
 from __future__ import annotations
@@ -57,12 +60,20 @@ def _jsonable(obj):
 
 
 def _emit(report, args):
+    """Print the report (JSON with --json, else text) and write it to --out,
+    which for characteristics already holds the curve CSV instead."""
     report = _jsonable(report)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out and args.command != "characteristics":
         _write_atomic(args.out, text + "\n")
-    if getattr(args, "json", False):
+    if args.json:
         print(text)
+    elif args.command == "suite":
+        rows = report["rows"]
+        width = max([4] + [len(r["name"]) for r in rows])
+        for r in rows:
+            print(f"{r['name']:<{width}}  {'PASS' if r['pass'] else 'FAIL'}")
+        print(f"{report['failed']} failing of {len(rows)}")
     else:
         for key, value in sorted(report.items()):
             print(f"{key}: {value}")
@@ -84,8 +95,7 @@ def cmd_group(args):
     if args.action == "info":
         report["B"] = [G.B[s].tolist() for s in range(G.n)]
         report["b_max"] = G.b_max
-    _emit(report, args)
-    return 0
+    return report
 
 
 def cmd_gradient(args):
@@ -93,9 +103,8 @@ def cmd_gradient(args):
     phi = load_graph_function(args.phi, G)
     a = _parse_floats(args.at)
     w = calculus.intrinsic_gradient(G, phi, a)
-    _emit({"at": a.tolist(), "gradient": np.atleast_1d(w).tolist(),
-           "seed": args.seed}, args)
-    return 0
+    return {"at": a.tolist(), "gradient": np.atleast_1d(w).tolist(),
+            "seed": args.seed}
 
 
 def cmd_residual(args):
@@ -107,8 +116,7 @@ def cmd_residual(args):
     grid = QuadratureGrid(phi.domain.lo, phi.domain.hi,
                           (args.grid,) * phi.domain.dim)
     res = calculus.distributional_residual(G, phi, w, zeta, grid=grid)
-    _emit({"residual": res.tolist(), "grid": args.grid, "seed": args.seed}, args)
-    return 0
+    return {"residual": res.tolist(), "grid": args.grid, "seed": args.seed}
 
 
 def cmd_lipschitz(args):
@@ -116,8 +124,7 @@ def cmd_lipschitz(args):
     phi = load_graph_function(args.phi, G)
     est = splitting.estimate_intrinsic_lipschitz(G, phi, pair_samples=args.pairs,
                                                  seed=args.seed)
-    _emit({"lipschitz_estimate": est, "pairs": args.pairs, "seed": args.seed}, args)
-    return 0
+    return {"lipschitz_estimate": est, "pairs": args.pairs, "seed": args.seed}
 
 
 def _integrate_curve(G, phi, args):
@@ -147,11 +154,9 @@ def cmd_characteristics(args):
         "exit_time": curve.exit_time,
         "seed": args.seed,
     }
-    out_path, args.out = args.out, None      # CSV already written
-    if out_path:
-        report["curve_csv"] = out_path
-    _emit(report, args)
-    return 0
+    if args.out:
+        report["curve_csv"] = args.out
+    return report
 
 
 def cmd_broadstar(args):
@@ -161,10 +166,9 @@ def cmd_broadstar(args):
     curve = _integrate_curve(G, phi, args)
     w_j = w.components[args.j - 2].eval_extended
     res = characteristics.broadstar_residual(curve, phi, w_j)
-    _emit({"broadstar_residual": res, "j": args.j,
-           "integrator_error_estimate": curve.error_estimate,
-           "seed": args.seed}, args)
-    return 0
+    return {"broadstar_residual": res, "j": args.j,
+            "integrator_error_estimate": curve.error_estimate,
+            "seed": args.seed}
 
 
 def cmd_area(args):
@@ -172,8 +176,7 @@ def cmd_area(args):
     phi = load_graph_function(args.phi, G)
     report = area_mod.area_report(G, phi, points_per_axis=args.grid)
     report["seed"] = args.seed
-    _emit(report, args)
-    return 0
+    return report
 
 
 def cmd_mollify(args):
@@ -183,16 +186,16 @@ def cmd_mollify(args):
     report = mollify.approximation_report(G, phi, alphas, c_level=args.c,
                                           grid_per_axis=args.grid)
     report["seed"] = args.seed
-    _emit(report, args)
-    return 0
+    return report
 
 
 def cmd_cone(args):
     G = gp.load_group(args.group)
     phi = load_graph_function(args.phi, G)
-    w_sup = float(np.max(np.linalg.norm(
-        calculus.intrinsic_gradient(G, phi, phi.domain.sample(
-            2048, np.random.default_rng(args.seed))), axis=-1)))
+    sample = phi.domain.sample(2048, np.random.default_rng(args.seed))
+    # a sampled point may sit within one difference step of the box edge
+    w = calculus.intrinsic_gradient(G, phi, sample, check_domain=False)
+    w_sup = float(np.max(np.linalg.norm(w, axis=-1)))
     k = args.k if args.k is not None else 1.0 / np.sqrt(1.0 + w_sup ** 2)
     b12 = max(G.b_max, 1e-12)
     beta = cones.beta_for_k(k, G.epsilon, b12)
@@ -200,25 +203,19 @@ def cmd_cone(args):
                                           seed=args.seed)
     report.update({"k": float(k), "seed": args.seed,
                    "gradient_sup_measured": w_sup})
-    _emit(report, args)
-    return 0
+    return report
 
 
 def cmd_suite(args):
     with open(args.config) as fh:
         config = json.load(fh)
-    scenarios = config.get("scenarios", [])
     rows = []
-    failed = 0
-    for scn in scenarios:
+    for scn in config.get("scenarios", []):
         name = scn.get("name", scn.get("command", "?"))
-        argv = [scn["command"], *scn.get("args", [])]
-        buffer = _CaptureReport()
-        code = main(argv + ["--json"], report_sink=buffer)
+        code, _, report = run([scn["command"], *scn.get("args", [])])
         ok = code == 0
-        checks = scn.get("expect", {})
-        for key, rule in checks.items():
-            got = buffer.report.get(key) if buffer.report else None
+        for key, rule in scn.get("expect", {}).items():
+            got = report.get(key) if report else None
             if got is None:
                 ok = False
                 continue
@@ -226,31 +223,12 @@ def cmd_suite(args):
             if abs(float(got) - float(rule["value"])) > tol:
                 ok = False
         rows.append({"name": name, "pass": ok})
-        failed += 0 if ok else 1
-    table = {"rows": rows, "failed": failed, "seed": args.seed}
-    text = json.dumps(table, indent=2, sort_keys=True)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    if args.json:
-        print(text)
-    else:
-        width = max([4] + [len(r["name"]) for r in rows])
-        for r in rows:
-            print(f"{r['name']:<{width}}  {'PASS' if r['pass'] else 'FAIL'}")
-        print(f"{failed} failing of {len(rows)}")
-    return 0 if failed == 0 else 1
-
-
-class _CaptureReport:
-    def __init__(self):
-        self.report = None
+    failed = sum(not r["pass"] for r in rows)
+    return {"rows": rows, "failed": failed, "seed": args.seed}
 
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface compatibility; "
-                          "computation is vectorized, not threaded")
     sub.add_argument("--out", default=None)
     sub.add_argument("--json", action="store_true")
 
@@ -337,43 +315,35 @@ def build_parser():
     return parser
 
 
-def main(argv=None, report_sink=None):
-    parser = build_parser()
+def run(argv):
+    """Parse ``argv`` and run its command: (exit code, args, report).
+
+    Usage errors exit 1 (``--help`` exits 0) and a report whose ``failed``
+    count is nonzero exits 1; the report is None when the command raised.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
-    if report_sink is not None:
-        # reroute _emit for suite-internal scenario runs
-        global _emit
-        original = _emit
-
-        def capture(report, a):
-            report_sink.report = report
-
-        _emit = capture
-        try:
-            return _dispatch(args)
-        finally:
-            _emit = original
-    return _dispatch(args)
-
-
-def _dispatch(args):
+        return (1 if exc.code else 0), None, None
     try:
-        return args.fn(args)
-    except ValidationError as exc:
+        report = args.fn(args)
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1, args, None
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2, args, None
     except (KeyError, json.JSONDecodeError) as exc:
         print(f"error: invalid input file ({exc})", file=sys.stderr)
-        return 1
+        return 1, args, None
+    return (1 if report.get("failed") else 0), args, report
+
+
+def main(argv=None):
+    code, args, report = run(argv)
+    if report is not None:
+        _emit(report, args)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ValueNotRepresentable,
 )
-from .splitting import embed_base, graph_map
+from .splitting import embed_base, graph_map, lift_graph_value
 
 
 def beta_for_k(k, epsilon=1.0, b12=1.0):
@@ -223,7 +223,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5,
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
     w_part = embed_base(G, np.concatenate([xhat, yv], axis=-1))
-    v = gp.multiply(G, w_part, _e1_points(G, t))
+    v = gp.multiply(G, w_part, lift_graph_value(G, t))
     q = gp.multiply(G, P, v)
     inside = subgraph_indicator_extended(G, phi, q)
     expected = (sides < 0).astype(float)
@@ -234,10 +234,3 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5,
         "beta": beta,
         "radius": radius,
     }
-
-
-def _e1_points(G, t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (G.dim,))
-    out[..., 0] = t
-    return out

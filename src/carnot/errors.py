@@ -79,6 +79,10 @@ class ValueNotRepresentable(ValidationError):
     """The vertical value cannot be realized by the parallelogram construction."""
 
 
+class GridTooLarge(ValidationError):
+    """A tensor grid would exceed the node budget."""
+
+
 # -- numerical ----------------------------------------------------------------
 
 class CalibrationFailed(NumericalError):

@@ -21,6 +21,7 @@ import sympy as sp
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DimensionMismatch, OutOfDomain, ValidationError
+from .quadrature import tensor_grid
 
 
 def base_coordinate_names(m, n):
@@ -210,11 +211,8 @@ class GraphFunction:
         if per_axis is None:
             # keep the full tensor grid around 2e5 points in any dimension
             per_axis = max(4, int(round(2e5 ** (1.0 / self.domain.dim))))
-        lo = self.domain.lo - padding
-        hi = self.domain.hi + padding
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.domain.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = tensor_grid(self.domain.lo - padding, self.domain.hi + padding,
+                          (per_axis,) * self.domain.dim, nodes="endpoint")
         return float(np.max(np.abs(self.eval_extended(pts))))
 
     def __repr__(self):

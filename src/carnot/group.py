@@ -207,10 +207,6 @@ def inverse(G, p):
     return -_check_point(G, p)
 
 
-def identity(G):
-    return np.zeros(G.dim)
-
-
 def dilate(G, lam, p):
     """Anisotropic dilation: x -> lam x, y -> lam^2 y."""
     lam = np.asarray(lam, dtype=float)

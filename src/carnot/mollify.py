@@ -36,6 +36,7 @@ from .errors import (
     QuadratureUnderflow,
     ValidationError,
 )
+from .quadrature import tensor_grid
 from .splitting import embed_base, lift_graph_value
 
 _MAX_BISECTION_ITERS = 200
@@ -89,9 +90,7 @@ class MollifierKernel:
                 f"kernel needs at least 4 points per axis, got {k}")
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
-        axes = [(-h + (np.arange(k) + 0.5) * (2.0 * h / k)) for h in half]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        nodes = tensor_grid(-half, half, (k,) * G.dim)
         cell = float(np.prod(2.0 * half / k))
         # continuum normalizer: the profile factorizes into two radial bumps
         z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
@@ -121,10 +120,8 @@ class MollifierKernel:
         G, a = self.G, self.alpha
 
         def block(dim, half, scale):
-            axes = [(-half + (np.arange(points_per_axis) + 0.5)
-                     * (2.0 * half / points_per_axis))] * dim
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+            pts = tensor_grid(np.full(dim, -half), np.full(dim, half),
+                              (points_per_axis,) * dim)
             cell = (2.0 * half / points_per_axis) ** dim
             return float(np.sum(_bump(scale * np.sum(pts * pts, axis=-1))) * cell)
 
@@ -273,13 +270,6 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values,
     return -grad[..., 1:] / x1f[..., None]
 
 
-def _base_grid(box, per_axis):
-    axes = [box.lo[i] + (np.arange(per_axis) + 0.5)
-            * (box.hi[i] - box.lo[i]) / per_axis for i in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
 def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
                          points_per_axis=16, gradient_samples=256,
                          rate_factor=2.0, gradient_allowance=1.10):
@@ -293,7 +283,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     by more than the stated allowance.
     """
     alphas = sorted(float(al) for al in alpha_list)
-    A = _base_grid(phi.domain, grid_per_axis)
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
     sub = A[:: max(1, len(A) // gradient_samples)]
@@ -356,7 +346,7 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12, t_points=48,
     so the t-integration is restricted per base column to a window around
     phi(a) sized by the kernel reach through the measured slopes of phi.
     """
-    A = _base_grid(phi.domain, base_per_axis)
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (base_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     a = kernel.alpha
     lx, ly = _base_slope_bounds(G, phi, A)

@@ -3,16 +3,53 @@
 The midpoint rule is order 2, has positive weights, and its nodes never touch
 box boundaries, which keeps integrands with boundary singularities usable.
 All multi-dimensional integrals in the package run through these grids so
-that refinement studies are comparable across modules.
+that refinement studies are comparable across modules, and every tensor grid
+of sample points is built by :func:`tensor_grid` under one node budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GridTooLarge, ValidationError
+
+# Largest node count of any tensor grid; larger shapes are rejected before
+# anything is allocated.  It admits the largest grid built by default,
+# MollifierKernel.mass on an m = 4 group (48^4 ~ 5.3M nodes).
+MAX_GRID_NODES = 2 ** 23
+
+
+def _check_node_budget(shape):
+    nodes = math.prod(shape)
+    if nodes > MAX_GRID_NODES:
+        raise GridTooLarge(f"tensor grid of {nodes} nodes exceeds the budget "
+                           f"of {MAX_GRID_NODES} nodes")
+
+
+def tensor_grid(lo, hi, shape, nodes="midpoint"):
+    """All nodes of a tensor grid on the box [lo, hi] as an (N, d) array
+    (C order).
+
+    ``"midpoint"`` places cell centres lo + h (k + 1/2), h = (hi - lo) / count;
+    ``"endpoint"`` places ``np.linspace(lo, hi, count)`` (just lo for a count
+    of 1).
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    shape = tuple(int(k) for k in shape)
+    _check_node_budget(shape)
+    if nodes == "midpoint":
+        h = (hi - lo) / np.asarray(shape, dtype=float)
+        axes = [lo[i] + h[i] * (np.arange(k) + 0.5) for i, k in enumerate(shape)]
+    elif nodes == "endpoint":
+        axes = [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
+    else:
+        raise ValidationError(f"unknown node placement {nodes!r}")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def default_points_per_axis(dim):
@@ -44,6 +81,7 @@ class QuadratureGrid:
             shape = shape * lo.size
         if len(shape) != lo.size or any(k < 1 for k in shape):
             raise ValidationError("shape must give a positive count per axis")
+        _check_node_budget(shape)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)
@@ -60,16 +98,9 @@ class QuadratureGrid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    def axes(self):
-        """Per-axis midpoint coordinates."""
-        h = self.spacing
-        return [self.lo[i] + h[i] * (np.arange(self.shape[i]) + 0.5)
-                for i in range(self.dim)]
-
     def points(self):
         """All nodes as an (N, dim) array (C order)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return tensor_grid(self.lo, self.hi, self.shape)
 
     def integrate(self, values):
         """Integrate nodal values (shape == grid shape or flat)."""
@@ -81,10 +112,6 @@ class QuadratureGrid:
     def refine(self, factor=2):
         return QuadratureGrid(self.lo, self.hi,
                               tuple(k * factor for k in self.shape))
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
 
 
 def richardson_order(coarse, mid, fine):

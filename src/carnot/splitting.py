@@ -11,7 +11,6 @@ estimate, vertical Hoelder modulus) built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import Box, GraphFunction
+from .quadrature import tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
 # (the a = b limit), not reported as errors.
@@ -37,12 +37,6 @@ def embed_base(G, a):
             f"expected base points of length {G.base_dim}, got {a.shape}")
     zero = np.zeros(a.shape[:-1] + (1,))
     return np.concatenate([zero, a], axis=-1)
-
-
-def base_coordinates(G, p_w):
-    """Inverse of :func:`embed_base` on points of W (drops the zero x1)."""
-    p_w = np.asarray(p_w, dtype=float)
-    return p_w[..., 1:]
 
 
 def lift_graph_value(G, t):
@@ -107,9 +101,8 @@ def translate_graph_function(G, phi, q):
     hi = phi.domain.hi.copy()
     lo[:G.m - 1] += shift_x
     hi[:G.m - 1] += shift_x
-    corners_01 = np.stack(np.meshgrid(*[[0.0, 1.0]] * (G.m - 1),
-                                      indexing="ij"), axis=-1).reshape(-1, G.m - 1)
-    corners = lo[:G.m - 1] + corners_01 * (hi[:G.m - 1] - lo[:G.m - 1])
+    corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
+                          nodes="endpoint")
     probe = np.concatenate([corners, np.zeros((len(corners), G.n))], axis=-1)
     g_corr, _ = pulled_base(probe)           # vertical part = affine correction
     g_y = g_corr[:, G.m - 1:]
@@ -176,12 +169,6 @@ def sigma_form(G, phi, b, a):
     return np.sum(np.sqrt(np.abs(inner)), axis=-1)
 
 
-def _grid_points(box, per_axis):
-    axes = [np.linspace(box.lo[i], box.hi[i], per_axis) for i in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
 def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     """Lower bound for the intrinsic Lipschitz constant:
     sup over sampled pairs of |phi(b) - phi(a)| / quasidistance(a, b).
@@ -194,13 +181,11 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     # grid sized so the all-pairs count stays within the pair budget
     target_points = max(2, int((2.0 * pair_samples) ** 0.5))
     per_axis = max(2, int(target_points ** (1.0 / box.dim)))
-    pts = _grid_points(box, per_axis)
-    idx = np.array(list(combinations(range(len(pts)), 2)))
-    if len(idx) > pair_samples:
-        idx = idx[:pair_samples]
-    a = pts[idx[:, 0]]
-    b = pts[idx[:, 1]]
-    extra = pair_samples - len(idx)
+    pts = tensor_grid(box.lo, box.hi, (per_axis,) * box.dim, nodes="endpoint")
+    first, second = np.triu_indices(len(pts), k=1)
+    a = pts[first[:pair_samples]]
+    b = pts[second[:pair_samples]]
+    extra = pair_samples - len(a)
     if extra > 0:
         rng = np.random.default_rng(seed)
         a = np.concatenate([a, box.sample(extra, rng)])
@@ -226,14 +211,11 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     d = box.dim
     if grid_per_axis is None:
         grid_per_axis = max(4, int(round(10_000 ** (1.0 / d))))
-    pts = _grid_points(box, grid_per_axis)
     shape = (grid_per_axis,) * d
+    pts = tensor_grid(box.lo, box.hi, shape, nodes="endpoint")
     vals = phi.eval_extended(pts).reshape(shape)
-    y_shape = shape[d - n_vertical:]
-    y_axes = [np.linspace(box.lo[d - n_vertical + i], box.hi[d - n_vertical + i],
-                          y_shape[i]) for i in range(n_vertical)]
-    y_mesh = np.meshgrid(*y_axes, indexing="ij")
-    y_pts = np.stack([m.reshape(-1) for m in y_mesh], axis=-1)
+    y_pts = tensor_grid(box.lo[d - n_vertical:], box.hi[d - n_vertical:],
+                        shape[d - n_vertical:], nodes="endpoint")
     vals = vals.reshape(-1, y_pts.shape[0])         # (x-slices, y-points)
     dy = np.linalg.norm(y_pts[:, None, :] - y_pts[None, :, :], axis=-1)
     dv = np.abs(vals[:, :, None] - vals[:, None, :])

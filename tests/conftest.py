@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from carnot.functions import Box, GraphFunction
 from carnot.group import standard_group
+
+# Deterministic examples and no per-example deadline (host speed varies).
+settings.register_profile("carnot", derandomize=True, deadline=None,
+                          max_examples=25)
+settings.load_profile("carnot")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carnot.cli import main
+from carnot.group import standard_group
+from carnot.quadrature import MAX_GRID_NODES
 
 
 @pytest.fixture()
@@ -207,3 +210,72 @@ def test_suite_pass_and_fail(tmp_path, heis_file, phi_file, w_one_file, capsys):
     assert "broadstar-linear" in out and "PASS" in out
     assert "gradient-wrong-expect" in out and "FAIL" in out
     assert "1 failing of 2" in out
+
+
+def test_usage_errors_exit_1(heis_file, capsys):
+    assert main(["area", "--bogus"]) == 1
+    assert main(["group", "validate", heis_file, "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+
+
+def test_suite_scenario_reads_nested_suite_report(tmp_path, heis_file, phi_file,
+                                                  capsys):
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps({"scenarios": [
+        {"name": "gradient", "command": "gradient",
+         "args": ["--group", heis_file, "--phi", phi_file, "--at", "0,0"],
+         "expect": {"seed": {"value": 0.0, "tol": 0.0}}}]}))
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps({"scenarios": [
+        {"name": "nested", "command": "suite", "args": [str(inner)],
+         "expect": {"failed": {"value": 0, "tol": 0}}}]}))
+    assert main(["suite", str(outer), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"failed": 0, "rows": [{"name": "nested", "pass": True}],
+                      "seed": 0}
+
+
+def test_cone_grid_phi_samples_near_edge(heis_file, tmp_path, capsys):
+    # seed 5 draws a point within one difference step of the box edge
+    axis = np.linspace(-1.0, 1.0, 17)
+    values = 0.6 * axis[:, None] + 0.1 * axis[None, :]
+    np.savetxt(tmp_path / "vals.csv", values.reshape(1, -1), delimiter=",")
+    phi = tmp_path / "phi_grid.json"
+    phi.write_text(json.dumps(
+        {"kind": "grid", "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+         "grid": {"shape": [17, 17], "values": "vals.csv"}}))
+    code = main(["cone", "--group", heis_file, "--phi", str(phi),
+                 "--samples", "2000", "--seed", "5", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == 0
+
+
+@pytest.mark.parametrize("name, param, base_dim, grid", [
+    # --grid 64 on H^2 refines to 256^4 nodes; --grid 8 on the quaternion
+    # group to 32^6
+    ("heisenberg", 2, 4, 64),
+    ("h_type", "quaternion", 6, 8),
+])
+def test_area_grid_over_budget_rejected_up_front(tmp_path, capsys, name, param,
+                                                 base_dim, grid):
+    G = standard_group(name, param, epsilon=1.0)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"m": G.m, "n": G.n, "epsilon": 1.0,
+                                 "B": [b.reshape(-1).tolist() for b in G.B]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(
+        {"kind": "expr", "domain": {"lo": [0.0] * base_dim, "hi": [1.0] * base_dim},
+         "expr": "x2"}))
+    tracemalloc.start()
+    try:
+        code = main(["area", "--group", str(group), "--phi", str(phi),
+                     "--grid", str(grid)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    # a refinement grid is rejected before the first integral is computed
+    assert f"exceeds the budget of {MAX_GRID_NODES} nodes" in err
+    assert peak < 2 ** 26

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carnot import errors
 from carnot.functions import (
@@ -11,7 +14,12 @@ from carnot.functions import (
     load_graph_function,
     vector_field_from_dict,
 )
-from carnot.quadrature import QuadratureGrid, richardson_order
+from carnot.quadrature import (
+    MAX_GRID_NODES,
+    QuadratureGrid,
+    richardson_order,
+    tensor_grid,
+)
 
 from conftest import unit_box
 
@@ -155,3 +163,46 @@ def test_quadrature_midpoint_order():
 def test_quadrature_validation():
     with pytest.raises(errors.ValidationError):
         QuadratureGrid([0.0], [0.0], (4,))
+
+
+@st.composite
+def _boxes(draw):
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=d, max_size=d)))
+    lo = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d)))
+    return lo, lo + width, shape
+
+
+@given(_boxes())
+def test_tensor_grid_properties(box):
+    lo, hi, shape = box
+    for nodes in ("midpoint", "endpoint"):
+        pts = tensor_grid(lo, hi, shape, nodes=nodes)
+        assert pts.shape == (int(np.prod(shape)), len(shape))
+        # C order: coordinate i depends only on index i, increasing along it
+        cube = pts.reshape(shape + (len(shape),))
+        for i, k in enumerate(shape):
+            axis = np.moveaxis(cube[..., i], i, 0).reshape(k, -1)
+            assert np.all(axis == axis[:, :1])
+            assert np.all(np.diff(axis[:, 0]) > 0)
+    ends = tensor_grid(lo, hi, shape, nodes="endpoint")
+    assert np.array_equal(ends.min(axis=0), lo)
+    assert np.array_equal(ends.max(axis=0),
+                          np.where(np.array(shape) > 1, hi, lo))
+    mids = tensor_grid(lo, hi, shape)
+    assert np.all((mids > lo) & (mids < hi))
+    assert np.array_equal(mids, QuadratureGrid(lo, hi, shape).points())
+
+
+def test_tensor_grid_over_budget_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.GridTooLarge, match=str(MAX_GRID_NODES)):
+            tensor_grid([0.0] * 6, [1.0] * 6, (32,) * 6, nodes="endpoint")
+        with pytest.raises(errors.GridTooLarge, match=str(256 ** 4)):
+            QuadratureGrid([0.0] * 4, [1.0] * 4, (256,) * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

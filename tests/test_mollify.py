@@ -14,6 +14,7 @@ from carnot.mollify import (
     level_set_phi_alpha,
     mollified_indicator,
 )
+from carnot.quadrature import tensor_grid
 from carnot.splitting import embed_base, lift_graph_value
 
 from conftest import unit_box
@@ -157,8 +158,8 @@ def test_pipeline_vertical_dependence(heis1):
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("0.25*y", box, 2, 1)
     from carnot.calculus import intrinsic_gradient
-    from carnot.mollify import _base_grid, _phi_alpha_batch
-    A = _base_grid(box, 10)
+    from carnot.mollify import _phi_alpha_batch
+    A = tensor_grid(box.lo, box.hi, (10, 10))
     w_inf = np.max(np.abs(intrinsic_gradient(heis1, phi, A)))
     for alpha in (0.2, 0.05):
         kern = MollifierKernel(heis1, alpha)
@@ -175,8 +176,8 @@ def test_pipeline_higher_dimensional_group(heis2):
     phi = GraphFunction.from_expression("0.5*x2 + 0.25*x4", box, 4, 1)
     kern = MollifierKernel(heis2, 0.15, points_per_axis=8)
     assert abs(kern.mass() - 1.0) <= 1e-3
-    from carnot.mollify import _base_grid, _phi_alpha_batch
-    A = _base_grid(box, 3)
+    from carnot.mollify import _phi_alpha_batch
+    A = tensor_grid(box.lo, box.hi, (3,) * 4)
     pa = _phi_alpha_batch(heis2, phi, kern, 0.5, A, f_tol=1e-3, t_tol=1e-6)
     assert np.max(np.abs(pa - phi.eval_extended(A))) <= 5e-3
 
@@ -184,13 +185,13 @@ def test_pipeline_higher_dimensional_group(heis2):
 def test_pipeline_small_epsilon():
     # eps < 1 widens the kernel's vertical support (alpha^2 / eps^2)
     from carnot.group import standard_group
-    from carnot.mollify import _base_grid, _phi_alpha_batch
+    from carnot.mollify import _phi_alpha_batch
     G = standard_group("heisenberg", 1, epsilon=0.5)
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     kern = MollifierKernel(G, 0.1)
     assert abs(kern.mass() - 1.0) <= 1e-3
-    A = _base_grid(box, 6)
+    A = tensor_grid(box.lo, box.hi, (6, 6))
     pa = _phi_alpha_batch(G, phi, kern, 0.45, A, f_tol=1e-3, t_tol=1e-7)
     err = np.max(np.abs(pa - phi.eval_extended(A)))
     assert err <= 0.1 * kern.alpha
