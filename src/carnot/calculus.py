@@ -140,9 +140,10 @@ class TestFunction:
         out[inside] = -g[inside, None] * 2.0 * u[inside] / self.radius
         return out
 
-    def supported_inside(self, box, strict=1e-12):
-        return bool(np.all(self.center - self.radius >= box.lo - strict) and
-                    np.all(self.center + self.radius <= box.hi + strict))
+    def supported_inside(self, box):
+        """Support ball inside the box, up to 1e-12 of rounding slack."""
+        return bool(np.all(self.center - self.radius >= box.lo - 1e-12) and
+                    np.all(self.center + self.radius <= box.hi + 1e-12))
 
 
 def base_frame_apply(G, a, zeta_grad):

@@ -130,14 +130,14 @@ def broadstar_residual(curve, phi, w_j):
     return float(np.max(np.abs(lhs - integral)))
 
 
-def _pairwise_sup_slope(t, v, decimate=10):
-    """sup |v(t2) - v(t1)| / (t2 - t1): adjacent pairs plus a decimated
-    all-pairs sweep (adjacent pairs dominate for smooth data)."""
+def _pairwise_sup_slope(t, v):
+    """sup |v(t2) - v(t1)| / (t2 - t1): adjacent pairs plus an all-pairs
+    sweep over every tenth point (adjacent pairs dominate for smooth data)."""
     dt = np.diff(t)
     keep = dt > 0
     best = float(np.max(np.abs(np.diff(v))[keep] / dt[keep])) if np.any(keep) else 0.0
-    ts = t[::decimate]
-    vs = v[::decimate]
+    ts = t[::10]
+    vs = v[::10]
     if len(ts) > 1:
         dtm = ts[None, :] - ts[:, None]
         dvm = vs[None, :] - vs[:, None]
@@ -146,16 +146,16 @@ def _pairwise_sup_slope(t, v, decimate=10):
     return best
 
 
-def sup_w_estimate(G, phi, w_j, curve, per_axis=5, inflation=1.05):
+def sup_w_estimate(G, phi, w_j, curve):
     """||w_j||_inf over the curve's bounding box: sampled max over the curve
-    points plus a coarse box grid, inflated by 5% (an essential sup cannot
-    be computed exactly)."""
+    points plus a 5-per-axis box grid, inflated by 5% (an essential sup
+    cannot be computed exactly)."""
     pts = curve.base_points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    box_pts = tensor_grid(lo, hi, np.where(hi > lo, per_axis, 1), nodes="endpoint")
+    box_pts = tensor_grid(lo, hi, np.where(hi > lo, 5, 1), nodes="endpoint")
     allpts = np.concatenate([pts, box_pts], axis=0)
-    return inflation * float(np.max(np.abs(w_j(allpts))))
+    return 1.05 * float(np.max(np.abs(w_j(allpts))))
 
 
 def _curve_holder_constant(G, phi, curve):

@@ -26,7 +26,7 @@ from . import calculus, characteristics, cones, mollify, splitting
 from . import group as gp
 from .errors import NumericalError, ValidationError
 from .functions import load_graph_function, load_vector_field
-from .quadrature import QuadratureGrid
+from .quadrature import QuadratureGrid, default_points_per_axis
 
 
 def _write_atomic(path, text):
@@ -113,10 +113,11 @@ def cmd_residual(args):
     w = load_vector_field(args.w, G)
     vals = _parse_floats(args.zeta)
     zeta = calculus.TestFunction(vals[:-1], vals[-1])
-    grid = QuadratureGrid(phi.domain.lo, phi.domain.hi,
-                          (args.grid,) * phi.domain.dim)
+    box = phi.domain
+    k = args.grid if args.grid is not None else default_points_per_axis(box.dim)
+    grid = QuadratureGrid(box.lo, box.hi, (k,) * box.dim)
     res = calculus.distributional_residual(G, phi, w, zeta, grid=grid)
-    return {"residual": res.tolist(), "grid": args.grid, "seed": args.seed}
+    return {"residual": res.tolist(), "grid": k, "seed": args.seed}
 
 
 def cmd_lipschitz(args):
@@ -258,7 +259,8 @@ def build_parser():
     p.add_argument("--w", required=True)
     p.add_argument("--zeta", required=True,
                    help="bump spec: center coordinates then radius")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, default=None,
+                   help="points per axis (default by base dimension)")
     _add_common(p)
     p.set_defaults(fn=cmd_residual)
 
@@ -287,7 +289,8 @@ def build_parser():
     p = subs.add_parser("area", help="graph area integral with order estimate")
     p.add_argument("--group", required=True)
     p.add_argument("--phi", required=True)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, default=None,
+                   help="coarsest points per axis (default by base dimension)")
     _add_common(p)
     p.set_defaults(fn=cmd_area)
 

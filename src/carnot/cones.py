@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ValueNotRepresentable,
 )
-from .splitting import embed_base, graph_map, lift_graph_value
+from .splitting import Cone, cone_membership, embed_base, graph_map, lift_graph_value
 
 
 def beta_for_k(k, epsilon=1.0, b12=1.0):
@@ -57,21 +57,6 @@ def cone_window(k, epsilon=1.0, b12=1.0):
     return beta_for_k(k, epsilon, b12), float(np.sqrt(k * k / (2.0 - k * k)))
 
 
-def _in_half_cone(G, p, beta, nu=None):
-    """max(|x - <x,nu>nu|, eps |y - <x,nu><Bx,nu>/2|^(1/2)) <= -beta <x,nu>."""
-    x, y = gp.split_layers(G, p)
-    if nu is None:
-        nu = np.zeros(G.m)
-        nu[0] = 1.0
-    t = x @ nu
-    perp = x - np.multiply.outer(t, nu)
-    corr = np.einsum("sij,...j,i->...s", G.B, x, nu)
-    vert = y - 0.5 * t[..., None] * corr
-    lhs = np.maximum(np.linalg.norm(perp, axis=-1),
-                     G.epsilon * np.sqrt(np.linalg.norm(vert, axis=-1)))
-    return lhs <= -beta * t
-
-
 def parallelogram_vertices(z, h):
     """Extremal vertices of {|eta2| <= -h eta1, |z2 - eta2| <= -h (z1 - eta1)}."""
     z1, z2 = float(z[0]), float(z[1])
@@ -96,7 +81,8 @@ def construct_eta_m2n1(G, p, k):
         raise ValidationError(f"expected a point of R^3, got shape {p.shape}")
     b12 = float(G.B[0, 0, 1])
     beta, h = cone_window(k, G.epsilon, abs(b12))
-    if not bool(_in_half_cone(G, p, beta)):
+    # half-cone with axis nu = e1: ||P_W(p)|| <= -beta p1
+    if not (p[0] <= 0 and cone_membership(G, Cone(np.zeros(3), beta), p)):
         raise PointOutsideCone("point does not satisfy the half-cone condition")
     z = p[:2]
     y = p[2]
@@ -130,23 +116,24 @@ def eta_verification(G, p, k, eta):
     return {"identity_residual": resid, "angle_slack": (slack1, slack2)}
 
 
-def sample_cone_points_m2n1(G, k, count, seed=0, scale=1.0, margin=0.9):
+def sample_cone_points_m2n1(G, k, count, seed=0):
     """Rejection-sample representable half-cone points (m=2, n=1).
 
-    Draws p1 < 0 with |p2| <= margin * min(beta, h) |p1|, then a vertical
-    value inside both the cone window and the attainable range of the
-    parallelogram's linear form (the constructible sector).
+    Draws p1 in [-1, -0.05) with |p2| <= 0.9 min(beta, h) |p1|, then a
+    vertical value inside 0.9 times both the cone window and the attainable
+    range of the parallelogram's linear form (the constructible sector).
     """
     if G.m != 2 or G.n != 1:
         raise ValidationError("sampler requires m=2, n=1")
     rng = np.random.default_rng(seed)
     b12 = float(G.B[0, 0, 1])
     beta, h = cone_window(k, G.epsilon, abs(b12))
+    cone = Cone(np.zeros(3), beta)
     out = np.empty((count, 3))
     got = 0
     while got < count:
-        p1 = -scale * rng.uniform(0.05, 1.0)
-        p2 = margin * min(beta, h) * abs(p1) * rng.uniform(-1.0, 1.0)
+        p1 = -rng.uniform(0.05, 1.0)
+        p2 = 0.9 * min(beta, h) * abs(p1) * rng.uniform(-1.0, 1.0)
         z = np.array([p1, p2])
         zh1, zh2 = parallelogram_vertices(z, h)
         vals = [b12 * (v[1] * z[0] - v[0] * z[1]) for v in (zh1, zh2)]
@@ -154,13 +141,13 @@ def sample_cone_points_m2n1(G, k, count, seed=0, scale=1.0, margin=0.9):
         # cone window on the vertical value
         half = (beta * p1 / G.epsilon) ** 2
         center = 0.5 * b12 * p1 * p2
-        lo = max(center - half, lo_rep) * margin
-        hi = min(center + half, hi_rep) * margin
+        lo = max(center - half, lo_rep) * 0.9
+        hi = min(center + half, hi_rep) * 0.9
         if hi <= lo:
             continue
         y = rng.uniform(lo, hi)
         p = np.array([p1, p2, y])
-        if bool(_in_half_cone(G, p, beta)):
+        if cone_membership(G, cone, p):         # p1 < 0: the lower half-cone
             out[got] = p
             got += 1
     return out
@@ -191,13 +178,12 @@ def plane_reduction(G, p, nu, k):
     return {"xi": xi, "nu_hat": nu_hat, "p2_rescaled": y / xi ** 2, "beta": beta}
 
 
-def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5,
-                           margin=0.95):
+def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     """Sampled verification that lower/upper half-cones at graph points stay
     inside / outside the subgraph.
 
     Cone points are built as q = Phi(a) * (w * (t e1)) with ||w|| below
-    margin * beta * |t|, so they satisfy the strict cone condition by
+    0.95 beta |t|, so they satisfy the strict cone condition by
     construction; the report counts indicator disagreements (0 expected
     for openings below the intrinsic-Lipschitz threshold).
     """
@@ -212,8 +198,8 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5,
     t = rng.uniform(0.05, 1.0, size=samples) * radius
     sides = rng.integers(0, 2, size=samples) * 2 - 1     # -1: below, +1: above
     t = t * sides
-    # W-component with homogeneous norm <= margin * beta * |t|
-    r_w = margin * beta * np.abs(t)
+    # W-component with homogeneous norm <= 0.95 beta |t|
+    r_w = 0.95 * beta * np.abs(t)
     xhat = rng.uniform(-1.0, 1.0, size=(samples, G.m - 1))
     xhat *= (r_w / np.maximum(np.linalg.norm(xhat, axis=-1), 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]

@@ -51,9 +51,9 @@ class Box:
     def dim(self):
         return self.lo.size
 
-    def contains(self, a, margin=0.0):
+    def contains(self, a):
         a = np.asarray(a, dtype=float)
-        return np.all((a >= self.lo - margin) & (a <= self.hi + margin), axis=-1)
+        return np.all((a >= self.lo) & (a <= self.hi), axis=-1)
 
     def clamp(self, a):
         return np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
@@ -206,11 +206,10 @@ class GraphFunction:
             raise ValidationError(f"{self.kind} graph function has no analytic partials")
         return self._partials(self._check_dim(a))
 
-    def sup_abs(self, per_axis=None, padding=0.0):
+    def sup_abs(self, padding=0.0):
         """Sampled sup |phi| on the (optionally padded) domain box."""
-        if per_axis is None:
-            # keep the full tensor grid around 2e5 points in any dimension
-            per_axis = max(4, int(round(2e5 ** (1.0 / self.domain.dim))))
+        # keep the full tensor grid around 2e5 points in any dimension
+        per_axis = max(4, int(round(2e5 ** (1.0 / self.domain.dim))))
         pts = tensor_grid(self.domain.lo - padding, self.domain.hi + padding,
                           (per_axis,) * self.domain.dim, nodes="endpoint")
         return float(np.max(np.abs(self.eval_extended(pts))))

@@ -37,6 +37,8 @@ from .errors import (
 # inequality is tight (equality on collinear horizontal pairs), so exact
 # comparisons would flag pure rounding noise as violations.
 TRIANGLE_FP_SLACK = 1e-12
+# calibrate_epsilon searches eps = 2^0, 2^-1, ..., 2^-EPSILON_GRID_DEPTH.
+EPSILON_GRID_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,7 @@ def split_layers(G, p):
     return p[..., :G.m], p[..., G.m:]
 
 
-def make_group(m, n, matrices, epsilon=None, name="", calibration_samples=10_000,
-               calibration_seed=0):
+def make_group(m, n, matrices, epsilon=None, name=""):
     """Validate group data and build a :class:`GroupStructure`.
 
     ``matrices`` is a sequence of n real m x m arrays.  Skew-symmetry is
@@ -117,7 +118,7 @@ def make_group(m, n, matrices, epsilon=None, name="", calibration_samples=10_000
             f"stacked vectorizations have numerical rank < n (sigma_min={sv[-1]:.3e})")
     G = GroupStructure(m=m, n=n, B=B, epsilon=1.0, name=name)
     if epsilon is None:
-        eps = calibrate_epsilon(G, calibration_samples, calibration_seed)
+        eps = calibrate_epsilon(G)
     else:
         eps = float(epsilon)
         if not (0.0 < eps <= 1.0):
@@ -152,8 +153,7 @@ def _quaternion_matrices():
     return np.array([J1, J2, J3], dtype=float)
 
 
-def standard_group(name, param=None, epsilon=None, calibration_samples=10_000,
-                   calibration_seed=0):
+def standard_group(name, param=None, epsilon=None):
     """Build one of the named groups.
 
     heisenberg(k):  m=2k, n=1, B^(1) = [[0, I_k], [-I_k, 0]].
@@ -167,25 +167,19 @@ def standard_group(name, param=None, epsilon=None, calibration_samples=10_000,
         if k < 1:
             raise UnknownName(f"heisenberg index must be >= 1, got {k}")
         return make_group(2 * k, 1, _heisenberg_matrices(k), epsilon,
-                          name=f"heisenberg({k})",
-                          calibration_samples=calibration_samples,
-                          calibration_seed=calibration_seed)
+                          name=f"heisenberg({k})")
     if key == "free_step2":
         m = int(param if param is not None else 2)
         if m < 2:
             raise UnknownName(f"free_step2 needs m >= 2, got {m}")
         return make_group(m, m * (m - 1) // 2, _free_step2_matrices(m), epsilon,
-                          name=f"free_step2({m})",
-                          calibration_samples=calibration_samples,
-                          calibration_seed=calibration_seed)
+                          name=f"free_step2({m})")
     if key == "h_type":
         ident = (param or "quaternion")
         if str(ident) != "quaternion":
             raise UnknownName(f"unknown h_type id {ident!r}; built-in: 'quaternion'")
         return make_group(4, 3, _quaternion_matrices(), epsilon,
-                          name="h_type(quaternion)",
-                          calibration_samples=calibration_samples,
-                          calibration_seed=calibration_seed)
+                          name="h_type(quaternion)")
     raise UnknownName(f"unknown group name {name!r}")
 
 
@@ -249,7 +243,7 @@ def triangle_violations(G, p, q, epsilon=None):
     return int(np.count_nonzero(lhs - rhs > TRIANGLE_FP_SLACK * np.maximum(1.0, rhs)))
 
 
-def calibrate_epsilon(G, sample_count=10_000, seed=0, grid_depth=20):
+def calibrate_epsilon(G, sample_count=10_000, seed=0):
     """Largest eps on the dyadic grid 2^0, 2^-1, ... that satisfies the
     triangle inequality on ``sample_count`` sampled pairs from the unit ball.
 
@@ -261,12 +255,12 @@ def calibrate_epsilon(G, sample_count=10_000, seed=0, grid_depth=20):
     rng = np.random.default_rng(seed)
     p = _sample_unit_ball(G, sample_count, rng)
     q = _sample_unit_ball(G, sample_count, rng)
-    for k in range(grid_depth + 1):
+    for k in range(EPSILON_GRID_DEPTH + 1):
         eps = 2.0 ** (-k)
         if triangle_violations(G, p, q, epsilon=eps) == 0:
             return eps
     raise CalibrationFailed(
-        f"no epsilon on the dyadic grid down to 2^-{grid_depth} passes")
+        f"no epsilon on the dyadic grid down to 2^-{EPSILON_GRID_DEPTH} passes")
 
 
 def left_invariant_frame(G, p):

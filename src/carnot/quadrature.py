@@ -109,9 +109,9 @@ class QuadratureGrid:
     def integrate_function(self, f):
         return self.integrate(f(self.points()))
 
-    def refine(self, factor=2):
-        return QuadratureGrid(self.lo, self.hi,
-                              tuple(k * factor for k in self.shape))
+    def refine(self):
+        """The grid with every spacing halved."""
+        return QuadratureGrid(self.lo, self.hi, tuple(2 * k for k in self.shape))
 
 
 def richardson_order(coarse, mid, fine):

@@ -10,6 +10,7 @@ estimate, vertical Hoelder modulus) built from them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,26 +207,37 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     domain box whose trailing ``n_vertical`` axes are the vertical block.
     The table is nondecreasing in r; "little" Hoelder behavior shows as
     modulus -> 0 with r.  Returns a list of (r, modulus), decreasing r.
+
+    On the grid a pair is fixed by its vertical index lag L, and |y' - y|
+    depends on L alone, so one pass over the lags L > 0 (the pair (y', y)
+    is the pair (y, y') at lag -L) keeps the largest |phi(x, y') - phi(x, y)|
+    per lag; no array of all pairs is formed.
     """
     box = phi.domain
     d = box.dim
     if grid_per_axis is None:
         grid_per_axis = max(4, int(round(10_000 ** (1.0 / d))))
-    shape = (grid_per_axis,) * d
+    g = grid_per_axis
+    shape = (g,) * d
     pts = tensor_grid(box.lo, box.hi, shape, nodes="endpoint")
-    vals = phi.eval_extended(pts).reshape(shape)
-    y_pts = tensor_grid(box.lo[d - n_vertical:], box.hi[d - n_vertical:],
-                        shape[d - n_vertical:], nodes="endpoint")
-    vals = vals.reshape(-1, y_pts.shape[0])         # (x-slices, y-points)
-    dy = np.linalg.norm(y_pts[:, None, :] - y_pts[None, :, :], axis=-1)
-    dv = np.abs(vals[:, :, None] - vals[:, None, :])
+    # (x-slices, y-axis 1, ..., y-axis n_vertical)
+    vals = phi.eval_extended(pts).reshape((-1,) + shape[d - n_vertical:])
+    spacing = (box.hi[d - n_vertical:] - box.lo[d - n_vertical:]) / max(g - 1, 1)
+    lags = [lag for lag in itertools.product(range(1 - g, g), repeat=n_vertical)
+            if lag > (0,) * n_vertical]
+    dy = np.linalg.norm(np.reshape(lags, (-1, n_vertical)) * spacing, axis=-1)
+    dv = np.empty(len(lags))
+    for i, lag in enumerate(lags):
+        # index k on every vertical axis against index k + lag
+        at = (slice(None),) + tuple(slice(max(0, -l), g - max(0, l)) for l in lag)
+        shifted = (slice(None),) + tuple(slice(max(0, l), g + min(0, l)) for l in lag)
+        dv[i] = np.max(np.abs(vals[shifted] - vals[at]))
     out = []
     for r in sorted(r_list, reverse=True):
         # relative slack so grid spacings equal to r are not lost to rounding
-        sel = (dy > 0) & (dy <= r * (1.0 + 1e-9))
+        sel = dy <= r * (1.0 + 1e-9)
         if not np.any(sel):
             out.append((float(r), 0.0))
             continue
-        ratio = dv[:, sel] / np.sqrt(dy[sel])[None, :]
-        out.append((float(r), float(np.max(ratio))))
+        out.append((float(r), float(np.max(dv[sel] / np.sqrt(dy[sel])))))
     return out

@@ -248,7 +248,7 @@ def test_criterion_08_area_formula(groups):
     v_lin = area_integral(G, linear)
     smooth = GraphFunction.from_expression("0.3*sin(2*x2)*cos(y)",
                                            Box([-1, -1], [1, 1]), 2, 1)
-    rep = area_report(G, smooth, points_per_axis=16, refinements=2)
+    rep = area_report(G, smooth, points_per_axis=16)
     ok = (abs(v_flat - 1.0) <= 1e-12
           and abs(v_lin - np.sqrt(2.0)) <= 1e-10
           and rep["estimated_order"] >= 1.9)

@@ -279,3 +279,28 @@ def test_area_grid_over_budget_rejected_up_front(tmp_path, capsys, name, param,
     # a refinement grid is rejected before the first integral is computed
     assert f"exceeds the budget of {MAX_GRID_NODES} nodes" in err
     assert peak < 2 ** 26
+
+
+def test_default_grid_follows_base_dimension(tmp_path, capsys):
+    # H^2 has a 4-D base: 8 points per axis (area refines to 16 and 32),
+    # where a fixed default of 64 exceeds the node budget
+    G = standard_group("heisenberg", 2, epsilon=1.0)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"m": G.m, "n": G.n, "epsilon": 1.0,
+                                 "B": [b.reshape(-1).tolist() for b in G.B]}))
+    domain = {"lo": [0.0] * 4, "hi": [1.0] * 4}
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"kind": "expr", "domain": domain, "expr": "x2"}))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"components": [
+        {"kind": "expr", "domain": domain, "expr": e} for e in ("1", "0", "0")]}))
+    common = ["--group", str(group), "--phi", str(phi), "--json"]
+    assert main(["area", *common]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["grids"] == [8, 16, 32]
+    assert report["area_integral"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert main(["residual", *common, "--w", str(w),
+                 "--zeta", "0.5,0.5,0.5,0.5,0.4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid"] == 8
+    assert len(report["residual"]) == 3

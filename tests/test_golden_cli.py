@@ -1,0 +1,92 @@
+"""The README CLI examples and ``suite data/suite.json`` against recorded
+reports: a refactor must leave every ``--json`` report (and the
+characteristics curve CSV) byte-identical.  ``mollify`` is left out for its
+run time.
+
+After an intended change of a report, rewrite the recordings with
+``PYTHONPATH=src python tests/test_golden_cli.py`` and review their diff.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from carnot.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(REPO, "tests", "golden")
+CURVE_PLACEHOLDER = "CURVE_CSV"
+
+G = ["--group", "data/heisenberg1.json"]
+PHI = ["--phi", "data/phi_linear.json"]
+WIDE = ["--phi", "data/phi_linear_wide.json"]
+CURVE = ["--j", "2", "--from", "0,0.25", "--T", "1", "--steps", "1000"]
+EXAMPLES = {
+    "group_validate": ["group", "validate", "data/heisenberg1.json"],
+    "group_info": ["group", "info", "data/heisenberg1.json"],
+    "gradient": ["gradient", *G, *PHI, "--at", "0.5,0.5"],
+    "lipschitz": ["lipschitz", *G, *PHI, "--pairs", "10000"],
+    "residual": ["residual", *G, *PHI, "--w", "data/w_one.json",
+                 "--zeta", "0.5,0.5,0.4", "--grid", "128"],
+    "characteristics": ["characteristics", *G, *WIDE, *CURVE],
+    "broadstar": ["broadstar", *G, *WIDE, "--w", "data/w_one.json", *CURVE],
+    "area": ["area", *G, *PHI, "--grid", "128"],
+    "cone": ["cone", *G, *WIDE, "--samples", "10000"],
+    "suite": ["suite", "data/suite.json"],
+}
+
+
+def run_example(name, csv_path):
+    """(exit code, --json stdout, curve CSV text or None), run from the repo
+    root; the echoed curve CSV path is replaced by a placeholder."""
+    argv = EXAMPLES[name] + ["--json"]
+    if name == "characteristics":
+        argv += ["--out", csv_path]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    text = out.getvalue().replace(csv_path, CURVE_PLACEHOLDER)
+    curve = None
+    if name == "characteristics":
+        with open(csv_path, newline="") as fh:
+            curve = fh.read()
+    return code, text, curve
+
+
+def _read(name):
+    with open(os.path.join(GOLDEN, name), newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_cli_report_matches_recording(name, tmp_path):
+    code, text, curve = run_example(name, str(tmp_path / "curve.csv"))
+    assert code == 0
+    assert text == _read(f"{name}.json")
+    if curve is not None:
+        assert curve == _read("characteristics_curve.csv")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(EXAMPLES):
+            code, text, curve = run_example(name, os.path.join(tmp, "curve.csv"))
+            if code != 0:
+                sys.exit(f"{name} exited {code}")
+            with open(os.path.join(GOLDEN, f"{name}.json"), "w") as fh:
+                fh.write(text)
+            if curve is not None:
+                with open(os.path.join(GOLDEN, "characteristics_curve.csv"), "w",
+                          newline="") as fh:
+                    fh.write(curve)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carnot import errors
 from carnot.area import area_integral
@@ -68,6 +70,34 @@ def test_indicator_range_and_extremes(heis1, phi_unit, kernel01):
                                section_point(heis1, a, np.full(64, 2.5)))
     assert np.all(deep == 1.0)
     assert np.all(high == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.15, 0.3])
+def test_indicator_deep_inside_is_exactly_one(heis1, phi_unit, alpha):
+    # the normalized weights of these kernels sum to 1 + 1 ulp in the BLAS
+    # order used for four points; f_alpha must still stay in [0, 1]
+    kern = MollifierKernel(heis1, alpha)
+    A = tensor_grid([0.0, 0.0], [1.0, 1.0], (2, 2))
+    P = section_point(heis1, A, np.full(4, -2.5))
+    assert np.all(mollified_indicator(heis1, phi_unit, kern, P) == 1.0)
+
+
+@given(h2=st.booleans(), alpha=st.floats(0.05, 0.3), slope=st.floats(-1.0, 1.0),
+       base=st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4),
+       ts=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6))
+def test_indicator_range_and_monotone_property(heis1, heis2, h2, alpha, slope,
+                                               base, ts):
+    G, k = (heis2, 4) if h2 else (heis1, 8)
+    d = G.base_dim
+    phi = GraphFunction.from_expression(f"{slope!r}*x2", Box([0.0] * d, [1.0] * d),
+                                        G.m, G.n)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    ts = np.sort(ts)
+    a = np.tile(base[:d], (len(ts), 1))
+    f = mollified_indicator(G, phi, kern, section_point(G, a, ts))
+    assert np.all((0.0 <= f) & (f <= 1.0))
+    # nonincreasing along t e1, up to rounding
+    assert np.all(np.diff(f) <= 1e-12)
 
 
 def test_indicator_half_at_flat_graph(heis1, kernel01):
@@ -158,13 +188,11 @@ def test_pipeline_vertical_dependence(heis1):
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("0.25*y", box, 2, 1)
     from carnot.calculus import intrinsic_gradient
-    from carnot.mollify import _phi_alpha_batch
     A = tensor_grid(box.lo, box.hi, (10, 10))
     w_inf = np.max(np.abs(intrinsic_gradient(heis1, phi, A)))
     for alpha in (0.2, 0.05):
         kern = MollifierKernel(heis1, alpha)
-        pa = _phi_alpha_batch(heis1, phi, kern, 0.5, A,
-                              f_tol=1e-3, t_tol=1e-6 * alpha)
+        pa = level_set_phi_alpha(heis1, phi, kern, 0.5, A, t_tol=1e-6 * alpha)
         assert np.max(np.abs(pa - phi.eval_extended(A))) <= 0.01 * alpha
         grad = intrinsic_gradient_of_level_set(heis1, phi, kern, A[::7], pa[::7])
         assert np.max(np.abs(grad)) <= 1.10 * w_inf
@@ -176,23 +204,21 @@ def test_pipeline_higher_dimensional_group(heis2):
     phi = GraphFunction.from_expression("0.5*x2 + 0.25*x4", box, 4, 1)
     kern = MollifierKernel(heis2, 0.15, points_per_axis=8)
     assert abs(kern.mass() - 1.0) <= 1e-3
-    from carnot.mollify import _phi_alpha_batch
     A = tensor_grid(box.lo, box.hi, (3,) * 4)
-    pa = _phi_alpha_batch(heis2, phi, kern, 0.5, A, f_tol=1e-3, t_tol=1e-6)
+    pa = level_set_phi_alpha(heis2, phi, kern, 0.5, A, t_tol=1e-6)
     assert np.max(np.abs(pa - phi.eval_extended(A))) <= 5e-3
 
 
 def test_pipeline_small_epsilon():
     # eps < 1 widens the kernel's vertical support (alpha^2 / eps^2)
     from carnot.group import standard_group
-    from carnot.mollify import _phi_alpha_batch
     G = standard_group("heisenberg", 1, epsilon=0.5)
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     kern = MollifierKernel(G, 0.1)
     assert abs(kern.mass() - 1.0) <= 1e-3
     A = tensor_grid(box.lo, box.hi, (6, 6))
-    pa = _phi_alpha_batch(G, phi, kern, 0.45, A, f_tol=1e-3, t_tol=1e-7)
+    pa = level_set_phi_alpha(G, phi, kern, 0.45, A, t_tol=1e-7)
     err = np.max(np.abs(pa - phi.eval_extended(A)))
     assert err <= 0.1 * kern.alpha
 

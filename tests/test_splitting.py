@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from carnot.splitting import (
     vertical_holder_modulus,
 )
 
+from carnot.quadrature import tensor_grid
 from conftest import random_points, unit_box
 
 
@@ -241,6 +245,66 @@ def test_vertical_holder_modulus_sqrt():
     table = dict(vertical_holder_modulus(phi, [0.5, 0.1, 0.02], grid_per_axis=101))
     for mod in table.values():
         assert mod >= 0.9
+
+
+def _holder_modulus_all_pairs(phi, r_list, grid_per_axis, n_vertical):
+    """The modulus from the full (x-slices, Ny, Ny) arrays of pair
+    differences, as first implemented: the reference for the per-lag pass."""
+    box = phi.domain
+    d = box.dim
+    shape = (grid_per_axis,) * d
+    pts = tensor_grid(box.lo, box.hi, shape, nodes="endpoint")
+    vals = phi.eval_extended(pts).reshape(shape)
+    y_pts = tensor_grid(box.lo[d - n_vertical:], box.hi[d - n_vertical:],
+                        shape[d - n_vertical:], nodes="endpoint")
+    vals = vals.reshape(-1, y_pts.shape[0])
+    dy = np.linalg.norm(y_pts[:, None, :] - y_pts[None, :, :], axis=-1)
+    dv = np.abs(vals[:, :, None] - vals[:, None, :])
+    out = []
+    for r in sorted(r_list, reverse=True):
+        sel = (dy > 0) & (dy <= r * (1.0 + 1e-9))
+        if not np.any(sel):
+            out.append((float(r), 0.0))
+            continue
+        out.append((float(r), float(np.max(dv[:, sel] / np.sqrt(dy[sel])[None, :]))))
+    return out
+
+
+@pytest.mark.parametrize("expr, m, n, grid", [
+    ("sin(3*x2)*cos(2*y) + sqrt(abs(y))", 2, 1, 9),
+    ("x2*x3 + exp(y/2)*cos(4*y)", 3, 1, 7),
+    ("sin(x2 + 2*y1) - 0.3*y2**2 + abs(y3)**0.7", 2, 3, 5),
+    ("x2*y1 + sin(3*x3*y2) + sqrt(abs(y3 - 0.1))", 3, 3, 4),
+])
+def test_vertical_holder_modulus_matches_all_pairs(expr, m, n, grid):
+    dim = m + n - 1
+    phi = GraphFunction.from_expression(expr, Box([-1.0] * dim, [1.3] * dim), m, n)
+    spacing = 2.3 / (grid - 1)
+    # radii below, at and between grid separations, and past the diameter
+    radii = [0.5 * spacing, spacing, 1.5 * spacing, math.sqrt(2) * spacing,
+             0.9, 2.3 * math.sqrt(n) + 1.0]
+    got = vertical_holder_modulus(phi, radii, grid_per_axis=grid, n_vertical=n)
+    want = _holder_modulus_all_pairs(phi, radii, grid, n)
+    assert [r for r, _ in got] == [r for r, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+    assert got[-1][1] == 0.0            # no pair is closer than one spacing
+
+
+def test_vertical_holder_modulus_memory_bounded():
+    # free_step2(3) base, 10 per axis: 100 x-slices of 1000 vertical points,
+    # whose all-pairs difference array alone would take 800 MB
+    phi = GraphFunction.from_expression("0.25*y1", Box([-2.0] * 5, [2.0] * 5), 3, 3)
+    tracemalloc.start()
+    try:
+        table = vertical_holder_modulus(phi, [4.0 * math.sqrt(3)], grid_per_axis=10,
+                                        n_vertical=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # the largest quotient is across the whole y1 range: 0.25 * 4 / sqrt(4)
+    assert table[0][1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_c0_inequality(heis1_calibrated):
