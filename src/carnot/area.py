@@ -41,8 +41,9 @@ def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
     """
     box = phi.domain
     if grid is None:
-        k = points_per_axis or default_points_per_axis(box.dim)
-        grid = QuadratureGrid(box.lo, box.hi, (k,) * box.dim)
+        if points_per_axis is None:
+            points_per_axis = default_points_per_axis(box.dim)
+        grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
     pts = grid.points()
     w_vals = w(pts) if w is not None else intrinsic_gradient(G, phi, pts)
     return grid.integrate(area_integrand(w_vals))
@@ -52,7 +53,9 @@ def area_report(G, phi, w=None, points_per_axis=None):
     """Area integral on k, 2k and 4k points per axis plus the observed
     convergence order of the three values (k defaults by dimension)."""
     box = phi.domain
-    k = points_per_axis or default_points_per_axis(box.dim)
+    k = points_per_axis
+    if k is None:
+        k = default_points_per_axis(box.dim)
     grids = [QuadratureGrid(box.lo, box.hi, (k * 2 ** i,) * box.dim)
              for i in range(3)]
     values = [area_integral(G, phi, w=w, grid=g) for g in grids]

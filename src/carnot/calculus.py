@@ -168,8 +168,9 @@ def distributional_residual(G, phi, w, zeta, grid=None, points_per_axis=None):
     """
     box = phi.domain
     if grid is None:
-        k = points_per_axis or default_points_per_axis(box.dim)
-        grid = QuadratureGrid(box.lo, box.hi, (k,) * box.dim)
+        if points_per_axis is None:
+            points_per_axis = default_points_per_axis(box.dim)
+        grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
     if not zeta.supported_inside(box):
         raise SupportNotCovered("test function support is not inside the domain box")
     if not (np.all(grid.lo <= zeta.center - zeta.radius) and

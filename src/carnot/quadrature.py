@@ -17,8 +17,10 @@ import numpy as np
 from .errors import GridTooLarge, ValidationError
 
 # Largest node count of any tensor grid; larger shapes are rejected before
-# anything is allocated.  It admits the largest grid built by default,
-# MollifierKernel.mass on an m = 4 group (48^4 ~ 5.3M nodes).
+# anything is allocated.  The default grids stay well below it (the finest
+# area grid on a 4-D base has 32^4 ~ 1.05M nodes; MollifierKernel.mass folds
+# its 48^4 grid on an m = 4 group to 24^4), and a free_step2(3) kernel at 16
+# points per axis (16.7M nodes) is rejected.
 MAX_GRID_NODES = 2 ** 23
 
 

@@ -304,3 +304,36 @@ def test_default_grid_follows_base_dimension(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["grid"] == 8
     assert len(report["residual"]) == 3
+
+
+@pytest.mark.parametrize("command", ["area", "residual"])
+def test_zero_grid_rejected(monkeypatch, capsys, command):
+    # --grid 0 reaches the quadrature grid, which rejects it, instead of
+    # falling back to the default grid
+    import pathlib
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+    extra = []
+    if command == "residual":
+        extra = ["--w", "data/w_one.json", "--zeta", "0.5,0.5,0.4"]
+    assert main([command, "--group", "data/heisenberg1.json",
+                 "--phi", "data/phi_linear.json", "--grid", "0", *extra]) == 1
+    assert "positive count per axis" in capsys.readouterr().err
+
+
+def test_mollify_reports_root_counters(heis_file, tmp_path, capsys):
+    phi = tmp_path / "phi_unit.json"
+    phi.write_text(json.dumps(
+        {"kind": "expr", "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+         "expr": "x2"}))
+    argv = ["mollify", "--group", heis_file, "--phi", str(phi),
+            "--alphas", "0.2,0.1", "--c", "0.45", "--grid", "4", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    for row in json.loads(first)["rows"]:
+        # two bracket ends and at least one sweep per base point
+        assert isinstance(row["section_evals"], int)
+        assert row["section_evals"] >= 3 * 16
+        assert 0.0 <= row["max_level_residual"] <= 1e-3
+    # the counters are deterministic, so the report is too
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -8,7 +8,11 @@ from carnot.area import area_integral
 from carnot.functions import Box, GraphFunction
 from carnot.group import multiply
 from carnot.mollify import (
+    LEVEL_RESIDUAL_TOL,
     MollifierKernel,
+    _bump,
+    _section_roots,
+    _sup_abs_extended,
     approximation_report,
     horizontal_gradient_mass,
     horizontal_gradient_mollified,
@@ -43,6 +47,45 @@ def test_kernel_mass_normalized(heis1, free3):
         assert abs(kern.mass() - 1.0) <= 1e-3
     kern = MollifierKernel(free3, 0.2, points_per_axis=6)
     assert abs(kern.mass() - 1.0) <= 1e-3
+
+
+def _full_grid_mass(kern, k):
+    # the kernel mass on the unfolded k^dim grids of both factor blocks
+    G, a = kern.G, kern.alpha
+
+    def block(dim, half, scale):
+        pts = tensor_grid(np.full(dim, -half), np.full(dim, half), (k,) * dim)
+        vals = _bump(scale * np.sum(pts * pts, axis=-1))
+        return float(np.sum(vals)) * (2.0 * half / k) ** dim
+
+    ix = block(G.m, a, 1.0 / a ** 2)
+    iy = block(G.n, a * a / G.epsilon ** 2, G.epsilon ** 4 / a ** 4)
+    return ix * iy * kern.normalizer / a ** G.homogeneous_dimension
+
+
+@pytest.mark.parametrize("k", [12, 13, 48])
+def test_kernel_mass_folded_matches_full_grid(heis1, heis2, k):
+    for G, alpha in ((heis1, 0.1), (heis2, 0.15)):
+        kern = MollifierKernel(G, alpha, points_per_axis=8)
+        full = _full_grid_mass(kern, k)
+        assert kern.mass(points_per_axis=k) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("group, k", [("heis1", 16), ("heis2", 8), ("free3", 6)])
+def test_kernel_convolution_set_is_nonzero_nodes(request, group, k):
+    G = request.getfixturevalue(group)
+    kern = MollifierKernel(G, 0.15, points_per_axis=k)
+    # nodes and weights stay the whole grid
+    assert kern.nodes.shape == (k ** G.dim, G.dim)
+    half = np.array([0.15] * G.m + [0.15 ** 2 / G.epsilon ** 2] * G.n)
+    assert np.array_equal(kern.nodes, tensor_grid(-half, half, (k,) * G.dim))
+    profile = kern._profile(kern.nodes)
+    assert np.allclose(kern.weights, profile / np.sum(profile), rtol=1e-12, atol=0.0)
+    # the convolution runs over exactly the nonzero-weight nodes
+    keep = kern.weights > 0.0
+    assert kern._conv_weights.size == np.count_nonzero(kern.weights) < k ** G.dim
+    assert np.array_equal(kern._conv_weights, kern.weights[keep])
+    assert np.array_equal(kern._conv_nodes, kern.nodes[keep])
 
 
 def test_kernel_symmetric(kernel01):
@@ -100,6 +143,50 @@ def test_indicator_range_and_monotone_property(heis1, heis2, h2, alpha, slope,
     assert np.all(np.diff(f) <= 1e-12)
 
 
+def _full_grid_indicator(G, phi, kernel, P):
+    # f_alpha as a convolution over every grid node with 3-operand einsum
+    # bracket terms, kept as the reference for the pruned convolution
+    m = G.m
+    U, W = kernel.nodes, kernel.weights
+    out = np.zeros(P.shape[0])
+    chunk = max(1, 2 ** 21 // P.shape[0])
+    px, py = P[:, :m], P[:, m:]
+    row1 = G.B[:, 0, :]
+    for start in range(0, U.shape[0], chunk):
+        u, w = U[start:start + chunk], W[start:start + chunk]
+        ux, uy = u[:, :m], u[:, m:]
+        vx = px[:, None, :] - ux[None, :, :]
+        br = np.einsum("sij,kj,bi->bks", G.B, ux, px)
+        vy = py[:, None, :] - uy[None, :, :] - 0.5 * br
+        t = vx[..., 0]
+        corr = np.einsum("sj,bkj->bks", row1, vx)
+        base = np.concatenate([vx[..., 1:], vy - 0.5 * t[..., None] * corr],
+                              axis=-1)
+        g = phi.eval_extended(base) - t
+        out += np.clip(0.5 + g / kernel.subcell_width, 0.0, 1.0) @ w
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("group, k, expr, alpha", [
+    ("heis1", 16, "0.3*sin(x2) + 0.2*y", 0.1),
+    ("heis2", 8, "0.5*x2 + 0.25*x4", 0.15),
+    ("free3", 6, "0.3*x2 - 0.2*y1 + 0.1*x3*y3", 0.2),
+])
+def test_indicator_matches_full_grid_convolution(request, group, k, expr, alpha):
+    G = request.getfixturevalue(group)
+    d = G.dim - 1
+    phi = GraphFunction.from_expression(expr, Box([0.0] * d, [1.0] * d), G.m, G.n)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    rng = np.random.default_rng(211)
+    A = rng.uniform(0.0, 1.0, size=(256, d))
+    t = phi.eval_extended(A) + rng.uniform(-2.0 * alpha, 2.0 * alpha, size=256)
+    P = section_point(G, A, t)
+    f = mollified_indicator(G, phi, kern, P)
+    assert np.max(np.abs(f - _full_grid_indicator(G, phi, kern, P))) <= 1e-13
+    # the points straddle the graph: both ramps and saturated values occur
+    assert np.any((0.0 < f) & (f < 1.0)) and np.any(f == 0.0)
+
+
 def test_indicator_half_at_flat_graph(heis1, kernel01):
     phi0 = GraphFunction.constant(0.0, unit_box(2))
     val = mollified_indicator(heis1, phi0, kernel01, np.zeros(3))
@@ -141,6 +228,54 @@ def test_level_set_smoothness_diagnostic(heis1, phi_unit, kernel01):
                             t_tol=1e-8)
     second = np.abs(np.diff(t, 2)) / (xs[1] - xs[0]) ** 2
     assert np.max(second) < 5.0
+
+
+def _bisection_roots(G, phi, kernel, c_level, A, t_tol):
+    # plain bisection under the same stop rule; returns the end of the final
+    # bracket with the smaller |f - c| and the point-evaluations spent
+    M = _sup_abs_extended(G, phi, kernel)
+    lo = np.full(len(A), -2.0 * M - 1.0)
+    hi = -lo
+
+    def section(t):
+        return mollified_indicator(G, phi, kernel, section_point(G, A, t)) - c_level
+
+    r_lo, r_hi = np.abs(section(lo)), np.abs(section(hi))
+    evals = 2 * len(A)
+    while (np.any(hi - lo > t_tol)
+           or np.any(np.minimum(r_lo, r_hi) > LEVEL_RESIDUAL_TOL)):
+        mid = 0.5 * (lo + hi)
+        f = section(mid)
+        evals += len(A)
+        up = f > 0.0
+        lo, r_lo = np.where(up, mid, lo), np.where(up, np.abs(f), r_lo)
+        hi, r_hi = np.where(up, hi, mid), np.where(up, r_hi, np.abs(f))
+    return np.where(r_hi < r_lo, hi, lo), evals
+
+
+@pytest.mark.parametrize("group, k, expr, alpha, c_level, per_axis", [
+    ("heis1", 16, "x2", 0.1, 0.45, 6),
+    ("heis1", 16, "0.25*y", 0.2, 0.5, 10),
+    ("heis1", 16, "0.25*y", 0.05, 0.5, 10),
+    ("heis2", 8, "0.5*x2 + 0.25*x4", 0.15, 0.5, 3),
+])
+def test_level_set_no_more_evaluations_than_bisection(request, group, k, expr,
+                                                      alpha, c_level, per_axis):
+    G = request.getfixturevalue(group)
+    d = G.dim - 1
+    box = Box([0.0] * d, [1.0] * d)
+    phi = GraphFunction.from_expression(expr, box, G.m, G.n)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    A = tensor_grid(box.lo, box.hi, (per_axis,) * d)
+    t_tol = 1e-6 * alpha
+    roots, evals, resid = _section_roots(G, phi, kern, c_level, A, t_tol)
+    ref, ref_evals = _bisection_roots(G, phi, kern, c_level, A, t_tol)
+    assert evals <= ref_evals
+    assert np.max(np.abs(roots - ref)) <= t_tol
+    assert resid <= LEVEL_RESIDUAL_TOL
+    # recomputed in one batch, f_alpha may differ in the last bits
+    f = mollified_indicator(G, phi, kern, section_point(G, A, roots))
+    assert np.max(np.abs(f - c_level)) == pytest.approx(resid, abs=1e-14)
 
 
 def test_horizontal_gradient_sign_and_flat(heis1, kernel01):
