@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -41,28 +42,31 @@ def _write_atomic(path, text):
         raise
 
 
-def _jsonable(obj):
-    """Plain-python, valid-JSON view of a report (no NaN/Infinity literals)."""
+def _jsonable(obj, key=""):
+    """Plain-python, valid-JSON view of a report.  A NaN or infinite value
+    raises :class:`NumericalError` naming its key (``rows[1].error``)."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {k: _jsonable(v, f"{key}.{k}" if key else str(k))
+                for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        if not np.isfinite(v):
+            raise NumericalError(f"report value {key} is {v}")
+        return v
     return obj
 
 
 def _emit(report, args):
     """Print the report (JSON with --json, else text) and write it to --out,
     which for characteristics already holds the curve CSV instead."""
-    report = _jsonable(report)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out and args.command != "characteristics":
         _write_atomic(args.out, text + "\n")
@@ -234,6 +238,7 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="carnot",
@@ -321,15 +326,17 @@ def build_parser():
 def run(argv):
     """Parse ``argv`` and run its command: (exit code, args, report).
 
-    Usage errors exit 1 (``--help`` exits 0) and a report whose ``failed``
-    count is nonzero exits 1; the report is None when the command raised.
+    Usage errors exit 1 (``--help`` exits 0), a report holding a NaN or
+    infinite value exits 2, and a report whose ``failed`` count is nonzero
+    exits 1; the report is None when the command raised.  The report is
+    plain python (see :func:`_jsonable`).
     """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (1 if exc.code else 0), None, None
     try:
-        report = args.fn(args)
+        report = _jsonable(args.fn(args))
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, args, None

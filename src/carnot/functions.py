@@ -12,6 +12,7 @@ componentwise.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -32,6 +33,50 @@ _ALLOWED_FUNCS = {
     "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt,
     "abs": sp.Abs, "Abs": sp.Abs, "pi": sp.pi, "tanh": sp.tanh,
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_expression(expr, m, n):
+    """(evaluate, partials) for an expression over the base of G(m, n);
+    partials is None when sympy cannot compile the derivatives."""
+    names = base_coordinate_names(m, n)
+    syms = sp.symbols(names)
+    local = dict(zip(names, syms))
+    if n == 1:
+        local["y"] = local["y1"]
+    local.update(_ALLOWED_FUNCS)
+    try:
+        tree = sp.sympify(expr, locals=local)
+    except (sp.SympifyError, SyntaxError, TypeError) as exc:
+        raise ValidationError(f"cannot parse expression {expr!r}: {exc}") from exc
+    if not isinstance(tree, sp.Expr):
+        raise ValidationError(f"expression {expr!r} is not a scalar expression")
+    extra = tree.free_symbols - set(syms)
+    if extra:
+        raise ValidationError(
+            f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
+    f = sp.lambdify(syms, tree, modules="numpy")
+    try:
+        grad = sp.lambdify(syms, [sp.diff(tree, s) for s in syms], modules="numpy")
+    except Exception:
+        grad = None             # non-smooth expression: fall back to FD
+
+    def evaluate(a):
+        a = np.asarray(a, dtype=float)
+        cols = [a[..., i] for i in range(a.shape[-1])]
+        return np.broadcast_to(np.asarray(f(*cols), dtype=float),
+                               a.shape[:-1]).copy()
+
+    partials = None
+    if grad is not None:
+        def partials(a):
+            a = np.asarray(a, dtype=float)
+            cols = [a[..., i] for i in range(a.shape[-1])]
+            outs = [np.broadcast_to(np.asarray(g, dtype=float), a.shape[:-1])
+                    for g in grad(*cols)]
+            return np.stack(outs, axis=-1)
+
+    return evaluate, partials
 
 
 @dataclass(frozen=True)
@@ -86,42 +131,17 @@ class GraphFunction:
 
     @classmethod
     def from_expression(cls, expr, domain, m, n):
-        names = base_coordinate_names(m, n)
-        syms = sp.symbols(names)
-        local = dict(zip(names, syms))
-        if n == 1:
-            local["y"] = local["y1"]
-        local.update(_ALLOWED_FUNCS)
-        try:
-            tree = sp.sympify(expr, locals=local)
-        except (sp.SympifyError, SyntaxError, TypeError) as exc:
-            raise ValidationError(f"cannot parse expression {expr!r}: {exc}") from exc
-        extra = tree.free_symbols - set(syms)
-        if extra:
+        """Closed-form phi over ``domain``, from a string or a number.
+
+        Parsing and compilation are memoised by ``(expr, m, n)`` in a
+        bounded per-process cache, so a loop that rebuilds the same
+        expression pays for sympy once; each call still returns a fresh
+        object with its own domain.
+        """
+        if isinstance(expr, bool) or not isinstance(expr, (str, int, float)):
             raise ValidationError(
-                f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
-        f = sp.lambdify(syms, tree, modules="numpy")
-        try:
-            grads = [sp.lambdify(syms, sp.diff(tree, s), modules="numpy")
-                     for s in syms]
-        except Exception:
-            grads = None            # non-smooth expression: fall back to FD
-
-        def evaluate(a):
-            a = np.asarray(a, dtype=float)
-            cols = [a[..., i] for i in range(a.shape[-1])]
-            return np.broadcast_to(np.asarray(f(*cols), dtype=float),
-                                   a.shape[:-1]).copy()
-
-        partials = None
-        if grads is not None:
-            def partials(a):
-                a = np.asarray(a, dtype=float)
-                cols = [a[..., i] for i in range(a.shape[-1])]
-                outs = [np.broadcast_to(np.asarray(g(*cols), dtype=float),
-                                        a.shape[:-1]) for g in grads]
-                return np.stack(outs, axis=-1)
-
+                f"expression must be a string or a number, got {type(expr).__name__}")
+        evaluate, partials = _compile_expression(expr, m, n)
         obj = cls(domain, evaluate, "expr", partials=partials, label=str(expr))
         d = obj.domain.dim
         if d != m + n - 1:

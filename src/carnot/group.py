@@ -16,6 +16,7 @@ max(|x|, eps * |y|^(1/2)) for a group-dependent eps in (0, 1].
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -96,7 +97,9 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     ``matrices`` is a sequence of n real m x m arrays.  Skew-symmetry is
     checked entrywise exactly (group data is exact user input); linear
     independence through singular values of the stacked vectorizations with
-    threshold 1e-10.  ``epsilon=None`` triggers :func:`calibrate_epsilon`.
+    threshold 1e-10.  ``epsilon=None`` triggers :func:`calibrate_epsilon`
+    with its default samples, memoised by ``(m, n, B)`` content in a bounded
+    per-process cache, so reloading a structure does not calibrate again.
     """
     m = int(m)
     n = int(n)
@@ -105,7 +108,7 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     if n > m * (m - 1) // 2:
         raise TooManyVerticalDirections(
             f"n={n} exceeds m(m-1)/2={m*(m-1)//2} for m={m}")
-    B = np.asarray(matrices, dtype=float)
+    B = np.array(matrices, dtype=float)     # a copy: callers keep theirs
     if B.shape != (n, m, m):
         raise DimensionMismatch(
             f"expected {n} matrices of shape ({m},{m}), got array of shape {B.shape}")
@@ -118,7 +121,7 @@ def make_group(m, n, matrices, epsilon=None, name=""):
             f"stacked vectorizations have numerical rank < n (sigma_min={sv[-1]:.3e})")
     G = GroupStructure(m=m, n=n, B=B, epsilon=1.0, name=name)
     if epsilon is None:
-        eps = calibrate_epsilon(G)
+        eps = _calibrated_epsilon(m, n, B.tobytes())
     else:
         eps = float(epsilon)
         if not (0.0 < eps <= 1.0):
@@ -261,6 +264,13 @@ def calibrate_epsilon(G, sample_count=10_000, seed=0):
             return eps
     raise CalibrationFailed(
         f"no epsilon on the dyadic grid down to 2^-{EPSILON_GRID_DEPTH} passes")
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated_epsilon(m, n, b_bytes):
+    """calibrate_epsilon of the structure whose float64 B has these bytes."""
+    B = np.frombuffer(b_bytes, dtype=float).reshape(n, m, m)
+    return calibrate_epsilon(GroupStructure(m=m, n=n, B=B))
 
 
 def left_invariant_frame(G, p):

@@ -337,3 +337,66 @@ def test_mollify_reports_root_counters(heis_file, tmp_path, capsys):
     # the counters are deterministic, so the report is too
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def _phi_spec(expr, half=1.0):
+    return {"kind": "expr", "domain": {"lo": [-half, -half], "hi": [half, half]},
+            "expr": expr}
+
+
+@pytest.mark.parametrize("expr", [[1, 2], None, {"a": 1}, True, "[1, 2]"])
+def test_non_text_expr_rejected(heis_file, tmp_path, capsys, expr):
+    # a list or null ended in an AttributeError traceback, a dict in
+    # "unknown symbols ['a']", and true was read as the number 1
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(_phi_spec(expr)))
+    assert main(["gradient", "--group", heis_file, "--phi", str(phi),
+                 "--at", "0.5,0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression")
+    assert "unknown symbols" not in err
+
+
+@pytest.mark.parametrize("expr", ["sqrt(x2-2)", "nan"])
+@pytest.mark.parametrize("command, key", [
+    (["gradient", "--at", "0.5,0.5"], "gradient[0]"),
+    (["area", "--grid", "8"], "area_integral"),
+])
+def test_non_finite_report_is_numerical_failure(heis_file, tmp_path, capsys,
+                                                expr, command, key):
+    # these reports exited 0 with the value printed as null
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(_phi_spec(expr)))
+    argv = [command[0], "--group", heis_file, "--phi", str(phi), *command[1:]]
+    with np.errstate(invalid="ignore"):
+        assert main(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"report value {key} is nan" in err
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"name": "nan", "command": argv[0], "args": argv[1:]}]}))
+        assert main(["suite", str(cfg), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"name": "nan", "pass": False}]
+
+
+def test_rewritten_inputs_are_reloaded(tmp_path, capsys):
+    # group calibration and expression compilation are memoised by content,
+    # never by path: a rewritten file gives the new file's report
+    group, phi = tmp_path / "group.json", tmp_path / "phi.json"
+    results = []
+    for scale, expr in [(1.0, "x2"), (8.0, "3*x2")]:
+        group.write_text(json.dumps(
+            {"m": 2, "n": 1, "B": [[0.0, scale, -scale, 0.0]], "epsilon": None}))
+        phi.write_text(json.dumps(_phi_spec(expr)))
+        assert main(["group", "info", str(group), "--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert main(["gradient", "--group", str(group), "--phi", str(phi),
+                     "--at", "0.5,0.5", "--json"]) == 0
+        results.append((info, json.loads(capsys.readouterr().out)))
+    (info1, grad1), (info8, grad8) = results
+    assert info1["B"] == [[[0.0, 1.0], [-1.0, 0.0]]] and info1["epsilon"] == 1.0
+    assert info8["B"] == [[[0.0, 8.0], [-8.0, 0.0]]] and info8["epsilon"] == 0.5
+    assert grad1["gradient"] == pytest.approx([1.0])
+    assert grad8["gradient"] == pytest.approx([3.0])

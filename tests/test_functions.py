@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from carnot import errors
 from carnot.functions import (
     Box,
     GraphFunction,
+    base_coordinate_names,
     graph_function_from_dict,
     load_graph_function,
     vector_field_from_dict,
@@ -46,6 +48,42 @@ def test_expression_rejects_unknown_symbols():
         GraphFunction.from_expression("x2 + q", unit_box(2), 2, 1)
     with pytest.raises(errors.ValidationError):
         GraphFunction.from_expression("x2 +* 1", unit_box(2), 2, 1)
+
+
+@pytest.mark.parametrize("expr, m, n", [
+    ("sin(x2)*y + x2**2", 2, 1),
+    ("x2*x3 + exp(y1)*y2 - tanh(y3)", 3, 3),
+    ("0.5*x2 + 0.25*x4 + cos(x3*y)", 4, 1),
+    ("sqrt(1 + x2**2)*y3 + x4**3*y1 + 2", 4, 3),
+])
+def test_expression_partials_match_one_lambdify_per_partial(expr, m, n):
+    # partials are compiled as one gradient list; the reference compiles
+    # each partial on its own, and the arithmetic is the same
+    d = m + n - 1
+    phi = GraphFunction.from_expression(expr, unit_box(d), m, n)
+    syms = sp.symbols(base_coordinate_names(m, n))
+    tree = sp.sympify(expr, locals={"y": syms[-1],
+                                    **dict(zip(map(str, syms), syms))})
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, size=(300, d))
+    cols = [a[:, i] for i in range(d)]
+    want = np.stack([np.broadcast_to(np.asarray(
+        sp.lambdify(syms, sp.diff(tree, s), modules="numpy")(*cols), dtype=float),
+        (300,)) for s in syms], axis=-1)
+    assert np.array_equal(phi.partials(a), want)
+
+
+def test_expression_memo_returns_fresh_functions():
+    lo = GraphFunction.from_expression("x2 + y", unit_box(2), 2, 1)
+    wide = GraphFunction.from_expression("x2 + y", unit_box(2, half=4.0), 2, 1)
+    assert lo is not wide
+    assert np.array_equal(lo.domain.hi, [1.0, 1.0])
+    assert np.array_equal(wide.domain.hi, [4.0, 4.0])
+    a = np.array([[3.0, 2.0]])
+    assert wide(a) == pytest.approx([5.0])
+    with pytest.raises(errors.OutOfDomain):
+        lo(a)
+    with pytest.raises(errors.DimensionMismatch):
+        GraphFunction.from_expression("x2 + y", unit_box(3), 2, 1)
 
 
 def test_constant_broadcasting():

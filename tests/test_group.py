@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from carnot import errors
 from carnot.group import (
+    GroupStructure,
     calibrate_epsilon,
     dilate,
     distance,
@@ -239,3 +242,49 @@ def test_group_json_null_epsilon_calibrates():
 def test_group_json_missing_field():
     with pytest.raises(errors.ValidationError):
         group_from_dict({"m": 2, "B": [[0.0, 1.0, -1.0, 0.0]]})
+
+
+def test_make_group_copies_caller_matrices():
+    # calibration is memoised by content, so a later load of the mutated
+    # array must calibrate the new structure, and the first group keeps its B
+    B = np.array(H1_B)
+    G1 = make_group(2, 1, B)
+    B *= 8.0
+    G8 = make_group(2, 1, B)
+    assert np.array_equal(G1.B, np.array(H1_B))
+    assert G1.epsilon == calibrate_epsilon(GroupStructure(2, 1, np.array(H1_B)))
+    assert G8.epsilon == calibrate_epsilon(GroupStructure(2, 1, 8.0 * np.array(H1_B)))
+    assert G8.epsilon < G1.epsilon
+
+
+@st.composite
+def _skew_families(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, m * (m - 1) // 2))
+    upper = np.triu_indices(m, 1)
+    B = np.zeros((n, m, m))
+    for s in range(n):
+        B[s][upper] = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(upper[0]),
+                                    max_size=len(upper[0])))
+        B[s] -= B[s].T
+    return m, n, B
+
+
+@given(_skew_families())
+def test_memoised_calibration_property(family):
+    m, n, B = family
+    try:
+        G = make_group(m, n, B)
+    except errors.LinearlyDependentMatrices:
+        assume(False)
+    assert G.epsilon == calibrate_epsilon(GroupStructure(m, n, B.copy()))
+    assert make_group(m, n, B.copy()).epsilon == G.epsilon
+    rng = np.random.default_rng(3)
+    p, q, r = (random_points(G, 200, rng) for _ in range(3))
+    assert np.allclose(multiply(G, multiply(G, p, q), r),
+                       multiply(G, p, multiply(G, q, r)), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(multiply(G, p, np.zeros(G.dim)), p)
+    assert np.max(np.abs(multiply(G, p, inverse(G, p)))) < 1e-14
+    lam = rng.uniform(0.1, 5.0, size=200)
+    assert np.allclose(homogeneous_norm(G, dilate(G, lam, p)),
+                       lam * homogeneous_norm(G, p), rtol=1e-13)
