@@ -25,7 +25,7 @@ import numpy as np
 from . import area as area_mod
 from . import calculus, characteristics, cones, mollify, splitting
 from . import group as gp
-from .errors import NumericalError, ValidationError
+from .errors import NonFiniteState, NumericalError, ValidationError
 from .functions import load_graph_function, load_vector_field
 from .quadrature import QuadratureGrid, default_points_per_axis
 
@@ -201,6 +201,8 @@ def cmd_cone(args):
     # a sampled point may sit within one difference step of the box edge
     w = calculus.intrinsic_gradient(G, phi, sample, check_domain=False)
     w_sup = float(np.max(np.linalg.norm(w, axis=-1)))
+    if not np.isfinite(w_sup):
+        raise NonFiniteState(f"intrinsic gradient of phi is {w_sup} on a sampled point")
     k = args.k if args.k is not None else 1.0 / np.sqrt(1.0 + w_sup ** 2)
     b12 = max(G.b_max, 1e-12)
     beta = cones.beta_for_k(k, G.epsilon, b12)

@@ -189,6 +189,8 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     """
     if beta <= 0:
         raise ValidationError("cone opening must be positive")
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     box = phi.domain
     inner_lo = box.lo + 0.1 * (box.hi - box.lo)

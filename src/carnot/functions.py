@@ -249,13 +249,6 @@ class VectorField:
         self.domain = comps[0].domain
 
     @classmethod
-    def from_expressions(cls, exprs, domain, m, n):
-        if len(exprs) != m - 1:
-            raise DimensionMismatch(
-                f"need m-1 = {m - 1} components, got {len(exprs)}")
-        return cls([GraphFunction.from_expression(e, domain, m, n) for e in exprs])
-
-    @classmethod
     def constant(cls, values, domain):
         return cls([GraphFunction.constant(v, domain) for v in np.atleast_1d(values)])
 

@@ -18,7 +18,11 @@ level-set root finder and the frame-directional finite differences behave.
 The convolution runs over the grid nodes of nonzero weight only (a node
 outside the open support adds exactly zero) and returns the weighted share
 of the kernel below the graph, below / (below + above), which is exactly 1
-deep inside the subgraph and exactly 0 far above it.  The kernel is
+deep inside the subgraph and exactly 0 far above it.  Per node chunk the
+base coordinates of u^{-1} p are written column-major into one
+(d, points, nodes) buffer that phi reads as a (points, nodes, d) view with
+contiguous columns, and the ramp is formed in place.  The layout changes no
+value: each point's sums add the same terms in the same order.  The kernel is
 normalized so the dilated family integrates to one; beyond its box the graph
 function is evaluated by analytic/clamped extension so lateral domain edges
 do not bias the convolution.  Level sets are found by Illinois regula
@@ -28,6 +32,7 @@ bisection's count and, on the pipeline's cases, about half of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +71,10 @@ def _bump(t):
     return out
 
 
+@functools.cache
 def _radial_mass(dim):
-    """int_{R^dim} exp(-1/(1-|x|^2)) dx via the radial representation."""
+    """int_{R^dim} exp(-1/(1-|x|^2)) dx via the radial representation,
+    memoised: each kernel needs it for its two block dimensions."""
     surface = 2.0 * np.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
     val, _ = quad(lambda r: _bump(r * r) * r ** (dim - 1), 0.0, 1.0, limit=200)
     return surface * val
@@ -191,21 +198,36 @@ def mollified_indicator(G, phi, kernel, p):
         u = kernel._conv_nodes[start:stop]
         ux, uy = u[:, :m], u[:, m:]
         w = kernel._conv_weights[start:stop]
+        row1 = kernel._conv_row1[start:stop]
         k = w.size
         # the group law and the W*V splitting are written out by hand, so
         # that their u1 terms come precomputed with the kernel
         # v = u^{-1} p : first layer p1 - u1, second p2 - u2 - <B u1, p1>/2
         br = (px @ kernel._conv_bu[:, start * n:stop * n]).reshape(-1, k, n)
-        vy = py[:, None, :] - uy[None, :, :] - 0.5 * br
         # split: graph coordinate t and base point of v; the correction
-        # <b^(s)_{1.}, v1> is the outer difference of its p1 and u1 parts
+        # <b^(s)_{1.}, v1> is the outer difference of its p1 and u1 parts.
+        # The base is written column by column into one (d, P, k) buffer,
+        # and phi sees it as a (P, k, d) view with contiguous columns.
         t = px[:, None, 0] - ux[None, :, 0]
-        corr = p_row1[:, None, :] - kernel._conv_row1[None, start:stop, :]
-        base = np.concatenate([px[:, None, 1:] - ux[None, :, 1:],
-                               vy - 0.5 * t[..., None] * corr], axis=-1)
-        frac = np.clip(0.5 + (phi.eval_extended(base) - t) / delta, 0.0, 1.0)
+        half_t = 0.5 * t
+        buf = np.empty((m - 1 + n, P.shape[0], k))
+        for i in range(1, m):
+            np.subtract(px[:, None, i], ux[None, :, i], out=buf[i - 1])
+        for s in range(n):
+            col = buf[m - 1 + s]
+            # (p2 - u2 - <B u1, p1>/2) - (t/2) <b^(s)_{1.}, v1>
+            np.subtract(py[:, None, s], uy[None, :, s], out=col)
+            col -= 0.5 * br[..., s]
+            col -= half_t * (p_row1[:, None, s] - row1[None, :, s])
+        # the ramp clip(1/2 + (phi - t)/delta, 0, 1), formed in place in a
+        # fresh array so that phi's own result is never written
+        frac = np.subtract(phi.eval_extended(np.moveaxis(buf, 0, -1)), t)
+        frac /= delta
+        frac += 0.5
+        np.clip(frac, 0.0, 1.0, out=frac)
         below += frac @ w
-        above += (1.0 - frac) @ w
+        np.subtract(1.0, frac, out=frac)
+        above += frac @ w
     # the share of kernel weight below the graph: exactly 1 (0) where every
     # node is below (above) it, and in [0, 1] whatever the rounding
     out = below / (below + above)
@@ -366,6 +388,10 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     by more than ``GRADIENT_ALLOWANCE``.
     """
     alphas = sorted(float(al) for al in alpha_list)
+    if not alphas:
+        raise ValidationError("alpha_list must hold at least one alpha")
+    if grid_per_axis < 1:
+        raise ValidationError(f"grid_per_axis must be at least 1, got {grid_per_axis}")
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))

@@ -19,6 +19,7 @@ from . import group as gp
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
+    NonFiniteState,
     OutOfDomain,
     ValidationError,
 )
@@ -176,8 +177,12 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
 
     Pairs: all pairs of a uniform grid (capped at ``pair_samples``), then
     uniform random pairs up to the requested count; deterministic in ``seed``.
-    Pairs with quasi-distance below the floor are skipped (a = b limit).
+    Pairs with quasi-distance below the floor are skipped (a = b limit);
+    a non-finite phi or quasi-distance on any pair raises
+    :class:`NonFiniteState`.
     """
+    if pair_samples < 1:
+        raise ValidationError(f"pair_samples must be at least 1, got {pair_samples}")
     box = phi.domain
     # grid sized so the all-pairs count stays within the pair budget
     target_points = max(2, int((2.0 * pair_samples) ** 0.5))
@@ -193,6 +198,8 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
         b = np.concatenate([b, box.sample(extra, rng)])
     qd = graph_quasidistance(G, phi, a, b, check_domain=False)
     dphi = np.abs(phi.eval_extended(b) - phi.eval_extended(a))
+    if not (np.all(np.isfinite(dphi)) and np.all(np.isfinite(qd))):
+        raise NonFiniteState("phi or the quasi-distance is not finite on a sampled pair")
     keep = qd > QUASIDISTANCE_FLOOR
     if not np.any(keep):
         raise DegenerateSample("all sampled pairs coincide")

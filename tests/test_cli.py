@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carnot.cli import main
+from carnot import errors
+from carnot.cli import main, run
 from carnot.group import standard_group
 from carnot.quadrature import MAX_GRID_NODES
 
@@ -400,3 +401,42 @@ def test_rewritten_inputs_are_reloaded(tmp_path, capsys):
     assert info8["B"] == [[[0.0, 8.0], [-8.0, 0.0]]] and info8["epsilon"] == 0.5
     assert grad1["gradient"] == pytest.approx([1.0])
     assert grad8["gradient"] == pytest.approx([3.0])
+
+
+@pytest.mark.parametrize("command, error", [
+    (["mollify", "--grid", "0"], errors.ValidationError),
+    (["mollify", "--alphas", ""], errors.ValidationError),
+    (["lipschitz", "--pairs", "-5"], errors.ValidationError),
+    (["lipschitz", "--pairs", "0"], errors.ValidationError),
+    (["cone", "--samples", "-3"], errors.ValidationError),
+    (["cone", "--samples", "0"], errors.ValidationError),
+])
+def test_bad_counts_are_validation_errors(heis_file, phi_file, capsys, command,
+                                          error):
+    # --grid 0 and --alphas "" ended in an untyped ValueError, --pairs -5 in a
+    # TypeError, --samples -3 in a numpy ValueError, and --samples 0 exited 0
+    # with no violations
+    argv = [command[0], "--group", heis_file, "--phi", phi_file, *command[1:]]
+    code, args, report = run(argv)
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(error):
+        args.fn(args)
+
+
+@pytest.mark.parametrize("expr", ["sqrt(x2-2)", "nan"])
+@pytest.mark.parametrize("command", [["lipschitz", "--pairs", "200"],
+                                     ["cone", "--samples", "200"]])
+def test_non_finite_phi_is_numerical_failure(heis_file, tmp_path, capsys, expr,
+                                             command):
+    # lipschitz said "all sampled pairs coincide" and cone said "k must lie
+    # in (0, 1], got nan", both exit 1
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(_phi_spec(expr)))
+    argv = [command[0], "--group", heis_file, "--phi", str(phi), *command[1:]]
+    with np.errstate(invalid="ignore"):
+        code, args, report = run(argv)
+        assert (code, report) == (2, None)
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        with pytest.raises(errors.NonFiniteState):
+            args.fn(args)

@@ -11,6 +11,7 @@ from carnot.mollify import (
     LEVEL_RESIDUAL_TOL,
     MollifierKernel,
     _bump,
+    _radial_mass,
     _section_roots,
     _sup_abs_extended,
     approximation_report,
@@ -39,6 +40,11 @@ def kernel01(heis1):
 def section_point(G, a, t):
     return multiply(G, embed_base(G, np.asarray(a)),
                     lift_graph_value(G, np.asarray(t)))
+
+
+def test_radial_mass_memo_matches_quadrature():
+    for dim in range(1, 6):
+        assert _radial_mass(dim) == _radial_mass.__wrapped__(dim)
 
 
 def test_kernel_mass_normalized(heis1, free3):
@@ -167,15 +173,33 @@ def _full_grid_indicator(G, phi, kernel, P):
     return np.clip(out, 0.0, 1.0)
 
 
+def _phi_of_kind(G, expr):
+    # "grid": 0.3*sin(x2) + 0.2*y sampled on a 9 x 9 grid; "callable": x2,
+    # returned as a read-only view of the points it is given, so that
+    # f_alpha may not write it; anything else is an expression
+    d = G.dim - 1
+    box = Box([0.0] * d, [1.0] * d)
+    if expr == "grid":
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9),
+                           indexing="ij")
+        return GraphFunction.from_grid(0.3 * np.sin(x) + 0.2 * y, box)
+    if expr == "callable":
+        return GraphFunction.from_callable(
+            lambda a: np.broadcast_to(a[..., 0], a.shape[:-1]), box)
+    return GraphFunction.from_expression(expr, box, G.m, G.n)
+
+
 @pytest.mark.parametrize("group, k, expr, alpha", [
     ("heis1", 16, "0.3*sin(x2) + 0.2*y", 0.1),
     ("heis2", 8, "0.5*x2 + 0.25*x4", 0.15),
     ("free3", 6, "0.3*x2 - 0.2*y1 + 0.1*x3*y3", 0.2),
+    ("heis1", 16, "grid", 0.1),
+    ("heis2", 8, "callable", 0.15),
 ])
 def test_indicator_matches_full_grid_convolution(request, group, k, expr, alpha):
     G = request.getfixturevalue(group)
     d = G.dim - 1
-    phi = GraphFunction.from_expression(expr, Box([0.0] * d, [1.0] * d), G.m, G.n)
+    phi = _phi_of_kind(G, expr)
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     rng = np.random.default_rng(211)
     A = rng.uniform(0.0, 1.0, size=(256, d))
