@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
-from .errors import LeftDomain, NonFiniteState, ValidationError
+from .errors import GridTooLarge, LeftDomain, NonFiniteState, ValidationError
 from .calculus import frozen_coefficients
-from .quadrature import tensor_grid
+from .quadrature import MAX_GRID_NODES, tensor_grid
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,9 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
         raise ValidationError("need T > 0")
     if steps < 8:
         raise ValidationError("need at least 8 RK4 steps")
+    if 2 * steps + 1 > MAX_GRID_NODES:
+        raise GridTooLarge(f"the step-halved rerun needs {2 * steps + 1} RK4 rows, "
+                           f"over the budget of {MAX_GRID_NODES}")
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (G.base_dim,):
         raise ValidationError(
@@ -124,6 +126,8 @@ def flux_values(G, j, xhat, phi_values):
 def broadstar_residual(curve, phi, w_j):
     """max_t | phi(gamma(t)) - phi(gamma(0)) - int_0^t w_j(gamma(r)) dr |,
     the integral by composite Simpson on the curve's uniform time grid."""
+    from scipy.integrate import cumulative_simpson
+
     vals = np.asarray(w_j(curve.base_points), dtype=float)
     integral = cumulative_simpson(vals, x=curve.t_grid, initial=0.0)
     lhs = curve.phi_along - curve.phi_along[0]

@@ -83,8 +83,12 @@ def _emit(report, args):
             print(f"{key}: {value}")
 
 
-def _parse_floats(text):
-    return np.array([float(tok) for tok in text.replace(";", ",").split(",") if tok])
+def _parse_floats(text, option):
+    try:
+        return np.array([float(tok) for tok in text.replace(";", ",").split(",") if tok])
+    except ValueError:
+        raise ValidationError(
+            f"{option} must be comma-separated numbers, got {text!r}") from None
 
 
 def cmd_group(args):
@@ -105,7 +109,7 @@ def cmd_group(args):
 def cmd_gradient(args):
     G = gp.load_group(args.group)
     phi = load_graph_function(args.phi, G)
-    a = _parse_floats(args.at)
+    a = _parse_floats(args.at, "--at")
     w = calculus.intrinsic_gradient(G, phi, a)
     return {"at": a.tolist(), "gradient": np.atleast_1d(w).tolist(),
             "seed": args.seed}
@@ -115,7 +119,7 @@ def cmd_residual(args):
     G = gp.load_group(args.group)
     phi = load_graph_function(args.phi, G)
     w = load_vector_field(args.w, G)
-    vals = _parse_floats(args.zeta)
+    vals = _parse_floats(args.zeta, "--zeta")
     zeta = calculus.TestFunction(vals[:-1], vals[-1])
     box = phi.domain
     k = args.grid if args.grid is not None else default_points_per_axis(box.dim)
@@ -133,7 +137,7 @@ def cmd_lipschitz(args):
 
 
 def _integrate_curve(G, phi, args):
-    a0 = _parse_floats(getattr(args, "from"))
+    a0 = _parse_floats(getattr(args, "from"), "--from")
     return characteristics.integrate_characteristic(G, phi, args.j, a0,
                                                     args.T, args.steps)
 
@@ -187,7 +191,7 @@ def cmd_area(args):
 def cmd_mollify(args):
     G = gp.load_group(args.group)
     phi = load_graph_function(args.phi, G)
-    alphas = [float(t) for t in args.alphas.split(",") if t]
+    alphas = _parse_floats(args.alphas, "--alphas")
     report = mollify.approximation_report(G, phi, alphas, c_level=args.c,
                                           grid_per_axis=args.grid)
     report["seed"] = args.seed
@@ -331,14 +335,17 @@ def run(argv):
     Usage errors exit 1 (``--help`` exits 0), a report holding a NaN or
     infinite value exits 2, and a report whose ``failed`` count is nonzero
     exits 1; the report is None when the command raised.  The report is
-    plain python (see :func:`_jsonable`).
+    plain python (see :func:`_jsonable`).  numpy's invalid-value and
+    divide warnings are silenced: a non-finite result is reported as a
+    typed error instead.
     """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (1 if exc.code else 0), None, None
     try:
-        report = _jsonable(args.fn(args))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = _jsonable(args.fn(args))
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, args, None

@@ -18,8 +18,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DimensionMismatch, OutOfDomain, ValidationError
 from .quadrature import tensor_grid
@@ -29,22 +27,24 @@ def base_coordinate_names(m, n):
     return [f"x{j}" for j in range(2, m + 1)] + [f"y{s}" for s in range(1, n + 1)]
 
 
-_ALLOWED_FUNCS = {
-    "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt,
-    "abs": sp.Abs, "Abs": sp.Abs, "pi": sp.pi, "tanh": sp.tanh,
-}
+# sympy names an expression may use; "abs" is an alias of Abs
+_ALLOWED_FUNCS = ("sin", "cos", "exp", "sqrt", "Abs", "pi", "tanh")
 
 
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr, m, n):
     """(evaluate, partials) for an expression over the base of G(m, n);
-    partials is None when sympy cannot compile the derivatives."""
+    partials is None when sympy cannot compile the derivatives.  sympy is
+    imported here, so only a process that compiles an expression loads it."""
+    import sympy as sp
+
     names = base_coordinate_names(m, n)
     syms = sp.symbols(names)
     local = dict(zip(names, syms))
     if n == 1:
         local["y"] = local["y1"]
-    local.update(_ALLOWED_FUNCS)
+    local.update({name: getattr(sp, name) for name in _ALLOWED_FUNCS})
+    local["abs"] = sp.Abs
     try:
         tree = sp.sympify(expr, locals=local)
     except (sp.SympifyError, SyntaxError, TypeError) as exc:
@@ -151,6 +151,8 @@ class GraphFunction:
 
     @classmethod
     def from_grid(cls, values, domain, label="grid"):
+        from scipy.interpolate import RegularGridInterpolator
+
         domain = domain if isinstance(domain, Box) else Box(*domain)
         values = np.asarray(values, dtype=float)
         if values.ndim != domain.dim:

@@ -36,8 +36,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from . import group as gp
 from .calculus import intrinsic_gradient
@@ -75,6 +73,9 @@ def _bump(t):
 def _radial_mass(dim):
     """int_{R^dim} exp(-1/(1-|x|^2)) dx via the radial representation,
     memoised: each kernel needs it for its two block dimensions."""
+    from scipy.integrate import quad
+    from scipy.special import gamma as gamma_fn
+
     surface = 2.0 * np.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
     val, _ = quad(lambda r: _bump(r * r) * r ** (dim - 1), 0.0, 1.0, limit=200)
     return surface * val
@@ -111,8 +112,8 @@ class MollifierKernel:
         G = self.G
         a = float(self.alpha)
         k = int(self.points_per_axis)
-        if a <= 0:
-            raise ValidationError("alpha must be positive")
+        if not (np.isfinite(a) and a > 0):
+            raise ValidationError(f"alpha must be positive and finite, got {a}")
         if k < 4:
             raise QuadratureUnderflow(
                 f"kernel needs at least 4 points per axis, got {k}")

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -440,3 +441,76 @@ def test_non_finite_phi_is_numerical_failure(heis_file, tmp_path, capsys, expr,
         assert capsys.readouterr().err.startswith("numerical failure: ")
         with pytest.raises(errors.NonFiniteState):
             args.fn(args)
+
+
+@pytest.mark.parametrize("command, option", [
+    (["mollify", "--alphas", "abc"], "--alphas"),
+    (["gradient", "--at", "0.5,x"], "--at"),
+    (["residual", "--w", "W", "--zeta", "0.5,0.5,r"], "--zeta"),
+    (["characteristics", "--from", "0,y"], "--from"),
+    (["broadstar", "--w", "W", "--from", "0;zero"], "--from"),
+])
+def test_non_number_options_are_validation_errors(heis_file, phi_file, w_one_file,
+                                                  capsys, command, option):
+    # each ended in a ValueError traceback from float()
+    argv = [command[0], "--group", heis_file, "--phi", phi_file,
+            *[w_one_file if tok == "W" else tok for tok in command[1:]]]
+    code, args, report = run(argv)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be comma-separated numbers")
+    assert err.count("\n") == 1
+    with pytest.raises(errors.ValidationError):
+        args.fn(args)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0.1,-inf"])
+def test_non_finite_alpha_is_validation_error(heis_file, phi_file, capsys, alpha):
+    # --alphas nan ran every root sweep, warned about a divide and exited 2
+    # with "quadrature too coarse"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, report = run(["mollify", "--group", heis_file, "--phi", phi_file,
+                               "--alphas", alpha, "--grid", "2"])
+    assert (code, report) == (1, None)
+    assert caught == []
+    assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+
+
+@pytest.mark.parametrize("command", ["characteristics", "broadstar"])
+def test_step_budget_rejected_before_allocating(heis_file, phi_file, w_one_file,
+                                                capsys, command):
+    # --steps 1e11 asked numpy for a 1.46 TiB array of RK4 rows
+    argv = [command, "--group", heis_file, "--phi", phi_file, "--from", "0,0",
+            "--steps", "100000000000"]
+    if command == "broadstar":
+        argv += ["--w", w_one_file]
+    tracemalloc.start()
+    try:
+        code, _, report = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert f"over the budget of {MAX_GRID_NODES}" in err
+    assert peak < 2 ** 26
+
+
+@pytest.mark.parametrize("command", [["lipschitz", "--pairs", "200"],
+                                     ["cone", "--samples", "200"],
+                                     ["gradient", "--at", "0.5,0.5"]])
+def test_numerical_failure_prints_one_line(heis_file, tmp_path, capsys, command):
+    # numpy's RuntimeWarning, with the lambdify source line, came before the
+    # numerical failure line
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(_phi_spec("sqrt(x2-2)")))
+    argv = [command[0], "--group", heis_file, "--phi", str(phi), *command[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, report = run(argv)
+    assert (code, report) == (2, None)
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -107,6 +107,15 @@ def test_kernel_underflow():
         MollifierKernel(G, 0.1, points_per_axis=3)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_kernel_rejects_non_finite_alpha(alpha):
+    # a NaN alpha ran all root sweeps and failed as "quadrature too coarse"
+    from carnot.group import standard_group
+    G = standard_group("heisenberg", 1, epsilon=1.0)
+    with pytest.raises(errors.ValidationError, match="positive and finite"):
+        MollifierKernel(G, alpha)
+
+
 def test_indicator_range_and_extremes(heis1, phi_unit, kernel01):
     rng = np.random.default_rng(109)
     a = phi_unit.domain.sample(64, rng)
