@@ -18,6 +18,9 @@ from .errors import OutOfDomain
 from .quadrature import QuadratureGrid, default_points_per_axis, richardson_order
 from .splitting import project_splitting
 
+# grid nodes per integrand evaluation in area_integral
+_POINT_CHUNK = 2 ** 14
+
 
 def unit_normal(w_at_a):
     """(-1, w) / sqrt(1 + |w|^2): unit Euclidean norm, negative first entry."""
@@ -38,6 +41,8 @@ def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
     ``w`` may be a vector field; when omitted the intrinsic gradient of phi
     is evaluated on the grid (analytic partials or central differences).
     The value equals the graph perimeter up to an uncomputed group constant.
+    The integrand is evaluated on chunks of nodes into one array, so its
+    temporaries stay small on any grid and the sum is unchanged.
     """
     box = phi.domain
     if grid is None:
@@ -45,8 +50,12 @@ def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
             points_per_axis = default_points_per_axis(box.dim)
         grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
     pts = grid.points()
-    w_vals = w(pts) if w is not None else intrinsic_gradient(G, phi, pts)
-    return grid.integrate(area_integrand(w_vals))
+    values = np.empty(len(pts))
+    for start in range(0, len(pts), _POINT_CHUNK):
+        chunk = pts[start:start + _POINT_CHUNK]
+        w_vals = w(chunk) if w is not None else intrinsic_gradient(G, phi, chunk)
+        values[start:start + _POINT_CHUNK] = area_integrand(w_vals)
+    return grid.integrate(values)
 
 
 def area_report(G, phi, w=None, points_per_axis=None):

@@ -10,6 +10,11 @@ Pointwise values use analytic partials when the function carries them and a
 frozen-direction central difference otherwise.  The distributional residual
 checks the integration-by-parts identity of the system D phi = w against
 compactly supported bump test functions on a midpoint quadrature grid.
+
+Every contraction with the B^(s) blocks is a plain matmul.  With analytic
+partials the whole gradient (D_2 phi, ..., D_m phi) takes one evaluation of
+phi, its partials and the domain check, and sums its vertical terms one
+index s at a time, so no (points, m-1, n) array is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def frozen_coefficients(G, phi, j, a):
     phi_a = phi.eval_extended(a)
     col = G.B[:, j - 1, 0]                       # b^(s)_{j1}
     rows = G.B[:, j - 1, 1:]                     # b^(s)_{ji}, i = 2..m
-    drift = 0.5 * np.einsum("si,...i->...s", rows, xhat)
+    drift = 0.5 * (xhat @ rows.T)
     return phi_a[..., None] * col + drift
 
 
@@ -79,10 +84,35 @@ def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
 
 
 def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
-    """All components (D_2 phi, ..., D_m phi) stacked on the last axis."""
-    return np.stack([intrinsic_derivative(G, phi, j, a, h=h,
-                                          check_domain=check_domain)
-                     for j in range(2, G.m + 1)], axis=-1)
+    """All components (D_2 phi, ..., D_m phi) stacked on the last axis.
+
+    With analytic partials (and no ``h``) phi, its partials and the domain
+    check are evaluated once for all j; otherwise each component is an
+    :func:`intrinsic_derivative` central difference.
+    """
+    if not phi.has_partials or h is not None:
+        return np.stack([intrinsic_derivative(G, phi, j, a, h=h,
+                                              check_domain=check_domain)
+                         for j in range(2, G.m + 1)], axis=-1)
+    a = np.asarray(a, dtype=float)
+    if check_domain and not np.all(phi.in_domain(a)):
+        raise OutOfDomain("intrinsic derivative point outside domain")
+    k = G.m - 1
+    phi_a = phi.eval_extended(a)[..., None]
+    grad = phi.partials(a)
+    xhat = a[..., :k]
+    for s in range(G.n):
+        # c_s(a) of frozen_coefficients for every j at once, times d/dy_s phi
+        c = xhat @ G.B[s, 1:, 1:].T
+        c *= 0.5
+        c += phi_a * G.B[s, 1:, 0]
+        c *= grad[..., k + s, None]
+        if s == 0:
+            out = c
+        else:
+            out += c
+    out += grad[..., :k]
+    return out
 
 
 def gradient_from_defining_function(G, f_grad, p):
@@ -154,8 +184,15 @@ def base_frame_apply(G, a, zeta_grad):
     grad_x = zeta_grad[..., :G.m - 1]
     grad_y = zeta_grad[..., G.m - 1:]
     # X_j|_W zeta = d/dx_j zeta + 1/2 sum_s sum_{l>=2} b^(s)_{jl} x_l d/dy_s zeta
-    coeff = 0.5 * np.einsum("sjl,...l->...js", G.B[:, 1:, 1:], xhat)
-    xj = grad_x + np.einsum("...js,...s->...j", coeff, grad_y)
+    for s in range(G.n):
+        term = xhat @ G.B[s, 1:, 1:].T
+        term *= 0.5
+        term *= grad_y[..., s, None]
+        if s == 0:
+            xj = term
+        else:
+            xj += term
+    xj += grad_x
     return xj, grad_y
 
 
@@ -182,7 +219,7 @@ def distributional_residual(G, phi, w, zeta, grid=None, points_per_axis=None):
     zv = zeta.value(pts)
     xj_zeta, y_zeta = base_frame_apply(G, pts, zg)
     col = G.B[:, 1:, 0]                        # b^(s)_{j1} indexed (s, j-2)
-    vert = np.einsum("sj,...s->...j", col, y_zeta)
+    vert = y_zeta @ col
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
     w_v = w(pts)
     total = integrand + w_v * zv[..., None]

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooLarge, LeftDomain, NonFiniteState, ValidationError
+from .errors import LeftDomain, NonFiniteState, ValidationError
 from .calculus import frozen_coefficients
-from .quadrature import MAX_GRID_NODES, tensor_grid
+from .quadrature import check_work_budget, tensor_grid
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,20 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
     A rerun with halved step supplies ``error_estimate`` (max discrepancy at
     shared times).  If the trajectory leaves the domain box it is truncated
     and the exit time recorded rather than extrapolated; a start point
-    outside the domain raises :class:`LeftDomain`.
+    outside the domain raises :class:`LeftDomain`, and a NaN or infinite T
+    or start point a :class:`ValidationError`.
     """
-    if T <= 0:
-        raise ValidationError("need T > 0")
+    if not (np.isfinite(T) and T > 0):
+        raise ValidationError(f"need a finite T > 0, got {T}")
     if steps < 8:
         raise ValidationError("need at least 8 RK4 steps")
-    if 2 * steps + 1 > MAX_GRID_NODES:
-        raise GridTooLarge(f"the step-halved rerun needs {2 * steps + 1} RK4 rows, "
-                           f"over the budget of {MAX_GRID_NODES}")
+    check_work_budget(2 * steps + 1, "the step-halved rerun", "RK4 rows")
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (G.base_dim,):
         raise ValidationError(
             f"start point must have length m+n-1 = {G.base_dim}, got {a0.shape}")
+    if not np.all(np.isfinite(a0)):
+        raise ValidationError(f"start point must be finite, got {a0.tolist()}")
     if not phi.in_domain(a0):
         raise LeftDomain("characteristic start point lies outside the domain")
     path, h, used = _rk4_path(G, phi, j, a0, T, steps)
@@ -118,7 +119,7 @@ def flux_values(G, j, xhat, phi_values):
     xhat = np.asarray(xhat, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
     col = G.B[:, j - 1, 0]
-    drift = np.einsum("si,...i->...s", G.B[:, j - 1, 1:], xhat)
+    drift = xhat @ G.B[:, j - 1, 1:].T
     return 0.5 * (col * phi_values[..., None] ** 2
                   + phi_values[..., None] * drift)
 

@@ -120,6 +120,10 @@ def cmd_residual(args):
     phi = load_graph_function(args.phi, G)
     w = load_vector_field(args.w, G)
     vals = _parse_floats(args.zeta, "--zeta")
+    if vals.size != G.base_dim + 1:
+        raise ValidationError(f"--zeta needs {G.base_dim + 1} numbers (the centre's "
+                              f"{G.base_dim} coordinates, then the radius), "
+                              f"got {vals.size}")
     zeta = calculus.TestFunction(vals[:-1], vals[-1])
     box = phi.domain
     k = args.grid if args.grid is not None else default_points_per_axis(box.dim)

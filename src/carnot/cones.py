@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     ValueNotRepresentable,
 )
+from .quadrature import check_work_budget
 from .splitting import Cone, cone_membership, embed_base, graph_map, lift_graph_value
 
 
@@ -191,6 +192,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
         raise ValidationError("cone opening must be positive")
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
+    check_work_budget(samples, "the cone-containment check", "samples")
     rng = np.random.default_rng(seed)
     box = phi.domain
     inner_lo = box.lo + 0.1 * (box.hi - box.lo)

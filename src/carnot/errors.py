@@ -80,7 +80,8 @@ class ValueNotRepresentable(ValidationError):
 
 
 class GridTooLarge(ValidationError):
-    """A tensor grid would exceed the node budget."""
+    """A grid, sample or curve would exceed the work budget
+    (quadrature.check_work_budget)."""
 
 
 # -- numerical ----------------------------------------------------------------

@@ -12,6 +12,11 @@ The group law is
 with <B x_p, x_q>_s = <B^(s) x_p, x_q>, dilations scale the two layers with
 exponents 1 and 2, and the homogeneous norm is
 max(|x|, eps * |y|^(1/2)) for a group-dependent eps in (0, 1].
+
+The bracket <B x_p, x_q> is computed as one matmul of x_q against the
+(m, n*m) matrix with entries B^(s)_ij at (i, s*m + j), built once per
+structure, followed by a batched dot product with x_p; no three-operand
+contraction runs on point batches.
 """
 
 from __future__ import annotations
@@ -53,11 +58,20 @@ class GroupStructure:
     name: str = ""
     # max |b_{jl}^{(s)}|, used by several explicit constants
     b_max: float = field(init=False, default=0.0)
+    # B^(s)_ij at (i, s*k + j), for all of B (k = m) and for its block
+    # i, j >= 2 that acts on the base x-block (k = m - 1): see _bracket
+    _bt: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+    _base_bt: np.ndarray = field(init=False, default=None, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
-        object.__setattr__(self, "b_max", float(np.max(np.abs(self.B)))
-                           if self.B.size else 0.0)
+        B = np.asarray(self.B, dtype=float)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "b_max", float(np.max(np.abs(B)))
+                           if B.size else 0.0)
+        for name, block in (("_bt", B), ("_base_bt", B[:, 1:, 1:])):
+            object.__setattr__(self, name, block.transpose(1, 0, 2).reshape(
+                block.shape[1], -1))
 
     @property
     def dim(self) -> int:
@@ -186,10 +200,18 @@ def standard_group(name, param=None, epsilon=None):
     raise UnknownName(f"unknown group name {name!r}")
 
 
+def _bracket(bt, x1, x2):
+    """s-vector of <B^(s) x1, x2> from bt, the (k, n*k) matrix holding
+    B^(s)_ij at (i, s*k + j): the rows sum_i x2_i B^(s)_ij in one matmul,
+    then their dot products with x1.  Broadcasts over leading axes of x1/x2."""
+    rows = np.matmul(x2, bt)
+    rows = rows.reshape(rows.shape[:-1] + (-1, bt.shape[0]))
+    return np.einsum("...sj,...j->...s", rows, x1)
+
+
 def bracket(G, x1, x2):
     """Second-layer bilinear term: s-vector of <B^(s) x1, x2>."""
-    # einsum over the matrix index; broadcasts over leading axes of x1/x2.
-    return np.einsum("sij,...j,...i->...s", G.B, x1, x2)
+    return _bracket(G._bt, x1, x2)
 
 
 def multiply(G, p, q):
@@ -216,7 +238,12 @@ def dilate(G, lam, p):
 
 def homogeneous_norm(G, p):
     """max(|x|, eps |y|^(1/2)); 1-homogeneous under dilations."""
-    x, y = split_layers(G, p)
+    return _layer_norm(G, *split_layers(G, p))
+
+
+def _layer_norm(G, x, y):
+    """The homogeneous norm of the point with layers x and y; x may omit
+    coordinates that are zero."""
     return np.maximum(np.linalg.norm(x, axis=-1),
                       G.epsilon * np.sqrt(np.linalg.norm(y, axis=-1)))
 

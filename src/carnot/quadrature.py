@@ -4,7 +4,9 @@ The midpoint rule is order 2, has positive weights, and its nodes never touch
 box boundaries, which keeps integrands with boundary singularities usable.
 All multi-dimensional integrals in the package run through these grids so
 that refinement studies are comparable across modules, and every tensor grid
-of sample points is built by :func:`tensor_grid` under one node budget.
+of sample points is built by :func:`tensor_grid`.  One work budget,
+:func:`check_work_budget`, caps grid nodes and every other count that sizes
+an array (sampled pairs, cone samples, RK4 rows).
 """
 
 from __future__ import annotations
@@ -16,19 +18,21 @@ import numpy as np
 
 from .errors import GridTooLarge, ValidationError
 
-# Largest node count of any tensor grid; larger shapes are rejected before
-# anything is allocated.  The default grids stay well below it (the finest
-# area grid on a 4-D base has 32^4 ~ 1.05M nodes; MollifierKernel.mass folds
-# its 48^4 grid on an m = 4 group to 24^4), and a free_step2(3) kernel at 16
-# points per axis (16.7M nodes) is rejected.
+# Largest count of points any one array may be built for: tensor grid
+# nodes, sampled pairs, cone samples and RK4 rows.  Larger counts are
+# rejected before anything is allocated.  The default grids stay well below
+# it (the finest area grid on a 4-D base has 32^4 ~ 1.05M nodes;
+# MollifierKernel.mass folds its 48^4 grid on an m = 4 group to 24^4), and a
+# free_step2(3) kernel at 16 points per axis (16.7M nodes) is rejected.
 MAX_GRID_NODES = 2 ** 23
 
 
-def _check_node_budget(shape):
-    nodes = math.prod(shape)
-    if nodes > MAX_GRID_NODES:
-        raise GridTooLarge(f"tensor grid of {nodes} nodes exceeds the budget "
-                           f"of {MAX_GRID_NODES} nodes")
+def check_work_budget(count, what, unit):
+    """Raise :class:`GridTooLarge` when ``what`` needs more than
+    MAX_GRID_NODES ``unit``; call it before allocating them."""
+    if count > MAX_GRID_NODES:
+        raise GridTooLarge(f"{what} of {count} {unit} exceeds the budget "
+                           f"of {MAX_GRID_NODES} {unit}")
 
 
 def tensor_grid(lo, hi, shape, nodes="midpoint"):
@@ -42,7 +46,7 @@ def tensor_grid(lo, hi, shape, nodes="midpoint"):
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     shape = tuple(int(k) for k in shape)
-    _check_node_budget(shape)
+    check_work_budget(math.prod(shape), "tensor grid", "nodes")
     if nodes == "midpoint":
         h = (hi - lo) / np.asarray(shape, dtype=float)
         axes = [lo[i] + h[i] * (np.arange(k) + 0.5) for i, k in enumerate(shape)]
@@ -83,7 +87,7 @@ class QuadratureGrid:
             shape = shape * lo.size
         if len(shape) != lo.size or any(k < 1 for k in shape):
             raise ValidationError("shape must give a positive count per axis")
-        _check_node_budget(shape)
+        check_work_budget(math.prod(shape), "tensor grid", "nodes")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from carnot import errors
@@ -232,3 +234,26 @@ def test_residual_support_not_covered(heis1, phi_x2):
     zeta = TestFunction([0.9, 0.9], 0.5)
     with pytest.raises(errors.SupportNotCovered):
         distributional_residual(heis1, phi_x2, w, zeta)
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.tuples(*[st.sampled_from([-0.5, 0.0, 0.25, 1.0])] * 3))
+def test_intrinsic_gradient_one_pass_property(all_groups, index, seed, coef):
+    # the one-pass gradient against each direction's own D_j, and against
+    # the frozen-direction central difference
+    G = all_groups[index]
+    d = G.base_dim
+    a0, b0, c0 = coef
+    expr = f"{a0}*x2*y1 + {b0}*sin(x{G.m}) + {c0}*y{G.n}**2 + x2"
+    phi = GraphFunction.from_expression(expr, unit_box(d), G.m, G.n)
+    a = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(64, d))
+    got = intrinsic_gradient(G, phi, a)
+    assert got.shape == (64, G.m - 1)
+    per_direction = np.stack([intrinsic_derivative(G, phi, j, a)
+                              for j in range(2, G.m + 1)], axis=-1)
+    np.testing.assert_allclose(got, per_direction, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(got, intrinsic_gradient(G, phi, a, h=1e-5),
+                               rtol=1e-7, atol=1e-7)
+    # a single point gives the row of the batch
+    np.testing.assert_allclose(intrinsic_gradient(G, phi, a[3]), got[3],
+                               rtol=1e-14, atol=1e-14)

@@ -493,7 +493,7 @@ def test_step_budget_rejected_before_allocating(heis_file, phi_file, w_one_file,
         tracemalloc.stop()
     assert (code, report) == (1, None)
     err = capsys.readouterr().err
-    assert f"over the budget of {MAX_GRID_NODES}" in err
+    assert f"exceeds the budget of {MAX_GRID_NODES} RK4 rows" in err
     assert peak < 2 ** 26
 
 
@@ -514,3 +514,61 @@ def test_numerical_failure_prints_one_line(heis_file, tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("zeta", ["0.4", "0.5,0.4", "0.5,0.5,0.5,0.4"])
+def test_zeta_count_is_validation_error(heis_file, phi_file, w_one_file, capsys,
+                                        zeta):
+    # --zeta 0.4 on a 2-D base ended in an untyped numpy broadcast ValueError
+    argv = ["residual", "--group", heis_file, "--phi", phi_file, "--w", w_one_file,
+            "--zeta", zeta, "--grid", "8"]
+    code, args, report = run(argv)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: --zeta needs 3 numbers")
+    assert f"got {zeta.count(',') + 1}" in err
+    with pytest.raises(errors.ValidationError):
+        args.fn(args)
+
+
+@pytest.mark.parametrize("command", ["characteristics", "broadstar"])
+@pytest.mark.parametrize("option, value", [("--T", "nan"), ("--T", "inf"),
+                                           ("--from", "nan,0.25"), ("--from", "0,inf")])
+def test_non_finite_curve_inputs_are_validation_errors(heis_file, phi_file,
+                                                       w_one_file, capsys, command,
+                                                       option, value):
+    # --T nan said "state became non-finite" and --from nan,0.25 "outside the
+    # domain", both exit 2
+    argv = [command, "--group", heis_file, "--phi", phi_file, "--from", "0,0",
+            "--steps", "16", option, value]
+    if command == "broadstar":
+        argv += ["--w", w_one_file]
+    code, args, report = run(argv)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    want = "error: need a finite T > 0" if option == "--T" else \
+        "error: start point must be finite"
+    assert err.startswith(want)
+    with pytest.raises(errors.ValidationError):
+        args.fn(args)
+
+
+@pytest.mark.parametrize("command, unit", [(["lipschitz", "--pairs"], "pairs"),
+                                          (["cone", "--samples"], "samples")])
+@pytest.mark.parametrize("count", [MAX_GRID_NODES + 1, 10 ** 9])
+def test_pair_and_sample_budget_rejected_before_allocating(heis_file, phi_file,
+                                                           capsys, command, unit,
+                                                           count):
+    # --pairs 1e9 asked np.triu_indices for two index arrays of about 8 GB
+    argv = [command[0], "--group", heis_file, "--phi", phi_file, command[1],
+            str(count)]
+    tracemalloc.start()
+    try:
+        code, _, report = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert f"of {count} {unit} exceeds the budget of {MAX_GRID_NODES} {unit}" in err
+    assert peak < 2 ** 26

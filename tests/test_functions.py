@@ -244,3 +244,19 @@ def test_tensor_grid_over_budget_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_box_contains_matches_all_over_axis(dim, seed):
+    # the column-by-column test against np.all over the last axis, with
+    # points on the faces, outside, NaN and infinite, batched and single
+    rng = np.random.default_rng(seed)
+    box = Box(rng.uniform(-2.0, 0.0, dim), rng.uniform(0.5, 2.0, dim))
+    pts = rng.uniform(-3.0, 3.0, size=(4, 50, dim))
+    faces = rng.integers(0, 2, size=pts.shape).astype(bool)
+    pts[faces] = np.broadcast_to(box.lo, pts.shape)[faces]
+    pts[0, :3, 0] = [np.nan, np.inf, -np.inf]
+    want = np.all((pts >= box.lo) & (pts <= box.hi), axis=-1)
+    assert np.array_equal(box.contains(pts), want)
+    assert box.contains(pts[1, 7]) == want[1, 7]
+    assert box.contains(box.lo) and box.contains(box.hi)

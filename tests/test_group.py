@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from carnot import errors
 from carnot.group import (
     GroupStructure,
+    bracket,
     calibrate_epsilon,
     dilate,
     distance,
@@ -288,3 +289,24 @@ def test_memoised_calibration_property(family):
     lam = rng.uniform(0.1, 5.0, size=200)
     assert np.allclose(homogeneous_norm(G, dilate(G, lam, p)),
                        lam * homogeneous_norm(G, p), rtol=1e-13)
+
+
+_STANDARD = [("heisenberg", 1), ("heisenberg", 2), ("free_step2", 3),
+             ("h_type", "quaternion")]
+
+
+@given(st.one_of(st.sampled_from(_STANDARD).map(
+                     lambda spec: standard_group(*spec, epsilon=1.0)),
+                 _skew_families().map(lambda family: GroupStructure(*family))),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 50))
+def test_bracket_matches_einsum_property(G, seed, count):
+    # the matmul bracket against the three-operand contraction it replaced,
+    # on batches and on one point against a batch, both ways round
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(-3.0, 3.0, size=(count, G.m))
+    x2 = rng.uniform(-3.0, 3.0, size=(count, G.m))
+    for a, b in ((x1, x2), (x1[0], x2), (x1, x2[0])):
+        want = np.einsum("sij,...j,...i->...s", G.B, a, b)
+        got = bracket(G, a, b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carnot import errors
 from carnot.functions import Box, GraphFunction
@@ -374,3 +376,42 @@ def test_holder_bound_from_lipschitz(heis1):
     close = sep[keep] < 0.1
     assert np.max(quot[close]) <= 2.0 * overall
     assert np.isfinite(overall)
+
+
+def _composed_quasidistance(G, phi, a, b):
+    """|| phi(a)^-1 i(a)^-1 i(b) phi(a) || by three products, two inverses
+    and two embeddings: the form the closed form replaced."""
+    v = lift_graph_value(G, phi.eval_extended(a))
+    g = multiply(G, multiply(G, inverse(G, v), inverse(G, embed_base(G, a))),
+                 multiply(G, embed_base(G, b), v))
+    return homogeneous_norm(G, g)
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["0.7*x2 - 0.4*y1", "sin(3*x2) + y1**2", "0"]))
+def test_quasidistance_closed_form_property(all_groups, index, seed, expr):
+    G = all_groups[index]
+    d = G.base_dim
+    phi = GraphFunction.from_expression(expr, unit_box(d, half=2.0), G.m, G.n)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, size=(200, d))
+    b = rng.uniform(-2.0, 2.0, size=(200, d))
+    want = _composed_quasidistance(G, phi, a, b)
+    np.testing.assert_allclose(graph_quasidistance(G, phi, a, b), want, rtol=1e-12)
+    # one point against a batch
+    np.testing.assert_allclose(graph_quasidistance(G, phi, a[0], b),
+                               _composed_quasidistance(G, phi, a[0], b), rtol=1e-12)
+    # coincident pairs sit below QUASIDISTANCE_FLOOR: on these groups each
+    # base block of B^(s) holds at most one skew pair, whose two terms
+    # cancel exactly
+    assert np.all(graph_quasidistance(G, phi, a, a) == 0.0)
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.floats(0.01, 100.0))
+def test_split_and_recompose_property(all_groups, index, seed, scale):
+    # p = i(b) * (t, 0, ..., 0) for (b, t) = project_splitting(p)
+    G = all_groups[index]
+    p = random_points(G, 100, np.random.default_rng(seed), scale=scale)
+    base, t = project_splitting(G, p)
+    np.testing.assert_allclose(recompose(G, base, t), p, rtol=1e-12,
+                               atol=1e-13 * scale ** 2)
