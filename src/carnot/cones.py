@@ -28,7 +28,7 @@ from .errors import (
     ValueNotRepresentable,
 )
 from .quadrature import check_work_budget
-from .splitting import Cone, cone_membership, embed_base, graph_map, lift_graph_value
+from .splitting import Cone, cone_membership, graph_map, graph_point
 
 
 def beta_for_k(k, epsilon=1.0, b12=1.0):
@@ -212,9 +212,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     yn = np.linalg.norm(yv, axis=-1)
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
-    w_part = embed_base(G, np.concatenate([xhat, yv], axis=-1))
-    v = gp.multiply(G, w_part, lift_graph_value(G, t))
-    q = gp.multiply(G, P, v)
+    q = gp.multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
     inside = subgraph_indicator_extended(G, phi, q)
     expected = (sides < 0).astype(float)
     violations = int(np.count_nonzero(inside != expected))

@@ -47,9 +47,10 @@ TRIANGLE_FP_SLACK = 1e-12
 EPSILON_GRID_DEPTH = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupStructure:
-    """Immutable step-2 group data; safe to share across threads."""
+    """Immutable step-2 group data; safe to share across threads.  Equality
+    and hashing are by identity, so a structure can be a dict key."""
 
     m: int
     n: int
@@ -60,9 +61,8 @@ class GroupStructure:
     b_max: float = field(init=False, default=0.0)
     # B^(s)_ij at (i, s*k + j), for all of B (k = m) and for its block
     # i, j >= 2 that acts on the base x-block (k = m - 1): see _bracket
-    _bt: np.ndarray = field(init=False, default=None, repr=False, compare=False)
-    _base_bt: np.ndarray = field(init=False, default=None, repr=False,
-                                 compare=False)
+    _bt: np.ndarray = field(init=False, default=None, repr=False)
+    _base_bt: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)

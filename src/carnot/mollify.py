@@ -18,11 +18,11 @@ level-set root finder and the frame-directional finite differences behave.
 The convolution runs over the grid nodes of nonzero weight only (a node
 outside the open support adds exactly zero) and returns the weighted share
 of the kernel below the graph, below / (below + above), which is exactly 1
-deep inside the subgraph and exactly 0 far above it.  Per node chunk the
-base coordinates of u^{-1} p are written column-major into one
-(d, points, nodes) buffer that phi reads as a (points, nodes, d) view with
-contiguous columns, and the ramp is formed in place.  The layout changes no
-value: each point's sums add the same terms in the same order.  The kernel is
+deep inside the subgraph and exactly 0 far above it.  u^{-1} p is split by
+the splitting module's helper, from node terms computed once per kernel,
+into base coordinates that phi reads with contiguous columns; the ramp is
+formed in place.  The layout changes no value: each point's sums add the
+same terms in the same order.  The kernel is
 normalized so the dilated family integrates to one; beyond its box the graph
 function is evaluated by analytic/clamped extension so lateral domain edges
 do not bias the convolution.  Level sets are found by Illinois regula
@@ -45,8 +45,8 @@ from .errors import (
     QuadratureUnderflow,
     ValidationError,
 )
-from .quadrature import tensor_grid
-from .splitting import embed_base, lift_graph_value
+from .quadrature import check_work_budget, tensor_grid
+from .splitting import _anchor_terms, _split, graph_point
 
 _MAX_ROOT_SWEEPS = 200
 _BATCH_OPS_LIMIT = 2 ** 21
@@ -101,12 +101,11 @@ class MollifierKernel:
     raw_mass: float = field(init=False)
     normalizer: float = field(init=False)
     subcell_width: float = field(init=False)
-    # convolution set: the nonzero-weight nodes u, their weights, and the
-    # bracket terms of u1 that enter every product u^{-1} p
+    # convolution set: the nonzero-weight nodes u, their weights, and their
+    # terms in every split of u^{-1} p
     _conv_nodes: np.ndarray = field(init=False, repr=False)
     _conv_weights: np.ndarray = field(init=False, repr=False)
-    _conv_bu: np.ndarray = field(init=False, repr=False)
-    _conv_row1: np.ndarray = field(init=False, repr=False)
+    _conv_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         G = self.G
@@ -134,11 +133,7 @@ class MollifierKernel:
         keep = self.weights > 0.0
         self._conv_nodes = nodes[keep]
         self._conv_weights = self.weights[keep]
-        ux = self._conv_nodes[:, :G.m]
-        # (B u1)_i^(s) as an (m, K n) matrix, so <B u1, p1> = p1 @ _conv_bu
-        self._conv_bu = np.einsum("sij,kj->iks", G.B, ux).reshape(G.m, -1)
-        # <b^(s)_{1.}, u1> for the graph-coordinate correction
-        self._conv_row1 = ux @ G.B[:, 0, :].T
+        self._conv_terms = _anchor_terms(G, self._conv_nodes)
 
     def _profile(self, p):
         """Unnormalized profile of rho(delta_{1/alpha} p)."""
@@ -187,42 +182,17 @@ def mollified_indicator(G, phi, kernel, p):
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     P = np.atleast_2d(p)
-    m, n = G.m, G.n
     delta = kernel.subcell_width
     below = np.zeros(P.shape[0])
     above = np.zeros(P.shape[0])
     chunk = max(1, _BATCH_OPS_LIMIT // max(P.shape[0], 1))
-    px, py = P[:, :m], P[:, m:]
-    p_row1 = px @ G.B[:, 0, :].T
     for start in range(0, kernel._conv_weights.size, chunk):
         stop = start + chunk
-        u = kernel._conv_nodes[start:stop]
-        ux, uy = u[:, :m], u[:, m:]
         w = kernel._conv_weights[start:stop]
-        row1 = kernel._conv_row1[start:stop]
-        k = w.size
-        # the group law and the W*V splitting are written out by hand, so
-        # that their u1 terms come precomputed with the kernel
-        # v = u^{-1} p : first layer p1 - u1, second p2 - u2 - <B u1, p1>/2
-        br = (px @ kernel._conv_bu[:, start * n:stop * n]).reshape(-1, k, n)
-        # split: graph coordinate t and base point of v; the correction
-        # <b^(s)_{1.}, v1> is the outer difference of its p1 and u1 parts.
-        # The base is written column by column into one (d, P, k) buffer,
-        # and phi sees it as a (P, k, d) view with contiguous columns.
-        t = px[:, None, 0] - ux[None, :, 0]
-        half_t = 0.5 * t
-        buf = np.empty((m - 1 + n, P.shape[0], k))
-        for i in range(1, m):
-            np.subtract(px[:, None, i], ux[None, :, i], out=buf[i - 1])
-        for s in range(n):
-            col = buf[m - 1 + s]
-            # (p2 - u2 - <B u1, p1>/2) - (t/2) <b^(s)_{1.}, v1>
-            np.subtract(py[:, None, s], uy[None, :, s], out=col)
-            col -= 0.5 * br[..., s]
-            col -= half_t * (p_row1[:, None, s] - row1[None, :, s])
+        base, t = _split(G, kernel._conv_terms, P, start, stop)
         # the ramp clip(1/2 + (phi - t)/delta, 0, 1), formed in place in a
         # fresh array so that phi's own result is never written
-        frac = np.subtract(phi.eval_extended(np.moveaxis(buf, 0, -1)), t)
+        frac = np.subtract(phi.eval_extended(base), t)
         frac /= delta
         frac += 0.5
         np.clip(frac, 0.0, 1.0, out=frac)
@@ -310,7 +280,7 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
         t_tol = 1e-3 * (4.0 * M + 2.0)
 
     def section(rows, tvals):
-        pts = gp.multiply(G, embed_base(G, A[rows]), lift_graph_value(G, tvals))
+        pts = graph_point(G, A[rows], tvals)
         return mollified_indicator(G, phi, kernel, pts) - c_level
 
     active = np.arange(count)
@@ -366,7 +336,7 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     """Gradient of the extracted graph via its defining function:
     -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set."""
-    pts = gp.multiply(G, embed_base(G, A), lift_graph_value(G, phi_alpha_values))
+    pts = graph_point(G, A, phi_alpha_values)
     grad = horizontal_gradient_mollified(G, phi, kernel, pts)
     x1f = grad[..., 0]
     if np.any(np.abs(x1f) <= 1e-14):
@@ -401,6 +371,10 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     noise_floor = 0.0
     for alpha in alphas:
         kernel = MollifierKernel(G, alpha, points_per_axis=points_per_axis)
+        # each sweep of the root finder convolves every grid point with
+        # every nonzero kernel node
+        check_work_budget(len(A) * kernel._conv_weights.size,
+                          "a level-set sweep", "point-node pairs")
         t_tol = 1e-6 * alpha
         noise_floor = max(noise_floor, 50.0 * t_tol / alpha)
         pa, section_evals, level_residual = _section_roots(
@@ -473,7 +447,7 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     edge_max = 0.0
     for k in range(t_points):
         t = phi_vals - half + (k + 0.5) * dt
-        pts = gp.multiply(G, embed_base(G, A), lift_graph_value(G, t))
+        pts = graph_point(G, A, t)
         grad = horizontal_gradient_mollified(G, phi, kernel, pts)
         mags = np.linalg.norm(grad, axis=-1)
         if k == 0 or k == t_points - 1:

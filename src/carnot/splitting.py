@@ -7,14 +7,19 @@ projections, graph maps, intrinsic translations, the graph quasi-distance
 and its coordinate form, and the sampled diagnostics (intrinsic Lipschitz
 estimate, vertical Hoelder modulus) built from them.
 
-The graph quasi-distance is evaluated in closed form, not by composing
-group operations: with t = phi(a) and g1 = x_b - x_a (first layers
-embedded with x1 = 0),
+Graph points, splittings and the graph quasi-distance are closed forms,
+not compositions of group operations.  With a = (x-hat, y), first layers
+embedded with x1 = 0 and b_1 the s-vector of the rows b^(s)_{1.}:
 
+    i(a) * (t e1) = (t, x-hat, y + t/2 <b_1, x-hat>),
+    v = u^-1 p = (p1 - u1, p2 - u2 - 1/2 <B u1, p1>) = i(base) * (v1_1 e1),
+        base = (v1_2..m, v2 - v1_1/2 <b_1, v1>),
     phi(a)^-1 i(a)^-1 i(b) phi(a) = (g1, y_b - y_a - 1/2 <B x_a, x_b>
-                                         + t <B g1, e1>).
+        + phi(a) <b_1, g1>),   g1 = x_b - x_a.
 
-The contractions with the rows <B^(s) ., e1> are plain matmuls.
+One helper splits u^-1 p for every point against every anchor u, from
+u-side terms computed once per anchor set (kernel nodes, a cone vertex, a
+translation q, the origin).
 """
 
 from __future__ import annotations
@@ -40,45 +45,72 @@ from .quadrature import check_work_budget, tensor_grid
 QUASIDISTANCE_FLOOR = 1e-14
 
 
-def embed_base(G, a):
-    """i(a): insert the zero graph coordinate, landing in W."""
+def graph_point(G, a, t):
+    """i(a) * (t e1) in closed form (module docstring); the base points
+    a = (x-hat, y) and graph coordinates t broadcast over leading axes."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != G.base_dim:
         raise DimensionMismatch(
             f"expected base points of length {G.base_dim}, got {a.shape}")
-    zero = np.zeros(a.shape[:-1] + (1,))
-    return np.concatenate([zero, a], axis=-1)
-
-
-def lift_graph_value(G, t):
-    """(t, 0, ..., 0): the V-component with graph coordinate t."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (G.dim,))
+    xhat, y = a[..., :G.m - 1], a[..., G.m - 1:]
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], t.shape) + (G.dim,))
     out[..., 0] = t
+    out[..., 1:G.m] = xhat
+    out[..., G.m:] = y + 0.5 * t[..., None] * (xhat @ G.B[:, 0, 1:].T)
     return out
 
 
-def project_splitting(G, p):
-    """Split p = p_W * p_V; returns (base coordinates of p_W, graph coordinate).
+def _anchor_terms(G, u):
+    """The u-side terms of u^-1 p for the rows u of a (K, m+n) array: u1, u2,
+    (B^(s) u1)_i as (m, K, n) and <b_1, u1>, anchor axis second to last."""
+    ux = u[:, :G.m]
+    return ux, u[:, G.m:], np.einsum("sij,kj->iks", G.B, ux), ux @ G.B[:, 0, :].T
 
-    p_V = (x1, 0...) and p_W = (x - x1 e1, y - x1/2 <B x, e1>); the
-    recomposition multiply(p_W, p_V) returns p exactly.
-    """
-    x, y = gp.split_layers(G, p)
-    t = x[..., 0]
-    x_w = x.copy()
-    x_w[..., 0] = 0.0
-    # s-vector <B^(s) x, e1> = (B^(s) x)_1
-    corr = x @ G.B[:, 0, :].T
-    y_w = y - 0.5 * t[..., None] * corr
-    return np.concatenate([x_w[..., 1:], y_w], axis=-1), t
+
+def _split(G, terms, p, start=0, stop=None):
+    """(base, t) of u^-1 p for every row p of the (P, m+n) array and every
+    anchor u start..stop-1 of terms; t is (P, K) and base a (P, K, m+n-1)
+    view of one (m+n-1, P, K) buffer, written column by column."""
+    m, n = G.m, G.n
+    ux, uy, bx, row1 = (a[..., start:stop, :] for a in terms)
+    px, py = p[:, :m], p[:, m:]
+    k = ux.shape[0]
+    br = (px @ bx.reshape(m, -1)).reshape(-1, k, n)      # <B u1, p1>
+    p_row1 = px @ G.B[:, 0, :].T
+    t = px[:, None, 0] - ux[None, :, 0]
+    half_t = 0.5 * t
+    buf = np.empty((m - 1 + n, p.shape[0], k))
+    for i in range(1, m):
+        np.subtract(px[:, None, i], ux[None, :, i], out=buf[i - 1])
+    for s in range(n):
+        col = buf[m - 1 + s]
+        # (p2 - u2 - <B u1, p1>/2) - (t/2) <b^(s)_{1.}, p1 - u1>
+        np.subtract(py[:, None, s], uy[None, :, s], out=col)
+        col -= 0.5 * br[..., s]
+        col -= half_t * (p_row1[:, None, s] - row1[None, :, s])
+    return np.moveaxis(buf, 0, -1), t
+
+
+def _split_from(G, u, p):
+    """(base, t) of u^-1 p for one anchor u and points p of any leading shape."""
+    p = gp._check_point(G, p)
+    u = np.asarray(u, dtype=float).reshape(1, G.dim)
+    base, t = _split(G, _anchor_terms(G, u), p.reshape(-1, G.dim))
+    # t[()] is a scalar for a single point
+    return base.reshape(p.shape[:-1] + (G.base_dim,)), t.reshape(p.shape[:-1])[()]
+
+
+def project_splitting(G, p):
+    """Split p = p_W * p_V = graph_point(G, base, t); returns (base, t),
+    the base coordinates of p_W and the graph coordinate x1 of p_V."""
+    return _split_from(G, np.zeros(G.dim), p)
 
 
 def graph_map(G, phi, a, check_domain=True):
     """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0)."""
     a = np.asarray(a, dtype=float)
-    values = phi(a) if check_domain else phi.eval_extended(a)
-    return gp.multiply(G, embed_base(G, a), lift_graph_value(G, values))
+    return graph_point(G, a, phi(a) if check_domain else phi.eval_extended(a))
 
 
 def translate_graph_function(G, phi, q):
@@ -90,11 +122,9 @@ def translate_graph_function(G, phi, q):
     membership predicate.
     """
     q = np.asarray(q, dtype=float)
-    q_inv = gp.inverse(G, q)
 
     def pulled_base(a):
-        g = gp.multiply(G, q_inv, embed_base(G, a))
-        return project_splitting(G, g)
+        return _split_from(G, q, graph_point(G, a, 0.0))
 
     def evaluate(a):
         b, t = pulled_base(a)
@@ -114,9 +144,8 @@ def translate_graph_function(G, phi, q):
     hi[:G.m - 1] += shift_x
     corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
                           nodes="endpoint")
-    probe = np.concatenate([corners, np.zeros((len(corners), G.n))], axis=-1)
-    g_corr, _ = pulled_base(probe)           # vertical part = affine correction
-    g_y = g_corr[:, G.m - 1:]
+    # the vertical part of the pulled-back corners is the affine correction
+    g_y = pulled_base(np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
     lo[G.m - 1:] -= np.max(g_y, axis=0)
     hi[G.m - 1:] -= np.min(g_y, axis=0)
     return GraphFunction.from_callable(evaluate, Box(lo, hi), mask=mask,
@@ -139,9 +168,8 @@ class Cone:
 
 def cone_membership(G, cone, p):
     """Membership test; on the axis P_W = 0 every opening qualifies."""
-    g = gp.multiply(G, gp.inverse(G, cone.vertex), p)
-    b, t = project_splitting(G, g)
-    w_norm = gp.homogeneous_norm(G, embed_base(G, b))
+    b, t = _split_from(G, cone.vertex, p)
+    w_norm = gp._layer_norm(G, b[..., :G.m - 1], b[..., G.m - 1:])
     return w_norm <= cone.beta * np.abs(t)
 
 
@@ -177,14 +205,12 @@ def sigma_form(G, phi, b, a):
     vectors embedded with x1 = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    xa = embed_base(G, a)[..., :G.m]
-    xb = embed_base(G, b)[..., :G.m]
-    ya = a[..., G.m - 1:]
-    yb = b[..., G.m - 1:]
+    k = G.m - 1
+    xa, ya = a[..., :k], a[..., k:]
+    xb, yb = b[..., :k], b[..., k:]
     phib = phi.eval_extended(b)
-    row1 = G.B[:, 0, :]                       # b^(s)_{1l}
-    lin = (xa - xb) @ row1.T
-    cross = gp.bracket(G, xb, xa)             # <B^(s) x', x>
+    lin = (xa - xb) @ G.B[:, 0, 1:].T         # sum_l (x_l - x'_l) b^(s)_{1l}
+    cross = gp._bracket(G._base_bt, xb, xa)   # <B^(s) x', x>
     inner = ya - yb + phib[..., None] * lin - 0.5 * cross
     return np.sum(np.sqrt(np.abs(inner)), axis=-1)
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from carnot.errors import DimensionMismatch
 from carnot.functions import Box, GraphFunction
 from carnot.group import standard_group
 
@@ -58,3 +60,24 @@ def phi_y(heis1):
 
 def random_points(G, count, rng, scale=1.0):
     return scale * rng.uniform(-1.0, 1.0, size=(count, G.dim))
+
+
+# The composed references for the W * V splitting: i(a) and (t, 0, ..., 0)
+# as points of G, so that i(a) * (t e1) is a group product.
+
+def embed_base(G, a):
+    """i(a): insert the zero graph coordinate, landing in W."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != G.base_dim:
+        raise DimensionMismatch(
+            f"expected base points of length {G.base_dim}, got {a.shape}")
+    zero = np.zeros(a.shape[:-1] + (1,))
+    return np.concatenate([zero, a], axis=-1)
+
+
+def lift_graph_value(G, t):
+    """(t, 0, ..., 0): the V-component with graph coordinate t."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (G.dim,))
+    out[..., 0] = t
+    return out

@@ -12,9 +12,9 @@ from carnot.area import (
 from carnot.calculus import gradient_from_defining_function, intrinsic_gradient
 from carnot.functions import Box, GraphFunction, VectorField
 from carnot.group import multiply
-from carnot.splitting import graph_map, lift_graph_value
+from carnot.splitting import graph_map
 
-from conftest import unit_box
+from conftest import lift_graph_value, unit_box
 
 
 def test_unit_normal_flat():

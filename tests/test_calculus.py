@@ -14,10 +14,9 @@ from carnot.calculus import (
 )
 from carnot.functions import Box, GraphFunction, VectorField
 from carnot.quadrature import QuadratureGrid, richardson_order
-from carnot.splitting import embed_base, lift_graph_value
 from carnot.group import multiply
 
-from conftest import unit_box
+from conftest import embed_base, lift_graph_value, unit_box
 
 SMOOTH_EXAMPLES = [
     "x2",

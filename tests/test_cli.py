@@ -157,6 +157,23 @@ def test_mollify_command_small(heis_file, tmp_path, capsys):
     assert len(report["rows"]) == 2
 
 
+def test_mollify_work_over_budget_rejected(tmp_path, capsys):
+    # H^2 at the default --grid 32: 32^4 base points times 325,632 nonzero
+    # kernel nodes per sweep, rejected before the first sweep
+    G = standard_group("heisenberg", 2, epsilon=1.0)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"m": G.m, "n": G.n, "epsilon": 1.0,
+                                 "B": [b.reshape(-1).tolist() for b in G.B]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(
+        {"kind": "expr", "domain": {"lo": [0.0] * 4, "hi": [1.0] * 4},
+         "expr": "x2"}))
+    code, _, report = run(["mollify", "--group", str(group), "--phi", str(phi)])
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert f"{32 ** 4 * 325_632} point-node pairs exceeds the budget" in err
+
+
 def test_determinism_byte_identical(heis_file, phi_file, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -234,6 +234,17 @@ def test_group_json_roundtrip(heis1):
     assert G.epsilon == heis1.epsilon
 
 
+def test_group_equality_is_identity():
+    # B is an array, so structures compare and hash by identity: comparing
+    # two equal-content structures must not raise, and a structure is a key
+    G1 = standard_group("heisenberg", 1)
+    G2 = standard_group("heisenberg", 1)
+    assert G1 == G1 and G1 != G2
+    table = {G1: 1, G2: 2}
+    assert table[G1] == 1 and table[G2] == 2
+    assert hash(G1) == hash(G1)
+
+
 def test_group_json_null_epsilon_calibrates():
     data = {"m": 2, "n": 1, "B": [[0.0, 1.0, -1.0, 0.0]], "epsilon": None}
     G = group_from_dict(data)

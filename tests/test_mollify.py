@@ -22,9 +22,7 @@ from carnot.mollify import (
     mollified_indicator,
 )
 from carnot.quadrature import tensor_grid
-from carnot.splitting import embed_base, lift_graph_value
-
-from conftest import unit_box
+from conftest import embed_base, lift_graph_value, unit_box
 
 
 @pytest.fixture(scope="module")

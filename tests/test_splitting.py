@@ -12,11 +12,10 @@ from carnot.group import dilate, homogeneous_norm, inverse, multiply
 from carnot.splitting import (
     Cone,
     cone_membership,
-    embed_base,
     estimate_intrinsic_lipschitz,
     graph_map,
+    graph_point,
     graph_quasidistance,
-    lift_graph_value,
     project_splitting,
     sigma_form,
     translate_graph_function,
@@ -24,7 +23,7 @@ from carnot.splitting import (
 )
 
 from carnot.quadrature import tensor_grid
-from conftest import random_points, unit_box
+from conftest import embed_base, lift_graph_value, random_points, unit_box
 
 
 def recompose(G, base, t):
@@ -415,3 +414,77 @@ def test_split_and_recompose_property(all_groups, index, seed, scale):
     base, t = project_splitting(G, p)
     np.testing.assert_allclose(recompose(G, base, t), p, rtol=1e-12,
                                atol=1e-13 * scale ** 2)
+
+
+def _composed_split(G, p):
+    """(base, t) of p = p_W * p_V straight from the layers of p, without
+    the shared split: the reference for the anchored splits."""
+    x, y = p[..., :G.m], p[..., G.m:]
+    t = x[..., 0]
+    y_w = y - 0.5 * t[..., None] * (x @ G.B[:, 0, :].T)
+    return np.concatenate([x[..., 1:], y_w], axis=-1), t
+
+
+_EXPRS = ["0.7*x2 - 0.4*y1", "sin(3*x2) + y1**2", "0"]
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.floats(0.01, 100.0))
+def test_graph_point_closed_form_property(all_groups, index, seed, scale):
+    G = all_groups[index]
+    rng = np.random.default_rng(seed)
+    a = scale * rng.uniform(-1.0, 1.0, size=(100, G.base_dim))
+    t = scale * rng.uniform(-1.0, 1.0, size=100)
+    np.testing.assert_allclose(graph_point(G, a, t), recompose(G, a, t),
+                               rtol=1e-12, atol=1e-13 * scale ** 2)
+    # one base point against a batch of graph coordinates
+    np.testing.assert_allclose(graph_point(G, a[0], t), recompose(G, a[0], t),
+                               rtol=1e-12, atol=1e-13 * scale ** 2)
+
+
+def test_graph_point_dimension_mismatch(heis1):
+    with pytest.raises(errors.DimensionMismatch):
+        graph_point(heis1, np.zeros(3), 0.0)
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0))
+def test_cone_membership_matches_composed_property(all_groups, index, seed, beta):
+    G = all_groups[index]
+    rng = np.random.default_rng(seed)
+    cone = Cone(rng.uniform(-1.0, 1.0, size=G.dim), beta)
+    p = random_points(G, 300, rng, scale=2.0)
+    base, t = _composed_split(G, multiply(G, inverse(G, cone.vertex), p))
+    want = homogeneous_norm(G, embed_base(G, base)) <= beta * np.abs(t)
+    assert np.array_equal(cone_membership(G, cone, p), want)
+    assert bool(cone_membership(G, cone, p[0])) == bool(want[0])
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from(_EXPRS))
+def test_translate_matches_composed_property(all_groups, index, seed, expr):
+    G = all_groups[index]
+    phi = GraphFunction.from_expression(expr, unit_box(G.base_dim, half=2.0),
+                                        G.m, G.n)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, size=G.dim)
+    a = rng.uniform(-3.0, 3.0, size=(300, G.base_dim))
+    base, t = _composed_split(G, multiply(G, inverse(G, q), embed_base(G, a)))
+    phi_q = translate_graph_function(G, phi, q)
+    np.testing.assert_allclose(phi_q.eval_extended(a), phi.eval_extended(base) - t,
+                               rtol=1e-12, atol=1e-14)
+    assert np.array_equal(phi_q.in_domain(a), phi.in_domain(base))
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from(_EXPRS))
+def test_translate_matches_graph_map_property(all_groups, index, seed, expr):
+    # q * Phi(b) = Phi_q(a'): the moved graph point splits into (a', phi_q(a'))
+    G = all_groups[index]
+    phi = GraphFunction.from_expression(expr, unit_box(G.base_dim, half=2.0),
+                                        G.m, G.n)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, size=G.dim)
+    # inside the domain by a margin, so rounding cannot move b out of it
+    b = rng.uniform(-1.999, 1.999, size=(300, G.base_dim))
+    moved_base, moved_t = project_splitting(
+        G, multiply(G, q, graph_map(G, phi, b)))
+    phi_q = translate_graph_function(G, phi, q)
+    assert np.all(phi_q.in_domain(moved_base))
+    np.testing.assert_allclose(phi_q(moved_base), moved_t, rtol=1e-12, atol=1e-12)
