@@ -64,8 +64,12 @@ def _compile_expression(expr, m, n):
     def evaluate(a):
         a = np.asarray(a, dtype=float)
         cols = [a[..., i] for i in range(a.shape[-1])]
-        return np.broadcast_to(np.asarray(f(*cols), dtype=float),
-                               a.shape[:-1]).copy()
+        out = np.asarray(f(*cols), dtype=float)
+        # copy only a scalar or broadcast result, or one aliasing the
+        # input ("x2" returns its own column); any other is already fresh
+        if out.shape != a.shape[:-1] or np.may_share_memory(out, a):
+            out = np.broadcast_to(out, a.shape[:-1]).copy()
+        return out
 
     partials = None
     if grad is not None:

@@ -22,7 +22,15 @@ deep inside the subgraph and exactly 0 far above it.  u^{-1} p is split by
 the splitting module's helper, from node terms computed once per kernel,
 into base coordinates that phi reads with contiguous columns; the ramp is
 formed in place.  The layout changes no value: each point's sums add the
-same terms in the same order.  The kernel is
+same terms in the same order.
+
+Right multiplication by an element of V = <e1> moves only the V-part of
+the splitting G = W * V: u^-1 p (s e1) has the base of u^-1 p and a graph
+coordinate larger by s.  So the ramp argument g = phi(base) - t of each
+(point, node) pair, built from one split and one phi evaluation, serves
+every point p * (s e1) as g - s.  The level-set root finder splits once per
+section, on i(a), and each sweep forms only the ramp share at its t; X_1
+f_alpha reads both of its difference points off one g.  The kernel is
 normalized so the dilated family integrates to one; beyond its box the graph
 function is evaluated by analytic/clamped extension so lateral domain edges
 do not bias the convolution.  Level sets are found by Illinois regula
@@ -81,6 +89,28 @@ def _radial_mass(dim):
     return surface * val
 
 
+def _kernel_points_per_axis(points_per_axis):
+    k = int(points_per_axis)
+    if k < 4:
+        raise QuadratureUnderflow(
+            f"kernel needs at least 4 points per axis, got {k}")
+    return k
+
+
+def _nonzero_node_count(G, points_per_axis):
+    """The nonzero-weight nodes of a kernel with ``points_per_axis`` nodes
+    per axis, counted without building it: the profile is a horizontal bump
+    times a vertical bump, so the count is the product of each bump's
+    nonzero nodes on its unit-ball grid, k^m and k^n nodes."""
+    k = _kernel_points_per_axis(points_per_axis)
+
+    def nonzero(dim):
+        pts = tensor_grid(np.full(dim, -1.0), np.full(dim, 1.0), (k,) * dim)
+        return int(np.count_nonzero(_bump(np.sum(pts * pts, axis=-1))))
+
+    return nonzero(G.m) * nonzero(G.n)
+
+
 @dataclass
 class MollifierKernel:
     """Symmetric smooth kernel on the homogeneous ball of radius alpha.
@@ -110,12 +140,9 @@ class MollifierKernel:
     def __post_init__(self):
         G = self.G
         a = float(self.alpha)
-        k = int(self.points_per_axis)
         if not (np.isfinite(a) and a > 0):
             raise ValidationError(f"alpha must be positive and finite, got {a}")
-        if k < 4:
-            raise QuadratureUnderflow(
-                f"kernel needs at least 4 points per axis, got {k}")
+        k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
         nodes = tensor_grid(-half, half, (k,) * G.dim)
@@ -175,34 +202,85 @@ class MollifierKernel:
         return ix * iy * self.normalizer / a ** G.homogeneous_dimension
 
 
+def _node_chunks(kernel, count):
+    """Ranges of nonzero kernel nodes holding at most ``_BATCH_OPS_LIMIT``
+    point-node pairs for ``count`` points."""
+    chunk = max(1, _BATCH_OPS_LIMIT // max(count, 1))
+    size = kernel._conv_weights.size
+    return [(start, min(start + chunk, size)) for start in range(0, size, chunk)]
+
+
+def _ramp_arguments(G, phi, kernel, P, start, stop, out=None):
+    """g = phi(base(u^-1 p)) - t(u^-1 p) for every row p of P and every
+    nonzero node u start..stop-1, as a (P, stop - start) array written to
+    ``out`` if given: one split and one phi evaluation per (point, node).
+    g at p * (s e1) is g at p minus s (module docstring)."""
+    base, t = _split(G, kernel._conv_terms, P, start, stop)
+    # a fresh array (or out), so that phi's own result is never written
+    return np.subtract(phi.eval_extended(base), t, out=out)
+
+
+def _ramp_sums(g, w, delta, shift, out=None):
+    """The kernel weight below and above the graph at p * (shift e1), from
+    the ramp arguments g at p: sum_k w_k r_k and sum_k w_k (1 - r_k) with
+    the ramp r = clip((g - shift)/delta + 1/2, 0, 1) formed in place in
+    ``out`` (default a fresh array).  ``shift`` is a scalar or one value per
+    row of g; a shift of 0 leaves g bitwise as it is."""
+    frac = np.subtract(g, np.reshape(shift, (-1, 1)), out=out)
+    frac /= delta
+    frac += 0.5
+    np.clip(frac, 0.0, 1.0, out=frac)
+    below = frac @ w
+    np.subtract(1.0, frac, out=frac)
+    return below, frac @ w
+
+
+def _shifted_indicator(G, phi, kernel, P, shifts):
+    """f_alpha(p * (s e1)) for every row p of P, one row of the result per
+    shift s in ``shifts`` (each a scalar or one value per point), from one
+    set of ramp arguments per node chunk however many shifts there are."""
+    delta = kernel.subcell_width
+    below = np.zeros((len(shifts), P.shape[0]))
+    above = np.zeros_like(below)
+    for start, stop in _node_chunks(kernel, P.shape[0]):
+        w = kernel._conv_weights[start:stop]
+        g = _ramp_arguments(G, phi, kernel, P, start, stop)
+        # one buffer for every ramp of the chunk; g's own for a single shift
+        frac = g if len(shifts) == 1 else np.empty_like(g)
+        for i, s in enumerate(shifts):
+            b, a = _ramp_sums(g, w, delta, s, out=frac)
+            below[i] += b
+            above[i] += a
+    # the share of kernel weight below the graph: exactly 1 (0) where every
+    # node is below (above) it, and in [0, 1] whatever the rounding
+    return below / (below + above)
+
+
 def mollified_indicator(G, phi, kernel, p):
     """f_alpha at point(s) p: the group convolution of the subgraph
     indicator, in [0, 1], nonincreasing in the graph coordinate.  The
     kernel must be built on G: it carries the bracket terms of its nodes."""
     p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    P = np.atleast_2d(p)
-    delta = kernel.subcell_width
-    below = np.zeros(P.shape[0])
-    above = np.zeros(P.shape[0])
-    chunk = max(1, _BATCH_OPS_LIMIT // max(P.shape[0], 1))
-    for start in range(0, kernel._conv_weights.size, chunk):
-        stop = start + chunk
-        w = kernel._conv_weights[start:stop]
-        base, t = _split(G, kernel._conv_terms, P, start, stop)
-        # the ramp clip(1/2 + (phi - t)/delta, 0, 1), formed in place in a
-        # fresh array so that phi's own result is never written
-        frac = np.subtract(phi.eval_extended(base), t)
-        frac /= delta
-        frac += 0.5
-        np.clip(frac, 0.0, 1.0, out=frac)
-        below += frac @ w
-        np.subtract(1.0, frac, out=frac)
-        above += frac @ w
-    # the share of kernel weight below the graph: exactly 1 (0) where every
-    # node is below (above) it, and in [0, 1] whatever the rounding
-    out = below / (below + above)
-    return float(out[0]) if single else out
+    out = _shifted_indicator(G, phi, kernel, np.atleast_2d(p), (0.0,))[0]
+    return float(out[0]) if p.ndim == 1 else out
+
+
+def _frame_gradient(G, phi, kernel, P, x1_pair, h):
+    """(X_1 f_alpha, ..., X_m f_alpha) at the rows of P by frame-directional
+    central differences with step h:
+    X_j f(p) ~ [f(p * (h e_j)) - f(p * (-h e_j))] / 2h.
+    X_1 comes from the caller's pair (f(p * (h e1)), f(p * (-h e1))), read
+    off shared ramp arguments; right multiplication by e_j, j >= 2, moves
+    the base of u^-1 p, so each X_j beyond X_1 takes two full convolutions."""
+    fwd, bwd = x1_pair
+    cols = [(fwd - bwd) / (2.0 * h)]
+    for j in range(1, G.m):
+        step = np.zeros(G.dim)
+        step[j] = h
+        cols.append((mollified_indicator(G, phi, kernel, gp.multiply(G, P, step))
+                     - mollified_indicator(G, phi, kernel, gp.multiply(G, P, -step)))
+                    / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def horizontal_gradient_mollified(G, phi, kernel, p):
@@ -210,19 +288,11 @@ def horizontal_gradient_mollified(G, phi, kernel, p):
     differences with step h = alpha / 64:
     X_j f(p) ~ [f(p * (h e_j)) - f(p * (-h e_j))] / 2h."""
     p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
     P = np.atleast_2d(p)
     h = kernel.alpha / 64.0
-    cols = []
-    for j in range(G.m):
-        step = np.zeros(G.dim)
-        step[j] = h
-        fwd = gp.multiply(G, P, step)
-        bwd = gp.multiply(G, P, -step)
-        cols.append((mollified_indicator(G, phi, kernel, fwd)
-                     - mollified_indicator(G, phi, kernel, bwd)) / (2.0 * h))
-    out = np.stack(cols, axis=-1)
-    return out[0] if single else out
+    out = _frame_gradient(G, phi, kernel, P,
+                          _shifted_indicator(G, phi, kernel, P, (h, -h)), h)
+    return out[0] if p.ndim == 1 else out
 
 
 def _sup_abs_extended(G, phi, kernel):
@@ -269,6 +339,11 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
     beyond it and closes the bracket.  Each root is the end of its final
     bracket with the smaller |f - c|: within t_tol of the crossing even
     where f stays at c over an interval.
+
+    The points i(a) * (t e1) differ from i(a) by a right factor in V, so
+    the ramp arguments g are built once on the rows i(a), len(A) x K
+    doubles, and a sweep forms only the ramp share at shift t on the
+    rows still active.
     """
     if not (0.0 < c_level < 1.0):
         raise ValidationError("level c must lie in (0, 1)")
@@ -279,13 +354,21 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
     if t_tol is None:
         t_tol = 1e-3 * (4.0 * M + 2.0)
 
-    def section(rows, tvals):
-        pts = graph_point(G, A[rows], tvals)
-        return mollified_indicator(G, phi, kernel, pts) - c_level
+    w, delta = kernel._conv_weights, kernel.subcell_width
+    # the ramp arguments of the active rows, in the order of ``active``
+    g = np.empty((count, w.size))
+    base_points = graph_point(G, A, 0.0)
+    for start, stop in _node_chunks(kernel, count):
+        _ramp_arguments(G, phi, kernel, base_points, start, stop,
+                        out=g[:, start:stop])
+
+    def section(tvals):
+        below, above = _ramp_sums(g, w, delta, tvals)
+        return below / (below + above) - c_level
 
     active = np.arange(count)
-    f_lo = section(active, lo)
-    f_hi = section(active, hi)
+    f_lo = section(lo)
+    f_hi = section(hi)
     evals = 2 * count
     if np.any(f_lo <= 0.0) or np.any(f_hi >= 0.0):
         raise BracketFailure(
@@ -305,7 +388,7 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
         x = np.clip(x, mid - r, mid + r)
         keep_off = 0.25 * np.minimum(t_tol, width)
         x = np.clip(x, l + keep_off, h - keep_off)
-        fx = section(active, x)
+        fx = section(x)
         evals += active.size
         resid = np.abs(fx)
         up = fx > 0.0                    # root lies above x: x replaces lo
@@ -325,6 +408,8 @@ def _section_roots(G, phi, kernel, c_level, A, t_tol):
         active = active[~done]
         if active.size == 0:
             break
+        if np.any(done):
+            g = g[~done]
     else:
         raise BracketFailure(
             f"level-set root finder did not reach |f - c| <= "
@@ -363,6 +448,11 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
         raise ValidationError("alpha_list must hold at least one alpha")
     if grid_per_axis < 1:
         raise ValidationError(f"grid_per_axis must be at least 1, got {grid_per_axis}")
+    # the root finder keeps one ramp argument per grid point and nonzero
+    # kernel node; checked before any grid, gradient or kernel is built
+    check_work_budget(grid_per_axis ** phi.domain.dim
+                      * _nonzero_node_count(G, points_per_axis),
+                      "the level-set ramp table", "point-node pairs")
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
@@ -371,10 +461,6 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     noise_floor = 0.0
     for alpha in alphas:
         kernel = MollifierKernel(G, alpha, points_per_axis=points_per_axis)
-        # each sweep of the root finder convolves every grid point with
-        # every nonzero kernel node
-        check_work_budget(len(A) * kernel._conv_weights.size,
-                          "a level-set sweep", "point-node pairs")
         t_tol = 1e-6 * alpha
         noise_floor = max(noise_floor, 50.0 * t_tol / alpha)
         pa, section_evals, level_residual = _section_roots(
@@ -443,12 +529,17 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     t_points = 48
     cell_base = float(np.prod((phi.domain.hi - phi.domain.lo) / base_per_axis))
     dt = 2.0 * half / t_points
+    # the gradient of horizontal_gradient_mollified; X_1 on every slice is
+    # read off one set of ramp arguments on the rows i(a)
+    h = a / 64.0
+    ts = [phi_vals - half + (k + 0.5) * dt for k in range(t_points)]
+    x1_pairs = _shifted_indicator(G, phi, kernel, graph_point(G, A, 0.0),
+                                  [s for t in ts for s in (t + h, t - h)])
     total = 0.0
     edge_max = 0.0
-    for k in range(t_points):
-        t = phi_vals - half + (k + 0.5) * dt
-        pts = graph_point(G, A, t)
-        grad = horizontal_gradient_mollified(G, phi, kernel, pts)
+    for k, t in enumerate(ts):
+        grad = _frame_gradient(G, phi, kernel, graph_point(G, A, t),
+                               x1_pairs[2 * k:2 * k + 2], h)
         mags = np.linalg.norm(grad, axis=-1)
         if k == 0 or k == t_points - 1:
             edge_max = max(edge_max, float(np.max(mags)))

@@ -54,8 +54,12 @@ def tensor_grid(lo, hi, shape, nodes="midpoint"):
         axes = [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
     else:
         raise ValidationError(f"unknown node placement {nodes!r}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    # each axis broadcast straight into its column: one pass over the nodes
+    d = len(shape)
+    out = np.empty(shape + (d,))
+    for i, axis in enumerate(axes):
+        out[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
+    return out.reshape(-1, d)
 
 
 def default_points_per_axis(dim):

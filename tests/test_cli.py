@@ -157,9 +157,10 @@ def test_mollify_command_small(heis_file, tmp_path, capsys):
     assert len(report["rows"]) == 2
 
 
-def test_mollify_work_over_budget_rejected(tmp_path, capsys):
+@pytest.fixture()
+def heis2_mollify_argv(tmp_path):
     # H^2 at the default --grid 32: 32^4 base points times 325,632 nonzero
-    # kernel nodes per sweep, rejected before the first sweep
+    # kernel nodes
     G = standard_group("heisenberg", 2, epsilon=1.0)
     group = tmp_path / "group.json"
     group.write_text(json.dumps({"m": G.m, "n": G.n, "epsilon": 1.0,
@@ -168,10 +169,30 @@ def test_mollify_work_over_budget_rejected(tmp_path, capsys):
     phi.write_text(json.dumps(
         {"kind": "expr", "domain": {"lo": [0.0] * 4, "hi": [1.0] * 4},
          "expr": "x2"}))
-    code, _, report = run(["mollify", "--group", str(group), "--phi", str(phi)])
+    return ["mollify", "--group", str(group), "--phi", str(phi)]
+
+
+def test_mollify_work_over_budget_rejected(heis2_mollify_argv, capsys):
+    code, _, report = run(heis2_mollify_argv)
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert f"{32 ** 4 * 325_632} point-node pairs exceeds the budget" in err
+
+
+def test_mollify_over_budget_rejected_before_any_work(heis2_mollify_argv, capsys,
+                                                      monkeypatch):
+    # the budget is checked on the counted kernel nodes, before the base
+    # grid's gradient or any kernel is computed
+    from carnot import mollify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(mollify, "intrinsic_gradient", forbidden)
+    monkeypatch.setattr(mollify, "MollifierKernel", forbidden)
+    code, _, report = run(heis2_mollify_argv)
+    assert code == 1 and report is None
+    assert "point-node pairs exceeds the budget" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(heis_file, phi_file, tmp_path):

@@ -86,6 +86,24 @@ def test_expression_memo_returns_fresh_functions():
         GraphFunction.from_expression("x2 + y", unit_box(3), 2, 1)
 
 
+@pytest.mark.parametrize("expr", ["x2", "0.75", "0.5*x2 + y"])
+def test_expression_result_fresh_and_full_shape(expr):
+    # the evaluator copies only a scalar, a broadcast or an aliasing result;
+    # every result is a writable full-shape array of its own
+    phi = GraphFunction.from_expression(expr, unit_box(2), 2, 1)
+    ref = {"x2": lambda a: a[..., 0], "0.75": lambda a: np.full(a.shape[:-1], 0.75),
+           "0.5*x2 + y": lambda a: 0.5 * a[..., 0] + a[..., 1]}[expr]
+    for a in (np.linspace(-1.0, 1.0, 24).reshape(4, 3, 2),
+              np.moveaxis(np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), 0, -1)):
+        out = phi.eval_extended(a)
+        assert out.shape == a.shape[:-1]
+        assert out.flags.writeable
+        assert not np.shares_memory(out, a)
+        assert np.array_equal(out, ref(a))
+        out[...] = 7.0
+        assert np.array_equal(phi.eval_extended(a), ref(a))
+
+
 def test_constant_broadcasting():
     phi = GraphFunction.constant(2.5, unit_box(3))
     a = np.zeros((4, 5, 3))
@@ -224,6 +242,11 @@ def test_tensor_grid_properties(box):
             axis = np.moveaxis(cube[..., i], i, 0).reshape(k, -1)
             assert np.all(axis == axis[:, :1])
             assert np.all(np.diff(axis[:, 0]) > 0)
+        # bitwise the ij meshgrid of the per-axis nodes
+        axes = [np.moveaxis(cube[..., i], i, 0).reshape(k, -1)[:, 0]
+                for i, k in enumerate(shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        assert np.array_equal(pts, np.stack([m.reshape(-1) for m in mesh], axis=-1))
     ends = tensor_grid(lo, hi, shape, nodes="endpoint")
     assert np.array_equal(ends.min(axis=0), lo)
     assert np.array_equal(ends.max(axis=0),

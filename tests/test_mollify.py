@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from carnot import errors
+from carnot import mollify
 from carnot.area import area_integral
 from carnot.functions import Box, GraphFunction
 from carnot.group import multiply
@@ -11,6 +14,7 @@ from carnot.mollify import (
     LEVEL_RESIDUAL_TOL,
     MollifierKernel,
     _bump,
+    _nonzero_node_count,
     _radial_mass,
     _section_roots,
     _sup_abs_extended,
@@ -22,7 +26,14 @@ from carnot.mollify import (
     mollified_indicator,
 )
 from carnot.quadrature import tensor_grid
+from carnot.splitting import _split
 from conftest import embed_base, lift_graph_value, unit_box
+
+# (group fixture, kernel points per axis, expression) for the four groups
+FOUR_GROUPS = [("heis1", 16, "0.3*sin(x2) + 0.2*y"),
+               ("heis2", 8, "0.5*x2 + 0.25*x4"),
+               ("free3", 6, "0.3*x2 - 0.2*y1 + 0.1*x3*y3"),
+               ("quat", 4, "0.3*x2 - 0.2*y1 + 0.1*x4*y3")]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +103,18 @@ def test_kernel_convolution_set_is_nonzero_nodes(request, group, k):
     assert np.array_equal(kern._conv_nodes, kern.nodes[keep])
 
 
+@pytest.mark.parametrize("group", ["heis1", "heis2", "free3", "quat"])
+def test_nonzero_node_count_matches_built_kernel(request, group):
+    # the count the work budget is checked against before any kernel is built
+    G = request.getfixturevalue(group)
+    for k in (4, 6, 8, 16):
+        if k ** G.dim > 2 ** 18:
+            continue
+        for alpha in (0.013, 0.05, 0.3):
+            kern = MollifierKernel(G, alpha, points_per_axis=k)
+            assert _nonzero_node_count(G, k) == kern._conv_weights.size
+
+
 def test_kernel_symmetric(kernel01):
     vals = kernel01._profile(kernel01.nodes)
     flipped = kernel01._profile(-kernel01.nodes)
@@ -103,6 +126,11 @@ def test_kernel_underflow():
     G = standard_group("heisenberg", 1, epsilon=1.0)
     with pytest.raises(errors.QuadratureUnderflow):
         MollifierKernel(G, 0.1, points_per_axis=3)
+    # the report counts kernel nodes before building a kernel: same error
+    phi = GraphFunction.from_expression("x2", unit_box(2), 2, 1)
+    for k in (3, 0, -2):
+        with pytest.raises(errors.QuadratureUnderflow, match="at least 4"):
+            approximation_report(G, phi, [0.1], grid_per_axis=4, points_per_axis=k)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0])
@@ -216,6 +244,111 @@ def test_indicator_matches_full_grid_convolution(request, group, k, expr, alpha)
     assert np.max(np.abs(f - _full_grid_indicator(G, phi, kern, P))) <= 1e-13
     # the points straddle the graph: both ramps and saturated values occur
     assert np.any((0.0 < f) & (f < 1.0)) and np.any(f == 0.0)
+
+
+def _one_pass_indicator(G, phi, kernel, P):
+    # f_alpha as one loop: split, phi - t and the ramp sums per node chunk,
+    # with no ramp arguments shared between shifts
+    delta = kernel.subcell_width
+    below = np.zeros(P.shape[0])
+    above = np.zeros(P.shape[0])
+    chunk = max(1, mollify._BATCH_OPS_LIMIT // P.shape[0])
+    for start in range(0, kernel._conv_weights.size, chunk):
+        w = kernel._conv_weights[start:start + chunk]
+        base, t = _split(G, kernel._conv_terms, P, start, start + chunk)
+        frac = np.subtract(phi.eval_extended(base), t)
+        frac /= delta
+        frac += 0.5
+        np.clip(frac, 0.0, 1.0, out=frac)
+        below += frac @ w
+        np.subtract(1.0, frac, out=frac)
+        above += frac @ w
+    return below / (below + above)
+
+
+def _group_case(request, index):
+    name, k, expr = FOUR_GROUPS[index]
+    G = request.getfixturevalue(name)
+    d = G.base_dim
+    return G, k, GraphFunction.from_expression(expr, Box([0.0] * d, [1.0] * d),
+                                               G.m, G.n)
+
+
+def _straddling_points(G, phi, alpha, count, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, size=(count, G.base_dim))
+    t = phi.eval_extended(A) + rng.uniform(-2.0 * alpha, 2.0 * alpha, size=count)
+    return section_point(G, A, t)
+
+
+@given(index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.05, 0.3), count=st.sampled_from([1, 256]),
+       chunked=st.booleans())
+def test_indicator_bitwise_matches_one_pass_loop_property(request, index, seed, alpha,
+                                                   count, chunked):
+    # the s = 0 share of the ramp arguments is the one-pass loop's f_alpha
+    # bit for bit; a small chunk limit splits the nodes of every point batch
+    G, k, phi = _group_case(request, index)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    P = _straddling_points(G, phi, alpha, count, seed)
+    limit = 2 ** 12 if chunked else mollify._BATCH_OPS_LIMIT
+    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", limit):
+        if chunked and count > 1:
+            assert len(mollify._node_chunks(kern, count)) > 1
+        f = mollified_indicator(G, phi, kern, P)
+        assert np.array_equal(f, _one_pass_indicator(G, phi, kern, P))
+        if count == 1:
+            assert mollified_indicator(G, phi, kern, P[0]) == f[0]
+
+
+@given(index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.05, 0.3))
+def test_x1_from_shared_ramp_matches_two_calls_property(request, index, seed,
+                                                        alpha):
+    # X_1 from one set of ramp arguments and two shifts, against f_alpha at
+    # p * (+-h e1) from two full convolutions; X_2..X_m are those calls
+    G, k, phi = _group_case(request, index)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    P = _straddling_points(G, phi, alpha, 32, seed)
+    grad = horizontal_gradient_mollified(G, phi, kern, P)
+    h = alpha / 64.0
+    for j in range(G.m):
+        step = np.zeros(G.dim)
+        step[j] = h
+        col = (mollified_indicator(G, phi, kern, multiply(G, P, step))
+               - mollified_indicator(G, phi, kern, multiply(G, P, -step))) / (2.0 * h)
+        if j == 0:
+            assert np.max(np.abs(grad[:, 0] - col)) <= 1e-9
+        else:
+            assert np.array_equal(grad[:, j], col)
+
+
+def _counted_phi(G, calls):
+    # 0.3 x2 as a callable that counts its evaluations on the node set,
+    # the (points, nodes, base) arrays of a split
+    def fn(a):
+        if a.ndim == 3:
+            calls.append(a.shape[:2])
+        return 0.3 * a[..., 0]
+
+    d = G.base_dim
+    return GraphFunction.from_callable(fn, Box([0.0] * d, [1.0] * d))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_phi_evaluations_on_node_set_counted(request, index):
+    G, k, _ = _group_case(request, index)
+    calls = []
+    phi = _counted_phi(G, calls)
+    kern = MollifierKernel(G, 0.2, points_per_axis=k)
+    A = tensor_grid([0.0] * G.base_dim, [1.0] * G.base_dim, (2,) * G.base_dim)
+    roots, evals, _ = _section_roots(G, phi, kern, 0.5, A, 1e-6)
+    # one split of every (base point, node) pair, however many sweeps
+    assert calls == [(len(A), kern._conv_weights.size)]
+    assert evals > 4 * len(A)
+    calls.clear()
+    horizontal_gradient_mollified(G, phi, kern, section_point(G, A, roots))
+    assert len(calls) == 2 * G.m - 1
 
 
 def test_indicator_half_at_flat_graph(heis1, kernel01):

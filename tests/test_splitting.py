@@ -11,6 +11,8 @@ from carnot.functions import Box, GraphFunction
 from carnot.group import dilate, homogeneous_norm, inverse, multiply
 from carnot.splitting import (
     Cone,
+    _anchor_terms,
+    _split,
     cone_membership,
     estimate_intrinsic_lipschitz,
     graph_map,
@@ -439,6 +441,24 @@ def test_graph_point_closed_form_property(all_groups, index, seed, scale):
     # one base point against a batch of graph coordinates
     np.testing.assert_allclose(graph_point(G, a[0], t), recompose(G, a[0], t),
                                rtol=1e-12, atol=1e-13 * scale ** 2)
+
+
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.floats(-2.0, 2.0))
+def test_right_v_factor_moves_only_graph_coordinate_property(all_groups, index,
+                                                             seed, s):
+    # u^-1 p (s e1) = i(base) * ((t + s) e1) for (base, t) the split of
+    # u^-1 p: the mollifier reads g - s at p * (s e1) off g at p
+    G = all_groups[index]
+    rng = np.random.default_rng(seed)
+    terms = _anchor_terms(G, random_points(G, 7, rng))
+    p = random_points(G, 50, rng, scale=2.0)
+    step = np.zeros(G.dim)
+    step[0] = s
+    base, t = _split(G, terms, p)
+    moved_base, moved_t = _split(G, terms, multiply(G, p, step))
+    bound = 1e-15 * (1.0 + np.linalg.norm(p, axis=-1))
+    assert np.all(np.abs(moved_base - base) <= bound[:, None, None])
+    assert np.all(np.abs(moved_t - (t + s)) <= bound[:, None])
 
 
 def test_graph_point_dimension_mismatch(heis1):
