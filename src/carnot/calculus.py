@@ -45,12 +45,32 @@ def frozen_coefficients(G, phi, j, a):
     if not (2 <= j <= G.m):
         raise ValidationError(f"direction index j must be in 2..{G.m}, got {j}")
     a = np.asarray(a, dtype=float)
-    xhat = a[..., :G.m - 1]
-    phi_a = phi.eval_extended(a)
+    return _frozen_coefficients(G, j, a, phi.eval_extended(a))
+
+
+def _frozen_coefficients(G, j, a, value):
+    """c_s(a) of :func:`frozen_coefficients` with ``value`` in place of phi(a)."""
     col = G.B[:, j - 1, 0]                       # b^(s)_{j1}
     rows = G.B[:, j - 1, 1:]                     # b^(s)_{ji}, i = 2..m
-    drift = 0.5 * (xhat @ rows.T)
-    return phi_a[..., None] * col + drift
+    drift = 0.5 * (a[..., :G.m - 1] @ rows.T)
+    return value[..., None] * col + drift
+
+
+def _frozen_difference(G, phi, j, a, c, h, check_domain):
+    """Central difference of phi along e_j + sum_s c_s e_{y_s}."""
+    if h is None:
+        h = 1e-5 * (1.0 + np.linalg.norm(a, axis=-1))
+    h = np.asarray(h, dtype=float)
+    direction = np.zeros(a.shape)
+    direction[..., j - 2] = 1.0
+    direction[..., G.m - 1:] = c
+    step = h[..., None] * direction
+    fwd = a + step
+    bwd = a - step
+    if check_domain and not np.all(phi.in_domain(fwd) & phi.in_domain(bwd)):
+        raise StepTooLarge(
+            "central-difference stencil leaves the domain; decrease h or move inward")
+    return (phi.eval_extended(fwd) - phi.eval_extended(bwd)) / (2.0 * h)
 
 
 def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
@@ -68,44 +88,37 @@ def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
     if phi.has_partials and h is None:
         grad = phi.partials(a)
         return grad[..., j - 2] + np.einsum("...s,...s->...", c, grad[..., G.m - 1:])
-    if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(a, axis=-1))
-    h = np.asarray(h, dtype=float)
-    direction = np.zeros(a.shape)
-    direction[..., j - 2] = 1.0
-    direction[..., G.m - 1:] = c
-    step = h[..., None] * direction
-    fwd = a + step
-    bwd = a - step
-    if check_domain and not np.all(phi.in_domain(fwd) & phi.in_domain(bwd)):
-        raise StepTooLarge(
-            "central-difference stencil leaves the domain; decrease h or move inward")
-    return (phi.eval_extended(fwd) - phi.eval_extended(bwd)) / (2.0 * h)
+    return _frozen_difference(G, phi, j, a, c, h, check_domain)
 
 
 def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
-    """All components (D_2 phi, ..., D_m phi) stacked on the last axis.
-
-    With analytic partials (and no ``h``) phi, its partials and the domain
-    check are evaluated once for all j; otherwise each component is an
-    :func:`intrinsic_derivative` central difference.
-    """
-    if not phi.has_partials or h is not None:
-        return np.stack([intrinsic_derivative(G, phi, j, a, h=h,
-                                              check_domain=check_domain)
-                         for j in range(2, G.m + 1)], axis=-1)
+    """All components (D_2 phi, ..., D_m phi) stacked on the last axis, from
+    one evaluation of phi and of the domain check for all j: with analytic
+    partials (and no ``h``) one pass over them, otherwise the central
+    differences of :func:`intrinsic_derivative`."""
     a = np.asarray(a, dtype=float)
     if check_domain and not np.all(phi.in_domain(a)):
         raise OutOfDomain("intrinsic derivative point outside domain")
+    return _intrinsic_gradient(G, phi, a, phi.eval_extended(a), h, check_domain)
+
+
+def _intrinsic_gradient(G, phi, a, value, h=None, check_domain=False):
+    """:func:`intrinsic_gradient` with ``value`` in place of phi(a) in the
+    frozen coefficients c_s of the directions e_j + sum_s c_s e_{y_s}."""
+    if not phi.has_partials or h is not None:
+        return np.stack([_frozen_difference(G, phi, j, a,
+                                            _frozen_coefficients(G, j, a, value),
+                                            h, check_domain)
+                         for j in range(2, G.m + 1)], axis=-1)
     k = G.m - 1
-    phi_a = phi.eval_extended(a)[..., None]
+    value = value[..., None]
     grad = phi.partials(a)
     xhat = a[..., :k]
     for s in range(G.n):
         # c_s(a) of frozen_coefficients for every j at once, times d/dy_s phi
         c = xhat @ G.B[s, 1:, 1:].T
         c *= 0.5
-        c += phi_a * G.B[s, 1:, 0]
+        c += value * G.B[s, 1:, 0]
         c *= grad[..., k + s, None]
         if s == 0:
             out = c

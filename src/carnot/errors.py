@@ -14,7 +14,7 @@ class ValidationError(CarnotError):
 
 
 class NumericalError(CarnotError):
-    """A numerical procedure failed (non-finite state, bracket failure, ...)."""
+    """A numerical procedure failed (non-finite state, degenerate gradient, ...)."""
 
 
 # -- validation ---------------------------------------------------------------
@@ -99,10 +99,6 @@ class LeftDomain(NumericalError):
 
 
 class NonFiniteState(NumericalError):
-    pass
-
-
-class BracketFailure(NumericalError):
     pass
 
 

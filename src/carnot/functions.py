@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain, ValidationError
-from .quadrature import tensor_grid
 
 
 def base_coordinate_names(m, n):
@@ -236,14 +235,6 @@ class GraphFunction:
         if self._partials is None:
             raise ValidationError(f"{self.kind} graph function has no analytic partials")
         return self._partials(self._check_dim(a))
-
-    def sup_abs(self, padding=0.0):
-        """Sampled sup |phi| on the (optionally padded) domain box."""
-        # keep the full tensor grid around 2e5 points in any dimension
-        per_axis = max(4, int(round(2e5 ** (1.0 / self.domain.dim))))
-        pts = tensor_grid(self.domain.lo - padding, self.domain.hi + padding,
-                          (per_axis,) * self.domain.dim, nodes="endpoint")
-        return float(np.max(np.abs(self.eval_extended(pts))))
 
     def __repr__(self):
         return f"GraphFunction({self.kind}: {self.label})"

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from carnot import errors
 from carnot import mollify
 from carnot.area import area_integral
+from carnot.calculus import _intrinsic_gradient, intrinsic_gradient
 from carnot.functions import Box, GraphFunction
 from carnot.group import multiply
 from carnot.mollify import (
-    LEVEL_RESIDUAL_TOL,
     MollifierKernel,
     _bump,
     _nonzero_node_count,
     _radial_mass,
     _section_roots,
-    _sup_abs_extended,
     approximation_report,
     horizontal_gradient_mass,
     horizontal_gradient_mollified,
@@ -301,26 +300,86 @@ def test_indicator_bitwise_matches_one_pass_loop_property(request, index, seed, 
             assert mollified_indicator(G, phi, kern, P[0]) == f[0]
 
 
+def _two_call_column(G, phi, kern, P, j, h):
+    # X_j f_alpha as the central difference of two full convolutions
+    step = np.zeros(G.dim)
+    step[j] = h
+    return (mollified_indicator(G, phi, kern, multiply(G, P, step))
+            - mollified_indicator(G, phi, kern, multiply(G, P, -step))) / (2.0 * h)
+
+
 @given(index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
        alpha=st.floats(0.05, 0.3))
-def test_x1_from_shared_ramp_matches_two_calls_property(request, index, seed,
-                                                        alpha):
-    # X_1 from one set of ramp arguments and two shifts, against f_alpha at
-    # p * (+-h e1) from two full convolutions; X_2..X_m are those calls
+def test_gradient_from_ramp_table_property(request, index, seed, alpha):
+    # X_1 f_alpha from the ramp slopes against the two-call central
+    # difference; X_j g of every (point, node) pair, the intrinsic gradient
+    # at the split base frozen at t, against a central difference of g
+    # along p * (+-h e_j)
     G, k, phi = _group_case(request, index)
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     P = _straddling_points(G, phi, alpha, 32, seed)
     grad = horizontal_gradient_mollified(G, phi, kern, P)
-    h = alpha / 64.0
-    for j in range(G.m):
+    col = _two_call_column(G, phi, kern, P, 0, alpha / 64.0)
+    assert np.max(np.abs(grad[:, 0] - col)) <= 1e-9
+    base, t = _split(G, kern._conv_terms, P)
+    xg = _intrinsic_gradient(G, phi, base, t)
+    h = 1e-5
+    for j in range(1, G.m):
         step = np.zeros(G.dim)
         step[j] = h
-        col = (mollified_indicator(G, phi, kern, multiply(G, P, step))
-               - mollified_indicator(G, phi, kern, multiply(G, P, -step))) / (2.0 * h)
-        if j == 0:
-            assert np.max(np.abs(grad[:, 0] - col)) <= 1e-9
-        else:
-            assert np.array_equal(grad[:, j], col)
+        fwd_base, fwd_t = _split(G, kern._conv_terms, multiply(G, P, step))
+        bwd_base, bwd_t = _split(G, kern._conv_terms, multiply(G, P, -step))
+        diff = ((phi.eval_extended(fwd_base) - fwd_t)
+                - (phi.eval_extended(bwd_base) - bwd_t)) / (2.0 * h)
+        assert np.max(np.abs(xg[..., j - 1] - diff)) <= 9e-11
+
+
+@pytest.mark.parametrize("group, k, expr", [
+    ("heis1", 8, "0.5*x2"),
+    ("heis2", 4, "0.5*x2 + 0.25*x4"),
+    ("free3", 4, "0.3*x2 - 0.2*y1 + 0.1*y3"),
+    ("quat", 4, "0.3*x2 - 0.2*y1 + 0.1*y3"),
+])
+def test_frame_columns_match_two_calls_away_from_kinks(request, group, k, expr):
+    # for affine phi, g moves by h X_j g along p * (h e_j); where no g lies
+    # within h max(1, |X_j g|) of a kink, both the ramp slopes and the
+    # two-call central difference are exact
+    G = request.getfixturevalue(group)
+    alpha = 0.05
+    phi = _phi_of_kind(G, expr)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    P = _straddling_points(G, phi, alpha, 64, 223)
+    h = alpha / 64.0
+    base, t = _split(G, kern._conv_terms, P)
+    g = phi.eval_extended(base) - t
+    reach = h * np.maximum(1.0, np.max(np.abs(_intrinsic_gradient(G, phi, base, t)),
+                                       axis=-1))
+    half = 0.5 * kern.subcell_width
+    clear = np.all(np.abs(np.abs(g) - half) > reach, axis=1)
+    # of those, the points that see a ramp, not only saturated nodes
+    seen = clear & np.any(np.abs(g) < half, axis=1)
+    assert np.count_nonzero(seen) >= 4
+    grad = horizontal_gradient_mollified(G, phi, kern, P[seen])
+    assert np.all(grad[:, 0] < 0.0)
+    for j in range(G.m):
+        col = _two_call_column(G, phi, kern, P[seen], j, h)
+        assert np.max(np.abs(grad[:, j] - col)) <= 1e-9
+
+
+@pytest.mark.parametrize("group, k, expr", [
+    ("heis1", 16, "0.7*x2"),
+    ("heis2", 8, "0.4*x2 + 0.3*x4"),
+])
+def test_level_set_gradient_of_affine_phi_is_exact(request, group, k, expr):
+    # every X_j g equals the constant gradient of phi, so the beta-weighted
+    # ratio -X_j f / X_1 f returns it up to rounding
+    G = request.getfixturevalue(group)
+    phi = _phi_of_kind(G, expr)
+    kern = MollifierKernel(G, 0.1, points_per_axis=k)
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (3,) * G.base_dim)
+    roots = level_set_phi_alpha(G, phi, kern, 0.45, A)
+    grad = intrinsic_gradient_of_level_set(G, phi, kern, A, roots)
+    assert np.max(np.abs(grad - intrinsic_gradient(G, phi, A))) <= 1e-12
 
 
 def _counted_phi(G, calls):
@@ -342,13 +401,16 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     phi = _counted_phi(G, calls)
     kern = MollifierKernel(G, 0.2, points_per_axis=k)
     A = tensor_grid([0.0] * G.base_dim, [1.0] * G.base_dim, (2,) * G.base_dim)
-    roots, evals, _ = _section_roots(G, phi, kern, 0.5, A, 1e-6)
-    # one split of every (base point, node) pair, however many sweeps
-    assert calls == [(len(A), kern._conv_weights.size)]
+    pairs = len(A) * kern._conv_weights.size
+    roots, evals, _ = _section_roots(G, phi, kern, 0.5, A)
+    # one split of every (base point, node) pair, however many passes; the
+    # pairs are counted, so the node chunks do not matter
+    assert sum(rows * cols for rows, cols in calls) == pairs
     assert evals > 4 * len(A)
     calls.clear()
     horizontal_gradient_mollified(G, phi, kern, section_point(G, A, roots))
-    assert len(calls) == 2 * G.m - 1
+    # g once, then phi's central differences along X_2..X_m
+    assert sum(rows * cols for rows, cols in calls) == (2 * G.m - 1) * pairs
 
 
 def test_indicator_half_at_flat_graph(heis1, kernel01):
@@ -388,26 +450,31 @@ def test_level_set_smoothness_diagnostic(heis1, phi_unit, kernel01):
     # second differences of phi_alpha bounded uniformly at fixed alpha
     xs = np.linspace(0.2, 0.8, 31)
     A = np.stack([xs, np.full_like(xs, 0.4)], axis=-1)
-    t = level_set_phi_alpha(heis1, phi_unit, kernel01, 0.5, A,
-                            t_tol=1e-8)
+    t = level_set_phi_alpha(heis1, phi_unit, kernel01, 0.5, A)
     second = np.abs(np.diff(t, 2)) / (xs[1] - xs[0]) ** 2
     assert np.max(second) < 5.0
 
 
 def _bisection_roots(G, phi, kernel, c_level, A, t_tol):
-    # plain bisection under the same stop rule; returns the end of the final
-    # bracket with the smaller |f - c| and the point-evaluations spent
-    M = _sup_abs_extended(G, phi, kernel)
+    # plain bisection to a bracket of t_tol with |f - c| <= 1e-3 at an end;
+    # returns the end of the final bracket with the smaller |f - c| and the
+    # point-evaluations spent.  The bracket is +-(2M + 1), M the sup of |phi|
+    # sampled on the domain padded by 1, and is checked to straddle the level.
+    pad = tensor_grid(phi.domain.lo - 1.0, phi.domain.hi + 1.0,
+                      (9,) * phi.domain.dim, nodes="endpoint")
+    M = float(np.max(np.abs(phi.eval_extended(pad))))
     lo = np.full(len(A), -2.0 * M - 1.0)
     hi = -lo
 
     def section(t):
         return mollified_indicator(G, phi, kernel, section_point(G, A, t)) - c_level
 
-    r_lo, r_hi = np.abs(section(lo)), np.abs(section(hi))
+    f_lo, f_hi = section(lo), section(hi)
+    assert np.all(f_lo > 0.0) and np.all(f_hi <= 0.0)
+    r_lo, r_hi = np.abs(f_lo), np.abs(f_hi)
     evals = 2 * len(A)
     while (np.any(hi - lo > t_tol)
-           or np.any(np.minimum(r_lo, r_hi) > LEVEL_RESIDUAL_TOL)):
+           or np.any(np.minimum(r_lo, r_hi) > 1e-3)):
         mid = 0.5 * (lo + hi)
         f = section(mid)
         evals += len(A)
@@ -432,14 +499,37 @@ def test_level_set_no_more_evaluations_than_bisection(request, group, k, expr,
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     A = tensor_grid(box.lo, box.hi, (per_axis,) * d)
     t_tol = 1e-6 * alpha
-    roots, evals, resid = _section_roots(G, phi, kern, c_level, A, t_tol)
+    roots, evals, resid = _section_roots(G, phi, kern, c_level, A)
     ref, ref_evals = _bisection_roots(G, phi, kern, c_level, A, t_tol)
     assert evals <= ref_evals
     assert np.max(np.abs(roots - ref)) <= t_tol
-    assert resid <= LEVEL_RESIDUAL_TOL
+    assert resid <= 1e-12
     # recomputed in one batch, f_alpha may differ in the last bits
     f = mollified_indicator(G, phi, kern, section_point(G, A, roots))
     assert np.max(np.abs(f - c_level)) == pytest.approx(resid, abs=1e-14)
+
+
+def test_level_set_root_at_left_end_of_flat_interval(heis1):
+    # here f_alpha equals c on t in [0.06236, 0.06264]: no ramp is active
+    # there and the kernel weight below the graph is exactly half; the root
+    # is inf{t : f_alpha <= c}, the left end
+    phi = GraphFunction.from_expression("0.25*y", Box([0.0, 0.0], [1.0, 1.0]), 2, 1)
+    kern = MollifierKernel(heis1, 0.05, points_per_axis=16)
+    a = np.array([0.95, 0.25])
+    root = level_set_phi_alpha(heis1, phi, kern, 0.5, a)
+    assert abs(root - 0.06236) <= 1e-5
+    f = mollified_indicator(heis1, phi, kern, section_point(heis1, a, root))
+    assert abs(f - 0.5) <= 1e-15
+    before = mollified_indicator(heis1, phi, kern, section_point(heis1, a, root - 1e-5))
+    assert before > 0.5
+
+
+def test_level_set_rejects_non_finite_phi(heis1, kernel01):
+    # a NaN in the ramp table is reported before the kinks are sorted
+    phi = GraphFunction.from_callable(
+        lambda a: np.where(a[..., 0] > 0.9, np.nan, a[..., 0]), unit_box(2))
+    with pytest.raises(errors.NonFiniteState):
+        level_set_phi_alpha(heis1, phi, kernel01, 0.5, np.array([[0.1, 0.2], [0.85, 0.2]]))
 
 
 def test_horizontal_gradient_sign_and_flat(heis1, kernel01):
@@ -456,7 +546,7 @@ def test_gradient_ratio_matches_w(heis1, phi_unit):
     kern = MollifierKernel(heis1, 0.05)
     rng = np.random.default_rng(131)
     A = 0.25 + 0.5 * rng.uniform(0, 1, size=(16, 2))
-    t = level_set_phi_alpha(heis1, phi_unit, kern, 0.5, A, t_tol=1e-8)
+    t = level_set_phi_alpha(heis1, phi_unit, kern, 0.5, A)
     w_alpha = intrinsic_gradient_of_level_set(heis1, phi_unit, kern, A, t)
     assert np.allclose(w_alpha[:, 0], 1.0, atol=0.05)
 
@@ -491,7 +581,7 @@ def test_pipeline_vertical_dependence(heis1):
     w_inf = np.max(np.abs(intrinsic_gradient(heis1, phi, A)))
     for alpha in (0.2, 0.05):
         kern = MollifierKernel(heis1, alpha)
-        pa = level_set_phi_alpha(heis1, phi, kern, 0.5, A, t_tol=1e-6 * alpha)
+        pa = level_set_phi_alpha(heis1, phi, kern, 0.5, A)
         assert np.max(np.abs(pa - phi.eval_extended(A))) <= 0.01 * alpha
         grad = intrinsic_gradient_of_level_set(heis1, phi, kern, A[::7], pa[::7])
         assert np.max(np.abs(grad)) <= 1.10 * w_inf
@@ -504,7 +594,7 @@ def test_pipeline_higher_dimensional_group(heis2):
     kern = MollifierKernel(heis2, 0.15, points_per_axis=8)
     assert abs(kern.mass() - 1.0) <= 1e-3
     A = tensor_grid(box.lo, box.hi, (3,) * 4)
-    pa = level_set_phi_alpha(heis2, phi, kern, 0.5, A, t_tol=1e-6)
+    pa = level_set_phi_alpha(heis2, phi, kern, 0.5, A)
     assert np.max(np.abs(pa - phi.eval_extended(A))) <= 5e-3
 
 
@@ -517,7 +607,7 @@ def test_pipeline_small_epsilon():
     kern = MollifierKernel(G, 0.1)
     assert abs(kern.mass() - 1.0) <= 1e-3
     A = tensor_grid(box.lo, box.hi, (6, 6))
-    pa = level_set_phi_alpha(G, phi, kern, 0.45, A, t_tol=1e-7)
+    pa = level_set_phi_alpha(G, phi, kern, 0.45, A)
     err = np.max(np.abs(pa - phi.eval_extended(A)))
     assert err <= 0.1 * kern.alpha
 
