@@ -1,7 +1,7 @@
 """The README CLI examples and ``suite data/suite.json`` against recorded
 reports: a refactor must leave every ``--json`` report (and the
-characteristics curve CSV) byte-identical.  ``mollify`` is left out for its
-run time.
+characteristics curve CSV) byte-identical.  ``mollify`` runs on a coarse
+base grid of 8 points per axis to keep its run time short.
 
 After an intended change of a report, rewrite the recordings with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review their diff.
@@ -35,6 +35,7 @@ EXAMPLES = {
     "broadstar": ["broadstar", *G, *WIDE, "--w", "data/w_one.json", *CURVE],
     "area": ["area", *G, *PHI, "--grid", "128"],
     "cone": ["cone", *G, *WIDE, "--samples", "10000"],
+    "mollify": ["mollify", *G, *PHI, "--c", "0.45", "--grid", "8"],
     "suite": ["suite", "data/suite.json"],
 }
 
