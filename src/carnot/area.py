@@ -15,7 +15,12 @@ import numpy as np
 
 from .calculus import intrinsic_gradient
 from .errors import OutOfDomain
-from .quadrature import QuadratureGrid, default_points_per_axis, richardson_order
+from .quadrature import (
+    QuadratureGrid,
+    check_work_budget,
+    default_points_per_axis,
+    richardson_order,
+)
 from .splitting import project_splitting
 
 # grid nodes per integrand evaluation in area_integral
@@ -35,8 +40,9 @@ def area_integrand(w_values):
     return np.sqrt(1.0 + np.sum(np.asarray(w_values, dtype=float) ** 2, axis=-1))
 
 
-def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
-    """Quadrature of sqrt(1 + |w|^2) over the base domain.
+def area_integral(G, phi, w=None, points_per_axis=None):
+    """Quadrature of sqrt(1 + |w|^2) over the base domain, on
+    ``points_per_axis`` midpoint nodes per axis (default by dimension).
 
     ``w`` may be a vector field; when omitted the intrinsic gradient of phi
     is evaluated on the grid (analytic partials or central differences).
@@ -45,10 +51,9 @@ def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
     temporaries stay small on any grid and the sum is unchanged.
     """
     box = phi.domain
-    if grid is None:
-        if points_per_axis is None:
-            points_per_axis = default_points_per_axis(box.dim)
-        grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
+    if points_per_axis is None:
+        points_per_axis = default_points_per_axis(box.dim)
+    grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
     pts = grid.points()
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
@@ -58,34 +63,34 @@ def area_integral(G, phi, w=None, grid=None, points_per_axis=None):
     return grid.integrate(values)
 
 
-def area_report(G, phi, w=None, points_per_axis=None):
+def area_report(G, phi, points_per_axis=None):
     """Area integral on k, 2k and 4k points per axis plus the observed
-    convergence order of the three values (k defaults by dimension)."""
-    box = phi.domain
+    convergence order of the three values (k defaults by dimension).  The
+    finest grid is checked against the work budget before any integral."""
+    dim = phi.domain.dim
     k = points_per_axis
     if k is None:
-        k = default_points_per_axis(box.dim)
-    grids = [QuadratureGrid(box.lo, box.hi, (k * 2 ** i,) * box.dim)
-             for i in range(3)]
-    values = [area_integral(G, phi, w=w, grid=g) for g in grids]
+        k = default_points_per_axis(dim)
+    grids = [k * 2 ** i for i in range(3)]
+    check_work_budget(grids[-1] ** dim, "tensor grid", "nodes")
+    values = [area_integral(G, phi, points_per_axis=g) for g in grids]
     order = richardson_order(*values)
     if not np.isfinite(order):
         order = None        # differences at rounding floor: order undefined
     return {
         "area_integral": values[-1],
         "values": values,
-        "grids": [g.shape[0] for g in grids],
+        "grids": grids,
         "estimated_order": order,
     }
 
 
 def subgraph_indicator(G, phi, p):
-    """1 when the point lies strictly below the graph, else 0."""
-    base, t = project_splitting(G, p)
-    inside = phi.in_domain(base)
-    if not np.all(inside):
+    """1 when the point lies strictly below the graph, else 0; a point whose
+    projected base point is outside phi's domain raises OutOfDomain."""
+    if not np.all(phi.in_domain(project_splitting(G, p)[0])):
         raise OutOfDomain("projected base point outside the graph domain")
-    return (t < phi.eval_extended(base)).astype(float)
+    return subgraph_indicator_extended(G, phi, p)
 
 
 def subgraph_indicator_extended(G, phi, p):

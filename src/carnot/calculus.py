@@ -11,10 +11,13 @@ frozen-direction central difference otherwise.  The distributional residual
 checks the integration-by-parts identity of the system D phi = w against
 compactly supported bump test functions on a midpoint quadrature grid.
 
-Every contraction with the B^(s) blocks is a plain matmul.  With analytic
-partials the whole gradient (D_2 phi, ..., D_m phi) takes one evaluation of
-phi, its partials and the domain check, and sums its vertical terms one
-index s at a time, so no (points, m-1, n) array is formed.
+Every contraction with the B^(s) blocks is a plain matmul.  One private
+helper applies the frame d/dx-hat + sum_s (value b^(s)_{.1} + 1/2 x-hat
+B^(s)) d/dy_s to coordinate gradients for all j = 2..m at once, summing its
+vertical terms one index s at a time, so no (points, m-1, n) array is
+formed: with value = phi it is the analytic intrinsic gradient (and D_j phi
+is its column j - 2), with value = 0 the frame derivatives X_j of a test
+function on the base.
 """
 
 from __future__ import annotations
@@ -36,24 +39,31 @@ from .quadrature import QuadratureGrid, default_points_per_axis
 HORIZONTAL_GRADIENT_FLOOR = 1e-12
 
 
+def _check_direction(G, j):
+    """Raise :class:`ValidationError` unless 2 <= j <= m."""
+    if not (2 <= j <= G.m):
+        raise ValidationError(f"direction index j must be in 2..{G.m}, got {j}")
+
+
 def frozen_coefficients(G, phi, j, a):
     """Vertical coefficients c_s(a) = phi(a) b^(s)_{j1} + 1/2 sum_i x_i b^(s)_{ji}.
 
     The drift sum runs over the base x-block (i = 2..m); the diagonal entry
     b_{jj} vanishes by skew-symmetry so the moving coordinate never enters.
     """
-    if not (2 <= j <= G.m):
-        raise ValidationError(f"direction index j must be in 2..{G.m}, got {j}")
+    _check_direction(G, j)
     a = np.asarray(a, dtype=float)
     return _frozen_coefficients(G, j, a, phi.eval_extended(a))
 
 
+def _drift(G, j, a):
+    """The drift 1/2 sum_i x_i b^(s)_{ji} of the frozen coefficients."""
+    return 0.5 * (a[..., :G.m - 1] @ G.B[:, j - 1, 1:].T)
+
+
 def _frozen_coefficients(G, j, a, value):
     """c_s(a) of :func:`frozen_coefficients` with ``value`` in place of phi(a)."""
-    col = G.B[:, j - 1, 0]                       # b^(s)_{j1}
-    rows = G.B[:, j - 1, 1:]                     # b^(s)_{ji}, i = 2..m
-    drift = 0.5 * (a[..., :G.m - 1] @ rows.T)
-    return value[..., None] * col + drift
+    return value[..., None] * G.B[:, j - 1, 0] + _drift(G, j, a)
 
 
 def _frozen_difference(G, phi, j, a, c, h, check_domain):
@@ -81,14 +91,15 @@ def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
     default step h = 1e-5 (1 + |a|).  With ``check_domain=False`` the
     stencil evaluates through the function's extension instead of raising.
     """
+    _check_direction(G, j)
     a = np.asarray(a, dtype=float)
     if check_domain and not np.all(phi.in_domain(a)):
         raise OutOfDomain("intrinsic derivative point outside domain")
-    c = frozen_coefficients(G, phi, j, a)
+    value = phi.eval_extended(a)
     if phi.has_partials and h is None:
-        grad = phi.partials(a)
-        return grad[..., j - 2] + np.einsum("...s,...s->...", c, grad[..., G.m - 1:])
-    return _frozen_difference(G, phi, j, a, c, h, check_domain)
+        return _frame_apply(G, a, value, phi.partials(a))[..., j - 2]
+    return _frozen_difference(G, phi, j, a, _frozen_coefficients(G, j, a, value),
+                              h, check_domain)
 
 
 def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
@@ -110,12 +121,18 @@ def _intrinsic_gradient(G, phi, a, value, h=None, check_domain=False):
                                             _frozen_coefficients(G, j, a, value),
                                             h, check_domain)
                          for j in range(2, G.m + 1)], axis=-1)
+    return _frame_apply(G, a, value, phi.partials(a))
+
+
+def _frame_apply(G, a, value, grad):
+    """d/dx_j + sum_s (value b^(s)_{j1} + 1/2 sum_i x_i b^(s)_{ji}) d/dy_s
+    applied to the coordinate gradients ``grad`` at base points a, for
+    j = 2..m on the last axis; ``value`` is an array over a's points or 0."""
     k = G.m - 1
-    value = value[..., None]
-    grad = phi.partials(a)
+    value = np.asarray(value)[..., None]
     xhat = a[..., :k]
     for s in range(G.n):
-        # c_s(a) of frozen_coefficients for every j at once, times d/dy_s phi
+        # the frozen coefficient c_s for every j at once, times d/dy_s
         c = xhat @ G.B[s, 1:, 1:].T
         c *= 0.5
         c += value * G.B[s, 1:, 0]
@@ -189,48 +206,28 @@ class TestFunction:
                     np.all(self.center + self.radius <= box.hi + 1e-12))
 
 
-def base_frame_apply(G, a, zeta_grad):
-    """Frame derivatives of a test function on the base:
-    (X_2 zeta, ..., X_m zeta, Y_1 zeta, ..., Y_n zeta) restricted to W."""
-    a = np.asarray(a, dtype=float)
-    xhat = a[..., :G.m - 1]
-    grad_x = zeta_grad[..., :G.m - 1]
-    grad_y = zeta_grad[..., G.m - 1:]
-    # X_j|_W zeta = d/dx_j zeta + 1/2 sum_s sum_{l>=2} b^(s)_{jl} x_l d/dy_s zeta
-    for s in range(G.n):
-        term = xhat @ G.B[s, 1:, 1:].T
-        term *= 0.5
-        term *= grad_y[..., s, None]
-        if s == 0:
-            xj = term
-        else:
-            xj += term
-    xj += grad_x
-    return xj, grad_y
-
-
-def distributional_residual(G, phi, w, zeta, grid=None, points_per_axis=None):
+def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     """Residual vector of the weak identity, one entry per j = 2..m:
 
-        R_j = int phi (X_j zeta + phi sum_s b^(s)_{j1} Y_s zeta) + int w_j zeta.
+        R_j = int phi (X_j zeta + phi sum_s b^(s)_{j1} Y_s zeta) + int w_j zeta,
 
-    Near zero at grid resolution iff phi solves D phi = w distributionally.
+    by the midpoint rule with ``points_per_axis`` nodes per axis of phi's
+    box (default by dimension).  Near zero at grid resolution iff phi
+    solves D phi = w distributionally.
     """
     box = phi.domain
-    if grid is None:
-        if points_per_axis is None:
-            points_per_axis = default_points_per_axis(box.dim)
-        grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
+    if points_per_axis is None:
+        points_per_axis = default_points_per_axis(box.dim)
+    grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
     if not zeta.supported_inside(box):
         raise SupportNotCovered("test function support is not inside the domain box")
-    if not (np.all(grid.lo <= zeta.center - zeta.radius) and
-            np.all(zeta.center + zeta.radius <= grid.hi)):
-        raise SupportNotCovered("test function support is not covered by the grid")
     pts = grid.points()
     phi_v = phi.eval_extended(pts)
     zg = zeta.gradient(pts)
     zv = zeta.value(pts)
-    xj_zeta, y_zeta = base_frame_apply(G, pts, zg)
+    # X_j zeta restricted to W: the frame with value 0
+    xj_zeta = _frame_apply(G, pts, 0.0, zg)
+    y_zeta = zg[..., G.m - 1:]
     col = G.B[:, 1:, 0]                        # b^(s)_{j1} indexed (s, j-2)
     vert = y_zeta @ col
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)

@@ -27,7 +27,7 @@ from . import calculus, characteristics, cones, mollify, splitting
 from . import group as gp
 from .errors import NonFiniteState, NumericalError, ValidationError
 from .functions import load_graph_function, load_vector_field
-from .quadrature import QuadratureGrid, default_points_per_axis
+from .quadrature import default_points_per_axis
 
 
 def _write_atomic(path, text):
@@ -125,10 +125,8 @@ def cmd_residual(args):
                               f"{G.base_dim} coordinates, then the radius), "
                               f"got {vals.size}")
     zeta = calculus.TestFunction(vals[:-1], vals[-1])
-    box = phi.domain
-    k = args.grid if args.grid is not None else default_points_per_axis(box.dim)
-    grid = QuadratureGrid(box.lo, box.hi, (k,) * box.dim)
-    res = calculus.distributional_residual(G, phi, w, zeta, grid=grid)
+    k = args.grid if args.grid is not None else default_points_per_axis(phi.domain.dim)
+    res = calculus.distributional_residual(G, phi, w, zeta, points_per_axis=k)
     return {"residual": res.tolist(), "grid": k, "seed": args.seed}
 
 
@@ -221,21 +219,48 @@ def cmd_cone(args):
     return report
 
 
+def _number(value):
+    return isinstance(value, (int, float)) and bool(np.isfinite(value))
+
+
+def _suite_scenarios(config):
+    """The scenarios of a suite config, each checked for its shape before
+    any runs: a command other than ``suite``, string args, and expect rules
+    that are objects with a finite number ``value`` and ``tol``."""
+    scenarios = config.get("scenarios", []) if isinstance(config, dict) else None
+    if not isinstance(scenarios, list):
+        raise ValidationError("a suite config is an object with a 'scenarios' list")
+    for i, scn in enumerate(scenarios):
+        where = f"suite scenario {i}"
+        if not (isinstance(scn, dict) and isinstance(scn.get("command"), str)
+                and isinstance(scn.get("name", ""), str)):
+            raise ValidationError(f"{where} needs a 'command' string (and a string "
+                                  "'name' if it has one)")
+        if scn["command"] == "suite":
+            raise ValidationError(f"{where} runs a nested suite")
+        args, expect = scn.get("args", []), scn.get("expect", {})
+        if not (isinstance(args, list) and all(isinstance(a, str) for a in args)):
+            raise ValidationError(f"{where}: 'args' must be a list of strings")
+        if not (isinstance(expect, dict)
+                and all(isinstance(r, dict) and _number(r.get("value"))
+                        and _number(r.get("tol", 0.0)) for r in expect.values())):
+            raise ValidationError(f"{where}: each 'expect' rule must be an object with "
+                                  "a finite number 'value' and optional 'tol'")
+    return scenarios
+
+
 def cmd_suite(args):
     with open(args.config) as fh:
         config = json.load(fh)
     rows = []
-    for scn in config.get("scenarios", []):
-        name = scn.get("name", scn.get("command", "?"))
+    for scn in _suite_scenarios(config):
+        name = scn.get("name", scn["command"])
         code, _, report = run([scn["command"], *scn.get("args", [])])
         ok = code == 0
         for key, rule in scn.get("expect", {}).items():
             got = report.get(key) if report else None
-            if got is None:
-                ok = False
-                continue
-            tol = float(rule.get("tol", 0.0))
-            if abs(float(got) - float(rule["value"])) > tol:
+            # a missing key or a value that is not a number fails the scenario
+            if not _number(got) or abs(got - rule["value"]) > rule.get("tol", 0.0):
                 ok = False
         rows.append({"name": name, "pass": ok})
     failed = sum(not r["pass"] for r in rows)

@@ -154,31 +154,6 @@ def sample_cone_points_m2n1(G, k, count, seed=0):
     return out
 
 
-def plane_reduction(G, p, nu, k):
-    """Projection data reducing the general half-cone condition to the
-    plane spanned by the horizontal part: xi = |<x, nu>| / |x|, the
-    normalized projected axis, and the rescaled vertical part p2 / xi^2.
-
-    Rejects inputs with xi < 1/sqrt(1 + beta^2), outside the validity of
-    the reduction.
-    """
-    p = np.asarray(p, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    x, y = p[:G.m], p[G.m:]
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise DegenerateZ("horizontal part vanishes")
-    beta = beta_for_k(k, G.epsilon, max(G.b_max, 1e-12))
-    t = float(x @ nu)
-    xi = abs(t) / nx
-    if xi < 1.0 / np.sqrt(1.0 + beta * beta) - 1e-12:
-        raise PointOutsideCone(
-            f"projection size xi={xi:.6g} below the admissible threshold")
-    nu_hat = np.sign(t) * x / nx
-    return {"xi": xi, "nu_hat": nu_hat, "p2_rescaled": y / xi ** 2, "beta": beta}
-
-
 def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     """Sampled verification that lower/upper half-cones at graph points stay
     inside / outside the subgraph.

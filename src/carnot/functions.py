@@ -111,9 +111,6 @@ class Box:
     def clamp(self, a):
         return np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
 
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
     def sample(self, count, rng):
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
 
@@ -158,7 +155,7 @@ class GraphFunction:
         return obj
 
     @classmethod
-    def from_grid(cls, values, domain, label="grid"):
+    def from_grid(cls, values, domain):
         from scipy.interpolate import RegularGridInterpolator
 
         domain = domain if isinstance(domain, Box) else Box(*domain)
@@ -178,11 +175,11 @@ class GraphFunction:
             # clamp: multilinear extension is constant along the clipped axes
             return interp(domain.clamp(a).reshape(-1, domain.dim)).reshape(a.shape[:-1])
 
-        return cls(domain, evaluate, "grid", label=label)
+        return cls(domain, evaluate, "grid", label="grid")
 
     @classmethod
-    def from_callable(cls, fn, domain, partials=None, mask=None, label="callable"):
-        return cls(domain, fn, "callable", partials=partials, mask=mask, label=label)
+    def from_callable(cls, fn, domain, mask=None, label="callable"):
+        return cls(domain, fn, "callable", mask=mask, label=label)
 
     @classmethod
     def constant(cls, value, domain):
@@ -265,10 +262,14 @@ class VectorField:
 
 def _domain_from_dict(data):
     try:
-        return Box(np.asarray(data["lo"], dtype=float),
-                   np.asarray(data["hi"], dtype=float))
+        lo, hi = data["lo"], data["hi"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"function spec missing domain field: {exc}") from exc
+    try:
+        return Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"domain bounds must be numbers, got lo={lo!r}, hi={hi!r}") from None
 
 
 def graph_function_from_dict(data, G, base_dir="."):
@@ -289,7 +290,15 @@ def graph_function_from_dict(data, G, base_dir="."):
         path = spec["values"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        values = np.loadtxt(path, delimiter=",").reshape(spec["shape"])
+        try:
+            values = np.loadtxt(path, delimiter=",")
+        except ValueError as exc:
+            raise ValidationError(f"grid values in {path} must be numbers: {exc}") from None
+        try:
+            values = values.reshape(spec["shape"])
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"{values.size} grid values in {path} do not "
+                                    f"fill the shape {spec['shape']!r}") from None
         return GraphFunction.from_grid(values, domain)
     raise ValidationError(f"unknown function kind {kind!r}")
 

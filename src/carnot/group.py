@@ -137,7 +137,10 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     if epsilon is None:
         eps = _calibrated_epsilon(m, n, B.tobytes())
     else:
-        eps = float(epsilon)
+        try:
+            eps = float(epsilon)
+        except (TypeError, ValueError):
+            raise EpsilonOutOfRange(f"epsilon must be a number, got {epsilon!r}") from None
         if not (0.0 < eps <= 1.0):
             raise EpsilonOutOfRange(f"epsilon must lie in (0, 1], got {eps}")
     return replace(G, epsilon=eps)
@@ -323,50 +326,33 @@ def frame_derivatives(G, p, euclid_grad):
     return np.einsum("...ij,...j->...i", F, np.asarray(euclid_grad, dtype=float))
 
 
-def norm_equivalence_constant(G, samples=10_000, seed=0):
-    """Measured c1 > 1 with (|x| + |y|^(1/2)) / c1 <= ||p|| <= c1 (|x| + |y|^(1/2))."""
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-1.0, 1.0, size=(samples, G.dim))
-    x, y = split_layers(G, p)
-    plain = np.linalg.norm(x, axis=-1) + np.sqrt(np.linalg.norm(y, axis=-1))
-    hnorm = homogeneous_norm(G, p)
-    keep = plain > 0
-    lo = np.max(plain[keep] / hnorm[keep])
-    hi = np.max(hnorm[keep] / plain[keep])
-    return float(max(lo, hi, 1.0 + 1e-12))
-
-
 # -- JSON interface ------------------------------------------------------------
 
 def group_from_dict(data):
     """Build a group from {"m":int,"n":int,"B":[row-major m*m arrays],"epsilon":float|null}."""
     try:
-        m = int(data["m"])
-        n = int(data["n"])
-        rows = data["B"]
+        m, n, rows = data["m"], data["n"], data["B"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"group definition missing field: {exc}") from exc
-    if len(rows) != n:
-        raise DimensionMismatch(f"expected {n} matrices in 'B', got {len(rows)}")
+    try:
+        m, n = int(m), int(n)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"group 'm' and 'n' must be integers, got {m!r} and {n!r}") from None
+    if not isinstance(rows, list) or len(rows) != n:
+        raise DimensionMismatch(f"'B' must be a list of {n} matrices")
     mats = []
     for flat in rows:
-        arr = np.asarray(flat, dtype=float)
+        try:
+            arr = np.asarray(flat, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"'B' entries must be numbers, got {flat!r}") from None
         if arr.size != m * m:
             raise DimensionMismatch(
                 f"each matrix must have {m * m} row-major entries, got {arr.size}")
         mats.append(arr.reshape(m, m))
     eps = data.get("epsilon", None)
     return make_group(m, n, np.array(mats), eps, name=str(data.get("name", "")))
-
-
-def group_to_dict(G):
-    return {
-        "m": G.m,
-        "n": G.n,
-        "B": [G.B[s].reshape(-1).tolist() for s in range(G.n)],
-        "epsilon": G.epsilon,
-        "name": G.name,
-    }
 
 
 def load_group(path):

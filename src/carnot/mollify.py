@@ -61,6 +61,8 @@ from .splitting import _anchor_terms, _split, graph_point
 _BATCH_OPS_LIMIT = 2 ** 21
 # the gradient holds several (point, node, coordinate) arrays per chunk
 _GRADIENT_OPS_LIMIT = 2 ** 16
+# the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
+_SLOPE_STEP = 1.0 / 64.0
 
 # approximation_report passes when the rate ratios sup|phi_alpha - phi| / alpha
 # stay within RATE_FACTOR of each other, or all lie at or below
@@ -267,7 +269,7 @@ def horizontal_gradient_mollified(G, phi, kernel, p):
     X_j g of every (point, node) pair, from one split (module docstring)."""
     p = np.asarray(p, dtype=float)
     P = np.atleast_2d(p)
-    h, delta = kernel.alpha / 64.0, kernel.subcell_width
+    h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
     out = np.zeros((P.shape[0], G.m))
     for start, stop in _node_chunks(kernel, P.shape[0], _GRADIENT_OPS_LIMIT):
         base, t = _split(G, kernel._conv_terms, P, start, stop)
@@ -414,39 +416,31 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     }
 
 
-def _base_slope_bounds(G, phi, A):
-    """Measured sup of |d phi / d xhat| and |d phi / dy| on the grid."""
-    if phi.has_partials:
-        g = phi.partials(A)
-    else:
-        g = np.empty(A.shape)
-        for i in range(A.shape[1]):
-            e = np.zeros(A.shape[1])
-            e[i] = 1e-5
-            g[:, i] = (phi.eval_extended(A + e) - phi.eval_extended(A - e)) / 2e-5
-    lx = float(np.max(np.linalg.norm(g[:, :G.m - 1], axis=-1)))
-    ly = float(np.max(np.linalg.norm(g[:, G.m - 1:], axis=-1)))
-    return lx, ly
-
-
 def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
-    """int over the slab {base in O, |t| < 2M} of |grad_G f_alpha|.
+    """int over base O and graph coordinate t of |grad_G f_alpha|, by the
+    midpoint rule on ``base_per_axis`` nodes per base axis and 48 nodes in t
+    per base column a, on the window |t - phi(a)| <= half.
 
-    The integrand vanishes exactly where the kernel ball misses the graph,
-    so the t-integration is restricted per base column to a window around
-    phi(a) of three times the kernel reach through the measured slopes of
-    phi, on 48 midpoint nodes.
+    At i(a) * (t e1) the ramp argument of node k is g_k(i(a)) - t, and the
+    integrand vanishes unless some |g_k(i(a)) - t| < delta/2 + h (the ramp
+    slopes beta are 0 beyond).  So |t - phi(a)| < R, R = max_{a,k}
+    |g_k(i(a)) - phi(a)| + delta/2 + h, holds the support, and half =
+    R * 48/47 puts both end nodes, at distance R from phi(a), outside it:
+    ``edge_gradient_max`` reports the gradient there.
     """
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (base_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
-    a = kernel.alpha
-    lx, ly = _base_slope_bounds(G, phi, A)
-    p1_max = np.hypot(float(np.max(np.abs(phi_vals))) + a,
-                      float(np.max(np.abs(A[:, :G.m - 1]))) + a)
-    reach = a * (1.0 + lx) + ly * (a * a / G.epsilon ** 2
-                                   + 0.5 * G.b_max * a * p1_max)
-    half = 3.0 * reach + 6.0 * kernel.subcell_width
+    rows = graph_point(G, A, 0.0)
+    spread = 0.0
+    for start, stop in _node_chunks(kernel, len(A)):
+        g = _ramp_arguments(G, phi, kernel, rows, start, stop)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteState("phi is not finite within the kernel's reach of a base point")
+        g -= phi_vals[:, None]
+        spread = max(spread, float(np.max(np.abs(g))))
     t_points = 48
+    reach = spread + 0.5 * kernel.subcell_width + kernel.alpha * _SLOPE_STEP
+    half = reach * t_points / (t_points - 1)
     cell_base = float(np.prod((phi.domain.hi - phi.domain.lo) / base_per_axis))
     dt = 2.0 * half / t_points
     total = 0.0

@@ -116,13 +116,6 @@ class QuadratureGrid:
         """Integrate nodal values (shape == grid shape or flat)."""
         return float(np.sum(values) * self.cell_volume)
 
-    def integrate_function(self, f):
-        return self.integrate(f(self.points()))
-
-    def refine(self):
-        """The grid with every spacing halved."""
-        return QuadratureGrid(self.lo, self.hi, tuple(2 * k for k in self.shape))
-
 
 def richardson_order(coarse, mid, fine):
     """Observed convergence order from three successively halved-step values."""

@@ -190,29 +190,31 @@ def graph_quasidistance(G, phi, a, b, check_domain=True):
 
 def _quasidistance(G, t, a, b):
     """graph_quasidistance at base points a, b with t = phi(a) given."""
+    return gp._layer_norm(G, *_conjugated_layers(G, t, a, b))
+
+
+def _conjugated_layers(G, t, a, b):
+    """The layers (g1, y) of (t e1)^-1 i(a)^-1 i(b) (t e1) at base points
+    a, b; with t = phi(a) this is the product of the module docstring."""
     k = G.m - 1
     xa, xb = a[..., :k], b[..., :k]
     g1 = xb - xa
     y = b[..., k:] - a[..., k:] - 0.5 * gp._bracket(G._base_bt, xa, xb)
     y += t[..., None] * (g1 @ G.B[:, 0, 1:].T)
-    return gp._layer_norm(G, g1, y)
+    return g1, y
 
 
 def sigma_form(G, phi, b, a):
     """Coordinate quasi-distance form sigma_phi(b, a): the sum over vertical
     components of |y_s - y'_s + phi(b) sum_l (x_l - x'_l) b^(s)_{1l}
     - 1/2 <B^(s) x', x>|^(1/2), with a = (x, y), b = (x', y') and first-layer
-    vectors embedded with x1 = 0."""
+    vectors embedded with x1 = 0.  The inner values are the second layer of
+    phi(b)^-1 i(b)^-1 i(a) phi(b), the one graph_quasidistance(b, a) takes
+    the norm of."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    k = G.m - 1
-    xa, ya = a[..., :k], a[..., k:]
-    xb, yb = b[..., :k], b[..., k:]
-    phib = phi.eval_extended(b)
-    lin = (xa - xb) @ G.B[:, 0, 1:].T         # sum_l (x_l - x'_l) b^(s)_{1l}
-    cross = gp._bracket(G._base_bt, xb, xa)   # <B^(s) x', x>
-    inner = ya - yb + phib[..., None] * lin - 0.5 * cross
-    return np.sum(np.sqrt(np.abs(inner)), axis=-1)
+    _, y = _conjugated_layers(G, phi.eval_extended(b), b, a)
+    return np.sum(np.sqrt(np.abs(y)), axis=-1)
 
 
 def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):

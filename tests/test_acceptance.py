@@ -45,7 +45,6 @@ from carnot.group import (
 )
 from carnot.mollify import MollifierKernel, approximation_report, \
     horizontal_gradient_mass
-from carnot.quadrature import QuadratureGrid
 from carnot.splitting import graph_map, vertical_holder_modulus
 
 
@@ -158,11 +157,9 @@ def test_criterion_05_distributional_residual_order(groups):
     w_bad = VectorField.constant([0.0], box)
     res = {}
     for k in (64, 128):
-        grid = QuadratureGrid(box.lo, box.hi, (k, k))
-        res[k] = abs(distributional_residual(G, phi, w_good, zeta, grid)[0])
+        res[k] = abs(distributional_residual(G, phi, w_good, zeta, k)[0])
     order = np.log2(res[64] / res[128]) if res[128] > 0 else np.inf
-    grid = QuadratureGrid(box.lo, box.hi, (128, 128))
-    bad = abs(distributional_residual(G, phi, w_bad, zeta, grid)[0])
+    bad = abs(distributional_residual(G, phi, w_bad, zeta, 128)[0])
     ok = (order >= 1.9) and (bad > 10.0 * res[128])
     _line(5, ok, f"residual order {order:.2f} >= 1.9; wrong-w ratio "
                  f"{bad / max(res[128], 1e-300):.1e} > 10")

@@ -7,12 +7,13 @@ from scipy.optimize import brentq
 from carnot import errors
 from carnot.calculus import (
     TestFunction,
+    _frame_apply,
     distributional_residual,
     gradient_from_defining_function,
     intrinsic_derivative,
     intrinsic_gradient,
 )
-from carnot.functions import Box, GraphFunction, VectorField
+from carnot.functions import Box, GraphFunction, VectorField, base_coordinate_names
 from carnot.quadrature import QuadratureGrid, richardson_order
 from carnot.group import multiply
 
@@ -190,8 +191,7 @@ def test_residual_manufactured_solution_order(heis1):
     zeta = TestFunction([0.5, 0.5], 0.4)
     res = []
     for k in (32, 64, 128):
-        grid = QuadratureGrid(box.lo, box.hi, (k, k))
-        res.append(abs(distributional_residual(heis1, phi, w, zeta, grid)[0]))
+        res.append(abs(distributional_residual(heis1, phi, w, zeta, k)[0]))
     assert res[0] > res[1] > res[2]
     assert richardson_order(*[r + 1e-18 for r in res]) >= 1.9 or res[2] < 1e-14
 
@@ -202,9 +202,9 @@ def test_residual_detects_wrong_w(heis1):
     zeta = TestFunction([0.5, 0.5], 0.4)
     grid = QuadratureGrid(box.lo, box.hi, (128, 128))
     good = abs(distributional_residual(
-        heis1, phi, VectorField.constant([1.0], box), zeta, grid)[0])
+        heis1, phi, VectorField.constant([1.0], box), zeta, 128)[0])
     bad = abs(distributional_residual(
-        heis1, phi, VectorField.constant([0.0], box), zeta, grid)[0])
+        heis1, phi, VectorField.constant([0.0], box), zeta, 128)[0])
     # wrong datum leaves the integral of zeta, far above the true residual
     assert bad > 10.0 * good
     assert bad == pytest.approx(grid.integrate(zeta.value(grid.points())), rel=1e-6)
@@ -221,9 +221,8 @@ def test_residual_smooth_solution_refines_to_zero(heis1):
 
     res = []
     for k in (32, 64, 128):
-        grid = QuadratureGrid(box.lo, box.hi, (k, k))
         res.append(np.max(np.abs(
-            distributional_residual(heis1, phi, WFromPhi(), zeta, grid))))
+            distributional_residual(heis1, phi, WFromPhi(), zeta, k))))
     assert res[2] < res[0]
     assert res[2] < 1e-4
 
@@ -256,3 +255,51 @@ def test_intrinsic_gradient_one_pass_property(all_groups, index, seed, coef):
     # a single point gives the row of the batch
     np.testing.assert_allclose(intrinsic_gradient(G, phi, a[3]), got[3],
                                rtol=1e-14, atol=1e-14)
+
+
+def _base_frame_apply(G, a, zeta_grad):
+    """The reference frame derivatives X_2..X_m of a test function on the
+    base, as the residual formed them in their own loop."""
+    xhat = a[..., :G.m - 1]
+    grad_y = zeta_grad[..., G.m - 1:]
+    for s in range(G.n):
+        term = xhat @ G.B[s, 1:, 1:].T
+        term *= 0.5
+        term *= grad_y[..., s, None]
+        if s == 0:
+            xj = term
+        else:
+            xj += term
+    xj += zeta_grad[..., :G.m - 1]
+    return xj
+
+
+@pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
+def test_frame_apply_is_the_residual_frame(group_name, request):
+    # the residual's X_j zeta is the frame with value 0, bitwise the
+    # reference loop, zeros of the bump's gradient outside its ball included
+    G = request.getfixturevalue(group_name)
+    pts = np.random.default_rng(61).uniform(-1.0, 1.0, size=(2000, G.base_dim))
+    pts[::5] *= -1.0
+    zg = TestFunction(np.zeros(G.base_dim), 0.9).gradient(pts)
+    got = _frame_apply(G, pts, 0.0, zg)
+    assert got.tobytes() == _base_frame_apply(G, pts, zg).tobytes()
+
+
+@pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
+def test_intrinsic_derivative_is_a_gradient_column(group_name, request):
+    # D_j phi with analytic partials is column j - 2 of the one-pass
+    # gradient, bitwise; a direction outside 2..m is rejected at the entry
+    G = request.getfixturevalue(group_name)
+    names = base_coordinate_names(G.m, G.n)
+    expr = " + ".join(f"{0.1 * (i + 1)}*sin({v})" for i, v in enumerate(names))
+    phi = GraphFunction.from_expression(f"{expr} + 0.2*{names[0]}*{names[-1]}",
+                                        unit_box(G.base_dim), G.m, G.n)
+    pts = np.random.default_rng(67).uniform(-1.0, 1.0, size=(500, G.base_dim))
+    grad = intrinsic_gradient(G, phi, pts)
+    for j in range(2, G.m + 1):
+        assert intrinsic_derivative(G, phi, j, pts).tobytes() == \
+            np.ascontiguousarray(grad[:, j - 2]).tobytes()
+    for j in (1, G.m + 1):
+        with pytest.raises(errors.ValidationError, match="direction index"):
+            intrinsic_derivative(G, phi, j, pts)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from carnot import errors
+from carnot.calculus import frozen_coefficients
 from carnot.characteristics import (
+    _rk4_path,
     broadstar_residual,
     conservation_residual,
     flux_values,
@@ -10,7 +12,7 @@ from carnot.characteristics import (
     lipschitz_along_curve,
     phi_along_curve_lipschitz_vs_intrinsic,
 )
-from carnot.functions import Box, GraphFunction
+from carnot.functions import Box, GraphFunction, base_coordinate_names
 from carnot.splitting import estimate_intrinsic_lipschitz, vertical_holder_modulus
 
 from conftest import unit_box
@@ -181,17 +183,15 @@ def test_broadstar_distributional_equivalence(heis1):
     # the same mismatched datum
     from carnot.calculus import TestFunction, distributional_residual
     from carnot.functions import VectorField
-    from carnot.quadrature import QuadratureGrid
 
     box = Box([-2.0, -2.0], [2.0, 2.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     zeta = TestFunction([0.0, 0.0], 1.0)
-    grid = QuadratureGrid(box.lo, box.hi, (128, 128))
     curve = integrate_characteristic(heis1, phi, 2, np.array([0.0, 0.25]),
                                      1.0, 500)
     for value, small in ((1.0, True), (0.0, False)):
         w = VectorField.constant([value], box)
-        dist = abs(distributional_residual(heis1, phi, w, zeta, grid)[0])
+        dist = abs(distributional_residual(heis1, phi, w, zeta, 128)[0])
         broad = broadstar_residual(curve, phi, w.components[0].eval_extended)
         if small:
             assert dist < 1e-5 and broad < 1e-8
@@ -209,3 +209,50 @@ def test_phi_along_curve_bounds_random_sweep(heis1):
         report = phi_along_curve_lipschitz_vs_intrinsic(heis1, curve, phi, C_L)
         assert report["quasidistance_slope"] <= report["quasidistance_bound"]
         assert report["phi_slope"] <= report["phi_bound"]
+
+
+def _rk4_path_per_stage(G, phi, j, a0, T, steps):
+    """The reference RK4 loop: one frozen_coefficients call per stage."""
+    d, n = G.base_dim, G.n
+    out = np.empty((steps + 1, d))
+    out[0] = a0
+    h = T / steps
+    inside_limit = steps
+    for k in range(steps):
+        a = out[k]
+
+        def shift(dt, dy):
+            b = a.copy()
+            b[j - 2] += dt
+            b[d - n:] += dy
+            return b
+
+        k1 = frozen_coefficients(G, phi, j, a)
+        k2 = frozen_coefficients(G, phi, j, shift(0.5 * h, 0.5 * h * k1))
+        k3 = frozen_coefficients(G, phi, j, shift(0.5 * h, 0.5 * h * k2))
+        k4 = frozen_coefficients(G, phi, j, shift(h, h * k3))
+        nxt = shift(h, h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+        if not phi.in_domain(nxt):
+            inside_limit = k
+            break
+        out[k + 1] = nxt
+    return out[:inside_limit + 1], h, inside_limit
+
+
+@pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
+def test_rk4_rate_formed_once_matches_per_stage_loop(group_name, request):
+    # the drift is constant along the line (b_jj = 0), so forming the rate
+    # once per curve leaves every state bitwise as the per-stage loop had it
+    G = request.getfixturevalue(group_name)
+    names = base_coordinate_names(G.m, G.n)
+    expr = " + ".join(f"{0.1 * (i + 1)}*sin({v})" for i, v in enumerate(names))
+    phi = GraphFunction.from_expression(f"{expr} + 0.2*{names[0]}*{names[-1]}",
+                                        wide_box(G.base_dim, half=1.5), G.m, G.n)
+    starts = np.random.default_rng(23).uniform(-0.5, 0.5, size=(3, G.base_dim))
+    for j in range(2, G.m + 1):
+        for a0 in starts:
+            # T = 1.5 leaves the box on some curves: truncation is covered
+            path, h, used = _rk4_path(G, phi, j, a0, 1.5, 40)
+            ref, h_ref, used_ref = _rk4_path_per_stage(G, phi, j, a0, 1.5, 40)
+            assert (h, used) == (h_ref, used_ref)
+            assert path.tobytes() == ref.tobytes()

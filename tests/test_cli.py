@@ -259,23 +259,6 @@ def test_usage_errors_exit_1(heis_file, capsys):
     assert main(["--help"]) == 0
 
 
-def test_suite_scenario_reads_nested_suite_report(tmp_path, heis_file, phi_file,
-                                                  capsys):
-    inner = tmp_path / "inner.json"
-    inner.write_text(json.dumps({"scenarios": [
-        {"name": "gradient", "command": "gradient",
-         "args": ["--group", heis_file, "--phi", phi_file, "--at", "0,0"],
-         "expect": {"seed": {"value": 0.0, "tol": 0.0}}}]}))
-    outer = tmp_path / "outer.json"
-    outer.write_text(json.dumps({"scenarios": [
-        {"name": "nested", "command": "suite", "args": [str(inner)],
-         "expect": {"failed": {"value": 0, "tol": 0}}}]}))
-    assert main(["suite", str(outer), "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report == {"failed": 0, "rows": [{"name": "nested", "pass": True}],
-                      "seed": 0}
-
-
 def test_cone_grid_phi_samples_near_edge(heis_file, tmp_path, capsys):
     # seed 5 draws a point within one difference step of the box edge
     axis = np.linspace(-1.0, 1.0, 17)
@@ -610,3 +593,99 @@ def test_pair_and_sample_budget_rejected_before_allocating(heis_file, phi_file,
     err = capsys.readouterr().err
     assert f"of {count} {unit} exceeds the budget of {MAX_GRID_NODES} {unit}" in err
     assert peak < 2 ** 26
+
+
+def _bad_file_probe(tmp_path, heis_file, phi_file, probe):
+    """argv of one bad-file probe, its files written under tmp_path."""
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        return str(path)
+
+    gradient = ["gradient", "--group", heis_file, "--phi", phi_file, "--at", "0,0"]
+    heis = {"m": 2, "n": 1, "B": [[0.0, 1.0, -1.0, 0.0]], "epsilon": 1.0}
+    domain = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+    if probe == "expect-on-list-value":
+        scn = {"command": "gradient", "args": gradient[1:],
+               "expect": {"gradient": {"value": 1.0, "tol": 0.0}}}
+        return ["suite", write("suite.json", {"scenarios": [scn]})]
+    if probe == "expect-rule-not-object":
+        scn = {"command": "gradient", "args": gradient[1:], "expect": {"seed": 0}}
+        return ["suite", write("suite.json", {"scenarios": [scn]})]
+    if probe == "expect-value-nan":
+        # json reads NaN, and every |got - NaN| > tol is false: it passed
+        scn = {"command": "gradient", "args": gradient[1:],
+               "expect": {"seed": {"value": float("nan")}}}
+        return ["suite", write("suite.json", {"scenarios": [scn]})]
+    if probe == "scenarios-not-list":
+        return ["suite", write("suite.json", {"scenarios": "abc"})]
+    if probe == "suite-runs-itself":
+        path = str(tmp_path / "suite.json")
+        return ["suite", write("suite.json", {"scenarios": [
+            {"command": "suite", "args": [path]}]})]
+    if probe == "group-m-not-integer":
+        return ["group", "validate", write("g.json", {**heis, "m": "x"})]
+    if probe == "group-epsilon-not-number":
+        return ["group", "validate", write("g.json", {**heis, "epsilon": "x"})]
+    if probe == "group-b-not-number":
+        return ["group", "validate",
+                write("g.json", {**heis, "B": [[0.0, "one", -1.0, 0.0]]})]
+    if probe == "domain-bound-not-number":
+        bad = write("phi.json", {"kind": "expr", "expr": "x2",
+                                 "domain": {"lo": ["a", -1.0], "hi": [1.0, 1.0]}})
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    if probe == "grid-values-miss-shape":
+        write("vals.csv", ",".join(["0.5"] * 9))
+        bad = write("phi.json", {"kind": "grid", "domain": domain,
+                                 "grid": {"shape": [4, 4], "values": "vals.csv"}})
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    raise AssertionError(probe)
+
+
+BAD_FILE_PROBES = [
+    ("expect-on-list-value", None, None),
+    ("expect-rule-not-object", errors.ValidationError, "rule must be an object"),
+    ("expect-value-nan", errors.ValidationError, "a finite number 'value'"),
+    ("scenarios-not-list", errors.ValidationError, "a 'scenarios' list"),
+    ("suite-runs-itself", errors.ValidationError, "runs a nested suite"),
+    ("group-m-not-integer", errors.ValidationError, "must be integers"),
+    ("group-epsilon-not-number", errors.EpsilonOutOfRange, "epsilon must be a number"),
+    ("group-b-not-number", errors.ValidationError, "'B' entries must be numbers"),
+    ("domain-bound-not-number", errors.ValidationError, "bounds must be numbers"),
+    ("grid-values-miss-shape", errors.DimensionMismatch, "9 grid values"),
+]
+
+
+@pytest.mark.parametrize("probe, error, message", BAD_FILE_PROBES,
+                         ids=[probe for probe, _, _ in BAD_FILE_PROBES])
+def test_bad_files_are_typed_errors(tmp_path, heis_file, phi_file, capsys, probe,
+                                    error, message):
+    # each of these escaped run() as a TypeError, AttributeError,
+    # RecursionError or ValueError traceback; an expect on a value that is
+    # not a number now fails its scenario like a missing key
+    code, args, report = run(_bad_file_probe(tmp_path, heis_file, phi_file, probe))
+    assert code == 1
+    if error is None:
+        assert report["failed"] == 1 and report["rows"][0]["pass"] is False
+        return
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    with pytest.raises(error):
+        args.fn(args)
+
+
+@pytest.mark.parametrize("command, j", [("characteristics", "1"), ("broadstar", "3")])
+def test_direction_outside_range_exits_1(heis_file, phi_file, w_one_file, capsys,
+                                         command, j):
+    # the RK4 stages no longer check j (they read a rate formed once per
+    # curve), so integrate_characteristic checks it before anything else
+    argv = [command, "--group", heis_file, "--phi", phi_file, "--from", "0,0",
+            "--steps", "16", "--j", j]
+    if command == "broadstar":
+        argv += ["--w", w_one_file]
+    code, args, report = run(argv)
+    assert (code, report) == (1, None)
+    assert "direction index j must be in 2..2" in capsys.readouterr().err
+    with pytest.raises(errors.ValidationError):
+        args.fn(args)

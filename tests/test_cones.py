@@ -10,7 +10,6 @@ from carnot.cones import (
     construct_eta_m2n1,
     eta_verification,
     parallelogram_vertices,
-    plane_reduction,
     sample_cone_points_m2n1,
 )
 from carnot.functions import GraphFunction
@@ -105,27 +104,6 @@ def test_construct_eta_negative_b12():
         assert rep["identity_residual"] <= 1e-12 * max(1.0, abs(p[2]))
         assert rep["angle_slack"][0] >= -1e-12
         assert rep["angle_slack"][1] >= -1e-12
-
-
-def test_plane_reduction_axis_aligned(quat):
-    nu = np.zeros(4)
-    nu[0] = 1.0
-    p = np.zeros(7)
-    p[0] = -1.0
-    p[4:] = 0.01
-    red = plane_reduction(quat, p, nu, 0.8)
-    assert red["xi"] == pytest.approx(1.0)
-    assert np.allclose(red["nu_hat"], nu)
-    assert np.allclose(red["p2_rescaled"], p[4:])
-
-
-def test_plane_reduction_rejects_transverse(quat):
-    nu = np.zeros(4)
-    nu[0] = 1.0
-    p = np.zeros(7)
-    p[1] = 1.0          # horizontal part orthogonal to nu: xi = 0
-    with pytest.raises(errors.PointOutsideCone):
-        plane_reduction(quat, p, nu, 0.8)
 
 
 def test_containment_half_space(heis1):

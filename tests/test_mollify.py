@@ -25,7 +25,7 @@ from carnot.mollify import (
     mollified_indicator,
 )
 from carnot.quadrature import tensor_grid
-from carnot.splitting import _split
+from carnot.splitting import _split, graph_point
 from conftest import embed_base, lift_graph_value, unit_box
 
 # (group fixture, kernel points per axis, expression) for the four groups
@@ -616,5 +616,29 @@ def test_gradient_mass_matches_area(heis1, phi_unit):
     kern = MollifierKernel(heis1, 0.05)
     rep = horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
     area = area_integral(heis1, phi_unit)
-    assert rep["edge_gradient_max"] <= 1e-8
+    assert rep["edge_gradient_max"] == 0.0
     assert abs(rep["mass"] - area) <= 0.03 * area
+
+
+@pytest.mark.parametrize("slope", [0.7, 1.3])
+def test_gradient_mass_window_is_the_support(heis1, slope):
+    # the t-window is the exact support of the integrand, widened by 48/47:
+    # the end nodes sit on its edge, where the gradient is exactly 0
+    phi = GraphFunction.from_expression(f"{slope}*x2", Box([0.0, 0.0], [1.0, 1.0]),
+                                        2, 1)
+    kern = MollifierKernel(heis1, 0.05)
+    rep = horizontal_gradient_mass(heis1, phi, kern, base_per_axis=4)
+    area = area_integral(heis1, phi)
+    assert rep["edge_gradient_max"] == 0.0
+    assert abs(rep["mass"] - area) <= 1e-3 * area
+    # and the window is no wider than the support: 2% inside its edge R,
+    # one side of some base column still sees a gradient
+    reach = rep["window_halfwidth"] * 47.0 / 48.0
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (4, 4))
+    for side in (-1.0, 1.0):
+        t = phi.eval_extended(A) + side * 0.98 * reach
+        grad = horizontal_gradient_mollified(heis1, phi, kern, graph_point(heis1, A, t))
+        if np.any(grad != 0.0):
+            break
+    else:
+        raise AssertionError("no gradient within 2% of the window's edge")

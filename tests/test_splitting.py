@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from carnot import errors
-from carnot.functions import Box, GraphFunction
-from carnot.group import dilate, homogeneous_norm, inverse, multiply
+from carnot.functions import Box, GraphFunction, base_coordinate_names
+from carnot.group import _bracket, dilate, homogeneous_norm, inverse, multiply
 from carnot.splitting import (
     Cone,
     _anchor_terms,
@@ -508,3 +508,32 @@ def test_translate_matches_graph_map_property(all_groups, index, seed, expr):
     phi_q = translate_graph_function(G, phi, q)
     assert np.all(phi_q.in_domain(moved_base))
     np.testing.assert_allclose(phi_q(moved_base), moved_t, rtol=1e-12, atol=1e-12)
+
+
+def _sigma_form_reference(G, phi, b, a):
+    """sigma_phi(b, a) term by term from its coordinate formula."""
+    k = G.m - 1
+    xa, ya = a[..., :k], a[..., k:]
+    xb, yb = b[..., :k], b[..., k:]
+    lin = (xa - xb) @ G.B[:, 0, 1:].T          # sum_l (x_l - x'_l) b^(s)_{1l}
+    cross = _bracket(G._base_bt, xb, xa)       # <B^(s) x', x>
+    inner = ya - yb + phi.eval_extended(b)[..., None] * lin - 0.5 * cross
+    return np.sum(np.sqrt(np.abs(inner)), axis=-1)
+
+
+@pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
+def test_sigma_form_is_the_quasidistance_layer(group_name, request):
+    # sigma_form reads the second layer of the quasi-distance's conjugated
+    # product; it agrees with the coordinate formula up to rounding, which
+    # is relative to max(sigma, 1): a small sigma comes from cancellation
+    # inside |.|, where the terms' own rounding dominates
+    G = request.getfixturevalue(group_name)
+    names = base_coordinate_names(G.m, G.n)
+    phi = GraphFunction.from_expression(f"0.4*{names[0]} + 0.3*sin({names[-1]})",
+                                        unit_box(G.base_dim), G.m, G.n)
+    rng = np.random.default_rng(71)
+    a = phi.domain.sample(1000, rng)
+    b = phi.domain.sample(1000, rng)
+    want = _sigma_form_reference(G, phi, b, a)
+    got = sigma_form(G, phi, b, a)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(want, 1.0))
