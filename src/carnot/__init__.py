@@ -33,7 +33,6 @@ from .group import (
     distance,
     homogeneous_norm,
     inverse,
-    left_invariant_frame,
     make_group,
     multiply,
     standard_group,
@@ -45,7 +44,6 @@ from .mollify import (
     level_set_phi_alpha,
     mollified_indicator,
 )
-from .quadrature import QuadratureGrid
 from .splitting import (
     Cone,
     cone_membership,
@@ -69,7 +67,6 @@ __all__ = [
     "GroupStructure",
     "MollifierKernel",
     "NumericalError",
-    "QuadratureGrid",
     "TestFunction",
     "ValidationError",
     "VectorField",
@@ -94,7 +91,6 @@ __all__ = [
     "intrinsic_derivative",
     "intrinsic_gradient",
     "inverse",
-    "left_invariant_frame",
     "level_set_phi_alpha",
     "lipschitz_along_curve",
     "make_group",

@@ -16,9 +16,9 @@ import numpy as np
 from .calculus import intrinsic_gradient
 from .errors import OutOfDomain
 from .quadrature import (
-    QuadratureGrid,
     check_work_budget,
     default_points_per_axis,
+    midpoint_rule,
     richardson_order,
 )
 from .splitting import project_splitting
@@ -53,14 +53,13 @@ def area_integral(G, phi, w=None, points_per_axis=None):
     box = phi.domain
     if points_per_axis is None:
         points_per_axis = default_points_per_axis(box.dim)
-    grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
-    pts = grid.points()
+    pts, cell = midpoint_rule(box.lo, box.hi, points_per_axis)
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
         chunk = pts[start:start + _POINT_CHUNK]
         w_vals = w(chunk) if w is not None else intrinsic_gradient(G, phi, chunk)
         values[start:start + _POINT_CHUNK] = area_integrand(w_vals)
-    return grid.integrate(values)
+    return float(np.sum(values) * cell)
 
 
 def area_report(G, phi, points_per_axis=None):
@@ -88,9 +87,10 @@ def area_report(G, phi, points_per_axis=None):
 def subgraph_indicator(G, phi, p):
     """1 when the point lies strictly below the graph, else 0; a point whose
     projected base point is outside phi's domain raises OutOfDomain."""
-    if not np.all(phi.in_domain(project_splitting(G, p)[0])):
+    base, t = project_splitting(G, p)
+    if not np.all(phi.in_domain(base)):
         raise OutOfDomain("projected base point outside the graph domain")
-    return subgraph_indicator_extended(G, phi, p)
+    return (t < phi.eval_extended(base)).astype(float)
 
 
 def subgraph_indicator_extended(G, phi, p):

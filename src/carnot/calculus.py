@@ -17,7 +17,9 @@ B^(s)) d/dy_s to coordinate gradients for all j = 2..m at once, summing its
 vertical terms one index s at a time, so no (points, m-1, n) array is
 formed: with value = phi it is the analytic intrinsic gradient (and D_j phi
 is its column j - 2), with value = 0 the frame derivatives X_j of a test
-function on the base.
+function on the base, and with value = x_1/2 the left-invariant fields
+X_2..X_m of the group.  The graph gradient -(X_2 f, ..., X_m f) / X_1 f of
+a level set {f = c} is formed once, by ``_graph_gradient``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import group as gp
 from .errors import (
     DegenerateHorizontalGradient,
     OutOfDomain,
@@ -34,7 +35,7 @@ from .errors import (
     SupportNotCovered,
     ValidationError,
 )
-from .quadrature import QuadratureGrid, default_points_per_axis
+from .quadrature import default_points_per_axis, midpoint_rule
 
 HORIZONTAL_GRADIENT_FLOOR = 1e-12
 
@@ -149,17 +150,26 @@ def gradient_from_defining_function(G, f_grad, p):
     """Intrinsic gradient from a defining function via its horizontal frame
     derivatives: -(X_2 f / X_1 f, ..., X_m f / X_1 f) at p.
 
-    ``f_grad(p)`` must return coordinate gradients of f, shape (..., m+n);
-    they are converted to frame derivatives with the left-invariant frame.
+    ``f_grad(p)`` must return coordinate gradients of f, shape (..., m+n).
+    X_j f, j >= 2, is the frame of :func:`_frame_apply` on (x-hat, y) with
+    value x_1/2, the term 1/2 x_1 b^(s)_{j1} of X_j; X_1 f = d_1 f +
+    sum_s drift_s d_{y_s} f, its drift free of x_1 as b^(s)_{11} = 0.
     """
     p = np.asarray(p, dtype=float)
     grad = np.asarray(f_grad(p), dtype=float)
-    Xf = gp.frame_derivatives(G, p, grad)[..., :G.m]
-    x1f = Xf[..., 0]
+    xf = _frame_apply(G, p[..., 1:], 0.5 * p[..., 0], grad[..., 1:])
+    x1f = grad[..., 0] + np.sum(_drift(G, 1, p[..., 1:]) * grad[..., G.m:], axis=-1)
+    return _graph_gradient(x1f, xf)
+
+
+def _graph_gradient(x1f, xf):
+    """-xf / X_1 f, the intrinsic gradient of the level set {f = c} as a
+    graph over the base (implicit function theorem), from X_1 f and
+    (X_2 f, ..., X_m f) on the last axis of ``xf``."""
     if np.any(np.abs(x1f) <= HORIZONTAL_GRADIENT_FLOOR):
         raise DegenerateHorizontalGradient(
             "X_1 f vanishes at an evaluation point; the graph direction is degenerate")
-    return -Xf[..., 1:] / x1f[..., None]
+    return -xf / x1f[..., None]
 
 
 @dataclass(frozen=True)
@@ -218,10 +228,9 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     box = phi.domain
     if points_per_axis is None:
         points_per_axis = default_points_per_axis(box.dim)
-    grid = QuadratureGrid(box.lo, box.hi, (points_per_axis,) * box.dim)
+    pts, cell = midpoint_rule(box.lo, box.hi, points_per_axis)
     if not zeta.supported_inside(box):
         raise SupportNotCovered("test function support is not inside the domain box")
-    pts = grid.points()
     phi_v = phi.eval_extended(pts)
     zg = zeta.gradient(pts)
     zv = zeta.value(pts)
@@ -233,4 +242,4 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
     w_v = w(pts)
     total = integrand + w_v * zv[..., None]
-    return np.array([grid.integrate(total[..., j]) for j in range(G.m - 1)])
+    return np.array([float(np.sum(total[..., j]) * cell) for j in range(G.m - 1)])

@@ -162,7 +162,7 @@ def _pairwise_sup_slope(t, v):
     return best
 
 
-def sup_w_estimate(G, phi, w_j, curve):
+def sup_w_estimate(w_j, curve):
     """||w_j||_inf over the curve's bounding box: sampled max over the curve
     points plus a 5-per-axis box grid, inflated by 5% (an essential sup
     cannot be computed exactly)."""
@@ -208,7 +208,7 @@ def lipschitz_along_curve(G, curve, phi, w_j=None, holder_constant=None):
     if holder_constant is None:
         holder_constant = _curve_holder_constant(G, phi, curve)
     measured = _pairwise_sup_slope(curve.t_grid, curve.phi_along)
-    w_inf = sup_w_estimate(G, phi, w_j, curve)
+    w_inf = sup_w_estimate(w_j, curve)
     col_sum = float(np.sum(np.abs(G.B[:, curve.j - 1, 0])))
     bound = w_inf + (1.0 + np.sqrt(2.0)) / 2.0 * holder_constant ** 2 * col_sum
     return {

@@ -303,29 +303,6 @@ def _calibrated_epsilon(m, n, b_bytes):
     return calibrate_epsilon(GroupStructure(m=m, n=n, B=B))
 
 
-def left_invariant_frame(G, p):
-    """Coefficient matrix of the left-invariant frame at p.
-
-    Row j (j < m) holds the coordinate coefficients of the horizontal field
-    X_j = d/dx_j + 1/2 sum_s (B^(s) x)_j d/dy_s; rows m..m+n-1 are the
-    vertical fields Y_s = d/dy_s.  Applying the matrix to a coordinate
-    gradient yields the frame derivatives (X_1 f, ..., Y_n f).
-    """
-    x, _ = split_layers(G, p)
-    F = np.zeros(x.shape[:-1] + (G.dim, G.dim))
-    idx = np.arange(G.dim)
-    F[..., idx, idx] = 1.0
-    # coefficient of d/dy_s in X_j is (B^(s) x)_j / 2
-    F[..., :G.m, G.m:] = 0.5 * np.einsum("sij,...j->...is", G.B, x)
-    return F
-
-
-def frame_derivatives(G, p, euclid_grad):
-    """Convert coordinate gradients at p into frame derivatives (X_j f, Y_s f)."""
-    F = left_invariant_frame(G, p)
-    return np.einsum("...ij,...j->...i", F, np.asarray(euclid_grad, dtype=float))
-
-
 # -- JSON interface ------------------------------------------------------------
 
 def group_from_dict(data):
@@ -334,11 +311,9 @@ def group_from_dict(data):
         m, n, rows = data["m"], data["n"], data["B"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"group definition missing field: {exc}") from exc
-    try:
-        m, n = int(m), int(n)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"group 'm' and 'n' must be integers, got {m!r} and {n!r}") from None
+    # a JSON integer only: int() would read 2.7, "2" and true as counts
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (m, n)):
+        raise ValidationError(f"group 'm' and 'n' must be integers, got {m!r} and {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise DimensionMismatch(f"'B' must be a list of {n} matrices")
     mats = []

@@ -48,14 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _intrinsic_gradient, intrinsic_gradient
-from .errors import (
-    DegenerateHorizontalGradient,
-    NonFiniteState,
-    QuadratureUnderflow,
-    ValidationError,
-)
-from .quadrature import check_work_budget, tensor_grid
+from .calculus import _graph_gradient, _intrinsic_gradient, intrinsic_gradient
+from .errors import NonFiniteState, QuadratureUnderflow, ValidationError
+from .quadrature import check_work_budget, midpoint_rule, tensor_grid
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
@@ -150,8 +145,7 @@ class MollifierKernel:
         k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
-        nodes = tensor_grid(-half, half, (k,) * G.dim)
-        cell = float(np.prod(2.0 * half / k))
+        nodes, cell = midpoint_rule(-half, half, k)
         # continuum normalizer: the profile factorizes into two radial bumps
         z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
         rho = self._profile(nodes) / z / a ** G.homogeneous_dimension
@@ -348,11 +342,7 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set."""
     pts = graph_point(G, A, phi_alpha_values)
     grad = horizontal_gradient_mollified(G, phi, kernel, pts)
-    x1f = grad[..., 0]
-    if np.any(np.abs(x1f) <= 1e-14):
-        raise DegenerateHorizontalGradient(
-            "X_1 f_alpha vanishes on the extracted level set")
-    return -grad[..., 1:] / x1f[..., None]
+    return _graph_gradient(grad[..., 0], grad[..., 1:])
 
 
 def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
@@ -428,7 +418,7 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     R * 48/47 puts both end nodes, at distance R from phi(a), outside it:
     ``edge_gradient_max`` reports the gradient there.
     """
-    A = tensor_grid(phi.domain.lo, phi.domain.hi, (base_per_axis,) * phi.domain.dim)
+    A, cell_base = midpoint_rule(phi.domain.lo, phi.domain.hi, base_per_axis)
     phi_vals = phi.eval_extended(A)
     rows = graph_point(G, A, 0.0)
     spread = 0.0
@@ -441,7 +431,6 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     t_points = 48
     reach = spread + 0.5 * kernel.subcell_width + kernel.alpha * _SLOPE_STEP
     half = reach * t_points / (t_points - 1)
-    cell_base = float(np.prod((phi.domain.hi - phi.domain.lo) / base_per_axis))
     dt = 2.0 * half / t_points
     total = 0.0
     edge_max = 0.0

@@ -2,7 +2,7 @@
 
 The midpoint rule is order 2, has positive weights, and its nodes never touch
 box boundaries, which keeps integrands with boundary singularities usable.
-All multi-dimensional integrals in the package run through these grids so
+Every midpoint weight in the package comes from :func:`midpoint_rule`, so
 that refinement studies are comparable across modules, and every tensor grid
 of sample points is built by :func:`tensor_grid`.  One work budget,
 :func:`check_work_budget`, caps grid nodes and every other count that sizes
@@ -12,7 +12,6 @@ an array (sampled pairs, cone samples, RK4 rows).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,8 @@ def tensor_grid(lo, hi, shape, nodes="midpoint"):
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     shape = tuple(int(k) for k in shape)
+    if any(k < 1 for k in shape):
+        raise ValidationError("shape must give a positive count per axis")
     check_work_budget(math.prod(shape), "tensor grid", "nodes")
     if nodes == "midpoint":
         h = (hi - lo) / np.asarray(shape, dtype=float)
@@ -71,50 +72,14 @@ def default_points_per_axis(dim):
     return 8
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Midpoint rule on an axis-aligned box with uniform spacing per axis."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    shape: tuple
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValidationError("lo and hi must be 1-D arrays of equal length")
-        if np.any(hi <= lo):
-            raise ValidationError("box must have positive extent on every axis")
-        shape = tuple(int(k) for k in np.atleast_1d(self.shape))
-        if len(shape) == 1 and lo.size > 1:
-            shape = shape * lo.size
-        if len(shape) != lo.size or any(k < 1 for k in shape):
-            raise ValidationError("shape must give a positive count per axis")
-        check_work_budget(math.prod(shape), "tensor grid", "nodes")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "shape", shape)
-
-    @property
-    def dim(self):
-        return self.lo.size
-
-    @property
-    def spacing(self):
-        return (self.hi - self.lo) / np.asarray(self.shape, dtype=float)
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.spacing))
-
-    def points(self):
-        """All nodes as an (N, dim) array (C order)."""
-        return tensor_grid(self.lo, self.hi, self.shape)
-
-    def integrate(self, values):
-        """Integrate nodal values (shape == grid shape or flat)."""
-        return float(np.sum(values) * self.cell_volume)
+def midpoint_rule(lo, hi, per_axis):
+    """Composite midpoint rule on the box [lo, hi] with ``per_axis`` cells
+    on every axis: the (N, d) nodes of :func:`tensor_grid` and the volume
+    of one cell, the weight of each node."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    nodes = tensor_grid(lo, hi, (per_axis,) * lo.size)
+    return nodes, float(np.prod((hi - lo) / per_axis))
 
 
 def richardson_order(coarse, mid, fine):

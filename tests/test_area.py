@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from carnot import errors
+from carnot import errors, splitting
 from carnot.area import (
     area_integral,
     area_report,
@@ -87,6 +89,18 @@ def test_subgraph_indicator_above_below(heis1, phi_x2):
 def test_subgraph_indicator_out_of_domain(heis1, phi_x2):
     with pytest.raises(errors.OutOfDomain):
         subgraph_indicator(heis1, phi_x2, np.array([0.0, 5.0, 0.0]))
+
+
+def test_subgraph_indicator_splits_once(heis1, phi_x2):
+    # one split serves the domain check and the value
+    p = graph_map(heis1, phi_x2, np.array([0.25, -0.3]))
+    below = multiply(heis1, p, lift_graph_value(heis1, np.array(-0.5)))
+    with mock.patch("carnot.splitting._split", wraps=splitting._split) as split:
+        assert subgraph_indicator(heis1, phi_x2, below) == 1.0
+        assert split.call_count == 1
+        with pytest.raises(errors.OutOfDomain):
+            subgraph_indicator(heis1, phi_x2, np.array([0.0, 5.0, 0.0]))
+        assert split.call_count == 2
 
 
 def test_normal_consistency_with_defining_function(heis1):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,15 +8,18 @@ from scipy.optimize import brentq
 
 from carnot import errors
 from carnot.calculus import (
+    HORIZONTAL_GRADIENT_FLOOR,
     TestFunction,
     _frame_apply,
+    _graph_gradient,
     distributional_residual,
     gradient_from_defining_function,
     intrinsic_derivative,
     intrinsic_gradient,
 )
 from carnot.functions import Box, GraphFunction, VectorField, base_coordinate_names
-from carnot.quadrature import QuadratureGrid, richardson_order
+from carnot.mollify import MollifierKernel, intrinsic_gradient_of_level_set
+from carnot.quadrature import midpoint_rule, richardson_order
 from carnot.group import multiply
 
 from conftest import embed_base, lift_graph_value, unit_box
@@ -111,6 +116,59 @@ def test_gradient_degenerate(heis1):
         gradient_from_defining_function(heis1, grad_f, np.zeros(3))
 
 
+def test_gradient_from_defining_function_heisenberg_frame(heis1):
+    # f = x1 - c y: X1 f = 1 - c x2/2 and X2 f = c x1/2 (X1 = d/dx1 + x2/2
+    # d/dy, X2 = d/dx2 - x1/2 d/dy), so both frame rows enter the quotient
+    c = 0.8
+
+    def grad_f(p):
+        g = np.zeros(p.shape)
+        g[..., 0] = 1.0
+        g[..., 2] = -c
+        return g
+
+    p = np.random.default_rng(5).uniform(-1.5, 1.5, size=(200, 3))
+    w = gradient_from_defining_function(heis1, grad_f, p)
+    want = -(c * p[:, 0] / 2.0) / (1.0 - c * p[:, 1] / 2.0)
+    assert w.shape == (200, 1)
+    assert np.allclose(w[:, 0], want, rtol=1e-14, atol=1e-15)
+    single = gradient_from_defining_function(heis1, grad_f, p[7])
+    assert single.shape == (1,) and np.allclose(single, want[7], rtol=1e-14)
+
+
+def test_gradient_from_defining_function_at_origin(all_groups):
+    # the frame is the coordinate frame at 0: -grad_xhat f / d_1 f exactly
+    rng = np.random.default_rng(9)
+    for G in all_groups:
+        grad = rng.uniform(-2.0, 2.0, size=G.dim)
+        grad[0] = 1.5
+        w = gradient_from_defining_function(G, lambda p: grad, np.zeros(G.dim))
+        assert np.array_equal(w, -grad[1:G.m] / grad[0])
+
+
+def test_graph_gradient_floor_on_both_routes(heis1):
+    # |X_1 f| = 5e-13 lies below the one floor, on the defining-function
+    # route and on the mollified level set alike
+    x1f = 5e-13
+    assert x1f <= HORIZONTAL_GRADIENT_FLOOR
+    with pytest.raises(errors.DegenerateHorizontalGradient):
+        _graph_gradient(np.array([x1f]), np.array([[1.0]]))
+
+    def grad_f(p):
+        return np.array([x1f, 1.0, 0.0])
+
+    with pytest.raises(errors.DegenerateHorizontalGradient):
+        gradient_from_defining_function(heis1, grad_f, np.zeros(3))
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    phi = GraphFunction.from_expression("x2", box, 2, 1)
+    kern = MollifierKernel(heis1, 0.2, points_per_axis=4)
+    with mock.patch("carnot.mollify.horizontal_gradient_mollified",
+                    return_value=np.array([[x1f, 1.0]])):
+        with pytest.raises(errors.DegenerateHorizontalGradient):
+            intrinsic_gradient_of_level_set(heis1, phi, kern, np.array([[0.5, 0.5]]),
+                                            np.array([0.5]))
+
+
 def _extract_graph_coordinate(G, f, a, bracket=(-10.0, 10.0)):
     """Root-find the graph coordinate of {f = 0} over base point a."""
     def section(t):
@@ -200,14 +258,14 @@ def test_residual_detects_wrong_w(heis1):
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     zeta = TestFunction([0.5, 0.5], 0.4)
-    grid = QuadratureGrid(box.lo, box.hi, (128, 128))
+    pts, cell = midpoint_rule(box.lo, box.hi, 128)
     good = abs(distributional_residual(
         heis1, phi, VectorField.constant([1.0], box), zeta, 128)[0])
     bad = abs(distributional_residual(
         heis1, phi, VectorField.constant([0.0], box), zeta, 128)[0])
     # wrong datum leaves the integral of zeta, far above the true residual
     assert bad > 10.0 * good
-    assert bad == pytest.approx(grid.integrate(zeta.value(grid.points())), rel=1e-6)
+    assert bad == pytest.approx(np.sum(zeta.value(pts)) * cell, rel=1e-6)
 
 
 def test_residual_smooth_solution_refines_to_zero(heis1):

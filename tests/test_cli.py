@@ -625,6 +625,12 @@ def _bad_file_probe(tmp_path, heis_file, phi_file, probe):
             {"command": "suite", "args": [path]}]})]
     if probe == "group-m-not-integer":
         return ["group", "validate", write("g.json", {**heis, "m": "x"})]
+    if probe == "group-m-float":
+        return ["group", "validate", write("g.json", {**heis, "m": 2.7})]
+    if probe == "group-n-string":
+        return ["group", "validate", write("g.json", {**heis, "n": "1"})]
+    if probe == "group-m-bool":
+        return ["group", "validate", write("g.json", {**heis, "m": True})]
     if probe == "group-epsilon-not-number":
         return ["group", "validate", write("g.json", {**heis, "epsilon": "x"})]
     if probe == "group-b-not-number":
@@ -649,6 +655,9 @@ BAD_FILE_PROBES = [
     ("scenarios-not-list", errors.ValidationError, "a 'scenarios' list"),
     ("suite-runs-itself", errors.ValidationError, "runs a nested suite"),
     ("group-m-not-integer", errors.ValidationError, "must be integers"),
+    ("group-m-float", errors.ValidationError, "must be integers"),
+    ("group-n-string", errors.ValidationError, "must be integers"),
+    ("group-m-bool", errors.ValidationError, "must be integers"),
     ("group-epsilon-not-number", errors.EpsilonOutOfRange, "epsilon must be a number"),
     ("group-b-not-number", errors.ValidationError, "'B' entries must be numbers"),
     ("domain-bound-not-number", errors.ValidationError, "bounds must be numbers"),

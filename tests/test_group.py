@@ -13,7 +13,6 @@ from carnot.group import (
     group_from_dict,
     homogeneous_norm,
     inverse,
-    left_invariant_frame,
     make_group,
     multiply,
     standard_group,
@@ -193,21 +192,6 @@ def test_calibrate_epsilon_monotone(heis1):
     q = _sample_unit_ball(heis1, 5000, rng)
     assert triangle_violations(heis1, p, q, epsilon=eps) == 0
     assert triangle_violations(heis1, p, q, epsilon=eps / 2) == 0
-
-
-def test_left_invariant_frame_heisenberg(heis1):
-    x1, x2, y = 0.4, -1.3, 0.7
-    F = left_invariant_frame(heis1, [x1, x2, y])
-    # X1 = d/dx1 + (x2/2) d/dy, X2 = d/dx2 - (x1/2) d/dy, Y = d/dy
-    assert np.allclose(F[0], [1.0, 0.0, x2 / 2.0])
-    assert np.allclose(F[1], [0.0, 1.0, -x1 / 2.0])
-    assert np.allclose(F[2], [0.0, 0.0, 1.0])
-
-
-def test_left_invariant_frame_origin(all_groups):
-    for G in all_groups:
-        F = left_invariant_frame(G, np.zeros(G.dim))
-        assert np.array_equal(F, np.eye(G.dim))
 
 
 def test_group_json_roundtrip(heis1):

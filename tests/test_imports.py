@@ -37,6 +37,12 @@ print(json.dumps({"codes": codes, "steps": steps}))
 """
 
 
+def test_every_export_resolves():
+    # a name left in __all__ after its object is deleted would dangle
+    for name in carnot.__all__:
+        assert hasattr(carnot, name), name
+
+
 def test_heavy_imports_load_on_first_use():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -620,6 +620,12 @@ def test_gradient_mass_matches_area(heis1, phi_unit):
     assert abs(rep["mass"] - area) <= 0.03 * area
 
 
+@pytest.mark.parametrize("base_per_axis", [0, -2])
+def test_gradient_mass_rejects_empty_base_grid(heis1, phi_unit, kernel01, base_per_axis):
+    with pytest.raises(errors.ValidationError, match="positive count per axis"):
+        horizontal_gradient_mass(heis1, phi_unit, kernel01, base_per_axis=base_per_axis)
+
+
 @pytest.mark.parametrize("slope", [0.7, 1.3])
 def test_gradient_mass_window_is_the_support(heis1, slope):
     # the t-window is the exact support of the integrand, widened by 48/47:
