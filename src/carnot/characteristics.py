@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
-from .calculus import _check_direction, _drift, frozen_coefficients
+from .calculus import _check_direction, _drift, _frozen_coefficients, frozen_coefficients
 from .quadrature import check_work_budget, tensor_grid
 
 
@@ -129,10 +129,8 @@ def flux_values(G, j, xhat, phi_values):
     """Conserved fluxes f_s(phi) = (b^(s)_{j1} phi^2 + phi sum_l b^(s)_{jl} x_l)/2."""
     xhat = np.asarray(xhat, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
-    col = G.B[:, j - 1, 0]
-    drift = xhat @ G.B[:, j - 1, 1:].T
-    return 0.5 * (col * phi_values[..., None] ** 2
-                  + phi_values[..., None] * drift)
+    # phi times the frozen coefficients with phi/2 in place of phi
+    return phi_values[..., None] * _frozen_coefficients(G, j, xhat, 0.5 * phi_values)
 
 
 def broadstar_residual(curve, phi, w_j):

@@ -20,7 +20,7 @@ inside the subgraph, exactly 0 far above it (phi read through its
 extension beyond its box).  Right multiplication by s e1 moves only the
 V-part of the splitting G = W * V, so g at p * (s e1) is g at p minus s,
 and one table of g per batch of points (one split and one phi evaluation
-per point and node) serves:
+per point and node, ``_ramp_table``) serves f_alpha and:
 
 * the level set.  A section f(t) = sum_k w_k r_k(g_k - t) / sum w is
   nonincreasing and linear between its 2K kinks g_k -+ delta/2, 1 at the
@@ -38,7 +38,10 @@ per point and node) serves:
   beta = [r(g + h) - r(g - h)] / 2h, X_j f_alpha = sum_k w_k beta_k X_j g_k
   / sum w, a kernel mean of the intrinsic gradient over the ramp band; X_1
   f_alpha is the central difference along e1.  A node with g on a kink
-  -+delta/2 gets half the weight of one inside the band.
+  -+delta/2 gets half the weight of one inside the band.  At p * (s e1)
+  the ramps are read at g - s and X_j g is frozen at t + s.
+* the gradient mass: its t-window and all 48 t-slices, from the table on
+  the base rows i(a) (``horizontal_gradient_mass``).
 """
 
 from __future__ import annotations
@@ -204,26 +207,28 @@ class MollifierKernel:
 def _node_chunks(kernel, count, limit=None):
     """Ranges of nonzero kernel nodes holding at most ``limit`` (default
     ``_BATCH_OPS_LIMIT``) point-node pairs for ``count`` points."""
-    limit = _BATCH_OPS_LIMIT if limit is None else limit
-    chunk = max(1, limit // max(count, 1))
+    chunk = max(1, (limit or _BATCH_OPS_LIMIT) // max(count, 1))
     size = kernel._conv_weights.size
     return [(start, min(start + chunk, size)) for start in range(0, size, chunk)]
 
 
-def _ramp_arguments(G, phi, kernel, P, start, stop, out=None):
-    """g = phi(base(u^-1 p)) - t(u^-1 p) for every row p of P and every
-    nonzero node u start..stop-1, as a (P, stop - start) array written to
-    ``out`` if given: one split and one phi evaluation per (point, node)."""
-    base, t = _split(G, kernel._conv_terms, P, start, stop)
-    # a fresh array (or out), so that phi's own result is never written
-    return np.subtract(phi.eval_extended(base), t, out=out)
+def _ramp_table(G, phi, kernel, P, limit=None):
+    """Per chunk of ``_node_chunks``: its slice of nodes u, (base, t) of
+    u^-1 p for every row p of P, and g = phi(base) - t, a fresh array (not
+    phi's result) the caller may overwrite; a non-finite g raises NonFiniteState."""
+    for start, stop in _node_chunks(kernel, P.shape[0], limit):
+        base, t = _split(G, kernel._conv_terms, P, start, stop)
+        g = np.subtract(phi.eval_extended(base), t)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteState("phi is not finite within the kernel's reach of a point")
+        yield slice(start, stop), base, t, g
 
 
 def _ramp(g, delta, shift, out=None):
     """The ramps r = clip((g - shift)/delta + 1/2, 0, 1) at p * (shift e1),
-    formed in ``out`` (default a fresh array); ``shift`` is a scalar or one
-    value per row of g, and a shift of 0 leaves g bitwise as it is."""
-    frac = np.subtract(g, np.reshape(shift, (-1, 1)), out=out)
+    formed in ``out`` (default a fresh array); ``shift`` is a scalar or a
+    column of one value per row of g, and a shift of 0 leaves g as it is."""
+    frac = np.subtract(g, shift, out=out)
     frac /= delta
     frac += 0.5
     return np.clip(frac, 0.0, 1.0, out=frac)
@@ -246,10 +251,9 @@ def mollified_indicator(G, phi, kernel, p):
     P = np.atleast_2d(p)
     below = np.zeros(P.shape[0])
     above = np.zeros_like(below)
-    for start, stop in _node_chunks(kernel, P.shape[0]):
-        g = _ramp_arguments(G, phi, kernel, P, start, stop)
-        b, a = _ramp_sums(g, kernel._conv_weights[start:stop],
-                          kernel.subcell_width, 0.0, out=g)
+    for nodes, _, _, g in _ramp_table(G, phi, kernel, P):
+        b, a = _ramp_sums(g, kernel._conv_weights[nodes], kernel.subcell_width, 0.0,
+                          out=g)
         below += b
         above += a
     # the share of kernel weight below the graph: exactly 1 (0) where every
@@ -258,24 +262,33 @@ def mollified_indicator(G, phi, kernel, p):
     return float(out[0]) if p.ndim == 1 else out
 
 
+def _shifted_gradient(G, phi, kernel, P, shifts):
+    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, len(shifts), m),
+    for every row p of P and every s in ``shifts`` (a scalar or a (P, 1)
+    column), read off one table of g on P (module docstring)."""
+    h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
+    out = np.zeros((P.shape[0], len(shifts), G.m))
+    for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+        # beta holds 2h w_k beta_k, scratch the second ramp and then t + s
+        # (in g's own buffer when g serves one shift only)
+        beta = np.empty_like(g)
+        scratch = np.empty_like(g) if len(shifts) > 1 else g
+        for i, s in enumerate(shifts):
+            _ramp(g, delta, s - h, out=beta)
+            beta -= _ramp(g, delta, s + h, out=scratch)
+            beta *= kernel._conv_weights[nodes]
+            out[:, i, 0] -= np.sum(beta, axis=-1)
+            xg = _intrinsic_gradient(G, phi, base, np.add(t, s, out=scratch))
+            out[:, i, 1:] += np.matmul(beta[:, None, :], xg)[:, 0]
+    out /= 2.0 * h * np.sum(kernel._conv_weights)
+    return out
+
+
 def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
     p = np.asarray(p, dtype=float)
-    P = np.atleast_2d(p)
-    h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    out = np.zeros((P.shape[0], G.m))
-    for start, stop in _node_chunks(kernel, P.shape[0], _GRADIENT_OPS_LIMIT):
-        base, t = _split(G, kernel._conv_terms, P, start, stop)
-        g = np.subtract(phi.eval_extended(base), t)
-        # 2h w_k beta_k, the second ramp formed in g's own buffer
-        beta = _ramp(g, delta, -h)
-        beta -= _ramp(g, delta, h, out=g)
-        beta *= kernel._conv_weights[start:stop]
-        out[:, 0] -= np.sum(beta, axis=-1)
-        xg = _intrinsic_gradient(G, phi, base, t)
-        out[:, 1:] += np.matmul(beta[:, None, :], xg)[:, 0]
-    out /= 2.0 * h * np.sum(kernel._conv_weights)
+    out = _shifted_gradient(G, phi, kernel, np.atleast_2d(p), [0.0])[:, 0]
     return out[0] if p.ndim == 1 else out
 
 
@@ -297,12 +310,8 @@ def _section_roots(G, phi, kernel, c_level, A):
     count, size = A.shape[0], kernel._conv_weights.size
     w, delta = kernel._conv_weights, kernel.subcell_width
     g = np.empty((count, size))
-    base_points = graph_point(G, A, 0.0)
-    for start, stop in _node_chunks(kernel, count):
-        _ramp_arguments(G, phi, kernel, base_points, start, stop,
-                        out=g[:, start:stop])
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteState("phi is not finite within the kernel's reach of a section")
+    for nodes, _, _, g_chunk in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
+        g[:, nodes] = g_chunk
     # each row's kinks in order: the sorted g -+ delta/2, merged; the search
     # keeps f(kinks[lo]) > c >= f(kinks[hi]) on neighbouring kinks at the end
     kinks = np.empty((count, 2 * size))
@@ -324,7 +333,7 @@ def _section_roots(G, phi, kernel, c_level, A):
             break
         mid = (lo[todo] + hi[todo]) // 2
         below, above = _ramp_sums(g if todo.size == count else g[todo], w, delta,
-                                  kinks[todo, mid], out=frac[:todo.size])
+                                  kinks[todo, mid, None], out=frac[:todo.size])
         f = below / (below + above)
         evals += todo.size
         up = f > c_level
@@ -332,7 +341,7 @@ def _section_roots(G, phi, kernel, c_level, A):
         hi[todo[~up]], f_hi[todo[~up]] = mid[~up], f[~up]
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
-    below, above = _ramp_sums(g, w, delta, roots, out=frac)
+    below, above = _ramp_sums(g, w, delta, roots[:, None], out=frac)
     residual = float(np.max(np.abs(below / (below + above) - c_level)))
     return roots, evals + count, residual
 
@@ -361,11 +370,9 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     alphas = sorted(float(al) for al in alpha_list)
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
-    if grid_per_axis < 1:
-        raise ValidationError(f"grid_per_axis must be at least 1, got {grid_per_axis}")
-    # the root finder keeps one ramp argument per grid point and nonzero
-    # kernel node; checked before any grid, gradient or kernel is built
-    check_work_budget(grid_per_axis ** phi.domain.dim
+    # one ramp argument per grid point and nonzero kernel node, checked
+    # before anything is built; tensor_grid rejects a count below 1
+    check_work_budget(max(grid_per_axis, 0) ** phi.domain.dim
                       * _nonzero_node_count(G, points_per_axis),
                       "the level-set ramp table", "point-node pairs")
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
@@ -416,29 +423,23 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     slopes beta are 0 beyond).  So |t - phi(a)| < R, R = max_{a,k}
     |g_k(i(a)) - phi(a)| + delta/2 + h, holds the support, and half =
     R * 48/47 puts both end nodes, at distance R from phi(a), outside it:
-    ``edge_gradient_max`` reports the gradient there.
+    ``edge_gradient_max`` reports the gradient there, exactly 0.  The table
+    of g on the rows i(a), within the work budget, serves all 48 slices.
     """
     A, cell_base = midpoint_rule(phi.domain.lo, phi.domain.hi, base_per_axis)
+    check_work_budget(len(A) * kernel._conv_weights.size,
+                      "the gradient-mass ramp table", "point-node pairs")
     phi_vals = phi.eval_extended(A)
     rows = graph_point(G, A, 0.0)
-    spread = 0.0
-    for start, stop in _node_chunks(kernel, len(A)):
-        g = _ramp_arguments(G, phi, kernel, rows, start, stop)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteState("phi is not finite within the kernel's reach of a base point")
-        g -= phi_vals[:, None]
-        spread = max(spread, float(np.max(np.abs(g))))
+    spread = max(float(np.max(np.abs(g - phi_vals[:, None])))
+                 for *_, g in _ramp_table(G, phi, kernel, rows))
     t_points = 48
     reach = spread + 0.5 * kernel.subcell_width + kernel.alpha * _SLOPE_STEP
-    half = reach * t_points / (t_points - 1)
+    # R widened by a relative 1e-12, so that the rounding of the shifts
+    # phi(a) -+ R cannot bring an end node's ramps off their saturated values
+    half = reach * (1.0 + 1e-12) * t_points / (t_points - 1)
     dt = 2.0 * half / t_points
-    total = 0.0
-    edge_max = 0.0
-    for k in range(t_points):
-        t = phi_vals - half + (k + 0.5) * dt
-        grad = horizontal_gradient_mollified(G, phi, kernel, graph_point(G, A, t))
-        mags = np.linalg.norm(grad, axis=-1)
-        if k == 0 or k == t_points - 1:
-            edge_max = max(edge_max, float(np.max(mags)))
-        total += float(np.sum(mags)) * dt * cell_base
-    return {"mass": total, "window_halfwidth": half, "edge_gradient_max": edge_max}
+    shifts = [phi_vals[:, None] - half + (k + 0.5) * dt for k in range(t_points)]
+    mags = np.linalg.norm(_shifted_gradient(G, phi, kernel, rows, shifts), axis=-1)
+    return {"mass": float(np.sum(mags)) * dt * cell_base, "window_halfwidth": half,
+            "edge_gradient_max": float(np.max(mags[:, [0, -1]]))}

@@ -329,7 +329,7 @@ def test_default_grid_follows_base_dimension(tmp_path, capsys):
     assert len(report["residual"]) == 3
 
 
-@pytest.mark.parametrize("command", ["area", "residual"])
+@pytest.mark.parametrize("command", ["area", "residual", "mollify"])
 def test_zero_grid_rejected(monkeypatch, capsys, command):
     # --grid 0 reaches the quadrature grid, which rejects it, instead of
     # falling back to the default grid

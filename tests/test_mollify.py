@@ -524,12 +524,22 @@ def test_level_set_root_at_left_end_of_flat_interval(heis1):
     assert before > 0.5
 
 
-def test_level_set_rejects_non_finite_phi(heis1, kernel01):
-    # a NaN in the ramp table is reported before the kinks are sorted
+@pytest.mark.parametrize("call", ["indicator", "gradient", "level_set", "gradient_mass"])
+def test_level_set_rejects_non_finite_phi(heis1, kernel01, call):
+    # a NaN in the ramp table is reported by every pass that reads it, not
+    # returned as a NaN f_alpha or gradient
     phi = GraphFunction.from_callable(
         lambda a: np.where(a[..., 0] > 0.9, np.nan, a[..., 0]), unit_box(2))
+    A = np.array([[0.1, 0.2], [0.85, 0.2]])
+    P = section_point(heis1, A, phi.eval_extended(A))
+    passes = {
+        "indicator": lambda: mollified_indicator(heis1, phi, kernel01, P),
+        "gradient": lambda: horizontal_gradient_mollified(heis1, phi, kernel01, P),
+        "level_set": lambda: level_set_phi_alpha(heis1, phi, kernel01, 0.5, A),
+        "gradient_mass": lambda: horizontal_gradient_mass(heis1, phi, kernel01),
+    }
     with pytest.raises(errors.NonFiniteState):
-        level_set_phi_alpha(heis1, phi, kernel01, 0.5, np.array([[0.1, 0.2], [0.85, 0.2]]))
+        passes[call]()
 
 
 def test_horizontal_gradient_sign_and_flat(heis1, kernel01):
@@ -560,6 +570,12 @@ def test_approximation_report_flat(heis1):
         assert row["gradient_sup"] <= 1e-6
     assert rep["rate_at_noise_floor"]
     assert rep["passed"]
+
+
+def test_approximation_report_rejects_negative_grid(heis1, phi_unit):
+    # a negative count is named as such, not as a ramp table over budget
+    with pytest.raises(errors.ValidationError, match="positive count per axis"):
+        approximation_report(heis1, phi_unit, [0.1], grid_per_axis=-5000)
 
 
 def test_approximation_report_linear_rate(heis1, phi_unit):
@@ -648,3 +664,51 @@ def test_gradient_mass_window_is_the_support(heis1, slope):
             break
     else:
         raise AssertionError("no gradient within 2% of the window's edge")
+
+
+@pytest.mark.parametrize("group, k, alpha, base_per_axis, expr", [
+    ("heis2", 8, 0.15, 2, "0.5*x2 + 0.25*x4"),
+    ("heis1", 16, 0.05, 2, "callable"),
+])
+def test_gradient_mass_edge_gradient_is_exactly_zero(request, group, k, alpha,
+                                                     base_per_axis, expr):
+    # the end nodes read the same table as the window's width: no rounding
+    # of a second split brings their ramps off the saturated values
+    G = request.getfixturevalue(group)
+    d = G.base_dim
+    if expr == "callable":
+        phi = GraphFunction.from_callable(lambda a: 0.7 * a[..., 0],
+                                          Box([0.0] * d, [1.0] * d))
+    else:
+        phi = GraphFunction.from_expression(expr, Box([0.0] * d, [1.0] * d), G.m, G.n)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    rep = horizontal_gradient_mass(G, phi, kern, base_per_axis=base_per_axis)
+    assert rep["edge_gradient_max"] == 0.0
+    assert rep["mass"] > 0.0
+
+
+def test_gradient_mass_splits_one_table(heis1, phi_unit):
+    # one split of the base rows i(a) sizes the window, and one more, chunked
+    # for the gradient, serves all 48 t-slices
+    kern = MollifierKernel(heis1, 0.05)
+    rows = 8 * 8
+    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
+        horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
+    chunks = mollify._node_chunks(kern, rows, mollify._GRADIENT_OPS_LIMIT)
+    assert len(chunks) > 1
+    assert split.call_count == 1 + len(chunks)
+    pairs = sum(call.args[2].shape[0] * (call.args[4] - call.args[3])
+                for call in split.call_args_list)
+    assert pairs == 2 * rows * kern._conv_weights.size
+
+
+def test_gradient_mass_work_is_budgeted(heis2):
+    # the default call on heisenberg(2): 12^4 base points times 325,632
+    # nonzero nodes, rejected before any split
+    kern = MollifierKernel(heis2, 0.15)
+    phi = GraphFunction.from_expression("0.5*x2 + 0.25*x4", Box([0.0] * 4, [1.0] * 4),
+                                        4, 1)
+    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
+        with pytest.raises(errors.GridTooLarge, match="gradient-mass ramp table"):
+            horizontal_gradient_mass(heis2, phi, kern)
+    assert split.call_count == 0
