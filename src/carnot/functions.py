@@ -90,8 +90,9 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValidationError("invalid box: need lo < hi componentwise")
+        if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi)) \
+                or np.any(hi <= lo):
+            raise ValidationError("invalid box: need finite lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -113,6 +114,15 @@ class Box:
 
     def sample(self, count, rng):
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
+
+
+def _require_inside(a, ok):
+    """Raise :class:`OutOfDomain` naming the first point of ``a`` where the
+    domain mask ``ok`` fails."""
+    if not np.all(ok):
+        flat = a.reshape(-1, a.shape[-1])
+        bad = flat[~np.atleast_1d(ok).reshape(-1)][0]
+        raise OutOfDomain(f"point outside domain: {bad}")
 
 
 class GraphFunction:
@@ -213,11 +223,7 @@ class GraphFunction:
 
     def __call__(self, a):
         a = self._check_dim(a)
-        ok = self.in_domain(a)
-        if not np.all(ok):
-            flat = a.reshape(-1, a.shape[-1])
-            bad = flat[~np.atleast_1d(ok).reshape(-1)][0]
-            raise OutOfDomain(f"point outside domain: {bad}")
+        _require_inside(a, self.in_domain(a))
         return self._fn(a)
 
     def eval_extended(self, a):
@@ -274,6 +280,8 @@ def _domain_from_dict(data):
 
 def graph_function_from_dict(data, G, base_dir="."):
     """Build phi from {"kind":"expr"|"grid", "domain":{...}, "expr"|"grid":...}."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"a function spec is an object, got {data!r}")
     kind = data.get("kind")
     domain = _domain_from_dict(data.get("domain", {}))
     if domain.dim != G.base_dim:
@@ -311,7 +319,9 @@ def load_graph_function(path, G):
 
 def vector_field_from_dict(data, G, base_dir="."):
     """Accept a single scalar spec (m == 2) or {"components": [spec, ...]}."""
-    if "components" in data:
+    if isinstance(data, dict) and "components" in data:
+        if not isinstance(data["components"], list):
+            raise ValidationError("'components' must be a list of function specs")
         comps = [graph_function_from_dict(c, G, base_dir) for c in data["components"]]
         if len(comps) != G.m - 1:
             raise DimensionMismatch(

@@ -39,7 +39,10 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   / sum w, a kernel mean of the intrinsic gradient over the ramp band; X_1
   f_alpha is the central difference along e1.  A node with g on a kink
   -+delta/2 gets half the weight of one inside the band.  At p * (s e1)
-  the ramps are read at g - s and X_j g is frozen at t + s.
+  the ramps are read at g - s and X_j g is frozen at t + s.  X_j g is
+  formed only on the band of pairs with beta != 0; for phi with analytic
+  partials it is affine in s, so one evaluation per node chunk serves
+  every shift (``_shifted_gradient``).
 * the gradient mass: its t-window and all 48 t-slices, from the table on
   the base rows i(a) (``horizontal_gradient_mass``).
 """
@@ -51,7 +54,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _graph_gradient, _intrinsic_gradient, intrinsic_gradient
+from .calculus import (
+    _frame_apply,
+    _graph_gradient,
+    _intrinsic_gradient,
+    intrinsic_gradient,
+)
 from .errors import NonFiniteState, QuadratureUnderflow, ValidationError
 from .quadrature import check_work_budget, midpoint_rule, tensor_grid
 from .splitting import _anchor_terms, _split, graph_point
@@ -265,21 +273,56 @@ def mollified_indicator(G, phi, kernel, p):
 def _shifted_gradient(G, phi, kernel, P, shifts):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, len(shifts), m),
     for every row p of P and every s in ``shifts`` (a scalar or a (P, 1)
-    column), read off one table of g on P (module docstring)."""
+    column), read off one table of g on P (module docstring).
+
+    X_j g enters only as w_k beta_k X_j g_k, so it is formed only on the
+    band of pairs whose ramp slope beta is not 0.  With analytic partials
+    X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
+    plus s sum_s' b^(s')_{j1} d_{y_s'} phi.  So the partials and the frame
+    are evaluated once per node chunk, on the pairs in the band of some
+    shift, and each shift costs two contractions with beta.  Central
+    differences are not affine in the value and are evaluated per shift,
+    on its band."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    out = np.zeros((P.shape[0], len(shifts), G.m))
+    count, k = P.shape[0], G.m - 1
+    # one column of shifts per entry of ``shifts``
+    S = np.concatenate([np.broadcast_to(s, (count, 1)) for s in shifts], axis=1)
+    out = np.zeros((count, S.shape[1], G.m))
     for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
-        # beta holds 2h w_k beta_k, scratch the second ramp and then t + s
-        # (in g's own buffer when g serves one shift only)
-        beta = np.empty_like(g)
-        scratch = np.empty_like(g) if len(shifts) > 1 else g
-        for i, s in enumerate(shifts):
-            _ramp(g, delta, s - h, out=beta)
-            beta -= _ramp(g, delta, s + h, out=scratch)
+        # the ramps at each row's least shift - h and largest shift + h; a
+        # ramp is nonincreasing in its shift, rounding included, so beta is 0
+        # at every shift of a pair where the two agree.  With one shift they
+        # are its own two ramps.
+        beta = _ramp(g, delta, np.min(S, axis=1, keepdims=True) - h)
+        scratch = _ramp(g, delta, np.max(S, axis=1, keepdims=True) + h)
+        if phi.has_partials:
+            band = np.flatnonzero(beta != scratch)
+            # the band's base points, column by column off base's buffer
+            at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1)[:, band].T
+            grad = phi.partials(at)
+            # X_j g at t and its rate in s on the band, 0 elsewhere
+            xg, rate = np.zeros((2, count, g.shape[1], k))
+            xg.reshape(-1, k)[band] = _frame_apply(G, at, t.reshape(-1)[band], grad)
+            rate.reshape(-1, k)[band] = grad[:, k:] @ G.B[:, 1:, 0]
+        for i in range(S.shape[1]):
+            # beta holds 2h w_k beta_k
+            s = S[:, i, None]
+            if S.shape[1] > 1:
+                _ramp(g, delta, s - h, out=beta)
+                _ramp(g, delta, s + h, out=scratch)
+            beta -= scratch
             beta *= kernel._conv_weights[nodes]
             out[:, i, 0] -= np.sum(beta, axis=-1)
-            xg = _intrinsic_gradient(G, phi, base, np.add(t, s, out=scratch))
-            out[:, i, 1:] += np.matmul(beta[:, None, :], xg)[:, 0]
+            if phi.has_partials:
+                out[:, i, 1:] += (np.matmul(beta[:, None, :], xg)[:, 0]
+                                  + s * np.matmul(beta[:, None, :], rate)[:, 0])
+            else:
+                rows, cols = np.nonzero(beta)
+                xs = _intrinsic_gradient(G, phi, base[rows, cols],
+                                         t[rows, cols] + s[rows, 0])
+                xs *= beta[rows, cols, None]
+                for j in range(k):
+                    out[:, i, j + 1] += np.bincount(rows, xs[:, j], minlength=count)
     out /= 2.0 * h * np.sum(kernel._conv_weights)
     return out
 

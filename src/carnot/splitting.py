@@ -37,7 +37,7 @@ from .errors import (
     OutOfDomain,
     ValidationError,
 )
-from .functions import Box, GraphFunction
+from .functions import Box, GraphFunction, _require_inside
 from .quadrature import check_work_budget, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
@@ -113,6 +113,33 @@ def graph_map(G, phi, a, check_domain=True):
     return graph_point(G, a, phi(a) if check_domain else phi.eval_extended(a))
 
 
+def _pulled_base(G, q, a):
+    """(base, t) of q^-1 i(a)."""
+    return _split_from(G, q, graph_point(G, a, 0.0))
+
+
+class _TranslatedFunction(GraphFunction):
+    """phi_q(a) = phi(base) - t with (base, t) the split of q^-1 i(a),
+    defined where base lies in phi's domain; a checked call splits once for
+    both the mask and the value."""
+
+    def __init__(self, G, phi, q, domain):
+        self._G, self._phi, self._q = G, phi, q
+        super().__init__(domain, self._value, "callable",
+                         mask=lambda a: phi.in_domain(_pulled_base(G, q, a)[0]),
+                         label=f"translate({phi.label})")
+
+    def _value(self, a):
+        b, t = _pulled_base(self._G, self._q, a)
+        return self._phi.eval_extended(b) - t
+
+    def __call__(self, a):
+        a = self._check_dim(a)
+        b, t = _pulled_base(self._G, self._q, a)
+        _require_inside(a, self.domain.contains(a) & self._phi.in_domain(b))
+        return self._phi.eval_extended(b) - t
+
+
 def translate_graph_function(G, phi, q):
     """Evaluator for the translated function: q * graph(phi) = graph(phi_q).
 
@@ -122,18 +149,6 @@ def translate_graph_function(G, phi, q):
     membership predicate.
     """
     q = np.asarray(q, dtype=float)
-
-    def pulled_base(a):
-        return _split_from(G, q, graph_point(G, a, 0.0))
-
-    def evaluate(a):
-        b, t = pulled_base(a)
-        return phi.eval_extended(b) - t
-
-    def mask(a):
-        b, _ = pulled_base(a)
-        return phi.in_domain(b)
-
     # bounding box of the translated domain: the x-hat block shifts exactly
     # by q's first layer; the pulled-back vertical block is a_y plus an
     # affine function of a_xhat, so its extremes sit at the x-hat corners.
@@ -145,11 +160,10 @@ def translate_graph_function(G, phi, q):
     corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
                           nodes="endpoint")
     # the vertical part of the pulled-back corners is the affine correction
-    g_y = pulled_base(np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
+    g_y = _pulled_base(G, q, np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
     lo[G.m - 1:] -= np.max(g_y, axis=0)
     hi[G.m - 1:] -= np.min(g_y, axis=0)
-    return GraphFunction.from_callable(evaluate, Box(lo, hi), mask=mask,
-                                       label=f"translate({phi.label})")
+    return _TranslatedFunction(G, phi, q, Box(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from carnot import errors
-from carnot.cli import main, run
+from carnot.cli import _jsonable, main, run
 from carnot.group import standard_group
 from carnot.quadrature import MAX_GRID_NODES
 
@@ -640,6 +644,18 @@ def _bad_file_probe(tmp_path, heis_file, phi_file, probe):
         bad = write("phi.json", {"kind": "expr", "expr": "x2",
                                  "domain": {"lo": ["a", -1.0], "hi": [1.0, 1.0]}})
         return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    if probe == "domain-bound-nan":
+        # a NaN bound passed the lo < hi check and reached the sampler
+        bad = write("phi.json", {"kind": "expr", "expr": "x2",
+                                 "domain": {**domain, "lo": [float("nan"), -1.0]}})
+        return ["cone", "--group", heis_file, "--phi", bad, "--samples", "100"]
+    if probe == "phi-not-object":
+        bad = write("phi.json", ["x2"])
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    if probe == "w-components-not-list":
+        bad = write("w.json", {"components": 5})
+        return ["broadstar", "--group", heis_file, "--phi", phi_file, "--w", bad,
+                "--from", "0,0", "--steps", "8"]
     if probe == "grid-values-miss-shape":
         write("vals.csv", ",".join(["0.5"] * 9))
         bad = write("phi.json", {"kind": "grid", "domain": domain,
@@ -662,6 +678,9 @@ BAD_FILE_PROBES = [
     ("group-b-not-number", errors.ValidationError, "'B' entries must be numbers"),
     ("domain-bound-not-number", errors.ValidationError, "bounds must be numbers"),
     ("grid-values-miss-shape", errors.DimensionMismatch, "9 grid values"),
+    ("domain-bound-nan", errors.ValidationError, "need finite lo < hi"),
+    ("phi-not-object", errors.ValidationError, "a function spec is an object"),
+    ("w-components-not-list", errors.ValidationError, "'components' must be a list"),
 ]
 
 
@@ -698,3 +717,118 @@ def test_direction_outside_range_exits_1(heis_file, phi_file, w_one_file, capsys
     assert "direction index j must be in 2..2" in capsys.readouterr().err
     with pytest.raises(errors.ValidationError):
         args.fn(args)
+
+
+# -- fuzz: random files and argument values through run() -------------------------
+
+_NAN, _INF = float("nan"), float("inf")
+_HEIS = {"m": 2, "n": 1, "B": [[0.0, 1.0, -1.0, 0.0]], "epsilon": 1.0}
+_UNIT = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+_FUZZ_GROUPS = {
+    "heis1": _HEIS,
+    "b-short": {**_HEIS, "B": [[0.0, 1.0, -1.0]]},
+    "b-nan": {**_HEIS, "B": [[0.0, _NAN, -_NAN, 0.0]]},
+    "b-string": {**_HEIS, "B": "B"},
+    "epsilon-inf": {**_HEIS, "epsilon": _INF},
+    "m-list": {**_HEIS, "m": [2]},
+    "not-object": [2, 1],
+}
+_FUZZ_PHIS = {
+    "expr": {"kind": "expr", "domain": _UNIT, "expr": "0.5*x2 + 0.2*y"},
+    "expr-nan": {"kind": "expr", "domain": _UNIT, "expr": "sqrt(x2 - 2)"},
+    "expr-list": {"kind": "expr", "domain": _UNIT, "expr": ["x2"]},
+    "domain-short": {"kind": "expr", "domain": {"lo": [0.0], "hi": [1.0]}, "expr": "x2"},
+    "domain-nan": {"kind": "expr", "domain": {"lo": [_NAN, 0.0], "hi": [1.0, 1.0]},
+                   "expr": "x2"},
+    "domain-inverted": {"kind": "expr", "domain": {"lo": [1.0, 1.0], "hi": [0.0, 0.0]},
+                        "expr": "x2"},
+    "kind-unknown": {"kind": "spline", "domain": _UNIT, "expr": "x2"},
+    "grid": {"kind": "grid", "domain": _UNIT,
+             "grid": {"shape": [3, 3], "values": "values.csv"}},
+    "grid-nan": {"kind": "grid", "domain": _UNIT,
+                 "grid": {"shape": [3, 3], "values": "values_nan.csv"}},
+    "grid-short": {"kind": "grid", "domain": _UNIT,
+                   "grid": {"shape": [3, 4], "values": "values.csv"}},
+    "grid-shape-string": {"kind": "grid", "domain": _UNIT,
+                          "grid": {"shape": "3x3", "values": "values.csv"}},
+    "not-object": ["x2"],
+}
+_FUZZ_WS = {
+    "one": {"kind": "expr", "domain": _UNIT, "expr": "1"},
+    "nan": {"kind": "expr", "domain": _UNIT, "expr": "sqrt(x2 - 2)"},
+    "domain-short": {"kind": "expr", "domain": {"lo": [0.0], "hi": [1.0]}, "expr": "1"},
+    "components-two": {"components": [{"kind": "expr", "domain": _UNIT,
+                                       "expr": "1"}] * 2},
+    "components-number": {"components": 5},
+    "not-object": 5,
+}
+# each command with small valid values for its options; the fuzzed option
+# takes one of _FUZZ_VALUES instead
+_FUZZ_COMMANDS = {
+    "gradient": {"--at": "0.25,0.5"},
+    "residual": {"--zeta": "0.5,0.5,0.3", "--grid": "8"},
+    "lipschitz": {"--pairs": "100"},
+    "characteristics": {"--from": "0.5,0.5", "--T": "0.25", "--steps": "8", "--j": "2"},
+    "broadstar": {"--from": "0.5,0.5", "--T": "0.25", "--steps": "8", "--j": "2"},
+    "area": {"--grid": "4"},
+    "mollify": {"--alphas": "0.2", "--c": "0.5", "--grid": "2"},
+    "cone": {"--samples": "100", "--k": "0.5"},
+}
+_OVER_BUDGET = str(10 ** 12)
+_FUZZ_VALUES = ["0", "-3", "nan", _OVER_BUDGET]
+# the options that size an array, and so go through the work budget
+_COUNT_OPTIONS = {"--grid", "--pairs", "--samples", "--steps"}
+
+
+@st.composite
+def _fuzz_case(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    options = dict(_FUZZ_COMMANDS[command])
+    fuzzed = draw(st.sampled_from([None, *sorted(options)]))
+    if fuzzed is not None:
+        options[fuzzed] = draw(st.sampled_from(_FUZZ_VALUES))
+    return (command, draw(st.sampled_from(sorted(_FUZZ_GROUPS))),
+            draw(st.sampled_from(sorted(_FUZZ_PHIS))),
+            draw(st.sampled_from(sorted(_FUZZ_WS))), options, fuzzed)
+
+
+@given(case=_fuzz_case())
+def test_cli_fuzz_exits_with_typed_errors(tmp_path_factory, case):
+    # every run exits 0, 1 or 2 within a memory bound, any failure is a
+    # CarnotError, and a count over the budget is rejected before it is built
+    command, group, phi, w, options, fuzzed = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "values.csv").write_text(",".join(["0.5", "0.25", "0.0"] * 3))
+    (tmp / "values_nan.csv").write_text(",".join(["0.5", "nan", "0.0"] * 3))
+    files = {}
+    for name, data in [("group", _FUZZ_GROUPS[group]), ("phi", _FUZZ_PHIS[phi]),
+                       ("w", _FUZZ_WS[w])]:
+        files[name] = tmp / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    argv = [command, "--group", str(files["group"]), "--phi", str(files["phi"])]
+    if command in ("residual", "broadstar"):
+        argv += ["--w", str(files["w"])]
+    for option, value in options.items():
+        argv += [f"{option}={value}"]
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err):
+            code, args, report = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1, 2)
+    assert peak < 2 ** 26
+    if code == 0:
+        assert report is not None
+        return
+    assert report is None
+    if args is not None:
+        # the command, or the check of its report for non-finite values
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(errors.CarnotError):
+                _jsonable(args.fn(args))
+    valid_files = (group, phi) == ("heis1", "expr") and w == "one"
+    if valid_files and fuzzed in _COUNT_OPTIONS and options[fuzzed] == _OVER_BUDGET:
+        assert "exceeds the budget" in err.getvalue()

@@ -334,6 +334,74 @@ def test_gradient_from_ramp_table_property(request, index, seed, alpha):
         assert np.max(np.abs(xg[..., j - 1] - diff)) <= 9e-11
 
 
+def _phi_as(G, phi, kind):
+    # phi as an expression (analytic partials), a callable, or sampled on a
+    # grid (both central differences)
+    if kind == "callable":
+        return GraphFunction.from_callable(phi.eval_extended, phi.domain)
+    if kind == "grid":
+        per_axis = 5 if G.base_dim <= 3 else 3
+        nodes = tensor_grid(phi.domain.lo, phi.domain.hi, (per_axis,) * G.base_dim,
+                            nodes="endpoint")
+        return GraphFunction.from_grid(
+            phi.eval_extended(nodes).reshape((per_axis,) * G.base_dim), phi.domain)
+    return phi
+
+
+def _dense_shifted_gradient(G, phi, kernel, P, shifts):
+    # the gradient formula over every (point, node) pair: beta, and X_j g
+    # frozen at t + s, at each shift s; also the (row, shift) entries whose
+    # band is empty
+    h, delta = kernel.alpha * mollify._SLOPE_STEP, kernel.subcell_width
+    w = kernel._conv_weights
+    base, t = _split(G, kernel._conv_terms, P)
+    g = phi.eval_extended(base) - t
+    out, empty = [], []
+    for s in shifts:
+        beta = w * (np.clip((g - (s - h)) / delta + 0.5, 0.0, 1.0)
+                    - np.clip((g - (s + h)) / delta + 0.5, 0.0, 1.0))
+        xg = _intrinsic_gradient(G, phi, base, t + s)
+        out.append(np.concatenate([-np.sum(beta, axis=-1)[:, None],
+                                   np.einsum("pk,pkj->pj", beta, xg)], axis=1))
+        empty.append(~np.any(beta, axis=-1))
+    return (np.stack(out, axis=1) / (2.0 * h * np.sum(w)),
+            np.stack(empty, axis=1))
+
+
+@given(index=st.integers(0, 3), kind=st.sampled_from(["expr", "callable", "grid"]),
+       seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.05, 0.3),
+       slices=st.booleans())
+def test_shifted_gradient_matches_dense_formula_property(request, index, kind, seed,
+                                                        alpha, slices):
+    # X_j g only on the band, and for analytic phi once per chunk, against
+    # the formula over every pair; a row whose band is empty gives exactly 0
+    G, _, phi = _group_case(request, index)
+    phi = _phi_as(G, phi, kind)
+    # the smallest kernels, so that the reference stays cheap on every group
+    kern = MollifierKernel(G, alpha, points_per_axis=4)
+    rng = np.random.default_rng(seed)
+    if slices:
+        # the 48 t-slice columns of the gradient mass on base rows i(a), on
+        # a window wider than the support, so that its end slices see no ramp
+        A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
+        P = graph_point(G, A, 0.0)
+        half = 3.0 * alpha
+        dt = 2.0 * half / 48
+        shifts = [phi.eval_extended(A)[:, None] - half + (j + 0.5) * dt
+                  for j in range(48)]
+    else:
+        # points straddling the graph, and two far below and above it
+        A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
+        P = np.concatenate([_straddling_points(G, phi, alpha, 6, seed),
+                            graph_point(G, A, phi.eval_extended(A) + [-2.0, 2.0])])
+        shifts = [0.0]
+    got = mollify._shifted_gradient(G, phi, kern, P, shifts)
+    ref, empty = _dense_shifted_gradient(G, phi, kern, P, shifts)
+    assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    assert np.any(empty) and not np.all(empty)
+    assert np.all(got[empty] == 0.0)
+
+
 @pytest.mark.parametrize("group, k, expr", [
     ("heis1", 8, "0.5*x2"),
     ("heis2", 4, "0.5*x2 + 0.25*x4"),
@@ -383,11 +451,9 @@ def test_level_set_gradient_of_affine_phi_is_exact(request, group, k, expr):
 
 
 def _counted_phi(G, calls):
-    # 0.3 x2 as a callable that counts its evaluations on the node set,
-    # the (points, nodes, base) arrays of a split
+    # 0.3 x2 as a callable that counts the points of each evaluation
     def fn(a):
-        if a.ndim == 3:
-            calls.append(a.shape[:2])
+        calls.append(a[..., 0].size)
         return 0.3 * a[..., 0]
 
     d = G.base_dim
@@ -405,12 +471,34 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     roots, evals, _ = _section_roots(G, phi, kern, 0.5, A)
     # one split of every (base point, node) pair, however many passes; the
     # pairs are counted, so the node chunks do not matter
-    assert sum(rows * cols for rows, cols in calls) == pairs
+    assert sum(calls) == pairs
     assert evals > 4 * len(A)
+    P = section_point(G, A, roots)
+    # the band: the pairs whose ramp slope is not 0, from the test's own split
+    base, t = _split(G, kern._conv_terms, P)
+    g = 0.3 * base[..., 0] - t
+    h, delta = kern.alpha / 64.0, kern.subcell_width
+    beta = kern._conv_weights * (np.clip((g + h) / delta + 0.5, 0.0, 1.0)
+                                 - np.clip((g - h) / delta + 0.5, 0.0, 1.0))
+    band = np.count_nonzero(beta)
+    assert 0 < band < pairs // 2
     calls.clear()
-    horizontal_gradient_mollified(G, phi, kern, section_point(G, A, roots))
-    # g once, then phi's central differences along X_2..X_m
-    assert sum(rows * cols for rows, cols in calls) == (2 * G.m - 1) * pairs
+    horizontal_gradient_mollified(G, phi, kern, P)
+    # g once per pair, then phi's central differences along X_2..X_m on the
+    # band only
+    assert sum(calls) == pairs + 2 * (G.m - 1) * band
+
+
+def test_gradient_mass_evaluates_partials_once_per_chunk(heis1, phi_unit):
+    # X_j g is affine in the value it is frozen at, so one evaluation of the
+    # partials per node chunk serves all 48 t-slices
+    kern = MollifierKernel(heis1, 0.05)
+    chunks = mollify._node_chunks(kern, 8 * 8, mollify._GRADIENT_OPS_LIMIT)
+    assert len(chunks) > 1
+    with mock.patch.object(phi_unit, "partials", wraps=phi_unit.partials) as partials:
+        rep = horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
+    assert partials.call_count == len(chunks)
+    assert rep["edge_gradient_max"] == 0.0
 
 
 def test_indicator_half_at_flat_graph(heis1, kernel01):
