@@ -39,17 +39,20 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   / sum w, a kernel mean of the intrinsic gradient over the ramp band; X_1
   f_alpha is the central difference along e1.  A node with g on a kink
   -+delta/2 gets half the weight of one inside the band.  At p * (s e1)
-  the ramps are read at g - s and X_j g is frozen at t + s.  X_j g is
-  formed only on the band of pairs with beta != 0; for phi with analytic
-  partials it is affine in s, so one evaluation per node chunk serves
-  every shift (``_shifted_gradient``).
+  the ramps are read at g - s and X_j g is frozen at t + s.  Only the band
+  of pairs with beta != 0 is split again, pair by pair, to form X_j g
+  (``_shifted_gradient``).  The level set's gradient at i(a) *
+  (phi_alpha(a) e1) is the shift phi_alpha(a) of the rows i(a): it reads
+  the table the roots were found on.
 * the gradient mass: its t-window and all 48 t-slices, from the table on
-  the base rows i(a) (``horizontal_gradient_mass``).
+  the base rows i(a).  Each row's g is sorted once per node chunk, so each
+  slice's band is a run of that order (``_sliced_gradient``).
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +65,10 @@ from .calculus import (
 )
 from .errors import NonFiniteState, QuadratureUnderflow, ValidationError
 from .quadrature import check_work_budget, midpoint_rule, tensor_grid
-from .splitting import _anchor_terms, _split, graph_point
+from .splitting import _anchor_terms, _split, _split_pairs, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
-# the gradient holds several (point, node, coordinate) arrays per chunk
+# the gradients hold several arrays per chunk: ramps, band pairs, sorted runs
 _GRADIENT_OPS_LIMIT = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
@@ -108,18 +111,22 @@ def _kernel_points_per_axis(points_per_axis):
     return k
 
 
+def _block_bump(dim, k, half, unit, factor=1.0):
+    """exp(-1/(1 - factor |x/unit|^2)) at the k^dim midpoint nodes x of
+    [-half, half]^dim (C order): one factor of the kernel profile on its
+    block of the kernel grid."""
+    x = midpoint_rule(np.full(dim, -half), np.full(dim, half), k)[0] / unit
+    return _bump(factor * np.sum(x * x, axis=-1))
+
+
 def _nonzero_node_count(G, points_per_axis):
     """The nonzero-weight nodes of a kernel with ``points_per_axis`` nodes
     per axis, counted without building it: the profile is a horizontal bump
     times a vertical bump, so the count is the product of each bump's
     nonzero nodes on its unit-ball grid, k^m and k^n nodes."""
     k = _kernel_points_per_axis(points_per_axis)
-
-    def nonzero(dim):
-        pts = tensor_grid(np.full(dim, -1.0), np.full(dim, 1.0), (k,) * dim)
-        return int(np.count_nonzero(_bump(np.sum(pts * pts, axis=-1))))
-
-    return nonzero(G.m) * nonzero(G.n)
+    return (int(np.count_nonzero(_block_bump(G.m, k, 1.0, 1.0)))
+            * int(np.count_nonzero(_block_bump(G.n, k, 1.0, 1.0))))
 
 
 @dataclass
@@ -159,7 +166,11 @@ class MollifierKernel:
         nodes, cell = midpoint_rule(-half, half, k)
         # continuum normalizer: the profile factorizes into two radial bumps
         z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
-        rho = self._profile(nodes) / z / a ** G.homogeneous_dimension
+        # the profile at every node of the grid, the horizontal block's axes
+        # outermost: the outer product of its two factors on their blocks
+        profile = np.multiply.outer(_block_bump(G.m, k, a, a),
+                                    _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4))
+        rho = profile.reshape(-1) / z / a ** G.homogeneous_dimension
         raw = rho * cell
         self.raw_mass = float(np.sum(raw))
         # normalized discrete weights: deep-inside convolutions evaluate to 1
@@ -171,14 +182,6 @@ class MollifierKernel:
         self._conv_nodes = nodes[keep]
         self._conv_weights = self.weights[keep]
         self._conv_terms = _anchor_terms(G, self._conv_nodes)
-
-    def _profile(self, p):
-        """Unnormalized profile of rho(delta_{1/alpha} p)."""
-        G, a = self.G, self.alpha
-        x = p[..., :G.m] / a
-        y = p[..., G.m:] / a ** 2
-        return _bump(np.sum(x * x, axis=-1)) * \
-            _bump(G.epsilon ** 4 * np.sum(y * y, axis=-1))
 
     def mass(self, points_per_axis=48):
         """Integral of rho_alpha on an independent grid (should be ~1).
@@ -270,68 +273,112 @@ def mollified_indicator(G, phi, kernel, p):
     return float(out[0]) if p.ndim == 1 else out
 
 
-def _shifted_gradient(G, phi, kernel, P, shifts):
-    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, len(shifts), m),
-    for every row p of P and every s in ``shifts`` (a scalar or a (P, 1)
-    column), read off one table of g on P (module docstring).
+def _shifted_gradient(G, phi, kernel, P, shift, g=None):
+    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, m), for every row
+    p of P and its shift s (a scalar or a (P, 1) column), read off the
+    table of g on P: ``g`` when given (every node), otherwise built here
+    chunk by chunk (module docstring).
 
-    X_j g enters only as w_k beta_k X_j g_k, so it is formed only on the
-    band of pairs whose ramp slope beta is not 0.  With analytic partials
-    X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
-    plus s sum_s' b^(s')_{j1} d_{y_s'} phi.  So the partials and the frame
-    are evaluated once per node chunk, on the pairs in the band of some
-    shift, and each shift costs two contractions with beta.  Central
-    differences are not affine in the value and are evaluated per shift,
-    on its band."""
+    X_j g enters only as w_k beta_k X_j g_k, so only the band of pairs whose
+    ramp slope beta is not 0 is split again, pair by pair, and only there is
+    X_j g formed, frozen at t + s, and summed back into its row."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    count, k = P.shape[0], G.m - 1
-    # one column of shifts per entry of ``shifts``
-    S = np.concatenate([np.broadcast_to(s, (count, 1)) for s in shifts], axis=1)
-    out = np.zeros((count, S.shape[1], G.m))
-    for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
-        # the ramps at each row's least shift - h and largest shift + h; a
-        # ramp is nonincreasing in its shift, rounding included, so beta is 0
-        # at every shift of a pair where the two agree.  With one shift they
-        # are its own two ramps.
-        beta = _ramp(g, delta, np.min(S, axis=1, keepdims=True) - h)
-        scratch = _ramp(g, delta, np.max(S, axis=1, keepdims=True) + h)
-        if phi.has_partials:
-            band = np.flatnonzero(beta != scratch)
-            # the band's base points, column by column off base's buffer
-            at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1)[:, band].T
-            grad = phi.partials(at)
-            # X_j g at t and its rate in s on the band, 0 elsewhere
-            xg, rate = np.zeros((2, count, g.shape[1], k))
-            xg.reshape(-1, k)[band] = _frame_apply(G, at, t.reshape(-1)[band], grad)
-            rate.reshape(-1, k)[band] = grad[:, k:] @ G.B[:, 1:, 0]
-        for i in range(S.shape[1]):
-            # beta holds 2h w_k beta_k
-            s = S[:, i, None]
-            if S.shape[1] > 1:
-                _ramp(g, delta, s - h, out=beta)
-                _ramp(g, delta, s + h, out=scratch)
-            beta -= scratch
-            beta *= kernel._conv_weights[nodes]
-            out[:, i, 0] -= np.sum(beta, axis=-1)
-            if phi.has_partials:
-                out[:, i, 1:] += (np.matmul(beta[:, None, :], xg)[:, 0]
-                                  + s * np.matmul(beta[:, None, :], rate)[:, 0])
-            else:
-                rows, cols = np.nonzero(beta)
-                xs = _intrinsic_gradient(G, phi, base[rows, cols],
-                                         t[rows, cols] + s[rows, 0])
-                xs *= beta[rows, cols, None]
-                for j in range(k):
-                    out[:, i, j + 1] += np.bincount(rows, xs[:, j], minlength=count)
+    count = P.shape[0]
+    shift = np.broadcast_to(shift, (count, 1))
+    tables = ([(slice(0, kernel._conv_weights.size), g)] if g is not None else
+              ((nodes, g) for nodes, _, _, g in
+               _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT)))
+    out = np.zeros((count, G.m))
+    for nodes, g in tables:
+        # beta holds 2h w_k beta_k
+        beta = _ramp(g, delta, shift - h)
+        beta -= _ramp(g, delta, shift + h)
+        beta *= kernel._conv_weights[nodes]
+        out[:, 0] -= np.sum(beta, axis=-1)
+        band = np.flatnonzero(beta != 0.0)
+        rows, cols = np.divmod(band, g.shape[1])
+        base, t = _split_pairs(G, kernel._conv_terms, P, rows, cols + nodes.start)
+        xs = _intrinsic_gradient(G, phi, base, t + shift[rows, 0])
+        xs *= beta.reshape(-1)[band, None]
+        for j in range(G.m - 1):
+            out[:, j + 1] += np.bincount(rows, xs[:, j], minlength=count)
     out /= 2.0 * h * np.sum(kernel._conv_weights)
     return out
+
+
+def _sliced_gradient(G, phi, kernel, P, S):
+    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, slices, m), for
+    every row p of P and each shift s in its row of the (P, slices) array S,
+    read off one table of g on P, streamed in node chunks.
+
+    In a chunk each row's g is sorted once.  The band of a shift s, where
+    beta is not 0, lies within |g - s| < delta/2 + h, so it is a run of the
+    sorted g, found for every shift of the row by one ``searchsorted``; the
+    run's ends are widened by a relative 1e-12 against the rounding of the
+    ramps, and a pair in that margin reads beta = 0 exactly.  beta and its
+    contractions are formed on the runs only.  With analytic partials X_j g
+    is affine in the value it is frozen at: at t + s it is X_j g at t plus
+    s sum_s' b^(s')_{j1} d_{y_s'} phi, so both are formed once per chunk,
+    on every pair (the t-window of the gradient mass holds every g), and
+    each run costs two contractions.  Central differences are not affine in
+    the value and are evaluated on each run's pairs with beta != 0."""
+    h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
+    (count, slices), k = S.shape, G.m - 1
+    reach = 0.5 * delta + h
+    margin = 1e-12 * (np.abs(S) + reach)
+    bounds = np.concatenate([S - reach - margin, S + reach + margin], axis=1)
+    S_flat = S.reshape(-1)
+    out = np.zeros((count * slices, G.m))
+    for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+        size = g.shape[1]
+        order = np.argsort(g, axis=1)
+        g_sorted = np.take_along_axis(g, order, axis=1)
+        ends = np.stack([np.searchsorted(row, b) for row, b in zip(g_sorted, bounds)])
+        start = ends[:, :slices].reshape(-1)
+        lengths = ends[:, slices:].reshape(-1) - start
+        # one entry per (row, shift) run and pair in it: its (row, shift)
+        # index, its pair (row, node) of the chunk and its shift
+        entry = np.repeat(np.arange(count * slices), lengths)
+        row_start = entry // slices * size
+        place = np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+        place += np.arange(entry.size)
+        place += row_start
+        pair = order.reshape(-1)[place]
+        w_run = kernel._conv_weights[nodes][pair]
+        pair += row_start
+        s = S_flat[entry]
+        g_run = g_sorted.reshape(-1)[place]
+        beta = _ramp(g_run, delta, s - h)
+        beta -= _ramp(g_run, delta, s + h, out=g_run)
+        beta *= w_run
+        out[:, 0] -= np.bincount(entry, beta, minlength=out.shape[0])
+        # every pair's base point, column by column off base's buffer
+        at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1).T
+        if phi.has_partials:
+            grad = phi.partials(at)
+            xg = _frame_apply(G, at, t.reshape(-1), grad).T
+            rate = (grad[:, k:] @ G.B[:, 1:, 0]).T
+            for j in range(k):
+                out[:, j + 1] += np.bincount(entry, beta * xg[j][pair],
+                                             minlength=out.shape[0])
+                out[:, j + 1] += S_flat * np.bincount(entry, beta * rate[j][pair],
+                                                      minlength=out.shape[0])
+        else:
+            band = np.flatnonzero(beta != 0.0)
+            xs = _intrinsic_gradient(G, phi, at[pair[band]],
+                                     t.reshape(-1)[pair[band]] + s[band])
+            xs *= beta[band, None]
+            for j in range(k):
+                out[:, j + 1] += np.bincount(entry[band], xs[:, j], minlength=out.shape[0])
+    out /= 2.0 * h * np.sum(kernel._conv_weights)
+    return out.reshape(count, slices, G.m)
 
 
 def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
     p = np.asarray(p, dtype=float)
-    out = _shifted_gradient(G, phi, kernel, np.atleast_2d(p), [0.0])[:, 0]
+    out = _shifted_gradient(G, phi, kernel, np.atleast_2d(p), 0.0)
     return out[0] if p.ndim == 1 else out
 
 
@@ -340,16 +387,20 @@ def level_set_phi_alpha(G, phi, kernel, c_level, a):
     over the base points (see ``_section_roots``).  Where f_alpha equals c
     over an interval of t, the root is the interval's left end."""
     a = np.asarray(a, dtype=float)
-    roots, _, _ = _section_roots(G, phi, kernel, c_level, np.atleast_2d(a))
+    roots, *_ = _section_roots(G, phi, kernel, c_level, np.atleast_2d(a))
     return float(roots[0]) if a.ndim == 1 else roots
+
+
+def _check_level(c_level):
+    if not (isinstance(c_level, numbers.Real) and 0.0 < c_level < 1.0):
+        raise ValidationError("level c must lie in (0, 1)")
 
 
 def _section_roots(G, phi, kernel, c_level, A):
     """Roots inf{t : f_alpha(i(a) * (t e1)) <= c} over the rows a of A, the
-    point evaluations of f_alpha spent and max |f - c| at the roots, from
-    one table of g on the rows i(a) (module docstring)."""
-    if not (0.0 < c_level < 1.0):
-        raise ValidationError("level c must lie in (0, 1)")
+    point evaluations of f_alpha spent, max |f - c| at the roots, and the
+    one table of g on the rows i(a) they are read from (module docstring)."""
+    _check_level(c_level)
     count, size = A.shape[0], kernel._conv_weights.size
     w, delta = kernel._conv_weights, kernel.subcell_width
     g = np.empty((count, size))
@@ -386,15 +437,18 @@ def _section_roots(G, phi, kernel, c_level, A):
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
     below, above = _ramp_sums(g, w, delta, roots[:, None], out=frac)
     residual = float(np.max(np.abs(below / (below + above) - c_level)))
-    return roots, evals + count, residual
+    return roots, evals + count, residual, g
 
 
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     """Gradient of the extracted graph via its defining function:
-    -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set."""
-    pts = graph_point(G, A, phi_alpha_values)
-    grad = horizontal_gradient_mollified(G, phi, kernel, pts)
-    return _graph_gradient(grad[..., 0], grad[..., 1:])
+    -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set, at the
+    shifts phi_alpha(a) of one table of g on the rows i(a)."""
+    A = np.asarray(A, dtype=float)
+    grad = _shifted_gradient(G, phi, kernel, np.atleast_2d(graph_point(G, A, 0.0)),
+                             np.reshape(phi_alpha_values, (-1, 1)))
+    grad = _graph_gradient(grad[:, 0], grad[:, 1:])
+    return grad[0] if A.ndim == 1 else grad
 
 
 def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
@@ -413,6 +467,11 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     alphas = sorted(float(al) for al in alpha_list)
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
+    _check_level(c_level)
+    if isinstance(gradient_samples, bool) or not (
+            isinstance(gradient_samples, numbers.Integral) and gradient_samples >= 1):
+        raise ValidationError(
+            f"gradient_samples must be a positive integer, got {gradient_samples!r}")
     # one ramp argument per grid point and nonzero kernel node, checked
     # before anything is built; tensor_grid rejects a count below 1
     check_work_budget(max(grid_per_axis, 0) ** phi.domain.dim
@@ -421,15 +480,17 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
-    sub = A[:: max(1, len(A) // gradient_samples)]
+    sub = slice(None, None, max(1, len(A) // gradient_samples))
+    P = graph_point(G, A[sub], 0.0)
     rows = []
     for alpha in alphas:
         kernel = MollifierKernel(G, alpha, points_per_axis=points_per_axis)
-        pa, section_evals, level_residual = _section_roots(
+        pa, section_evals, level_residual, g = _section_roots(
             G, phi, kernel, c_level, A)
         sup_err = float(np.max(np.abs(pa - phi_vals)))
-        pa_sub = pa[:: max(1, len(A) // gradient_samples)]
-        grad = intrinsic_gradient_of_level_set(G, phi, kernel, sub, pa_sub)
+        # the level set's gradient at i(a) * (phi_alpha(a) e1), off the roots' table
+        grad = _shifted_gradient(G, phi, kernel, P, pa[sub, None], g[sub])
+        grad = _graph_gradient(grad[:, 0], grad[:, 1:])
         grad_sup = float(np.max(np.linalg.norm(grad, axis=-1)))
         rows.append({
             "alpha": alpha,
@@ -482,7 +543,7 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     # phi(a) -+ R cannot bring an end node's ramps off their saturated values
     half = reach * (1.0 + 1e-12) * t_points / (t_points - 1)
     dt = 2.0 * half / t_points
-    shifts = [phi_vals[:, None] - half + (k + 0.5) * dt for k in range(t_points)]
-    mags = np.linalg.norm(_shifted_gradient(G, phi, kernel, rows, shifts), axis=-1)
+    shifts = phi_vals[:, None] - half + (np.arange(t_points) + 0.5) * dt
+    mags = np.linalg.norm(_sliced_gradient(G, phi, kernel, rows, shifts), axis=-1)
     return {"mass": float(np.sum(mags)) * dt * cell_base, "window_halfwidth": half,
             "edge_gradient_max": float(np.max(mags[:, [0, -1]]))}

@@ -92,6 +92,31 @@ def _split(G, terms, p, start=0, stop=None):
     return np.moveaxis(buf, 0, -1), t
 
 
+def _split_pairs(G, terms, p, rows, cols):
+    """(base, t) of u^-1 p for the pairs (p_{rows_i}, u_{cols_i}) only, rows
+    of the (P, m+n) array p with anchors of terms: the formula of ``_split``
+    on gathered columns; t is (N,) and base an (N, m+n-1) view of one
+    (m+n-1, N) buffer."""
+    m, n = G.m, G.n
+    ux, uy, bx, row1 = terms
+    px = [p[:, i][rows] for i in range(m)]
+    t = px[0] - ux[:, 0][cols]
+    half_t = 0.5 * t
+    p_row1 = p[:, :m] @ G.B[:, 0, :].T
+    buf = np.empty((m - 1 + n, t.size))
+    for i in range(1, m):
+        np.subtract(px[i], ux[:, i][cols], out=buf[i - 1])
+    for s in range(n):
+        col = buf[m - 1 + s]
+        br = px[0] * bx[0, :, s][cols]
+        for i in range(1, m):
+            br += px[i] * bx[i, :, s][cols]
+        np.subtract(p[:, m + s][rows], uy[:, s][cols], out=col)
+        col -= 0.5 * br
+        col -= half_t * (p_row1[:, s][rows] - row1[:, s][cols])
+    return buf.T, t
+
+
 def _split_from(G, u, p):
     """(base, t) of u^-1 p for one anchor u and points p of any leading shape."""
     p = gp._check_point(G, p)

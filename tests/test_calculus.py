@@ -162,7 +162,7 @@ def test_graph_gradient_floor_on_both_routes(heis1):
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     kern = MollifierKernel(heis1, 0.2, points_per_axis=4)
-    with mock.patch("carnot.mollify.horizontal_gradient_mollified",
+    with mock.patch("carnot.mollify._shifted_gradient",
                     return_value=np.array([[x1f, 1.0]])):
         with pytest.raises(errors.DegenerateHorizontalGradient):
             intrinsic_gradient_of_level_set(heis1, phi, kern, np.array([[0.5, 0.5]]),

@@ -25,7 +25,7 @@ from carnot.mollify import (
     mollified_indicator,
 )
 from carnot.quadrature import tensor_grid
-from carnot.splitting import _split, graph_point
+from carnot.splitting import _anchor_terms, _split, graph_point
 from conftest import embed_base, lift_graph_value, unit_box
 
 # (group fixture, kernel points per axis, expression) for the four groups
@@ -85,6 +85,39 @@ def test_kernel_mass_folded_matches_full_grid(heis1, heis2, k):
         assert kern.mass(points_per_axis=k) == pytest.approx(full, rel=1e-12)
 
 
+def _full_grid_profile(kern, p):
+    # the unnormalised profile of rho(delta_{1/alpha} p) at every point p
+    G, a = kern.G, kern.alpha
+    x = p[..., :G.m] / a
+    y = p[..., G.m:] / a ** 2
+    return _bump(np.sum(x * x, axis=-1)) * _bump(G.epsilon ** 4 * np.sum(y * y, axis=-1))
+
+
+@pytest.mark.parametrize("group", ["heis1", "heis2", "free3", "quat"])
+def test_kernel_weights_from_factor_bumps_match_full_grid(request, group):
+    # the two factor bumps on their k^m and k^n block grids give the
+    # profile of every node of the k^(m+n) grid bit for bit
+    G = request.getfixturevalue(group)
+    for k in (4, 5, 8):
+        for alpha in (0.013, 0.15, 1.0):
+            kern = MollifierKernel(G, alpha, points_per_axis=k)
+            half = np.array([alpha] * G.m + [alpha ** 2 / G.epsilon ** 2] * G.n)
+            nodes = tensor_grid(-half, half, (k,) * G.dim)
+            z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
+            raw = (_full_grid_profile(kern, nodes) / z / alpha ** G.homogeneous_dimension
+                   * float(np.prod(2.0 * half / k)))
+            raw_mass = float(np.sum(raw))
+            weights = raw / raw_mass
+            keep = weights > 0.0
+            assert np.array_equal(kern.nodes, nodes)
+            assert kern.raw_mass == raw_mass
+            assert np.array_equal(kern.weights, weights)
+            assert np.array_equal(kern._conv_nodes, nodes[keep])
+            assert np.array_equal(kern._conv_weights, weights[keep])
+            for got, ref in zip(kern._conv_terms, _anchor_terms(G, nodes[keep])):
+                assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("group, k", [("heis1", 16), ("heis2", 8), ("free3", 6)])
 def test_kernel_convolution_set_is_nonzero_nodes(request, group, k):
     G = request.getfixturevalue(group)
@@ -93,7 +126,7 @@ def test_kernel_convolution_set_is_nonzero_nodes(request, group, k):
     assert kern.nodes.shape == (k ** G.dim, G.dim)
     half = np.array([0.15] * G.m + [0.15 ** 2 / G.epsilon ** 2] * G.n)
     assert np.array_equal(kern.nodes, tensor_grid(-half, half, (k,) * G.dim))
-    profile = kern._profile(kern.nodes)
+    profile = _full_grid_profile(kern, kern.nodes)
     assert np.allclose(kern.weights, profile / np.sum(profile), rtol=1e-12, atol=0.0)
     # the convolution runs over exactly the nonzero-weight nodes
     keep = kern.weights > 0.0
@@ -115,9 +148,9 @@ def test_nonzero_node_count_matches_built_kernel(request, group):
 
 
 def test_kernel_symmetric(kernel01):
-    vals = kernel01._profile(kernel01.nodes)
-    flipped = kernel01._profile(-kernel01.nodes)
-    assert np.allclose(vals, flipped)
+    # the grid reversed is the grid negated, and rho(-p) = rho(p)
+    assert np.allclose(kernel01.nodes[::-1], -kernel01.nodes)
+    assert np.allclose(kernel01.weights[::-1], kernel01.weights)
 
 
 def test_kernel_underflow():
@@ -370,35 +403,45 @@ def _dense_shifted_gradient(G, phi, kernel, P, shifts):
 
 @given(index=st.integers(0, 3), kind=st.sampled_from(["expr", "callable", "grid"]),
        seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.05, 0.3),
-       slices=st.booleans())
+       case=st.sampled_from(["points", "slices", "level_set"]))
 def test_shifted_gradient_matches_dense_formula_property(request, index, kind, seed,
-                                                        alpha, slices):
-    # X_j g only on the band, and for analytic phi once per chunk, against
-    # the formula over every pair; a row whose band is empty gives exactly 0
+                                                        alpha, case):
+    # X_j g only on the band, split again pair by pair, and for the 48
+    # slices on sorted runs with analytic phi once per chunk, against the
+    # formula over every pair; a row whose band is empty gives exactly 0
     G, _, phi = _group_case(request, index)
     phi = _phi_as(G, phi, kind)
     # the smallest kernels, so that the reference stays cheap on every group
     kern = MollifierKernel(G, alpha, points_per_axis=4)
     rng = np.random.default_rng(seed)
-    if slices:
+    A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
+    if case == "slices":
         # the 48 t-slice columns of the gradient mass on base rows i(a), on
         # a window wider than the support, so that its end slices see no ramp
-        A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
         P = graph_point(G, A, 0.0)
         half = 3.0 * alpha
         dt = 2.0 * half / 48
         shifts = [phi.eval_extended(A)[:, None] - half + (j + 0.5) * dt
                   for j in range(48)]
+        got = mollify._sliced_gradient(G, phi, kern, P, np.concatenate(shifts, axis=1))
+    elif case == "level_set":
+        # the level set's points i(a) * (phi_alpha(a) e1), read off the
+        # table of g that the roots were found on
+        A = np.concatenate([A, rng.uniform(0.0, 1.0, size=(4, G.base_dim))])
+        P = graph_point(G, A, 0.0)
+        roots, _, _, g = _section_roots(G, phi, kern, 0.5, A)
+        shifts = [roots[:, None]]
+        got = mollify._shifted_gradient(G, phi, kern, P, roots[:, None], g)[:, None]
     else:
         # points straddling the graph, and two far below and above it
-        A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
         P = np.concatenate([_straddling_points(G, phi, alpha, 6, seed),
                             graph_point(G, A, phi.eval_extended(A) + [-2.0, 2.0])])
         shifts = [0.0]
-    got = mollify._shifted_gradient(G, phi, kern, P, shifts)
+        got = mollify._shifted_gradient(G, phi, kern, P, 0.0)[:, None]
     ref, empty = _dense_shifted_gradient(G, phi, kern, P, shifts)
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
-    assert np.any(empty) and not np.all(empty)
+    # every root sees a ramp; elsewhere some rows see none
+    assert not np.all(empty) and (np.any(empty) or case == "level_set")
     assert np.all(got[empty] == 0.0)
 
 
@@ -468,7 +511,7 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     kern = MollifierKernel(G, 0.2, points_per_axis=k)
     A = tensor_grid([0.0] * G.base_dim, [1.0] * G.base_dim, (2,) * G.base_dim)
     pairs = len(A) * kern._conv_weights.size
-    roots, evals, _ = _section_roots(G, phi, kern, 0.5, A)
+    roots, evals, _, _ = _section_roots(G, phi, kern, 0.5, A)
     # one split of every (base point, node) pair, however many passes; the
     # pairs are counted, so the node chunks do not matter
     assert sum(calls) == pairs
@@ -487,6 +530,48 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     # g once per pair, then phi's central differences along X_2..X_m on the
     # band only
     assert sum(calls) == pairs + 2 * (G.m - 1) * band
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_approximation_report_splits_each_pair_once(request, index):
+    # per alpha the roots' table splits every (base point, node) pair once;
+    # the level-set gradient reads that table at the roots and splits and
+    # evaluates phi again only on the band pairs of its subsampled rows
+    G, k, _ = _group_case(request, index)
+    calls = []
+    phi = _counted_phi(G, calls)
+    d = G.base_dim
+    A = tensor_grid([0.0] * d, [1.0] * d, (2,) * d)
+    sub = slice(None, None, max(1, len(A) // 3))
+    alphas, c = [0.2, 0.3], 0.5
+    nodes = _nonzero_node_count(G, k)
+    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split, \
+            mock.patch("carnot.mollify._split_pairs",
+                       wraps=mollify._split_pairs) as split_pairs:
+        approximation_report(G, phi, alphas, c_level=c, grid_per_axis=2,
+                             points_per_axis=k, gradient_samples=3)
+    report_calls = sum(calls)
+    split_rows = sum(call.args[2].shape[0] * (call.args[4] - call.args[3])
+                     for call in split.call_args_list)
+    assert split_rows == len(alphas) * len(A) * nodes
+    # the band of each alpha from the roots' own table
+    bands = []
+    for alpha in alphas:
+        kern = MollifierKernel(G, alpha, points_per_axis=k)
+        roots, _, _, g = _section_roots(G, phi, kern, c, A)
+        h, delta = kern.alpha / 64.0, kern.subcell_width
+        shift = roots[sub, None]
+        beta = kern._conv_weights * (
+            np.clip((g[sub] - (shift - h)) / delta + 0.5, 0.0, 1.0)
+            - np.clip((g[sub] - (shift + h)) / delta + 0.5, 0.0, 1.0))
+        bands.append(np.count_nonzero(beta))
+        assert 0 < bands[-1] < g[sub].size // 2
+    assert [call.args[3].size for call in split_pairs.call_args_list] == bands
+    # phi on the grid and its central differences for w_inf, then per alpha
+    # g once per pair and the central differences along X_2..X_m on the band
+    assert report_calls == ((2 + 2 * (G.m - 1)) * len(A)
+                            + sum(len(A) * nodes + 2 * (G.m - 1) * band
+                                  for band in bands))
 
 
 def test_gradient_mass_evaluates_partials_once_per_chunk(heis1, phi_unit):
@@ -587,7 +672,7 @@ def test_level_set_no_more_evaluations_than_bisection(request, group, k, expr,
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     A = tensor_grid(box.lo, box.hi, (per_axis,) * d)
     t_tol = 1e-6 * alpha
-    roots, evals, resid = _section_roots(G, phi, kern, c_level, A)
+    roots, evals, resid, _ = _section_roots(G, phi, kern, c_level, A)
     ref, ref_evals = _bisection_roots(G, phi, kern, c_level, A, t_tol)
     assert evals <= ref_evals
     assert np.max(np.abs(roots - ref)) <= t_tol
@@ -664,6 +749,22 @@ def test_approximation_report_rejects_negative_grid(heis1, phi_unit):
     # a negative count is named as such, not as a ramp table over budget
     with pytest.raises(errors.ValidationError, match="positive count per axis"):
         approximation_report(heis1, phi_unit, [0.1], grid_per_axis=-5000)
+
+
+@pytest.mark.parametrize("args", [{"gradient_samples": 0}, {"gradient_samples": 1.5},
+                                  {"gradient_samples": -3}, {"gradient_samples": True},
+                                  {"c_level": 0.0}, {"c_level": 1.0},
+                                  {"c_level": float("nan")}, {"c_level": "0.5"}],
+                         ids=lambda args: "{}={!r}".format(*next(iter(args.items()))))
+def test_approximation_report_rejects_bad_arguments(heis1, phi_unit, args):
+    # typed errors, raised before any kernel or table is built
+    with mock.patch("carnot.mollify.MollifierKernel") as kernel, \
+            mock.patch("carnot.mollify._split") as split:
+        with pytest.raises(errors.ValidationError,
+                           match="gradient_samples must be a positive integer"
+                           if "gradient_samples" in args else r"level c must lie in \(0, 1\)"):
+            approximation_report(heis1, phi_unit, [0.1], grid_per_axis=4, **args)
+    assert kernel.call_count == 0 and split.call_count == 0
 
 
 def test_approximation_report_linear_rate(heis1, phi_unit):
