@@ -85,29 +85,22 @@ def _frozen_difference(G, phi, j, a, c, h, check_domain):
 
 
 def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
-    """D_j phi at base points a.
-
-    Uses analytic partials when available; otherwise an O(h^2) central
-    difference along the frozen direction e_j + sum_s c_s(a) e_{y_s} with
-    default step h = 1e-5 (1 + |a|).  With ``check_domain=False`` the
-    stencil evaluates through the function's extension instead of raising.
-    """
+    """D_j phi at base points a: column j - 2 of :func:`intrinsic_gradient`,
+    which takes the same ``h`` and ``check_domain``."""
     _check_direction(G, j)
-    a = np.asarray(a, dtype=float)
-    if check_domain and not np.all(phi.in_domain(a)):
-        raise OutOfDomain("intrinsic derivative point outside domain")
-    value = phi.eval_extended(a)
-    if phi.has_partials and h is None:
-        return _frame_apply(G, a, value, phi.partials(a))[..., j - 2]
-    return _frozen_difference(G, phi, j, a, _frozen_coefficients(G, j, a, value),
-                              h, check_domain)
+    return intrinsic_gradient(G, phi, a, h, check_domain)[..., j - 2]
 
 
 def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
     """All components (D_2 phi, ..., D_m phi) stacked on the last axis, from
-    one evaluation of phi and of the domain check for all j: with analytic
-    partials (and no ``h``) one pass over them, otherwise the central
-    differences of :func:`intrinsic_derivative`."""
+    one evaluation of phi and of the domain check for all j.
+
+    Uses analytic partials when available (and no ``h``), in one pass over
+    them; otherwise an O(h^2) central difference along each frozen
+    direction e_j + sum_s c_s(a) e_{y_s} with default step
+    h = 1e-5 (1 + |a|).  With ``check_domain=False`` the stencil evaluates
+    through the function's extension instead of raising.
+    """
     a = np.asarray(a, dtype=float)
     if check_domain and not np.all(phi.in_domain(a)):
         raise OutOfDomain("intrinsic derivative point outside domain")

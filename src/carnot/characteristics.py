@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
-from .calculus import _check_direction, _drift, _frozen_coefficients, frozen_coefficients
+from .calculus import _check_direction, _drift, _frozen_coefficients
 from .quadrature import check_work_budget, tensor_grid
+from .splitting import graph_quasidistance
 
 
 @dataclass(frozen=True)
@@ -172,39 +173,17 @@ def sup_w_estimate(w_j, curve):
     return 1.05 * float(np.max(np.abs(w_j(allpts))))
 
 
-def _curve_holder_constant(G, phi, curve):
-    """Vertical Hoelder modulus of phi over the curve's bounding box."""
-    from .functions import Box, GraphFunction
-    from .splitting import vertical_holder_modulus
-
-    pts = curve.base_points
-    lo = pts.min(axis=0) - 1e-9
-    hi = pts.max(axis=0) + 1e-9
-    view = GraphFunction.from_callable(phi.eval_extended, Box(lo, hi))
-    r_max = float(np.linalg.norm(hi[G.m - 1:] - lo[G.m - 1:])) + 1e-9
-    table = vertical_holder_modulus(view, [r_max], grid_per_axis=9,
-                                    n_vertical=G.n)
-    return max(mod for _, mod in table)
-
-
-def lipschitz_along_curve(G, curve, phi, w_j=None, holder_constant=None):
+def lipschitz_along_curve(G, curve, phi, w_j, holder_constant):
     """Measured Lipschitz constant of phi along the curve and the explicit
     bound ||w_j||_inf + (1 + sqrt 2)/2 * C_h^2 * sum_s |b^(s)_{j1}|.
 
-    ``w_j`` defaults to the j-th intrinsic derivative of phi and the
-    Hoelder constant to the sampled vertical modulus over the curve's
-    bounding box; both can be supplied when sharper values are known.  The
-    bound is proved for two vertical directions; for general n the sum over
-    all s is the direct extension and is flagged as extrapolated.
+    ``w_j`` is the j-th intrinsic derivative of phi (a callable on base
+    points) and ``holder_constant`` C_h its vertical 1/2-Hoelder constant,
+    e.g. from one domain-wide :func:`vertical_holder_modulus`; ``phi``
+    itself is not read.  The bound is proved for two vertical directions;
+    for general n the sum over all s is the direct extension and is flagged
+    as extrapolated.
     """
-    if w_j is None:
-        from .calculus import intrinsic_derivative
-
-        def w_j(pts):
-            return intrinsic_derivative(G, phi, curve.j, pts, check_domain=False)
-
-    if holder_constant is None:
-        holder_constant = _curve_holder_constant(G, phi, curve)
     measured = _pairwise_sup_slope(curve.t_grid, curve.phi_along)
     w_inf = sup_w_estimate(w_j, curve)
     col_sum = float(np.sum(np.abs(G.B[:, curve.j - 1, 0])))
@@ -231,18 +210,14 @@ def curve_graph_speed_bound(G, c1, C_L):
                   + np.sqrt(2.0 * bm) * c1 * n * (m - 1))
 
 
-def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L=None):
+def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L):
     """Check the quasi-distance growth bound along a characteristic and the
-    induced Lipschitz bound |phi(gamma(t)) - phi(gamma(t1))| <= C_L C1 (t-t1).
+    induced Lipschitz bound |phi(gamma(t)) - phi(gamma(t1))| <= C_L C1 (t-t1)
+    for an intrinsic Lipschitz constant C_L of phi.
 
-    ``C_L`` defaults to the sampled intrinsic Lipschitz estimate of phi.
     Returns measured slopes and the bound C1 computed from the norm
     equivalence constant c1 = 1 + 1/eps (exact for the max-norm).
     """
-    from .splitting import estimate_intrinsic_lipschitz, graph_quasidistance
-
-    if C_L is None:
-        C_L = estimate_intrinsic_lipschitz(G, phi)
     c1 = 1.0 + 1.0 / G.epsilon
     C1 = curve_graph_speed_bound(G, c1, C_L)
     t = curve.t_grid
@@ -265,13 +240,15 @@ def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L=None):
     }
 
 
-def conservation_residual(G, curve, phi, w_j):
+def conservation_residual(G, curve, w_j):
     """Max mismatch of d/dt f_s(phi(gamma(t))) against gamma_dot_s * w_j
-    along the curve, centered differences at interior grid times."""
+    along the curve, centered differences at interior grid times; phi is
+    read off the curve's samples."""
     # the full x-block: the flux drift ignores the moving coordinate (b_jj = 0)
     f = flux_values(G, curve.j, curve.base_points[:, :G.m - 1], curve.phi_along)
     t = curve.t_grid
     dfdt = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
-    vel = frozen_coefficients(G, phi, curve.j, curve.base_points[1:-1])
+    vel = _frozen_coefficients(G, curve.j, curve.base_points[1:-1],
+                               curve.phi_along[1:-1])
     w_vals = np.asarray(w_j(curve.base_points[1:-1]), dtype=float)
     return float(np.max(np.abs(dfdt - vel * w_vals[:, None])))

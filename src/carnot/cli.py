@@ -7,7 +7,7 @@ byte-identical reports; curves are CSV.  Exit codes: 0 success, 1
 validation or usage error, 2 numerical failure.
 
 Every ``cmd_*`` returns its report; :func:`run` parses and runs one command
-and :func:`main` emits the report once.
+and writes ``--out``, and :func:`main` prints the report once.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -31,15 +32,25 @@ from .quadrature import default_points_per_axis
 
 
 def _write_atomic(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".carnot-")
+    """Write ``text`` to ``path`` through a temp file beside it: a write that
+    fails leaves neither a partial file nor the temp file, and its OSError
+    names ``path``."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".carnot-")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                # the mode open() would give the file, not mkstemp's 0600
+                mask = os.umask(0)
+                os.umask(mask)
+                os.fchmod(fh.fileno(), 0o666 & ~mask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _jsonable(obj, key=""):
@@ -64,14 +75,14 @@ def _jsonable(obj, key=""):
     return obj
 
 
+def _json_text(report):
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
 def _emit(report, args):
-    """Print the report (JSON with --json, else text) and write it to --out,
-    which for characteristics already holds the curve CSV instead."""
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out and args.command != "characteristics":
-        _write_atomic(args.out, text + "\n")
+    """Print the report: JSON with --json, else text."""
     if args.json:
-        print(text)
+        print(_json_text(report))
     elif args.command == "suite":
         rows = report["rows"]
         width = max([4] + [len(r["name"]) for r in rows])
@@ -149,14 +160,14 @@ def cmd_characteristics(args):
     phi = load_graph_function(args.phi, G)
     curve = _integrate_curve(G, phi, args)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"gamma_{s}" for s in range(1, G.n + 1)]
-                            + ["phi"])
-            for i, t in enumerate(curve.t_grid):
-                writer.writerow([f"{t:.17g}"]
-                                + [f"{v:.17g}" for v in curve.gamma[i]]
-                                + [f"{curve.phi_along[i]:.17g}"])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["t"] + [f"gamma_{s}" for s in range(1, G.n + 1)] + ["phi"])
+        for i, t in enumerate(curve.t_grid):
+            writer.writerow([f"{t:.17g}"]
+                            + [f"{v:.17g}" for v in curve.gamma[i]]
+                            + [f"{curve.phi_along[i]:.17g}"])
+        _write_atomic(args.out, buf.getvalue())
     report = {
         "steps": len(curve.t_grid) - 1,
         "step": curve.step,
@@ -361,12 +372,14 @@ def build_parser():
 def run(argv):
     """Parse ``argv`` and run its command: (exit code, args, report).
 
-    Usage errors exit 1 (``--help`` exits 0), a report holding a NaN or
-    infinite value exits 2, and a report whose ``failed`` count is nonzero
-    exits 1; the report is None when the command raised.  The report is
-    plain python (see :func:`_jsonable`).  numpy's invalid-value and
-    divide warnings are silenced: a non-finite result is reported as a
-    typed error instead.
+    Usage errors and files that cannot be read or written exit 1
+    (``--help`` exits 0), a report holding a NaN or infinite value exits 2,
+    and a report whose ``failed`` count is nonzero exits 1; the report is
+    None when the command raised.  The report is plain python (see
+    :func:`_jsonable`) and is written to ``--out`` here, except for
+    characteristics, whose command writes its curve CSV there.  numpy's
+    invalid-value and divide warnings are silenced: a non-finite result is
+    reported as a typed error instead.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -375,7 +388,9 @@ def run(argv):
     try:
         with np.errstate(invalid="ignore", divide="ignore"):
             report = _jsonable(args.fn(args))
-    except (ValidationError, FileNotFoundError) as exc:
+        if args.out and args.command != "characteristics":
+            _write_atomic(args.out, _json_text(report) + "\n")
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, args, None
     except NumericalError as exc:

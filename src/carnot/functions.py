@@ -188,8 +188,8 @@ class GraphFunction:
         return cls(domain, evaluate, "grid", label="grid")
 
     @classmethod
-    def from_callable(cls, fn, domain, mask=None, label="callable"):
-        return cls(domain, fn, "callable", mask=mask, label=label)
+    def from_callable(cls, fn, domain):
+        return cls(domain, fn, "callable", label="callable")
 
     @classmethod
     def constant(cls, value, domain):

@@ -133,7 +133,6 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     if sv[-1] <= 1e-10 * max(1.0, sv[0]):
         raise LinearlyDependentMatrices(
             f"stacked vectorizations have numerical rank < n (sigma_min={sv[-1]:.3e})")
-    G = GroupStructure(m=m, n=n, B=B, epsilon=1.0, name=name)
     if epsilon is None:
         eps = _calibrated_epsilon(m, n, B.tobytes())
     else:
@@ -143,7 +142,7 @@ def make_group(m, n, matrices, epsilon=None, name=""):
             raise EpsilonOutOfRange(f"epsilon must be a number, got {epsilon!r}") from None
         if not (0.0 < eps <= 1.0):
             raise EpsilonOutOfRange(f"epsilon must lie in (0, 1], got {eps}")
-    return replace(G, epsilon=eps)
+    return GroupStructure(m=m, n=n, B=B, epsilon=eps, name=name)
 
 
 def _heisenberg_matrices(k):

@@ -63,7 +63,7 @@ from .calculus import (
     _intrinsic_gradient,
     intrinsic_gradient,
 )
-from .errors import NonFiniteState, QuadratureUnderflow, ValidationError
+from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
 from .quadrature import check_work_budget, midpoint_rule, tensor_grid
 from .splitting import _anchor_terms, _split, _split_pairs, graph_point
 
@@ -443,8 +443,13 @@ def _section_roots(G, phi, kernel, c_level, A):
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     """Gradient of the extracted graph via its defining function:
     -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set, at the
-    shifts phi_alpha(a) of one table of g on the rows i(a)."""
+    shifts phi_alpha(a) of one table of g on the rows i(a).  One value per
+    base point, or :class:`DimensionMismatch`."""
     A = np.asarray(A, dtype=float)
+    phi_alpha_values = np.asarray(phi_alpha_values, dtype=float)
+    if phi_alpha_values.shape != A.shape[:-1]:
+        raise DimensionMismatch(f"need one phi_alpha value per base point, shape "
+                                f"{A.shape[:-1]}, got {phi_alpha_values.shape}")
     grad = _shifted_gradient(G, phi, kernel, np.atleast_2d(graph_point(G, A, 0.0)),
                              np.reshape(phi_alpha_values, (-1, 1)))
     grad = _graph_gradient(grad[:, 0], grad[:, 1:])

@@ -346,18 +346,22 @@ def test_frame_apply_is_the_residual_frame(group_name, request):
 
 @pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
 def test_intrinsic_derivative_is_a_gradient_column(group_name, request):
-    # D_j phi with analytic partials is column j - 2 of the one-pass
-    # gradient, bitwise; a direction outside 2..m is rejected at the entry
+    # D_j phi, with analytic partials and by central differences of a
+    # callable, is column j - 2 of the one-pass gradient, bitwise; a
+    # direction outside 2..m is rejected at the entry
     G = request.getfixturevalue(group_name)
     names = base_coordinate_names(G.m, G.n)
     expr = " + ".join(f"{0.1 * (i + 1)}*sin({v})" for i, v in enumerate(names))
     phi = GraphFunction.from_expression(f"{expr} + 0.2*{names[0]}*{names[-1]}",
                                         unit_box(G.base_dim), G.m, G.n)
     pts = np.random.default_rng(67).uniform(-1.0, 1.0, size=(500, G.base_dim))
-    grad = intrinsic_gradient(G, phi, pts)
-    for j in range(2, G.m + 1):
-        assert intrinsic_derivative(G, phi, j, pts).tobytes() == \
-            np.ascontiguousarray(grad[:, j - 2]).tobytes()
+    fd_phi = GraphFunction.from_callable(phi.eval_extended, phi.domain)
+    # the stencils of points at the box edge read phi's extension
+    for f, kw in ((phi, {}), (fd_phi, {"check_domain": False})):
+        grad = intrinsic_gradient(G, f, pts, **kw)
+        for j in range(2, G.m + 1):
+            assert intrinsic_derivative(G, f, j, pts, **kw).tobytes() == \
+                np.ascontiguousarray(grad[:, j - 2]).tobytes()
     for j in (1, G.m + 1):
         with pytest.raises(errors.ValidationError, match="direction index"):
             intrinsic_derivative(G, phi, j, pts)

@@ -156,7 +156,7 @@ def test_conservation_along_curve(heis1):
         return g[..., 0] - phi.eval_extended(pts) * g[..., 1]
 
     curve = integrate_characteristic(heis1, phi, 2, np.array([0.0, 0.2]), 1.0, 1000)
-    assert conservation_residual(heis1, curve, phi, w_j) <= 1e-5
+    assert conservation_residual(heis1, curve, w_j) <= 1e-5
 
 
 def test_quasidistance_growth_constant_phi(heis1):

@@ -199,6 +199,35 @@ def test_mollify_over_budget_rejected_before_any_work(heis2_mollify_argv, capsys
     assert "point-node pairs exceeds the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, target", [("area", "missing/r.json"), ("area", "dir"),
+                                             ("characteristics", "dir")])
+def test_unwritable_out_exits_1(heis_file, phi_file, tmp_path, capsys, command, target):
+    # the --out write is inside run's error handling: one error line and no
+    # traceback, and neither the file nor a temp file is left behind
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    argv = [command, "--group", heis_file, "--phi", phi_file,
+            "--out", str(work / target)]
+    argv += ["--grid", "8"] if command == "area" else ["--from", "0,0.25", "--steps", "16"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {work / target}") and err.count("\n") == 1
+    assert [p.name for p in work.rglob("*")] == ["dir"]
+
+
+@pytest.mark.parametrize("command", ["lipschitz", "characteristics"])
+def test_out_file_has_the_mode_open_gives(heis_file, phi_file, tmp_path, command):
+    # the temp file behind --out is made 0600; the report or curve CSV gets
+    # the mode of a file that open() creates in the same directory
+    out = tmp_path / "out"
+    argv = [command, "--group", heis_file, "--phi", phi_file, "--out", str(out)]
+    argv += ["--pairs", "100"] if command == "lipschitz" else ["--from", "0,0.25",
+                                                               "--steps", "16"]
+    assert main(argv) == 0
+    (tmp_path / "plain").write_text("")
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_determinism_byte_identical(heis_file, phi_file, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -4,7 +4,8 @@ characteristics curve CSV) byte-identical.  ``mollify`` runs on a coarse
 base grid of 8 points per axis to keep its run time short.
 
 After an intended change of a report, rewrite the recordings with
-``PYTHONPATH=src python tests/test_golden_cli.py`` and review their diff.
+``PYTHONPATH=src python tests/test_golden_cli.py`` and review their diff;
+it writes none of them unless every example exits 0.
 """
 
 import contextlib
@@ -79,15 +80,16 @@ def test_cli_report_matches_recording(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    os.makedirs(GOLDEN, exist_ok=True)
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(EXAMPLES):
             code, text, curve = run_example(name, os.path.join(tmp, "curve.csv"))
             if code != 0:
-                sys.exit(f"{name} exited {code}")
-            with open(os.path.join(GOLDEN, f"{name}.json"), "w") as fh:
-                fh.write(text)
+                sys.exit(f"{name} exited {code}; no recording was written")
+            results[f"{name}.json"] = text
             if curve is not None:
-                with open(os.path.join(GOLDEN, "characteristics_curve.csv"), "w",
-                          newline="") as fh:
-                    fh.write(curve)
+                results["characteristics_curve.csv"] = curve
+    os.makedirs(GOLDEN, exist_ok=True)
+    for filename, text in results.items():
+        with open(os.path.join(GOLDEN, filename), "w", newline="") as fh:
+            fh.write(text)

@@ -715,6 +715,13 @@ def test_level_set_rejects_non_finite_phi(heis1, kernel01, call):
         passes[call]()
 
 
+def test_level_set_gradient_needs_one_value_per_point(heis1, phi_unit, kernel01):
+    # three base points and two values: a typed error, not numpy's ValueError
+    with pytest.raises(errors.DimensionMismatch, match="one phi_alpha value per base"):
+        intrinsic_gradient_of_level_set(heis1, phi_unit, kernel01, np.full((3, 2), 0.5),
+                                        np.full(2, 0.5))
+
+
 def test_horizontal_gradient_sign_and_flat(heis1, kernel01):
     phi0 = GraphFunction.constant(0.0, unit_box(2))
     rng = np.random.default_rng(127)
