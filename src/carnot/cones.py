@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ValueNotRepresentable,
 )
-from .quadrature import check_work_budget
+from .quadrature import check_count, check_work_budget
 from .splitting import Cone, cone_membership, graph_map, graph_point
 
 
@@ -165,8 +165,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     """
     if beta <= 0:
         raise ValidationError("cone opening must be positive")
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
+    samples = check_count(samples, "samples must be a positive integer")
     check_work_budget(samples, "the cone-containment check", "samples")
     rng = np.random.default_rng(seed)
     box = phi.domain

@@ -134,12 +134,11 @@ class GraphFunction:
     interpolation), which the mollification pipeline relies on.
     """
 
-    def __init__(self, domain, fn, kind, partials=None, mask=None, label=""):
+    def __init__(self, domain, fn, kind, partials=None, label=""):
         self.domain = domain if isinstance(domain, Box) else Box(*domain)
         self._fn = fn
         self.kind = kind
         self._partials = partials
-        self._mask = mask
         self.label = label
 
     # -- constructors ----------------------------------------------------------
@@ -215,11 +214,7 @@ class GraphFunction:
         return a
 
     def in_domain(self, a):
-        a = self._check_dim(a)
-        ok = self.domain.contains(a)
-        if self._mask is not None:
-            ok = ok & self._mask(a)
-        return ok
+        return self.domain.contains(self._check_dim(a))
 
     def __call__(self, a):
         a = self._check_dim(a)

@@ -40,10 +40,10 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   f_alpha is the central difference along e1.  A node with g on a kink
   -+delta/2 gets half the weight of one inside the band.  At p * (s e1)
   the ramps are read at g - s and X_j g is frozen at t + s.  Only the band
-  of pairs with beta != 0 is split again, pair by pair, to form X_j g
-  (``_shifted_gradient``).  The level set's gradient at i(a) *
-  (phi_alpha(a) e1) is the shift phi_alpha(a) of the rows i(a): it reads
-  the table the roots were found on.
+  of pairs with beta != 0 is split again, by the table's split indexed by
+  the band's pairs, to form X_j g (``_shifted_gradient``).  The level
+  set's gradient at i(a) * (phi_alpha(a) e1) is the shift phi_alpha(a) of
+  the rows i(a): it reads the table the roots were found on.
 * the gradient mass: its t-window and all 48 t-slices, from the table on
   the base rows i(a).  Each row's g is sorted once per node chunk, so each
   slice's band is a run of that order (``_sliced_gradient``).
@@ -64,8 +64,8 @@ from .calculus import (
     intrinsic_gradient,
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
-from .quadrature import check_work_budget, midpoint_rule, tensor_grid
-from .splitting import _anchor_terms, _split, _split_pairs, graph_point
+from .quadrature import check_count, check_work_budget, midpoint_rule, tensor_grid
+from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
 # the gradients hold several arrays per chunk: ramps, band pairs, sorted runs
@@ -228,7 +228,7 @@ def _ramp_table(G, phi, kernel, P, limit=None):
     u^-1 p for every row p of P, and g = phi(base) - t, a fresh array (not
     phi's result) the caller may overwrite; a non-finite g raises NonFiniteState."""
     for start, stop in _node_chunks(kernel, P.shape[0], limit):
-        base, t = _split(G, kernel._conv_terms, P, start, stop)
+        base, t = _split(G, kernel._conv_terms, P, cols=np.s_[start:stop])
         g = np.subtract(phi.eval_extended(base), t)
         if not np.all(np.isfinite(g)):
             raise NonFiniteState("phi is not finite within the kernel's reach of a point")
@@ -280,8 +280,8 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
     chunk by chunk (module docstring).
 
     X_j g enters only as w_k beta_k X_j g_k, so only the band of pairs whose
-    ramp slope beta is not 0 is split again, pair by pair, and only there is
-    X_j g formed, frozen at t + s, and summed back into its row."""
+    ramp slope beta is not 0 is split again (``_split`` on the band's pairs),
+    and only there is X_j g formed, frozen at t + s, and summed into its row."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
     count = P.shape[0]
     shift = np.broadcast_to(shift, (count, 1))
@@ -297,7 +297,7 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
         out[:, 0] -= np.sum(beta, axis=-1)
         band = np.flatnonzero(beta != 0.0)
         rows, cols = np.divmod(band, g.shape[1])
-        base, t = _split_pairs(G, kernel._conv_terms, P, rows, cols + nodes.start)
+        base, t = _split(G, kernel._conv_terms, P, rows=rows, cols=cols + nodes.start)
         xs = _intrinsic_gradient(G, phi, base, t + shift[rows, 0])
         xs *= beta.reshape(-1)[band, None]
         for j in range(G.m - 1):
@@ -473,10 +473,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
     _check_level(c_level)
-    if isinstance(gradient_samples, bool) or not (
-            isinstance(gradient_samples, numbers.Integral) and gradient_samples >= 1):
-        raise ValidationError(
-            f"gradient_samples must be a positive integer, got {gradient_samples!r}")
+    check_count(gradient_samples, "gradient_samples must be a positive integer")
     # one ramp argument per grid point and nonzero kernel node, checked
     # before anything is built; tensor_grid rejects a count below 1
     check_work_budget(max(grid_per_axis, 0) ** phi.domain.dim

@@ -12,6 +12,7 @@ an array (sampled pairs, cone samples, RK4 rows).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,14 @@ def check_work_budget(count, what, unit):
                            f"of {MAX_GRID_NODES} {unit}")
 
 
+def check_count(count, rule):
+    """``count`` as an int; :class:`ValidationError` stating ``rule`` unless
+    it is a positive integer (a bool is not)."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValidationError(f"{rule}, got {count!r}")
+    return int(count)
+
+
 def tensor_grid(lo, hi, shape, nodes="midpoint"):
     """All nodes of a tensor grid on the box [lo, hi] as an (N, d) array
     (C order).
@@ -44,9 +53,8 @@ def tensor_grid(lo, hi, shape, nodes="midpoint"):
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    shape = tuple(int(k) for k in shape)
-    if any(k < 1 for k in shape):
-        raise ValidationError("shape must give a positive count per axis")
+    shape = tuple(check_count(k, "shape must give a positive count per axis")
+                  for k in shape)
     check_work_budget(math.prod(shape), "tensor grid", "nodes")
     if nodes == "midpoint":
         h = (hi - lo) / np.asarray(shape, dtype=float)
@@ -74,8 +82,8 @@ def default_points_per_axis(dim):
 
 def midpoint_rule(lo, hi, per_axis):
     """Composite midpoint rule on the box [lo, hi] with ``per_axis`` cells
-    on every axis: the (N, d) nodes of :func:`tensor_grid` and the volume
-    of one cell, the weight of each node."""
+    on every axis, a positive integer: the (N, d) nodes of
+    :func:`tensor_grid` and the volume of one cell, the weight of each node."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     nodes = tensor_grid(lo, hi, (per_axis,) * lo.size)

@@ -17,9 +17,9 @@ embedded with x1 = 0 and b_1 the s-vector of the rows b^(s)_{1.}:
     phi(a)^-1 i(a)^-1 i(b) phi(a) = (g1, y_b - y_a - 1/2 <B x_a, x_b>
         + phi(a) <b_1, g1>),   g1 = x_b - x_a.
 
-One helper splits u^-1 p for every point against every anchor u, from
-u-side terms computed once per anchor set (kernel nodes, a cone vertex, a
-translation q, the origin).
+One helper splits u^-1 p, from u-side terms computed once per anchor set
+(kernel nodes, a cone vertex, a translation q, the origin), for the points
+and anchors two broadcasting indices pick: a whole table or chosen pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import Box, GraphFunction, _require_inside
-from .quadrature import check_work_budget, tensor_grid
+from .quadrature import check_count, check_work_budget, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
 # (the a = b limit), not reported as errors.
@@ -62,59 +62,36 @@ def graph_point(G, a, t):
 
 
 def _anchor_terms(G, u):
-    """The u-side terms of u^-1 p for the rows u of a (K, m+n) array: u1, u2,
-    (B^(s) u1)_i as (m, K, n) and <b_1, u1>, anchor axis second to last."""
-    ux = u[:, :G.m]
-    return ux, u[:, G.m:], np.einsum("sij,kj->iks", G.B, ux), ux @ G.B[:, 0, :].T
+    """The u-side terms of u^-1 p for the rows u of a (K, m+n) array, anchor
+    axis last and every row contiguous: u as (m+n, K), B^(s) u1 / 2 as
+    (n, m, K) and <b^(s)_{1.}, u1> / 2 as (n, K)."""
+    ut = np.ascontiguousarray(u.T)
+    half_b = 0.5 * G.B
+    return ut, half_b @ ut[:G.m], half_b[:, 0, :] @ ut[:G.m]
 
 
-def _split(G, terms, p, start=0, stop=None):
-    """(base, t) of u^-1 p for every row p of the (P, m+n) array and every
-    anchor u start..stop-1 of terms; t is (P, K) and base a (P, K, m+n-1)
-    view of one (m+n-1, P, K) buffer, written column by column."""
-    m, n = G.m, G.n
-    ux, uy, bx, row1 = (a[..., start:stop, :] for a in terms)
-    px, py = p[:, :m], p[:, m:]
-    k = ux.shape[0]
-    br = (px @ bx.reshape(m, -1)).reshape(-1, k, n)      # <B u1, p1>
-    p_row1 = px @ G.B[:, 0, :].T
-    t = px[:, None, 0] - ux[None, :, 0]
-    half_t = 0.5 * t
-    buf = np.empty((m - 1 + n, p.shape[0], k))
-    for i in range(1, m):
-        np.subtract(px[:, None, i], ux[None, :, i], out=buf[i - 1])
-    for s in range(n):
-        col = buf[m - 1 + s]
-        # (p2 - u2 - <B u1, p1>/2) - (t/2) <b^(s)_{1.}, p1 - u1>
-        np.subtract(py[:, None, s], uy[None, :, s], out=col)
-        col -= 0.5 * br[..., s]
-        col -= half_t * (p_row1[:, None, s] - row1[None, :, s])
+def _split(G, terms, p, rows=np.s_[:, None], cols=np.s_[:]):
+    """(base, t) of u^-1 p for the points ``rows`` of the (P, m+n) array p
+    against the anchors ``cols`` of terms, any numpy indices of the point
+    and anchor axes that broadcast: by default every point against every
+    anchor, t (P, K); index arrays give pairs.  Each entry has the bits of
+    the full table's.  base is a view of one (m+n-1, *t.shape) buffer,
+    written column by column."""
+    u, half_bu, half_row1 = terms
+    pc = [c[rows] for c in p.T]
+    p_half_row1 = 0.5 * G.B[:, 0, :] @ p.T[:G.m]
+    t = pc[0] - u[0, cols]
+    buf = np.empty((G.base_dim,) + t.shape)
+    for c in range(1, G.dim):
+        np.subtract(pc[c], u[c, cols], out=buf[c - 1])
+    scratch = np.empty_like(t)
+    for s, col in enumerate(buf[G.m - 1:]):
+        # p2 - u2 - <B^(s) u1, p1>/2 - t <b^(s)_{1.}, p1 - u1>/2
+        for i in range(G.m):
+            col -= np.multiply(pc[i], half_bu[s, i, cols], out=scratch)
+        np.subtract(p_half_row1[s][rows], half_row1[s, cols], out=scratch)
+        col -= np.multiply(t, scratch, out=scratch)
     return np.moveaxis(buf, 0, -1), t
-
-
-def _split_pairs(G, terms, p, rows, cols):
-    """(base, t) of u^-1 p for the pairs (p_{rows_i}, u_{cols_i}) only, rows
-    of the (P, m+n) array p with anchors of terms: the formula of ``_split``
-    on gathered columns; t is (N,) and base an (N, m+n-1) view of one
-    (m+n-1, N) buffer."""
-    m, n = G.m, G.n
-    ux, uy, bx, row1 = terms
-    px = [p[:, i][rows] for i in range(m)]
-    t = px[0] - ux[:, 0][cols]
-    half_t = 0.5 * t
-    p_row1 = p[:, :m] @ G.B[:, 0, :].T
-    buf = np.empty((m - 1 + n, t.size))
-    for i in range(1, m):
-        np.subtract(px[i], ux[:, i][cols], out=buf[i - 1])
-    for s in range(n):
-        col = buf[m - 1 + s]
-        br = px[0] * bx[0, :, s][cols]
-        for i in range(1, m):
-            br += px[i] * bx[i, :, s][cols]
-        np.subtract(p[:, m + s][rows], uy[:, s][cols], out=col)
-        col -= 0.5 * br
-        col -= half_t * (p_row1[:, s][rows] - row1[:, s][cols])
-    return buf.T, t
 
 
 def _split_from(G, u, p):
@@ -146,17 +123,19 @@ def _pulled_base(G, q, a):
 class _TranslatedFunction(GraphFunction):
     """phi_q(a) = phi(base) - t with (base, t) the split of q^-1 i(a),
     defined where base lies in phi's domain; a checked call splits once for
-    both the mask and the value."""
+    both the domain check and the value."""
 
     def __init__(self, G, phi, q, domain):
         self._G, self._phi, self._q = G, phi, q
-        super().__init__(domain, self._value, "callable",
-                         mask=lambda a: phi.in_domain(_pulled_base(G, q, a)[0]),
-                         label=f"translate({phi.label})")
+        super().__init__(domain, self._value, "callable", label=f"translate({phi.label})")
 
     def _value(self, a):
         b, t = _pulled_base(self._G, self._q, a)
         return self._phi.eval_extended(b) - t
+
+    def in_domain(self, a):
+        base = _pulled_base(self._G, self._q, a)[0]
+        return super().in_domain(a) & self._phi.in_domain(base)
 
     def __call__(self, a):
         a = self._check_dim(a)
@@ -266,8 +245,7 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     a non-finite phi or quasi-distance on any pair raises
     :class:`NonFiniteState`.
     """
-    if pair_samples < 1:
-        raise ValidationError(f"pair_samples must be at least 1, got {pair_samples}")
+    pair_samples = check_count(pair_samples, "pair_samples must be a positive integer")
     check_work_budget(pair_samples, "the Lipschitz estimate", "pairs")
     box = phi.domain
     # grid sized so the all-pairs count stays within the pair budget

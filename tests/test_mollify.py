@@ -287,7 +287,7 @@ def _one_pass_indicator(G, phi, kernel, P):
     chunk = max(1, mollify._BATCH_OPS_LIMIT // P.shape[0])
     for start in range(0, kernel._conv_weights.size, chunk):
         w = kernel._conv_weights[start:start + chunk]
-        base, t = _split(G, kernel._conv_terms, P, start, start + chunk)
+        base, t = _split(G, kernel._conv_terms, P, cols=np.s_[start:start + chunk])
         frac = np.subtract(phi.eval_extended(base), t)
         frac /= delta
         frac += 0.5
@@ -545,14 +545,15 @@ def test_approximation_report_splits_each_pair_once(request, index):
     sub = slice(None, None, max(1, len(A) // 3))
     alphas, c = [0.2, 0.3], 0.5
     nodes = _nonzero_node_count(G, k)
-    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split, \
-            mock.patch("carnot.mollify._split_pairs",
-                       wraps=mollify._split_pairs) as split_pairs:
+    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         approximation_report(G, phi, alphas, c_level=c, grid_per_axis=2,
                              points_per_axis=k, gradient_samples=3)
     report_calls = sum(calls)
-    split_rows = sum(call.args[2].shape[0] * (call.args[4] - call.args[3])
-                     for call in split.call_args_list)
+    # a table call takes a slice of the nodes, a band call an array of pairs
+    cols = [call.kwargs["cols"] for call in split.call_args_list]
+    split_rows = sum(call.args[2].shape[0] * (col.stop - col.start)
+                     for call, col in zip(split.call_args_list, cols)
+                     if isinstance(col, slice))
     assert split_rows == len(alphas) * len(A) * nodes
     # the band of each alpha from the roots' own table
     bands = []
@@ -566,7 +567,7 @@ def test_approximation_report_splits_each_pair_once(request, index):
             - np.clip((g[sub] - (shift + h)) / delta + 0.5, 0.0, 1.0))
         bands.append(np.count_nonzero(beta))
         assert 0 < bands[-1] < g[sub].size // 2
-    assert [call.args[3].size for call in split_pairs.call_args_list] == bands
+    assert [col.size for col in cols if not isinstance(col, slice)] == bands
     # phi on the grid and its central differences for w_inf, then per alpha
     # g once per pair and the central differences along X_2..X_m on the band
     assert report_calls == ((2 + 2 * (G.m - 1)) * len(A)
@@ -893,8 +894,9 @@ def test_gradient_mass_splits_one_table(heis1, phi_unit):
     chunks = mollify._node_chunks(kern, rows, mollify._GRADIENT_OPS_LIMIT)
     assert len(chunks) > 1
     assert split.call_count == 1 + len(chunks)
-    pairs = sum(call.args[2].shape[0] * (call.args[4] - call.args[3])
-                for call in split.call_args_list)
+    cols = [call.kwargs["cols"] for call in split.call_args_list]
+    pairs = sum(call.args[2].shape[0] * (col.stop - col.start)
+                for call, col in zip(split.call_args_list, cols))
     assert pairs == 2 * rows * kern._conv_weights.size
 
 

@@ -485,6 +485,28 @@ def test_right_v_factor_moves_only_graph_coordinate_property(all_groups, index,
     assert np.all(np.abs(moved_t - (t + s)) <= bound[:, None])
 
 
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_indexed_split_is_the_table_entry_property(all_groups, index, seed, pairs):
+    # index arrays pick (point, anchor) pairs, slices a block of the table:
+    # either way each base and t entry has the bits of the full table's
+    G = all_groups[index]
+    rng = np.random.default_rng(seed)
+    terms = _anchor_terms(G, random_points(G, 40, rng))
+    p = random_points(G, 30, rng, scale=2.0)
+    base, t = _split(G, terms, p)
+    if pairs:
+        rows, cols = rng.integers(0, 30, size=200), rng.integers(0, 40, size=200)
+        at = rows, cols
+    else:
+        (r0, r1), (c0, c1) = np.sort(rng.integers(0, 31, size=2)), np.sort(
+            rng.integers(0, 41, size=2))
+        rows, cols = np.s_[r0:r1, None], np.s_[c0:c1]
+        at = np.s_[r0:r1, c0:c1]
+    got_base, got_t = _split(G, terms, p, rows, cols)
+    assert np.array_equal(got_base, base[at])
+    assert np.array_equal(got_t, t[at])
+
+
 def test_graph_point_dimension_mismatch(heis1):
     with pytest.raises(errors.DimensionMismatch):
         graph_point(heis1, np.zeros(3), 0.0)

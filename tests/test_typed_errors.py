@@ -1,25 +1,35 @@
 """One table of raise paths that the rest of the suite does not reach, each
 through a public call: the library cases expect their typed error, the CLI
-cases (a group, phi, w or suite file that is not JSON) exit 1 from
-``cli.run``."""
+cases (a group, phi, w or suite file that is not JSON, a suite scenario of
+the wrong shape) exit 1 from ``cli.run``."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from carnot import cli, errors
+from carnot.area import area_integral
+from carnot.calculus import TestFunction
 from carnot.characteristics import integrate_characteristic
-from carnot.cones import beta_for_k, check_cone_containment, construct_eta_m2n1
+from carnot.cones import (
+    beta_for_k,
+    check_cone_containment,
+    construct_eta_m2n1,
+    sample_cone_points_m2n1,
+)
 from carnot.functions import (
     Box,
     GraphFunction,
+    VectorField,
     graph_function_from_dict,
     vector_field_from_dict,
 )
 from carnot.group import calibrate_epsilon, make_group, standard_group
+from carnot.mollify import MollifierKernel, approximation_report, horizontal_gradient_mass
 from carnot.quadrature import tensor_grid
-from carnot.splitting import graph_quasidistance
+from carnot.splitting import estimate_intrinsic_lipschitz, graph_quasidistance
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 GROUP = os.path.join(DATA, "heisenberg1.json")
@@ -31,14 +41,36 @@ def _phi():
     return GraphFunction.from_expression("x2", Box(**UNIT), 2, 1)
 
 
-def _cli(argv):
-    """Run ``argv`` with the placeholder BAD replaced by a file that is not
-    JSON; the exit code."""
+def _cli(argv, text="{not json"):
+    """Run ``argv`` with the placeholder BAD replaced by a file holding
+    ``text``, by default not JSON; the exit code."""
     def call(G, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         return cli.run([str(bad) if a == "BAD" else a for a in argv])[0]
     return call
+
+
+def _suite(scenario):
+    """A suite file of the one ``scenario``, through ``cli.run``."""
+    return _cli(["suite", "BAD"], json.dumps({"scenarios": [scenario]}))
+
+
+def _pole_crossing(G, tmp):
+    # the RK4 stages step x2 onto the pole of phi at x2 = 0.5 mid-curve, in
+    # a box tall enough that y stays inside until then; the division by
+    # zero is silenced so that the typed error is what is seen
+    phi = GraphFunction.from_expression("1/(x2 - 0.5)", Box([0.0, -1e3], [1.0, 1e3]),
+                                        2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrate_characteristic(G, phi, 2, np.array([0.25, 0.5]), 0.5, 8)
+
+
+def _grid_of_words(G, tmp):
+    values = tmp / "values.csv"
+    values.write_text("a,b\nc,d\n")
+    graph_function_from_dict({"kind": "grid", "domain": UNIT,
+                              "grid": {"shape": [2, 2], "values": str(values)}}, G)
 
 
 CASES = [
@@ -86,6 +118,59 @@ CASES = [
      _cli(["residual", "--group", GROUP, "--phi", PHI, "--w", "BAD",
            "--zeta", "0.5,0.5,0.4", "--grid", "8"])),
     ("cli-suite-not-json", 1, "invalid input file", _cli(["suite", "BAD"])),
+    ("bump-radius", errors.ValidationError, "radius must be positive",
+     lambda G, tmp: TestFunction(np.zeros(2), 0.0)),
+    ("rk4-pole", errors.NonFiniteState, "became non-finite at step 3", _pole_crossing),
+    ("cli-suite-without-command", 1, "suite scenario 0 needs a 'command' string",
+     _suite({"name": "no command"})),
+    ("cli-suite-args-not-strings", 1, "suite scenario 0: 'args' must be a list",
+     _suite({"command": "group", "args": ["validate", 3]})),
+    ("cone-b12", errors.ValidationError, "b12 must be positive",
+     lambda G, tmp: beta_for_k(0.5, b12=0.0)),
+    ("parallelogram-point", errors.ValidationError, "expected a point of R\\^3",
+     lambda G, tmp: construct_eta_m2n1(G, np.zeros(2), 0.5)),
+    ("cone-sampler-group", errors.ValidationError, "sampler requires m=2, n=1",
+     lambda G, tmp: sample_cone_points_m2n1(standard_group("heisenberg", 2, epsilon=1.0),
+                                            0.5, 3)),
+    ("grid-not-finite", errors.ValidationError, "grid values must be finite",
+     lambda G, tmp: GraphFunction.from_grid(np.full((2, 2), np.nan), Box(**UNIT))),
+    ("no-partials", errors.ValidationError, "callable graph function has no analytic",
+     lambda G, tmp: GraphFunction.from_callable(np.sin, Box(**UNIT)).partials(
+         np.zeros(2))),
+    ("empty-vector-field", errors.ValidationError, "at least one component",
+     lambda G, tmp: VectorField([])),
+    ("domain-without-hi", errors.ValidationError, "missing domain field",
+     lambda G, tmp: graph_function_from_dict(
+         {"kind": "expr", "domain": {"lo": [0.0, 0.0]}, "expr": "x2"}, G)),
+    ("grid-values-not-numbers", errors.ValidationError, "must be numbers", _grid_of_words),
+    ("free-step2-m", errors.UnknownName, "free_step2 needs m >= 2",
+     lambda G, tmp: standard_group("free_step2", 1)),
+    # a valid but steep bracket: at B = 1e13 B_heisenberg every eps down to
+    # 2^-20 breaks the triangle inequality on the sampled pairs
+    ("calibration-fails", errors.CalibrationFailed, "no epsilon on the dyadic grid",
+     lambda G, tmp: make_group(2, 1, [[[0.0, 1e13], [-1e13, 0.0]]])),
+    ("lipschitz-coinciding-pairs", errors.DegenerateSample, "all sampled pairs coincide",
+     lambda G, tmp: estimate_intrinsic_lipschitz(
+         G, GraphFunction.from_expression("x2", Box([0.0, 0.0], [1e-30, 1e-30]), 2, 1),
+         pair_samples=10)),
+    # counts that are not positive integers: named, not truncated or
+    # left to an untyped error
+    ("grid-count-float", errors.ValidationError, "positive count per axis, got 2.5",
+     lambda G, tmp: tensor_grid([0.0], [1.0], (2.5,))),
+    ("area-count-float", errors.ValidationError, "positive count per axis, got 2.5",
+     lambda G, tmp: area_integral(G, _phi(), points_per_axis=2.5)),
+    ("mass-count-float", errors.ValidationError, "positive count per axis, got 2.5",
+     lambda G, tmp: horizontal_gradient_mass(
+         G, _phi(), MollifierKernel(G, 0.2, points_per_axis=4), base_per_axis=2.5)),
+    ("lipschitz-count-float", errors.ValidationError, "pair_samples must be a positive",
+     lambda G, tmp: estimate_intrinsic_lipschitz(G, _phi(), 2.5)),
+    ("lipschitz-count-bool", errors.ValidationError, "pair_samples must be a positive",
+     lambda G, tmp: estimate_intrinsic_lipschitz(G, _phi(), True)),
+    ("cone-count-float", errors.ValidationError, "samples must be a positive integer",
+     lambda G, tmp: check_cone_containment(G, _phi(), 0.5, samples=2.5)),
+    ("report-count-float", errors.ValidationError, "gradient_samples must be a positive",
+     lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
+                                         gradient_samples=2.5)),
 ]
 
 
