@@ -180,8 +180,8 @@ class TestFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValidationError("test-function radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValidationError("test-function radius must be positive and finite")
 
     def _u2(self, a):
         u = (np.asarray(a, dtype=float) - self.center) / self.radius

@@ -6,14 +6,18 @@ is JSON (sorted keys, no timestamps) so identical configs and seeds yield
 byte-identical reports; curves are CSV.  Exit codes: 0 success, 1
 validation or usage error, 2 numerical failure.
 
-Every ``cmd_*`` returns its report; :func:`run` parses and runs one command
-and writes ``--out``, and :func:`main` prints the report once.
+Each shared option is declared once, on a parent parser that the
+subcommands taking it inherit: ``--seed/--out/--json`` (all),
+``--group/--phi`` (the eight commands that read a graph function), ``--w``
+and ``--j/--from/--T/--steps``.  Those eight read ``--group`` then
+``--phi`` through :func:`_inputs`.  Every ``cmd_*`` returns its report;
+:func:`run` parses and runs one command and writes ``--out``, and
+:func:`main` prints the report once.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -102,6 +106,12 @@ def _parse_floats(text, option):
             f"{option} must be comma-separated numbers, got {text!r}") from None
 
 
+def _inputs(args):
+    """The group of ``--group``, then the graph function of ``--phi`` over it."""
+    G = gp.load_group(args.group)
+    return G, load_graph_function(args.phi, G)
+
+
 def cmd_group(args):
     G = gp.load_group(args.file)
     report = {
@@ -118,8 +128,7 @@ def cmd_group(args):
 
 
 def cmd_gradient(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     a = _parse_floats(args.at, "--at")
     w = calculus.intrinsic_gradient(G, phi, a)
     return {"at": a.tolist(), "gradient": np.atleast_1d(w).tolist(),
@@ -127,8 +136,7 @@ def cmd_gradient(args):
 
 
 def cmd_residual(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     w = load_vector_field(args.w, G)
     vals = _parse_floats(args.zeta, "--zeta")
     if vals.size != G.base_dim + 1:
@@ -142,8 +150,7 @@ def cmd_residual(args):
 
 
 def cmd_lipschitz(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     est = splitting.estimate_intrinsic_lipschitz(G, phi, pair_samples=args.pairs,
                                                  seed=args.seed)
     return {"lipschitz_estimate": est, "pairs": args.pairs, "seed": args.seed}
@@ -156,18 +163,8 @@ def _integrate_curve(G, phi, args):
 
 
 def cmd_characteristics(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     curve = _integrate_curve(G, phi, args)
-    if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t"] + [f"gamma_{s}" for s in range(1, G.n + 1)] + ["phi"])
-        for i, t in enumerate(curve.t_grid):
-            writer.writerow([f"{t:.17g}"]
-                            + [f"{v:.17g}" for v in curve.gamma[i]]
-                            + [f"{curve.phi_along[i]:.17g}"])
-        _write_atomic(args.out, buf.getvalue())
     report = {
         "steps": len(curve.t_grid) - 1,
         "step": curve.step,
@@ -177,13 +174,18 @@ def cmd_characteristics(args):
         "seed": args.seed,
     }
     if args.out:
+        buf = io.StringIO()
+        table = np.column_stack([curve.t_grid, curve.gamma, curve.phi_along])
+        header = ",".join(["t"] + [f"gamma_{s}" for s in range(1, G.n + 1)] + ["phi"])
+        np.savetxt(buf, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
+        _write_atomic(args.out, buf.getvalue())
         report["curve_csv"] = args.out
     return report
 
 
 def cmd_broadstar(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     w = load_vector_field(args.w, G)
     curve = _integrate_curve(G, phi, args)
     w_j = w.components[args.j - 2].eval_extended
@@ -194,16 +196,14 @@ def cmd_broadstar(args):
 
 
 def cmd_area(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     report = area_mod.area_report(G, phi, points_per_axis=args.grid)
     report["seed"] = args.seed
     return report
 
 
 def cmd_mollify(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     alphas = _parse_floats(args.alphas, "--alphas")
     report = mollify.approximation_report(G, phi, alphas, c_level=args.c,
                                           grid_per_axis=args.grid)
@@ -212,8 +212,7 @@ def cmd_mollify(args):
 
 
 def cmd_cone(args):
-    G = gp.load_group(args.group)
-    phi = load_graph_function(args.phi, G)
+    G, phi = _inputs(args)
     sample = phi.domain.sample(2048, np.random.default_rng(args.seed))
     # a sampled point may sit within one difference step of the box edge
     w = calculus.intrinsic_gradient(G, phi, sample, check_domain=False)
@@ -278,94 +277,65 @@ def cmd_suite(args):
     return {"rows": rows, "failed": failed, "seed": args.seed}
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--json", action="store_true")
-
-
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="carnot",
         description="numerics for step-2 Carnot groups and intrinsic graphs")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out")
+    common.add_argument("--json", action="store_true")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--group", required=True)
+    inputs.add_argument("--phi", required=True)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--w", required=True)
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--j", type=int, default=2)
+    curve.add_argument("--from", required=True, help="comma-separated start base point")
+    curve.add_argument("--T", type=float, default=1.0)
+    curve.add_argument("--steps", type=int, default=1000)
 
-    p = subs.add_parser("group", help="validate or describe a group file")
+    def add(fn, shared, **kw):
+        p = subs.add_parser(fn.__name__.removeprefix("cmd_"), parents=[*shared, common], **kw)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = add(cmd_group, [], help="validate or describe a group file")
     p.add_argument("action", choices=["validate", "info"])
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_group)
 
-    p = subs.add_parser("gradient", help="intrinsic gradient at a base point")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
+    p = add(cmd_gradient, [inputs], help="intrinsic gradient at a base point")
     p.add_argument("--at", required=True, help="comma-separated base point")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gradient)
 
-    p = subs.add_parser("residual", help="distributional residual of D phi = w")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--w", required=True)
+    p = add(cmd_residual, [inputs, field], help="distributional residual of D phi = w")
     p.add_argument("--zeta", required=True,
                    help="bump spec: center coordinates then radius")
-    p.add_argument("--grid", type=int, default=None,
-                   help="points per axis (default by base dimension)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_residual)
+    p.add_argument("--grid", type=int, help="points per axis (default by base dimension)")
 
-    p = subs.add_parser("lipschitz", help="intrinsic Lipschitz estimate")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
+    p = add(cmd_lipschitz, [inputs], help="intrinsic Lipschitz estimate")
     p.add_argument("--pairs", type=int, default=10_000)
-    _add_common(p)
-    p.set_defaults(fn=cmd_lipschitz)
 
-    for name, fn in [("characteristics", cmd_characteristics),
-                     ("broadstar", cmd_broadstar)]:
-        p = subs.add_parser(name)
-        p.add_argument("--group", required=True)
-        p.add_argument("--phi", required=True)
-        if name == "broadstar":
-            p.add_argument("--w", required=True)
-        p.add_argument("--j", type=int, default=2)
-        p.add_argument("--from", required=True, dest="from",
-                       help="comma-separated start base point")
-        p.add_argument("--T", type=float, default=1.0)
-        p.add_argument("--steps", type=int, default=1000)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    add(cmd_characteristics, [inputs, curve])
+    add(cmd_broadstar, [inputs, field, curve])
 
-    p = subs.add_parser("area", help="graph area integral with order estimate")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--grid", type=int, default=None,
+    p = add(cmd_area, [inputs], help="graph area integral with order estimate")
+    p.add_argument("--grid", type=int,
                    help="coarsest points per axis (default by base dimension)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_area)
 
-    p = subs.add_parser("mollify", help="smoothing pipeline convergence report")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
+    p = add(cmd_mollify, [inputs], help="smoothing pipeline convergence report")
     p.add_argument("--alphas", default="0.2,0.1,0.05")
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--grid", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(fn=cmd_mollify)
 
-    p = subs.add_parser("cone", help="cone-containment sweep")
-    p.add_argument("--group", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--k", type=float, default=None)
+    p = add(cmd_cone, [inputs], help="cone-containment sweep")
+    p.add_argument("--k", type=float)
     p.add_argument("--samples", type=int, default=10_000)
-    _add_common(p)
-    p.set_defaults(fn=cmd_cone)
 
-    p = subs.add_parser("suite", help="run a scenario suite from a config file")
+    p = add(cmd_suite, [], help="run a scenario suite from a config file")
     p.add_argument("config")
-    _add_common(p)
-    p.set_defaults(fn=cmd_suite)
     return parser
 
 

@@ -43,8 +43,8 @@ def beta_for_k(k, epsilon=1.0, b12=1.0):
         raise InvalidK(f"k must lie in (0, 1], got {k}")
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if b12 <= 0:
-        raise ValidationError(f"b12 must be positive, got {b12}")
+    if not (np.isfinite(b12) and b12 > 0):
+        raise ValidationError(f"b12 must be positive and finite, got {b12}")
     h = np.sqrt(k * k / (2.0 - k * k))
     disc = b12 * b12 / 4.0 + 3.0 * b12 * h / (2.0 * epsilon ** 2)
     beta = epsilon ** 2 * (b12 / 2.0 + np.sqrt(disc)) / 2.0
@@ -163,8 +163,10 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     construction; the report counts indicator disagreements (0 expected
     for openings below the intrinsic-Lipschitz threshold).
     """
-    if beta <= 0:
-        raise ValidationError("cone opening must be positive")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValidationError(f"cone opening must be positive and finite, got {beta}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     samples = check_count(samples, "samples must be a positive integer")
     check_work_budget(samples, "the cone-containment check", "samples")
     rng = np.random.default_rng(seed)

@@ -38,6 +38,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
+from .quadrature import check_count
 
 # Absolute slack used when checking the triangle inequality numerically: the
 # inequality is tight (equality on collinear horizontal pairs), so exact
@@ -231,8 +232,8 @@ def inverse(G, p):
 def dilate(G, lam, p):
     """Anisotropic dilation: x -> lam x, y -> lam^2 y."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise NonPositiveLambda(f"dilation factor must be positive, got {lam}")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise NonPositiveLambda(f"dilation factor must be positive and finite, got {lam}")
     x, y = split_layers(G, p)
     lam = lam[..., None]
     return np.concatenate([lam * x, lam ** 2 * y], axis=-1)
@@ -282,8 +283,7 @@ def calibrate_epsilon(G, sample_count=10_000, seed=0):
     The same pairs are reused for every eps, so the per-pair pass set is
     monotone in eps and the search result is well-defined and deterministic.
     """
-    if sample_count < 1:
-        raise ValidationError("sample_count must be >= 1")
+    sample_count = check_count(sample_count, "sample_count must be a positive integer")
     rng = np.random.default_rng(seed)
     p = _sample_unit_ball(G, sample_count, rng)
     q = _sample_unit_ball(G, sample_count, rng)

@@ -104,11 +104,12 @@ def _radial_mass(dim):
 
 
 def _kernel_points_per_axis(points_per_axis):
-    k = int(points_per_axis)
-    if k < 4:
-        raise QuadratureUnderflow(
-            f"kernel needs at least 4 points per axis, got {k}")
-    return k
+    """An integer below 4, zero and negatives too, underflows the kernel;
+    any other count that is not a positive integer is a ValidationError."""
+    k = points_per_axis
+    if isinstance(k, numbers.Integral) and not isinstance(k, bool) and k < 4:
+        raise QuadratureUnderflow(f"kernel needs at least 4 points per axis, got {k}")
+    return check_count(k, "points_per_axis must be a positive integer")
 
 
 def _block_bump(dim, k, half, unit, factor=1.0):
@@ -193,7 +194,7 @@ class MollifierKernel:
         at 0 of an odd count.
         """
         G, a = self.G, self.alpha
-        k = points_per_axis
+        k = check_count(points_per_axis, "points_per_axis must be a positive integer")
         count = (k + 1) // 2
         mult = np.full(count, 2.0)
         if k % 2:

@@ -180,8 +180,8 @@ class Cone:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", np.asarray(self.vertex, dtype=float))
-        if self.beta < 0:
-            raise ValidationError("cone opening beta must be >= 0")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValidationError("cone opening beta must be >= 0 and finite")
 
 
 def cone_membership(G, cone, p):
@@ -287,6 +287,9 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     """
     box = phi.domain
     d = box.dim
+    rule = f"n_vertical must be an integer from 1 to {d - 1}"
+    if check_count(n_vertical, rule) >= d:
+        raise ValidationError(f"{rule}, got {n_vertical!r}")
     if grid_per_axis is None:
         grid_per_axis = max(4, int(round(10_000 ** (1.0 / d))))
     g = grid_per_axis

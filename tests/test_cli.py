@@ -292,6 +292,55 @@ def test_usage_errors_exit_1(heis_file, capsys):
     assert main(["--help"]) == 0
 
 
+# the eight commands that read a graph function, each with small valid
+# arguments besides --group and --phi
+INPUT_COMMANDS = {
+    "gradient": ["--at", "0.3,0.2"],
+    "residual": ["--w", "W", "--zeta", "0,0,1.5", "--grid", "8"],
+    "lipschitz": ["--pairs", "200"],
+    "characteristics": ["--from", "0,0.25", "--steps", "8"],
+    "broadstar": ["--w", "W", "--from", "0,0.25", "--steps", "8"],
+    "area": ["--grid", "4"],
+    "mollify": ["--alphas", "0.2", "--grid", "4"],
+    "cone": ["--samples", "200"],
+}
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_input_commands_take_the_shared_options(heis_file, phi_file, w_one_file,
+                                                tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = [w_one_file if a == "W" else a for a in INPUT_COMMANDS[command]]
+    code = main([command, "--group", heis_file, "--phi", phi_file, *extra,
+                 "--seed", "3", "--json", "--out", str(out)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 3
+    if command == "characteristics":
+        assert out.read_bytes().startswith(b"t,gamma_1,phi\r\n")
+    else:
+        assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("dropped", ["--group", "--phi"])
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_input_commands_require_group_and_phi(heis_file, phi_file, w_one_file, capsys,
+                                              command, dropped):
+    kept = "--phi" if dropped == "--group" else "--group"
+    files = {"--group": heis_file, "--phi": phi_file}
+    extra = [w_one_file if a == "W" else a for a in INPUT_COMMANDS[command]]
+    assert main([command, kept, files[kept], *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"the following arguments are required: {dropped}\n")
+
+
+@pytest.mark.parametrize("argv", [["group", "validate", "FILE", "--phi", "x"],
+                                  ["suite", "FILE", "--group", "x"]])
+def test_commands_without_inputs_reject_them(heis_file, capsys, argv):
+    assert main([heis_file if a == "FILE" else a for a in argv]) == 1
+    assert f"unrecognized arguments: {argv[-2]} x" in capsys.readouterr().err
+
+
 def test_cone_grid_phi_samples_near_edge(heis_file, tmp_path, capsys):
     # seed 5 draws a point within one difference step of the box edge
     axis = np.linspace(-1.0, 1.0, 17)

@@ -26,10 +26,15 @@ from carnot.functions import (
     graph_function_from_dict,
     vector_field_from_dict,
 )
-from carnot.group import calibrate_epsilon, make_group, standard_group
+from carnot.group import calibrate_epsilon, dilate, make_group, standard_group
 from carnot.mollify import MollifierKernel, approximation_report, horizontal_gradient_mass
 from carnot.quadrature import tensor_grid
-from carnot.splitting import estimate_intrinsic_lipschitz, graph_quasidistance
+from carnot.splitting import (
+    Cone,
+    estimate_intrinsic_lipschitz,
+    graph_quasidistance,
+    vertical_holder_modulus,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 GROUP = os.path.join(DATA, "heisenberg1.json")
@@ -171,6 +176,48 @@ CASES = [
     ("report-count-float", errors.ValidationError, "gradient_samples must be a positive",
      lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
                                          gradient_samples=2.5)),
+    *[(f"rk4-steps-{steps}", errors.ValidationError, "RK4 steps must be a positive integer",
+       lambda G, tmp, steps=steps: integrate_characteristic(G, _phi(), 2, np.full(2, 0.5),
+                                                            1.0, steps))
+      for steps in (100.0, 8.0, 100.5)],
+    *[(f"calibration-samples-{count}", errors.ValidationError,
+       "sample_count must be a positive integer",
+       lambda G, tmp, count=count: calibrate_epsilon(G, sample_count=count))
+      for count in (10.5, True)],
+    *[(f"kernel-count-{count}", errors.ValidationError,
+       "points_per_axis must be a positive integer",
+       lambda G, tmp, count=count: MollifierKernel(G, 0.1, points_per_axis=count))
+      for count in (4.9, True)],
+    ("report-kernel-count-float", errors.ValidationError,
+     "points_per_axis must be a positive integer",
+     lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
+                                         points_per_axis=6.5)),
+    *[(f"kernel-mass-count-{count}", errors.ValidationError,
+       "points_per_axis must be a positive integer",
+       lambda G, tmp, count=count: MollifierKernel(G, 0.2, points_per_axis=4).mass(count))
+      for count in (2.5, True, 0)],
+    *[(f"holder-n-vertical-{k}", errors.ValidationError, "n_vertical must be an integer",
+       lambda G, tmp, k=k: vertical_holder_modulus(_phi(), [0.5], grid_per_axis=5,
+                                                   n_vertical=k))
+      for k in (0, 3, 1.5)],
+    # a NaN passes a sign test; each of these gave a count, a NaN or a
+    # membership instead of an error (the right violation count here is 0)
+    *[(f"cone-radius-{r}", errors.ValidationError, "radius must be positive",
+       lambda G, tmp, r=r: check_cone_containment(G, _phi(), 0.5, samples=200, seed=1,
+                                                  radius=r))
+      for r in (np.nan, 0.0, -0.5, np.inf)],
+    *[(f"cone-opening-{beta}", errors.ValidationError, "opening must be positive",
+       lambda G, tmp, beta=beta: check_cone_containment(G, _phi(), beta, samples=200))
+      for beta in (np.nan, np.inf)],
+    ("cone-b12-nan", errors.ValidationError, "b12 must be positive",
+     lambda G, tmp: beta_for_k(0.5, b12=np.nan)),
+    ("bump-radius-nan", errors.ValidationError, "radius must be positive",
+     lambda G, tmp: TestFunction(np.zeros(2), np.nan)),
+    ("cone-beta-nan", errors.ValidationError, "cone opening beta must be >= 0",
+     lambda G, tmp: Cone(np.zeros(3), np.nan)),
+    *[(f"dilate-{lam}", errors.NonPositiveLambda, "dilation factor must be positive",
+       lambda G, tmp, lam=lam: dilate(G, lam, np.ones(3)))
+      for lam in (np.nan, np.inf)],
 ]
 
 
