@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DegenerateHorizontalGradient,
+    DimensionMismatch,
     OutOfDomain,
     StepTooLarge,
     SupportNotCovered,
@@ -180,6 +181,8 @@ class TestFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(self.center)):
+            raise ValidationError("test-function center must be finite")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValidationError("test-function radius must be positive and finite")
 
@@ -219,6 +222,8 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     solves D phi = w distributionally.
     """
     box = phi.domain
+    if zeta.center.shape != (box.dim,):
+        raise DimensionMismatch(f"center must have length {box.dim}, got {zeta.center.shape}")
     if points_per_axis is None:
         points_per_axis = default_points_per_axis(box.dim)
     pts, cell = midpoint_rule(box.lo, box.hi, points_per_axis)

@@ -59,11 +59,19 @@ def cone_window(k, epsilon=1.0, b12=1.0):
 
 
 def parallelogram_vertices(z, h):
-    """Extremal vertices of {|eta2| <= -h eta1, |z2 - eta2| <= -h (z1 - eta1)}."""
-    z1, z2 = float(z[0]), float(z[1])
-    zh1 = np.array([(z2 + h * z1) / (2.0 * h), (z2 + h * z1) / 2.0])
-    zh2 = np.array([(h * z1 - z2) / (2.0 * h), (z2 - h * z1) / 2.0])
+    """Extremal vertices of {|eta2| <= -h eta1, |z2 - eta2| <= -h (z1 - eta1)},
+    for each z on the last axis."""
+    z = np.asarray(z, dtype=float)
+    z1, z2 = z[..., 0], z[..., 1]
+    zh1 = np.stack([(z2 + h * z1) / (2.0 * h), (z2 + h * z1) / 2.0], axis=-1)
+    zh2 = np.stack([(h * z1 - z2) / (2.0 * h), (z2 - h * z1) / 2.0], axis=-1)
     return zh1, zh2
+
+
+def _vertical_value(b12, eta, z):
+    """<B^(1) eta, z> = b12 (eta2 z1 - eta1 z2), over the last axis: the
+    parallelogram's linear form, the vertical value that eta solves for."""
+    return b12 * (eta[..., 1] * z[..., 0] - eta[..., 0] * z[..., 1])
 
 
 def construct_eta_m2n1(G, p, k):
@@ -92,8 +100,7 @@ def construct_eta_m2n1(G, p, k):
     if y == 0.0:
         return np.zeros(2)      # the vertex 0 solves the equation exactly
     zh1, zh2 = parallelogram_vertices(z, h)
-    phi_of = lambda eta: b12 * (eta[1] * z[0] - eta[0] * z[1])
-    v1, v2 = phi_of(zh1), phi_of(zh2)
+    v1, v2 = _vertical_value(b12, zh1, z), _vertical_value(b12, zh2, z)
     lo, hi = min(v1, v2), max(v1, v2)
     if not (lo <= y <= hi):
         raise ValueNotRepresentable(
@@ -109,7 +116,7 @@ def eta_verification(G, p, k, eta):
     p = np.asarray(p, dtype=float)
     eta = np.asarray(eta, dtype=float)
     b12 = float(G.B[0, 0, 1])
-    resid = abs(b12 * (eta[1] * p[0] - eta[0] * p[1]) - p[2])
+    resid = abs(_vertical_value(b12, eta, p) - p[2])
     root = np.sqrt(max(0.0, 1.0 - k * k))
     slack1 = -root * np.linalg.norm(eta) - eta[0]
     diff = p[:2] - eta
@@ -123,35 +130,32 @@ def sample_cone_points_m2n1(G, k, count, seed=0):
     Draws p1 in [-1, -0.05) with |p2| <= 0.9 min(beta, h) |p1|, then a
     vertical value inside 0.9 times both the cone window and the attainable
     range of the parallelogram's linear form (the constructible sector).
+    Candidates are drawn and tested in batches of at most 2^16.
     """
     if G.m != 2 or G.n != 1:
         raise ValidationError("sampler requires m=2, n=1")
+    count = check_count(count, "count must be a positive integer")
+    check_work_budget(count, "the cone sampler", "points")
     rng = np.random.default_rng(seed)
     b12 = float(G.B[0, 0, 1])
     beta, h = cone_window(k, G.epsilon, abs(b12))
     cone = Cone(np.zeros(3), beta)
-    out = np.empty((count, 3))
-    got = 0
-    while got < count:
-        p1 = -rng.uniform(0.05, 1.0)
-        p2 = 0.9 * min(beta, h) * abs(p1) * rng.uniform(-1.0, 1.0)
-        z = np.array([p1, p2])
-        zh1, zh2 = parallelogram_vertices(z, h)
-        vals = [b12 * (v[1] * z[0] - v[0] * z[1]) for v in (zh1, zh2)]
-        lo_rep, hi_rep = min(vals), max(vals)
+    size = min(count, 2 ** 16)
+    out = np.empty((0, 3))
+    while len(out) < count:
+        p1 = -rng.uniform(0.05, 1.0, size)
+        p2 = 0.9 * min(beta, h) * np.abs(p1) * rng.uniform(-1.0, 1.0, size)
+        z = np.stack([p1, p2], axis=-1)
+        v1, v2 = (_vertical_value(b12, v, z) for v in parallelogram_vertices(z, h))
         # cone window on the vertical value
         half = (beta * p1 / G.epsilon) ** 2
         center = 0.5 * b12 * p1 * p2
-        lo = max(center - half, lo_rep) * 0.9
-        hi = min(center + half, hi_rep) * 0.9
-        if hi <= lo:
-            continue
-        y = rng.uniform(lo, hi)
-        p = np.array([p1, p2, y])
-        if cone_membership(G, cone, p):         # p1 < 0: the lower half-cone
-            out[got] = p
-            got += 1
-    return out
+        lo = np.maximum(center - half, np.minimum(v1, v2)) * 0.9
+        hi = np.minimum(center + half, np.maximum(v1, v2)) * 0.9
+        p = np.stack([p1, p2, lo + (hi - lo) * rng.random(size)], axis=-1)
+        # p1 < 0: the lower half-cone
+        out = np.concatenate([out, p[(hi > lo) & cone_membership(G, cone, p)]])
+    return out[:count]
 
 
 def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):

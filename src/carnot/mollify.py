@@ -45,8 +45,8 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   set's gradient at i(a) * (phi_alpha(a) e1) is the shift phi_alpha(a) of
   the rows i(a): it reads the table the roots were found on.
 * the gradient mass: its t-window and all 48 t-slices, from the table on
-  the base rows i(a).  Each row's g is sorted once per node chunk, so each
-  slice's band is a run of that order (``_sliced_gradient``).
+  the base rows i(a).  The slices in a pair's band are a run found in
+  closed form from its g, read with one slack slice per side (``_sliced_gradient``).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .quadrature import check_count, check_work_budget, midpoint_rule, tensor_gr
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
-# the gradients hold several arrays per chunk: ramps, band pairs, sorted runs
+# the gradients hold several arrays per chunk: ramps, band pairs, slice runs
 _GRADIENT_OPS_LIMIT = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
@@ -307,70 +307,52 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
     return out
 
 
-def _sliced_gradient(G, phi, kernel, P, S):
+def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, slices, m), for
-    every row p of P and each shift s in its row of the (P, slices) array S,
-    read off one table of g on P, streamed in node chunks.
+    every row p of P and its shifts s = first + i dt, i < slices (``first``
+    one value per row), read off one table of g on P, streamed in node chunks.
 
-    In a chunk each row's g is sorted once.  The band of a shift s, where
-    beta is not 0, lies within |g - s| < delta/2 + h, so it is a run of the
-    sorted g, found for every shift of the row by one ``searchsorted``; the
-    run's ends are widened by a relative 1e-12 against the rounding of the
-    ramps, and a pair in that margin reads beta = 0 exactly.  beta and its
-    contractions are formed on the runs only.  With analytic partials X_j g
-    is affine in the value it is frozen at: at t + s it is X_j g at t plus
-    s sum_s' b^(s')_{j1} d_{y_s'} phi, so both are formed once per chunk,
-    on every pair (the t-window of the gradient mass holds every g), and
-    each run costs two contractions.  Central differences are not affine in
-    the value and are evaluated on each run's pairs with beta != 0."""
+    beta is 0 unless |g - s| < reach = delta/2 + h, so a pair's band is a
+    run of at most floor(2 reach/dt) + 1 slices from just above lowest =
+    floor((g - reach - first)/dt).  With one slack slice per side against
+    rounding, the ``width`` slices from lowest, clipped to the slices there
+    are, hold it; they are read in ``width`` dense passes over the chunk,
+    and off its band a pair reads beta = 0 exactly.  With analytic partials
+    X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
+    plus s sum_s' b^(s')_{j1} d_{y_s'} phi, so both are formed once per
+    chunk.  Central differences are taken in each pass where beta != 0."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    (count, slices), k = S.shape, G.m - 1
+    count, k = P.shape[0], G.m - 1
     reach = 0.5 * delta + h
-    margin = 1e-12 * (np.abs(S) + reach)
-    bounds = np.concatenate([S - reach - margin, S + reach + margin], axis=1)
-    S_flat = S.reshape(-1)
+    width = min(int(2.0 * reach / dt) + 3, slices)
+    first = np.reshape(first, (-1, 1))
     out = np.zeros((count * slices, G.m))
     for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
-        size = g.shape[1]
-        order = np.argsort(g, axis=1)
-        g_sorted = np.take_along_axis(g, order, axis=1)
-        ends = np.stack([np.searchsorted(row, b) for row, b in zip(g_sorted, bounds)])
-        start = ends[:, :slices].reshape(-1)
-        lengths = ends[:, slices:].reshape(-1) - start
-        # one entry per (row, shift) run and pair in it: its (row, shift)
-        # index, its pair (row, node) of the chunk and its shift
-        entry = np.repeat(np.arange(count * slices), lengths)
-        row_start = entry // slices * size
-        place = np.repeat(start - np.cumsum(lengths) + lengths, lengths)
-        place += np.arange(entry.size)
-        place += row_start
-        pair = order.reshape(-1)[place]
-        w_run = kernel._conv_weights[nodes][pair]
-        pair += row_start
-        s = S_flat[entry]
-        g_run = g_sorted.reshape(-1)[place]
-        beta = _ramp(g_run, delta, s - h)
-        beta -= _ramp(g_run, delta, s + h, out=g_run)
-        beta *= w_run
-        out[:, 0] -= np.bincount(entry, beta, minlength=out.shape[0])
+        lowest = np.floor((g - reach - first) / dt).clip(0, slices - width).astype(int)
         # every pair's base point, column by column off base's buffer
         at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1).T
         if phi.has_partials:
             grad = phi.partials(at)
-            xg = _frame_apply(G, at, t.reshape(-1), grad).T
-            rate = (grad[:, k:] @ G.B[:, 1:, 0]).T
+            xg = _frame_apply(G, at, t.reshape(-1), grad)
+            rate = grad[:, k:] @ G.B[:, 1:, 0]
+        for o in range(width):
+            i = lowest + o
+            s = first + i * dt
+            beta = _ramp(g, delta, s - h)
+            beta -= _ramp(g, delta, s + h)
+            beta *= kernel._conv_weights[nodes]
+            band = np.flatnonzero(beta)
+            beta = beta.reshape(-1)[band]
+            # the (row, slice) entry of each band pair
+            entry = band // g.shape[1] * slices + i.reshape(-1)[band]
+            s = s.reshape(-1)[band]
+            if phi.has_partials:
+                xs = xg[band] + s[:, None] * rate[band]
+            else:
+                xs = _intrinsic_gradient(G, phi, at[band], t.reshape(-1)[band] + s)
+            out[:, 0] -= np.bincount(entry, beta, minlength=out.shape[0])
             for j in range(k):
-                out[:, j + 1] += np.bincount(entry, beta * xg[j][pair],
-                                             minlength=out.shape[0])
-                out[:, j + 1] += S_flat * np.bincount(entry, beta * rate[j][pair],
-                                                      minlength=out.shape[0])
-        else:
-            band = np.flatnonzero(beta != 0.0)
-            xs = _intrinsic_gradient(G, phi, at[pair[band]],
-                                     t.reshape(-1)[pair[band]] + s[band])
-            xs *= beta[band, None]
-            for j in range(k):
-                out[:, j + 1] += np.bincount(entry[band], xs[:, j], minlength=out.shape[0])
+                out[:, j + 1] += np.bincount(entry, beta * xs[:, j], minlength=out.shape[0])
     out /= 2.0 * h * np.sum(kernel._conv_weights)
     return out.reshape(count, slices, G.m)
 
@@ -537,6 +519,8 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     check_work_budget(len(A) * kernel._conv_weights.size,
                       "the gradient-mass ramp table", "point-node pairs")
     phi_vals = phi.eval_extended(A)
+    if not np.all(np.isfinite(phi_vals)):
+        raise NonFiniteState("phi is not finite at a base node of the gradient mass")
     rows = graph_point(G, A, 0.0)
     spread = max(float(np.max(np.abs(g - phi_vals[:, None])))
                  for *_, g in _ramp_table(G, phi, kernel, rows))
@@ -546,7 +530,7 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     # phi(a) -+ R cannot bring an end node's ramps off their saturated values
     half = reach * (1.0 + 1e-12) * t_points / (t_points - 1)
     dt = 2.0 * half / t_points
-    shifts = phi_vals[:, None] - half + (np.arange(t_points) + 0.5) * dt
-    mags = np.linalg.norm(_sliced_gradient(G, phi, kernel, rows, shifts), axis=-1)
+    grad = _sliced_gradient(G, phi, kernel, rows, phi_vals - half + 0.5 * dt, dt, t_points)
+    mags = np.linalg.norm(grad, axis=-1)
     return {"mass": float(np.sum(mags)) * dt * cell_base, "window_halfwidth": half,
             "edge_gradient_max": float(np.max(mags[:, [0, -1]]))}

@@ -97,8 +97,10 @@ def _split(G, terms, p, rows=np.s_[:, None], cols=np.s_[:]):
 def _split_from(G, u, p):
     """(base, t) of u^-1 p for one anchor u and points p of any leading shape."""
     p = gp._check_point(G, p)
-    u = np.asarray(u, dtype=float).reshape(1, G.dim)
-    base, t = _split(G, _anchor_terms(G, u), p.reshape(-1, G.dim))
+    u = np.asarray(u, dtype=float)
+    if u.shape != (G.dim,):
+        raise DimensionMismatch(f"expected an anchor of length {G.dim}, got {u.shape}")
+    base, t = _split(G, _anchor_terms(G, u[None]), p.reshape(-1, G.dim))
     # t[()] is a scalar for a single point
     return base.reshape(p.shape[:-1] + (G.base_dim,)), t.reshape(p.shape[:-1])[()]
 
@@ -180,6 +182,8 @@ class Cone:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", np.asarray(self.vertex, dtype=float))
+        if not np.all(np.isfinite(self.vertex)):
+            raise ValidationError("cone vertex must be finite")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValidationError("cone opening beta must be >= 0 and finite")
 
@@ -285,6 +289,9 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     is the pair (y, y') at lag -L) keeps the largest |phi(x, y') - phi(x, y)|
     per lag; no array of all pairs is formed.
     """
+    radii = sorted((float(r) for r in r_list), reverse=True)
+    if not all(r > 0 for r in radii):
+        raise ValidationError(f"Hoelder radii must be positive, got {radii}")
     box = phi.domain
     d = box.dim
     rule = f"n_vertical must be an integer from 1 to {d - 1}"
@@ -307,12 +314,8 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
         at = (slice(None),) + tuple(slice(max(0, -l), g - max(0, l)) for l in lag)
         shifted = (slice(None),) + tuple(slice(max(0, l), g + min(0, l)) for l in lag)
         dv[i] = np.max(np.abs(vals[shifted] - vals[at]))
-    out = []
-    for r in sorted(r_list, reverse=True):
-        # relative slack so grid spacings equal to r are not lost to rounding
-        sel = dy <= r * (1.0 + 1e-9)
-        if not np.any(sel):
-            out.append((float(r), 0.0))
-            continue
-        out.append((float(r), float(np.max(dv[sel] / np.sqrt(dy[sel])))))
-    return out
+    ratio = dv / np.sqrt(dy)
+    # relative slack so grid spacings equal to r are not lost to rounding;
+    # a radius below every lag's |y' - y| has modulus 0
+    return [(r, float(np.max(ratio, where=dy <= r * (1.0 + 1e-9), initial=0.0)))
+            for r in radii]

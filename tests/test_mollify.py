@@ -406,9 +406,9 @@ def _dense_shifted_gradient(G, phi, kernel, P, shifts):
        case=st.sampled_from(["points", "slices", "level_set"]))
 def test_shifted_gradient_matches_dense_formula_property(request, index, kind, seed,
                                                         alpha, case):
-    # X_j g only on the band, split again pair by pair, and for the 48
-    # slices on sorted runs with analytic phi once per chunk, against the
-    # formula over every pair; a row whose band is empty gives exactly 0
+    # X_j g only on the band, split again pair by pair, and for the t-slices
+    # on closed-form slice runs with analytic phi once per chunk, against
+    # the formula over every pair; a row whose band is empty gives exactly 0
     G, _, phi = _group_case(request, index)
     phi = _phi_as(G, phi, kind)
     # the smallest kernels, so that the reference stays cheap on every group
@@ -416,14 +416,21 @@ def test_shifted_gradient_matches_dense_formula_property(request, index, kind, s
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 1.0, size=(2, G.base_dim))
     if case == "slices":
-        # the 48 t-slice columns of the gradient mass on base rows i(a), on
-        # a window wider than the support, so that its end slices see no ramp
+        # the t-slice columns of the gradient mass on base rows i(a), on a
+        # window wider than the support, so that its 48 slices' end slices
+        # see no ramp, for 1, 3 and 48 slices (1 and 3 read every slice in
+        # every pass, 48 clip the runs at both window ends), and a third row
+        # whose window is 2 below the graph, so that every run is clipped
+        A = np.concatenate([A, rng.uniform(0.0, 1.0, size=(1, G.base_dim))])
         P = graph_point(G, A, 0.0)
         half = 3.0 * alpha
-        dt = 2.0 * half / 48
-        shifts = [phi.eval_extended(A)[:, None] - half + (j + 0.5) * dt
-                  for j in range(48)]
-        got = mollify._sliced_gradient(G, phi, kern, P, np.concatenate(shifts, axis=1))
+        shifts, got = [], []
+        for slices in (1, 3, 48):
+            dt = 2.0 * half / slices
+            first = phi.eval_extended(A) + [0.0, 0.0, -2.0] - half + 0.5 * dt
+            shifts += [first[:, None] + j * dt for j in range(slices)]
+            got.append(mollify._sliced_gradient(G, phi, kern, P, first, dt, slices))
+        got = np.concatenate(got, axis=1)
     elif case == "level_set":
         # the level set's points i(a) * (phi_alpha(a) e1), read off the
         # table of g that the roots were found on

@@ -11,7 +11,7 @@ import pytest
 
 from carnot import cli, errors
 from carnot.area import area_integral
-from carnot.calculus import TestFunction
+from carnot.calculus import TestFunction, distributional_residual
 from carnot.characteristics import integrate_characteristic
 from carnot.cones import (
     beta_for_k,
@@ -31,8 +31,10 @@ from carnot.mollify import MollifierKernel, approximation_report, horizontal_gra
 from carnot.quadrature import tensor_grid
 from carnot.splitting import (
     Cone,
+    cone_membership,
     estimate_intrinsic_lipschitz,
     graph_quasidistance,
+    translate_graph_function,
     vertical_holder_modulus,
 )
 
@@ -69,6 +71,16 @@ def _pole_crossing(G, tmp):
                                         2, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrate_characteristic(G, phi, 2, np.array([0.25, 0.5]), 0.5, 8)
+
+
+def _mass_on_pole(G, tmp):
+    # phi is infinite at the one base node, x2 = 0.5, and finite at every
+    # kernel node around it; the mass was NaN, with no error.  The division
+    # by zero is silenced so that the typed error is what is seen
+    phi = GraphFunction.from_expression("1/(x2 - 0.5)", Box(**UNIT), 2, 1)
+    with np.errstate(divide="ignore"):
+        horizontal_gradient_mass(G, phi, MollifierKernel(G, 0.1, points_per_axis=4),
+                                 base_per_axis=1)
 
 
 def _grid_of_words(G, tmp):
@@ -218,6 +230,30 @@ CASES = [
     *[(f"dilate-{lam}", errors.NonPositiveLambda, "dilation factor must be positive",
        lambda G, tmp, lam=lam: dilate(G, lam, np.ones(3)))
       for lam in (np.nan, np.inf)],
+    # anchors and centres of the wrong length ended in an untyped reshape
+    # or broadcast error; a NaN one gave False or 0 everywhere
+    ("cone-vertex-length", errors.DimensionMismatch, "anchor of length 3",
+     lambda G, tmp: cone_membership(G, Cone([0.0, 0.0], 0.5), np.zeros(3))),
+    ("translation-length", errors.DimensionMismatch, "anchor of length 3",
+     lambda G, tmp: translate_graph_function(G, _phi(), np.zeros(2))),
+    ("cone-vertex-nan", errors.ValidationError, "cone vertex must be finite",
+     lambda G, tmp: Cone([np.nan, 0.0, 0.0], 0.5)),
+    ("bump-center-nan", errors.ValidationError, "center must be finite",
+     lambda G, tmp: TestFunction([np.nan, 0.0], 0.5)),
+    ("residual-center-length", errors.DimensionMismatch, "center must have length 2",
+     lambda G, tmp: distributional_residual(
+         G, _phi(), VectorField.constant([0.0], Box(**UNIT)),
+         TestFunction([0.5, 0.5, 0.5], 0.2))),
+    # a NaN or non-positive radius selected no lag and read as modulus 0
+    *[(f"holder-radius-{r}", errors.ValidationError, "radii must be positive",
+       lambda G, tmp, r=r: vertical_holder_modulus(_phi(), [r, 0.5], grid_per_axis=5))
+      for r in (np.nan, 0.0, -1.0)],
+    ("mass-phi-not-finite", errors.NonFiniteState, "not finite at a base node",
+     _mass_on_pole),
+    *[(f"cone-sampler-count-{count}", errors.ValidationError,
+       "count must be a positive integer",
+       lambda G, tmp, count=count: sample_cone_points_m2n1(G, 0.8, count))
+      for count in (2.5, -1, True)],
 ]
 
 
