@@ -15,11 +15,14 @@ Every contraction with the B^(s) blocks is a plain matmul.  One private
 helper applies the frame d/dx-hat + sum_s (value b^(s)_{.1} + 1/2 x-hat
 B^(s)) d/dy_s to coordinate gradients for all j = 2..m at once, summing its
 vertical terms one index s at a time, so no (points, m-1, n) array is
-formed: with value = phi it is the analytic intrinsic gradient (and D_j phi
-is its column j - 2), with value = 0 the frame derivatives X_j of a test
+formed: with value = phi it is the analytic intrinsic gradient (one
+evaluation of phi, its partials and the domain check for all j; D_j phi is
+its column j - 2), with value = 0 the frame derivatives X_j of a test
 function on the base, and with value = x_1/2 the left-invariant fields
 X_2..X_m of the group.  The graph gradient -(X_2 f, ..., X_m f) / X_1 f of
-a level set {f = c} is formed once, by ``_graph_gradient``.
+a level set {f = c} is formed once, by ``_graph_gradient``, with one
+degeneracy floor (``HORIZONTAL_GRADIENT_FLOOR``) for a defining function
+and the mollified level set alike.
 """
 
 from __future__ import annotations

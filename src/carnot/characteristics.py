@@ -12,7 +12,8 @@ integrated with fixed-step RK4; the right-hand side is merely continuous in
 general (Peano setting), so a step-halved rerun is reported as the error
 estimate instead of any uniqueness claim.  The rate of a curve is formed
 once from the column b^(s)_{j1} and the constant drift, so each RK4 stage
-costs one evaluation of phi.
+costs one evaluation of phi, and the states are bitwise those of forming
+the frozen coefficients at every stage.
 """
 
 from __future__ import annotations

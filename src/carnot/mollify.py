@@ -10,9 +10,13 @@ t -> f_alpha(i(a) * (t e1)) is monotone), and report the measured
 convergence rate sup|phi_alpha - phi| / alpha together with the intrinsic
 gradient bound of the approximants.
 
-Numerical notes.  The kernel integral is a midpoint grid on the kernel
-support, normalized to unit mass, over its nonzero-weight nodes u_k.  The
-indicator becomes per node a subcell volume fraction, the ramp
+Numerical notes.  The kernel is a product bump (``MollifierKernel``):
+its weights on the k^(m+n) midpoint grid of its support are the outer
+product of a horizontal and a vertical bump, each on its own k^m or k^n
+block grid, normalized to unit mass; the same blocks count its
+nonzero-weight nodes u_k for the work budget before any kernel is built,
+and the convolution runs over those nodes only.  The indicator becomes per
+node a subcell volume fraction (standard level-set practice), the ramp
 r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
 of kernel weight below the graph, below / (below + above): exactly 1 deep
@@ -20,7 +24,8 @@ inside the subgraph, exactly 0 far above it (phi read through its
 extension beyond its box).  Right multiplication by s e1 moves only the
 V-part of the splitting G = W * V, so g at p * (s e1) is g at p minus s,
 and one table of g per batch of points (one split and one phi evaluation
-per point and node, ``_ramp_table``) serves f_alpha and:
+per point and node, ``_ramp_table``) serves f_alpha and the three items
+below; a non-finite g is a NonFiniteState error in each of them.
 
 * the level set.  A section f(t) = sum_k w_k r_k(g_k - t) / sum w is
   nonincreasing and linear between its 2K kinks g_k -+ delta/2, 1 at the
@@ -29,7 +34,7 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   table; the secant on it is the exact root, and where f equals c over an
   interval the root is its left end, inf{t : f <= c}.  ``section_evals``
   counts the evaluations of f read off the table, including one pass at
-  the roots that measures |f - c|.
+  the roots that measures |f - c| (``max_level_residual``, rounding only).
 * the gradient.  Right multiplication by h e_j, j >= 2, keeps t and moves
   the base along e_j + sum_s c_s e_{y_s}, with the frozen coefficients c_s
   of calculus taken at t in place of phi(base).  So X_j g is the intrinsic
@@ -38,15 +43,36 @@ per point and node, ``_ramp_table``) serves f_alpha and:
   beta = [r(g + h) - r(g - h)] / 2h, X_j f_alpha = sum_k w_k beta_k X_j g_k
   / sum w, a kernel mean of the intrinsic gradient over the ramp band; X_1
   f_alpha is the central difference along e1.  A node with g on a kink
-  -+delta/2 gets half the weight of one inside the band.  At p * (s e1)
-  the ramps are read at g - s and X_j g is frozen at t + s.  Only the band
-  of pairs with beta != 0 is split again, by the table's split indexed by
-  the band's pairs, to form X_j g (``_shifted_gradient``).  The level
+  -+delta/2 gets half the weight of one inside the band.  For phi linear
+  in x-hat alone every X_j g is phi's constant gradient, and so is the
+  level set's gradient up to rounding.  At p * (s e1) the ramps are read
+  at g - s and X_j g is frozen at t + s, so one table serves any shift s.
+  Only the band of pairs with beta != 0 is split again, by the table's
+  split indexed by the band's pairs, to form X_j g from phi's partials or
+  else its central differences (2(m - 1) evaluations of phi per band
+  pair), summed back into the rows (``_shifted_gradient``).  The level
   set's gradient at i(a) * (phi_alpha(a) e1) is the shift phi_alpha(a) of
-  the rows i(a): it reads the table the roots were found on.
-* the gradient mass: its t-window and all 48 t-slices, from the table on
-  the base rows i(a).  The slices in a pair's band are a run found in
-  closed form from its g, read with one slack slice per side (``_sliced_gradient``).
+  the rows i(a): it reads the table the roots were found on, so the report
+  splits every (point, node) pair once per alpha.
+* the gradient mass, the integral of |grad_G f_alpha| over the base and t
+  on 48 midpoint nodes in t per base column a.  At i(a) * (t e1) the ramp
+  argument of node k is g_k(i(a)) - t, and every beta_k is 0 once
+  |g_k(i(a)) - t| >= reach = delta/2 + h.  So the integrand vanishes
+  outside |t - phi(a)| < R, R = max_{a,k} |g_k(i(a)) - phi(a)| + reach,
+  read off the table of g on the rows i(a); the window half-width
+  R * 48/47 puts both end nodes at distance R, where the gradient is
+  exactly 0.  All 48 slices are shifts of the same rows, so they read one
+  more pass over that table, in node chunks: two passes in all, not one
+  per slice.  Slice i of row a sits at t_0 + i dt, so the slices in a
+  pair's band are a run of at most floor(2 reach/dt) + 1 from just above
+  floor((g - reach - t_0)/dt), found in closed form.  That run and one
+  slack slice per side against rounding, clipped to the 48 slices, are
+  read in as many dense passes over the chunk, and off its band a pair
+  reads beta = 0 exactly (``_sliced_gradient``).  With analytic partials
+  X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
+  plus s sum_s' b^(s')_{j1} d_{y_s'} phi, so the partials are evaluated
+  once per chunk, on every pair; central differences are taken in each
+  pass where beta != 0.
 """
 
 from __future__ import annotations
@@ -68,7 +94,8 @@ from .quadrature import check_count, check_work_budget, midpoint_rule, tensor_gr
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
-# the gradients hold several arrays per chunk: ramps, band pairs, slice runs
+# point-node pairs per node chunk of the two gradients, which hold several
+# arrays of that size per chunk
 _GRADIENT_OPS_LIMIT = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
@@ -278,11 +305,7 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, m), for every row
     p of P and its shift s (a scalar or a (P, 1) column), read off the
     table of g on P: ``g`` when given (every node), otherwise built here
-    chunk by chunk (module docstring).
-
-    X_j g enters only as w_k beta_k X_j g_k, so only the band of pairs whose
-    ramp slope beta is not 0 is split again (``_split`` on the band's pairs),
-    and only there is X_j g formed, frozen at t + s, and summed into its row."""
+    chunk by chunk.  The derivation is the module docstring's gradient."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
     count = P.shape[0]
     shift = np.broadcast_to(shift, (count, 1))
@@ -310,17 +333,10 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
 def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, slices, m), for
     every row p of P and its shifts s = first + i dt, i < slices (``first``
-    one value per row), read off one table of g on P, streamed in node chunks.
-
-    beta is 0 unless |g - s| < reach = delta/2 + h, so a pair's band is a
-    run of at most floor(2 reach/dt) + 1 slices from just above lowest =
-    floor((g - reach - first)/dt).  With one slack slice per side against
-    rounding, the ``width`` slices from lowest, clipped to the slices there
-    are, hold it; they are read in ``width`` dense passes over the chunk,
-    and off its band a pair reads beta = 0 exactly.  With analytic partials
-    X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
-    plus s sum_s' b^(s')_{j1} d_{y_s'} phi, so both are formed once per
-    chunk.  Central differences are taken in each pass where beta != 0."""
+    one value per row), read off one table of g on P, streamed in node
+    chunks.  Each pair is read on the ``width`` slices from ``lowest``,
+    which hold every slice where its beta is not 0; the derivation is the
+    module docstring's gradient mass."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
     count, k = P.shape[0], G.m - 1
     reach = 0.5 * delta + h
@@ -382,7 +398,8 @@ def _check_level(c_level):
 def _section_roots(G, phi, kernel, c_level, A):
     """Roots inf{t : f_alpha(i(a) * (t e1)) <= c} over the rows a of A, the
     point evaluations of f_alpha spent, max |f - c| at the roots, and the
-    one table of g on the rows i(a) they are read from (module docstring)."""
+    one table of g on the rows i(a) they are read from (the module
+    docstring's level set)."""
     _check_level(c_level)
     count, size = A.shape[0], kernel._conv_weights.size
     w, delta = kernel._conv_weights, kernel.subcell_width
@@ -505,15 +522,14 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
 def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     """int over base O and graph coordinate t of |grad_G f_alpha|, by the
     midpoint rule on ``base_per_axis`` nodes per base axis and 48 nodes in t
-    per base column a, on the window |t - phi(a)| <= half.
+    per base column a, on the window |t - phi(a)| <= half that holds the
+    integrand's support (the module docstring's gradient mass).
 
-    At i(a) * (t e1) the ramp argument of node k is g_k(i(a)) - t, and the
-    integrand vanishes unless some |g_k(i(a)) - t| < delta/2 + h (the ramp
-    slopes beta are 0 beyond).  So |t - phi(a)| < R, R = max_{a,k}
-    |g_k(i(a)) - phi(a)| + delta/2 + h, holds the support, and half =
-    R * 48/47 puts both end nodes, at distance R from phi(a), outside it:
-    ``edge_gradient_max`` reports the gradient there, exactly 0.  The table
-    of g on the rows i(a), within the work budget, serves all 48 slices.
+    Returns ``mass``, ``window_halfwidth`` (half) and ``edge_gradient_max``,
+    the largest |grad_G f_alpha| on the window's two end nodes, exactly 0.
+    The table's point-node pairs (base nodes times nonzero kernel nodes) go
+    through the work budget before it is built, so the default call on
+    heisenberg(2), 12^4 x 325,632 pairs, is a :class:`GridTooLarge` error.
     """
     A, cell_base = midpoint_rule(phi.domain.lo, phi.domain.hi, base_per_axis)
     check_work_budget(len(A) * kernel._conv_weights.size,

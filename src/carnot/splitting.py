@@ -19,7 +19,10 @@ embedded with x1 = 0 and b_1 the s-vector of the rows b^(s)_{1.}:
 
 One helper splits u^-1 p, from u-side terms computed once per anchor set
 (kernel nodes, a cone vertex, a translation q, the origin), for the points
-and anchors two broadcasting indices pick: a whole table or chosen pairs.
+and anchors two broadcasting indices pick: a whole table, a slice of its
+anchors or chosen pairs, bit for bit alike.  The coordinate form
+sigma_phi(b, a) is sum_s |y_s|^(1/2) of the second layer y of the
+quasi-distance's product with a and b swapped.
 """
 
 from __future__ import annotations
