@@ -27,6 +27,7 @@ and the mollified level set alike.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,10 @@ HORIZONTAL_GRADIENT_FLOOR = 1e-12
 
 
 def _check_direction(G, j):
-    """Raise :class:`ValidationError` unless 2 <= j <= m."""
-    if not (2 <= j <= G.m):
-        raise ValidationError(f"direction index j must be in 2..{G.m}, got {j}")
+    """Raise :class:`ValidationError` unless j is an integer in 2..m."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 2 <= j <= G.m:
+        raise ValidationError(
+            f"direction index j must be in 2..{G.m} (an integer), got {j!r}")
 
 
 def frozen_coefficients(G, phi, j, a):

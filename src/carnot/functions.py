@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain, ValidationError
+from .quadrature import check_count
 
 
 def base_coordinate_names(m, n):
@@ -113,6 +114,7 @@ class Box:
         return np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
 
     def sample(self, count, rng):
+        count = check_count(count, "sample count must be a positive integer")
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,7 +95,7 @@ class GroupStructure:
 
 def _check_point(G, p):
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != G.dim:
+    if p.ndim == 0 or p.shape[-1] != G.dim:
         raise DimensionMismatch(
             f"expected point of length {G.dim}, got shape {p.shape}")
     return p
@@ -183,15 +184,17 @@ def standard_group(name, param=None, epsilon=None):
     """
     key = name.lower()
     if key == "heisenberg":
-        k = int(param if param is not None else 1)
-        if k < 1:
+        k = 1 if param is None else param
+        if isinstance(k, numbers.Real) and k < 1:
             raise UnknownName(f"heisenberg index must be >= 1, got {k}")
+        k = check_count(k, "heisenberg index must be an integer")
         return make_group(2 * k, 1, _heisenberg_matrices(k), epsilon,
                           name=f"heisenberg({k})")
     if key == "free_step2":
-        m = int(param if param is not None else 2)
-        if m < 2:
+        m = 2 if param is None else param
+        if isinstance(m, numbers.Real) and m < 2:
             raise UnknownName(f"free_step2 needs m >= 2, got {m}")
+        m = check_count(m, "free_step2 needs an integer m")
         return make_group(m, m * (m - 1) // 2, _free_step2_matrices(m), epsilon,
                           name=f"free_step2({m})")
     if key == "h_type":

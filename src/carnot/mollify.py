@@ -90,6 +90,7 @@ from .calculus import (
     intrinsic_gradient,
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
+from .group import _check_point
 from .quadrature import check_count, check_work_budget, midpoint_rule, tensor_grid
 from .splitting import _anchor_terms, _split, graph_point
 
@@ -185,9 +186,11 @@ class MollifierKernel:
 
     def __post_init__(self):
         G = self.G
-        a = float(self.alpha)
-        if not (np.isfinite(a) and a > 0):
-            raise ValidationError(f"alpha must be positive and finite, got {a}")
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) \
+                or not (np.isfinite(a) and a > 0):
+            raise ValidationError(f"alpha must be positive and finite, got {a!r}")
+        a = float(a)
         k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
@@ -286,7 +289,7 @@ def mollified_indicator(G, phi, kernel, p):
     """f_alpha at point(s) p: the group convolution of the subgraph
     indicator, in [0, 1], nonincreasing in the graph coordinate.  The
     kernel must be built on G: it carries the bracket terms of its nodes."""
-    p = np.asarray(p, dtype=float)
+    p = _check_point(G, p)
     P = np.atleast_2d(p)
     below = np.zeros(P.shape[0])
     above = np.zeros_like(below)
@@ -376,7 +379,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
 def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
-    p = np.asarray(p, dtype=float)
+    p = _check_point(G, p)
     out = _shifted_gradient(G, phi, kernel, np.atleast_2d(p), 0.0)
     return out[0] if p.ndim == 1 else out
 
@@ -399,9 +402,11 @@ def _section_roots(G, phi, kernel, c_level, A):
     """Roots inf{t : f_alpha(i(a) * (t e1)) <= c} over the rows a of A, the
     point evaluations of f_alpha spent, max |f - c| at the roots, and the
     one table of g on the rows i(a) they are read from (the module
-    docstring's level set)."""
+    docstring's level set).  The table's point-node pairs go through the
+    work budget before it is built."""
     _check_level(c_level)
     count, size = A.shape[0], kernel._conv_weights.size
+    check_work_budget(count * size, "the level-set ramp table", "point-node pairs")
     w, delta = kernel._conv_weights, kernel.subcell_width
     g = np.empty((count, size))
     for nodes, _, _, g_chunk in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):

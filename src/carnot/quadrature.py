@@ -5,9 +5,9 @@ box boundaries, which keeps integrands with boundary singularities usable.
 Every midpoint weight in the package comes from :func:`midpoint_rule`, so
 that refinement studies are comparable across modules, and every tensor grid
 of sample points is built by :func:`tensor_grid`; only curve integrals
-(``characteristics.broadstar_residual``) use composite Simpson instead.  One work budget,
-:func:`check_work_budget`, caps grid nodes and every other count that sizes
-an array (sampled pairs, cone samples, RK4 rows).
+(``characteristics.broadstar_residual``) use composite Simpson instead.
+One work budget, :func:`check_work_budget`, caps grid nodes and every other
+count that sizes an array (sampled pairs, cone samples, RK4 rows).
 """
 
 from __future__ import annotations

@@ -302,7 +302,11 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
         raise ValidationError(f"{rule}, got {n_vertical!r}")
     if grid_per_axis is None:
         grid_per_axis = max(4, int(round(10_000 ** (1.0 / d))))
-    g = grid_per_axis
+    # one node per axis leaves no pair, which would read as modulus 0
+    rule = "grid_per_axis must be an integer of at least 2"
+    g = check_count(grid_per_axis, rule)
+    if g < 2:
+        raise ValidationError(f"{rule}, got {grid_per_axis!r}")
     shape = (g,) * d
     pts = tensor_grid(box.lo, box.hi, shape, nodes="endpoint")
     # (x-slices, y-axis 1, ..., y-axis n_vertical)

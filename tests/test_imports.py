@@ -1,10 +1,13 @@
 """Which heavy dependencies each CLI path loads, in a fresh interpreter:
 sympy only once an expression is compiled, scipy only once a grid is
-interpolated, a curve integral is taken or a mollifier is built."""
+interpolated, a curve integral is taken or a mollifier is built; and
+README's module pointers name every module, each with a docstring."""
 
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -41,6 +44,20 @@ def test_every_export_resolves():
     # a name left in __all__ after its object is deleted would dangle
     for name in carnot.__all__:
         assert hasattr(carnot, name), name
+
+
+def test_readme_points_to_every_module_docstring():
+    # README's "Modules" section is one `python -m pydoc carnot.<module>`
+    # paragraph per module: each must import with a docstring to show, and
+    # a new module must get a paragraph
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"python -m pydoc carnot\.(\w+)", section)
+    assert len(named) == len(set(named))
+    for name in named:
+        assert (importlib.import_module(f"carnot.{name}").__doc__ or "").strip(), name
+    modules = {path.stem for path in pathlib.Path(carnot.__file__).parent.glob("*.py")}
+    assert set(named) == modules - {"__init__", "errors"}
 
 
 def test_heavy_imports_load_on_first_use():

@@ -440,8 +440,16 @@ def test_shifted_gradient_matches_dense_formula_property(request, index, kind, s
         shifts = [roots[:, None]]
         got = mollify._shifted_gradient(G, phi, kern, P, roots[:, None], g)[:, None]
     else:
-        # points straddling the graph, and two far below and above it
-        P = np.concatenate([_straddling_points(G, phi, alpha, 6, seed),
+        # points i(b) * (t e1) straddling the graph, each t drawn inside the
+        # ramp band of one kernel node (|g_k(i(b)) - t| < 0.9 reach), so that
+        # every such row sees a ramp, and two far below and above it
+        B = rng.uniform(0.0, 1.0, size=(6, G.base_dim))
+        base, t = _split(G, kern._conv_terms, graph_point(G, B, 0.0))
+        g = phi.eval_extended(base) - t
+        reach = 0.5 * kern.subcell_width + alpha * mollify._SLOPE_STEP
+        node = rng.integers(0, g.shape[1], size=6)
+        t = g[np.arange(6), node] + 0.9 * reach * rng.uniform(-1.0, 1.0, size=6)
+        P = np.concatenate([section_point(G, B, t),
                             graph_point(G, A, phi.eval_extended(A) + [-2.0, 2.0])])
         shifts = [0.0]
         got = mollify._shifted_gradient(G, phi, kern, P, 0.0)[:, None]

@@ -5,13 +5,14 @@ the wrong shape) exit 1 from ``cli.run``."""
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from carnot import cli, errors
 from carnot.area import area_integral
-from carnot.calculus import TestFunction, distributional_residual
+from carnot.calculus import TestFunction, distributional_residual, intrinsic_derivative
 from carnot.characteristics import integrate_characteristic
 from carnot.cones import (
     beta_for_k,
@@ -26,9 +27,16 @@ from carnot.functions import (
     graph_function_from_dict,
     vector_field_from_dict,
 )
-from carnot.group import calibrate_epsilon, dilate, make_group, standard_group
-from carnot.mollify import MollifierKernel, approximation_report, horizontal_gradient_mass
-from carnot.quadrature import tensor_grid
+from carnot.group import calibrate_epsilon, dilate, inverse, make_group, standard_group
+from carnot.mollify import (
+    MollifierKernel,
+    approximation_report,
+    horizontal_gradient_mass,
+    horizontal_gradient_mollified,
+    level_set_phi_alpha,
+    mollified_indicator,
+)
+from carnot.quadrature import MAX_GRID_NODES, tensor_grid
 from carnot.splitting import (
     Cone,
     cone_membership,
@@ -81,6 +89,18 @@ def _mass_on_pole(G, tmp):
     with np.errstate(divide="ignore"):
         horizontal_gradient_mass(G, phi, MollifierKernel(G, 0.1, points_per_axis=4),
                                  base_per_axis=1)
+
+
+def _level_set_over_budget(G, tmp):
+    # one base point more than the budget allows in the level set's ramp
+    # table, which must be refused before any of it is split
+    kernel = MollifierKernel(G, 0.1, points_per_axis=4)
+    A = np.full((MAX_GRID_NODES // kernel._conv_weights.size + 1, 2), 0.5)
+    with mock.patch("carnot.mollify._split") as split:
+        try:
+            level_set_phi_alpha(G, _phi(), kernel, 0.5, A)
+        finally:
+            assert split.call_count == 0
 
 
 def _grid_of_words(G, tmp):
@@ -254,6 +274,33 @@ CASES = [
        "count must be a positive integer",
        lambda G, tmp, count=count: sample_cone_points_m2n1(G, 0.8, count))
       for count in (2.5, -1, True)],
+    ("level-set-budget", errors.GridTooLarge, "the level-set ramp table",
+     _level_set_over_budget),
+    # a 0-d point, a float direction, a negative sample count and a base
+    # point in place of a group point ended in an untyped error
+    ("inverse-point-0d", errors.DimensionMismatch, "expected point of length 3",
+     lambda G, tmp: inverse(G, 3.0)),
+    ("derivative-direction-float", errors.ValidationError, "direction index j must be in",
+     lambda G, tmp: intrinsic_derivative(G, _phi(), 2.0, np.full(2, 0.5))),
+    ("box-sample-count", errors.ValidationError, "sample count must be a positive integer",
+     lambda G, tmp: Box(**UNIT).sample(-1, np.random.default_rng(0))),
+    *[(f"{name}-base-point", errors.DimensionMismatch, "expected point of length 3",
+       lambda G, tmp, f=f: f(G, _phi(), MollifierKernel(G, 0.2, points_per_axis=4),
+                             np.full(2, 0.5)))
+      for name, f in (("indicator", mollified_indicator),
+                      ("gradient", horizontal_gradient_mollified))],
+    # each of these was accepted: a kernel whose alpha is a string or a bool,
+    # heisenberg(1) and free_step2(2) from a fractional index, and a modulus
+    # of 0 read off a grid with no pair
+    *[(f"kernel-alpha-{kind}", errors.ValidationError, "alpha must be positive and finite",
+       lambda G, tmp, alpha=alpha: MollifierKernel(G, alpha, points_per_axis=4))
+      for kind, alpha in (("string", "0.1"), ("bool", True))],
+    ("heisenberg-index-float", errors.ValidationError, "heisenberg index must be an integer",
+     lambda G, tmp: standard_group("heisenberg", 1.5)),
+    ("free-step2-m-float", errors.ValidationError, "free_step2 needs an integer m",
+     lambda G, tmp: standard_group("free_step2", 2.5)),
+    ("holder-grid-one", errors.ValidationError, "grid_per_axis must be an integer of at",
+     lambda G, tmp: vertical_holder_modulus(_phi(), [0.5], grid_per_axis=1)),
 ]
 
 
