@@ -40,7 +40,7 @@ from .errors import (
     SupportNotCovered,
     ValidationError,
 )
-from .quadrature import default_points_per_axis, midpoint_rule
+from .quadrature import check_positive, default_points_per_axis, midpoint_rule
 
 HORIZONTAL_GRADIENT_FLOOR = 1e-12
 
@@ -188,8 +188,8 @@ class TestFunction:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not np.all(np.isfinite(self.center)):
             raise ValidationError("test-function center must be finite")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValidationError("test-function radius must be positive and finite")
+        object.__setattr__(self, "radius", check_positive(
+            self.radius, "test-function radius must be positive and finite"))
 
     def _u2(self, a):
         u = (np.asarray(a, dtype=float) - self.center) / self.radius
@@ -244,5 +244,8 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     vert = y_zeta @ col
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
     w_v = w(pts)
+    if np.shape(w_v) != integrand.shape:
+        raise DimensionMismatch(f"w must give m-1 = {G.m - 1} components per point, "
+                                f"got shape {np.shape(w_v)}")
     total = integrand + w_v * zv[..., None]
     return np.array([float(np.sum(total[..., j]) * cell) for j in range(G.m - 1)])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
 from .calculus import _check_direction, _drift, _frozen_coefficients
-from .quadrature import check_count, check_work_budget, tensor_grid
+from .quadrature import check_count, check_positive, check_work_budget, tensor_grid
 from .splitting import graph_quasidistance
 
 
@@ -99,8 +99,7 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
     or start point and a direction j outside 2..m a :class:`ValidationError`.
     """
     _check_direction(G, j)
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"need a finite T > 0, got {T}")
+    T = check_positive(T, "need a finite T > 0")
     if check_count(steps, "RK4 steps must be a positive integer") < 8:
         raise ValidationError("need at least 8 RK4 steps")
     check_work_budget(2 * steps + 1, "the step-halved rerun", "RK4 rows")

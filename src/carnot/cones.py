@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ValueNotRepresentable,
 )
-from .quadrature import check_count, check_work_budget
+from .quadrature import check_count, check_positive, check_work_budget, seeded_rng
 from .splitting import Cone, cone_membership, graph_map, graph_point
 
 
@@ -43,8 +43,7 @@ def beta_for_k(k, epsilon=1.0, b12=1.0):
         raise InvalidK(f"k must lie in (0, 1], got {k}")
     if not (0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not (np.isfinite(b12) and b12 > 0):
-        raise ValidationError(f"b12 must be positive and finite, got {b12}")
+    b12 = check_positive(b12, "b12 must be positive and finite")
     h = np.sqrt(k * k / (2.0 - k * k))
     disc = b12 * b12 / 4.0 + 3.0 * b12 * h / (2.0 * epsilon ** 2)
     beta = epsilon ** 2 * (b12 / 2.0 + np.sqrt(disc)) / 2.0
@@ -136,7 +135,7 @@ def sample_cone_points_m2n1(G, k, count, seed=0):
         raise ValidationError("sampler requires m=2, n=1")
     count = check_count(count, "count must be a positive integer")
     check_work_budget(count, "the cone sampler", "points")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     b12 = float(G.B[0, 0, 1])
     beta, h = cone_window(k, G.epsilon, abs(b12))
     cone = Cone(np.zeros(3), beta)
@@ -167,13 +166,11 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     construction; the report counts indicator disagreements (0 expected
     for openings below the intrinsic-Lipschitz threshold).
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValidationError(f"cone opening must be positive and finite, got {beta}")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValidationError(f"radius must be positive and finite, got {radius}")
+    beta = check_positive(beta, "cone opening must be positive and finite")
+    radius = check_positive(radius, "radius must be positive and finite")
     samples = check_count(samples, "samples must be a positive integer")
     check_work_budget(samples, "the cone-containment check", "samples")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     box = phi.domain
     inner_lo = box.lo + 0.1 * (box.hi - box.lo)
     inner_hi = box.hi - 0.1 * (box.hi - box.lo)

@@ -39,7 +39,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .quadrature import check_count
+from .quadrature import check_count, seeded_rng
 
 # Absolute slack used when checking the triangle inequality numerically: the
 # inequality is tight (equality on collinear horizontal pairs), so exact
@@ -287,7 +287,7 @@ def calibrate_epsilon(G, sample_count=10_000, seed=0):
     monotone in eps and the search result is well-defined and deterministic.
     """
     sample_count = check_count(sample_count, "sample_count must be a positive integer")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     p = _sample_unit_ball(G, sample_count, rng)
     q = _sample_unit_ball(G, sample_count, rng)
     for k in range(EPSILON_GRID_DEPTH + 1):

@@ -29,12 +29,21 @@ below; a non-finite g is a NonFiniteState error in each of them.
 
 * the level set.  A section f(t) = sum_k w_k r_k(g_k - t) / sum w is
   nonincreasing and linear between its 2K kinks g_k -+ delta/2, 1 at the
-  first and 0 at the last.  A binary search over the sorted kinks reaches
-  the piece that crosses c in at most ceil(log2(2K - 1)) passes over the
-  table; the secant on it is the exact root, and where f equals c over an
-  interval the root is its left end, inf{t : f <= c}.  ``section_evals``
-  counts the evaluations of f read off the table, including one pass at
-  the roots that measures |f - c| (``max_level_residual``, rounding only).
+  first and 0 at the last.  Each row keeps a bracket of two kinks with
+  f(kinks[lo]) > c >= f(kinks[hi]), and each pass over the table reads f
+  at the kink nearest the secant root of that bracket (regula falsi over
+  the sorted kinks, one searchsorted per row), strictly inside it.  An end
+  the bracket keeps for a second pass weighs half its f - c in the next
+  secant (the Illinois rule), so a bracket that closes from one side
+  speeds up.  After B = ceil(log2(2K - 1)) secant passes a row bisects, so
+  no row takes more than 2B passes, where a secant that creeps a few kinks
+  per pass could take up to 2K - 2: a section that drops steeply to just
+  above c and then nears c slowly over many kinks spends its B secant
+  passes that way.  The search ends on the piece that crosses c; the
+  secant on it is the exact root, and where f equals c over an interval
+  the root is its left end, inf{t : f <= c}.  ``section_evals`` counts
+  the evaluations of f read off the table, including one pass at the
+  roots that measures |f - c| (``max_level_residual``, rounding only).
 * the gradient.  Right multiplication by h e_j, j >= 2, keeps t and moves
   the base along e_j + sum_s c_s e_{y_s}, with the frozen coefficients c_s
   of calculus taken at t in place of phi(base).  So X_j g is the intrinsic
@@ -91,7 +100,13 @@ from .calculus import (
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
 from .group import _check_point
-from .quadrature import check_count, check_work_budget, midpoint_rule, tensor_grid
+from .quadrature import (
+    check_count,
+    check_positive,
+    check_work_budget,
+    midpoint_rule,
+    tensor_grid,
+)
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
@@ -186,11 +201,7 @@ class MollifierKernel:
 
     def __post_init__(self):
         G = self.G
-        a = self.alpha
-        if isinstance(a, bool) or not isinstance(a, numbers.Real) \
-                or not (np.isfinite(a) and a > 0):
-            raise ValidationError(f"alpha must be positive and finite, got {a!r}")
-        a = float(a)
+        a = check_positive(self.alpha, "alpha must be positive and finite")
         k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
@@ -257,7 +268,13 @@ def _node_chunks(kernel, count, limit=None):
 def _ramp_table(G, phi, kernel, P, limit=None):
     """Per chunk of ``_node_chunks``: its slice of nodes u, (base, t) of
     u^-1 p for every row p of P, and g = phi(base) - t, a fresh array (not
-    phi's result) the caller may overwrite; a non-finite g raises NonFiniteState."""
+    phi's result) the caller may overwrite; a non-finite g raises NonFiniteState.
+    The kernel holds the bracket terms of its nodes, so it must be built on
+    G or on a group of the same m, n, epsilon and B (a ValidationError)."""
+    K = kernel.G
+    if K is not G and not (K.m == G.m and K.n == G.n and K.epsilon == G.epsilon
+                           and np.array_equal(K.B, G.B)):
+        raise ValidationError(f"the kernel was built on {K}, not on {G}")
     for start, stop in _node_chunks(kernel, P.shape[0], limit):
         base, t = _split(G, kernel._conv_terms, P, cols=np.s_[start:stop])
         g = np.subtract(phi.eval_extended(base), t)
@@ -287,8 +304,8 @@ def _ramp_sums(g, w, delta, shift, out=None):
 
 def mollified_indicator(G, phi, kernel, p):
     """f_alpha at point(s) p: the group convolution of the subgraph
-    indicator, in [0, 1], nonincreasing in the graph coordinate.  The
-    kernel must be built on G: it carries the bracket terms of its nodes."""
+    indicator, in [0, 1], nonincreasing in the graph coordinate, with a
+    kernel built on G (``_ramp_table``)."""
     p = _check_point(G, p)
     P = np.atleast_2d(p)
     below = np.zeros(P.shape[0])
@@ -424,20 +441,41 @@ def _section_roots(G, phi, kernel, c_level, A):
     lo = np.zeros(count, dtype=np.intp)
     hi = np.full(count, 2 * size - 1)
     f_lo, f_hi = np.ones(count), np.zeros(count)
+    # the secant's f - c at each end, halved while that end is kept
+    d_lo, d_hi = f_lo - c_level, f_hi - c_level
+    moved_lo = np.zeros(count, dtype=bool)
+    moved_hi = np.zeros(count, dtype=bool)
+    budget = int(np.ceil(np.log2(2 * size - 1)))
     frac = np.empty_like(g)
-    evals = 0
+    evals = passes = 0
     while True:
         todo = np.flatnonzero(hi - lo > 1)
         if todo.size == 0:
             break
-        mid = (lo[todo] + hi[todo]) // 2
+        lo_t, hi_t = lo[todo], hi[todo]
+        if passes < budget:
+            # the kink nearest the secant root, strictly inside the bracket
+            t_lo, t_hi = kinks[todo, lo_t], kinks[todo, hi_t]
+            d = d_lo[todo]
+            target = t_lo + d / (d - d_hi[todo]) * (t_hi - t_lo)
+            right = np.array([kinks[r].searchsorted(t) for r, t in zip(todo, target)]
+                             ).clip(lo_t + 1, hi_t)
+            nearer_left = target - kinks[todo, right - 1] < kinks[todo, right] - target
+            mid = (right - nearer_left).clip(lo_t + 1, hi_t - 1)
+        else:
+            mid = (lo_t + hi_t) // 2
         below, above = _ramp_sums(g if todo.size == count else g[todo], w, delta,
                                   kinks[todo, mid, None], out=frac[:todo.size])
         f = below / (below + above)
         evals += todo.size
+        passes += 1
         up = f > c_level
-        lo[todo[up]], f_lo[todo[up]] = mid[up], f[up]
-        hi[todo[~up]], f_hi[todo[~up]] = mid[~up], f[~up]
+        lo[todo[up]], f_lo[todo[up]], d_lo[todo[up]] = mid[up], f[up], f[up] - c_level
+        hi[todo[~up]], f_hi[todo[~up]], d_hi[todo[~up]] = mid[~up], f[~up], f[~up] - c_level
+        # Illinois: an end kept for a second pass weighs half in the secant
+        d_hi[todo[up & moved_lo[todo]]] *= 0.5
+        d_lo[todo[~up & moved_hi[todo]]] *= 0.5
+        moved_lo[todo], moved_hi[todo] = up, ~up
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
     below, above = _ramp_sums(g, w, delta, roots[:, None], out=frac)

@@ -7,7 +7,10 @@ that refinement studies are comparable across modules, and every tensor grid
 of sample points is built by :func:`tensor_grid`; only curve integrals
 (``characteristics.broadstar_residual``) use composite Simpson instead.
 One work budget, :func:`check_work_budget`, caps grid nodes and every other
-count that sizes an array (sampled pairs, cone samples, RK4 rows).
+count that sizes an array (sampled pairs, cone samples, RK4 rows).  The
+other argument checks that several modules share live here too:
+:func:`check_count`, :func:`check_positive` and :func:`seeded_rng` make a
+count, a positive scalar or a seed that is not one a ValidationError.
 """
 
 from __future__ import annotations
@@ -42,6 +45,23 @@ def check_count(count, rule):
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise ValidationError(f"{rule}, got {count!r}")
     return int(count)
+
+
+def check_positive(value, rule):
+    """``value`` as a float; :class:`ValidationError` stating ``rule`` unless
+    it is a positive finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{rule}, got {value!r}")
+    return float(value)
+
+
+def seeded_rng(seed):
+    """``np.random.default_rng(seed)``; a seed it refuses is a ValidationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
 
 
 def tensor_grid(lo, hi, shape, nodes="midpoint"):

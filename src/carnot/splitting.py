@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import Box, GraphFunction, _require_inside
-from .quadrature import check_count, check_work_budget, tensor_grid
+from .quadrature import check_count, check_work_budget, seeded_rng, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
 # (the a = b limit), not reported as errors.
@@ -254,6 +254,7 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     """
     pair_samples = check_count(pair_samples, "pair_samples must be a positive integer")
     check_work_budget(pair_samples, "the Lipschitz estimate", "pairs")
+    rng = seeded_rng(seed)
     box = phi.domain
     # grid sized so the all-pairs count stays within the pair budget
     target_points = max(2, int((2.0 * pair_samples) ** 0.5))
@@ -264,7 +265,6 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     b = pts[second[:pair_samples]]
     extra = pair_samples - len(a)
     if extra > 0:
-        rng = np.random.default_rng(seed)
         a = np.concatenate([a, box.sample(extra, rng)])
         b = np.concatenate([b, box.sample(extra, rng)])
     phi_a = phi.eval_extended(a)

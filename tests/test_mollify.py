@@ -530,7 +530,8 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     # one split of every (base point, node) pair, however many passes; the
     # pairs are counted, so the node chunks do not matter
     assert sum(calls) == pairs
-    assert evals > 4 * len(A)
+    # more than one search pass besides the pass at the roots
+    assert evals > 2 * len(A)
     P = section_point(G, A, roots)
     # the band: the pairs whose ramp slope is not 0, from the test's own split
     base, t = _split(G, kern._conv_terms, P)
@@ -696,6 +697,81 @@ def test_level_set_no_more_evaluations_than_bisection(request, group, k, expr,
     # recomputed in one batch, f_alpha may differ in the last bits
     f = mollified_indicator(G, phi, kern, section_point(G, A, roots))
     assert np.max(np.abs(f - c_level)) == pytest.approx(resid, abs=1e-14)
+
+
+def _kink_bisection_roots(G, phi, kernel, c_level, A):
+    # the level-set search as plain bisection over each row's sorted kinks,
+    # one pass per halving, then the secant on the last piece; returns the
+    # roots, the evaluations of f (with the pass at the roots) and max |f - c|
+    w, delta = kernel._conv_weights, kernel.subcell_width
+    g = np.concatenate([g for *_, g in mollify._ramp_table(G, phi, kernel,
+                                                           graph_point(G, A, 0.0))], axis=1)
+    count, size = g.shape
+    kinks = np.sort(np.concatenate([g - 0.5 * delta, g + 0.5 * delta], axis=1), axis=1)
+    lo, hi = np.zeros(count, dtype=int), np.full(count, 2 * size - 1)
+    f_lo, f_hi = np.ones(count), np.zeros(count)
+    evals = count
+    while np.any(hi - lo > 1):
+        todo = np.flatnonzero(hi - lo > 1)
+        mid = (lo[todo] + hi[todo]) // 2
+        below, above = mollify._ramp_sums(g[todo], w, delta, kinks[todo, mid, None])
+        f = below / (below + above)
+        evals += todo.size
+        up = f > c_level
+        lo[todo[up]], f_lo[todo[up]] = mid[up], f[up]
+        hi[todo[~up]], f_hi[todo[~up]] = mid[~up], f[~up]
+    rows = np.arange(count)
+    t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
+    roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
+    below, above = mollify._ramp_sums(g, w, delta, roots[:, None])
+    return roots, evals, float(np.max(np.abs(below / (below + above) - c_level)))
+
+
+def _search_passes(G, phi, kernel, c_level, A):
+    # _section_roots and the passes of its search: one ramp-sum call per
+    # pass over the rows still searching, and one at the roots
+    with mock.patch("carnot.mollify._ramp_sums", wraps=mollify._ramp_sums) as sums:
+        roots, evals, resid, _ = _section_roots(G, phi, kernel, c_level, A)
+    budget = int(np.ceil(np.log2(2 * kernel._conv_weights.size - 1)))
+    return roots, evals, resid, sums.call_count - 1, budget
+
+
+@pytest.mark.parametrize("kind", ["expr", "callable", "grid"])
+@pytest.mark.parametrize("index", range(4))
+def test_level_set_search_matches_kink_bisection(request, index, kind):
+    # the secant search ends on the bracket that bisection over the same
+    # kinks ends on, in no more evaluations and never more than twice its
+    # passes; where batches of other rows round f differently at a kink the
+    # roots may differ in the last bits
+    G, k, phi = _group_case(request, index)
+    phi = _phi_as(G, phi, kind)
+    d = G.base_dim
+    A = tensor_grid([0.0] * d, [1.0] * d, ((4 if d == 2 else 2),) * d)
+    for alpha, c_level in [(0.1, 0.45), (0.2, 0.3)]:
+        kern = MollifierKernel(G, alpha, points_per_axis=k)
+        roots, evals, resid, passes, budget = _search_passes(G, phi, kern, c_level, A)
+        ref, ref_evals, ref_resid = _kink_bisection_roots(G, phi, kern, c_level, A)
+        assert np.max(np.abs(roots - ref)) <= 1e-15
+        assert resid <= 1.1e-15 and ref_resid <= 1.1e-15
+        assert evals <= ref_evals
+        assert passes <= 2 * budget
+
+
+def test_level_set_pass_budget_bounds_a_flat_section(heis1):
+    # on this row the section drops from 1 to within 2e-5 of c over a few
+    # kinks and then nears c over some fifty more, so each secant lands a
+    # few kinks on; the row spends its budget of secant passes, then
+    # bisects, and stays within twice the budget
+    phi = GraphFunction.from_expression("0.3*abs(y)**0.25", Box([-1.0, -1.0], [1.0, 1.0]),
+                                        2, 1)
+    kern = MollifierKernel(heis1, 0.05)
+    A = np.array([[-0.75, -0.75]])
+    roots, evals, resid, passes, budget = _search_passes(heis1, phi, kern, 0.5, A)
+    assert budget < passes <= 2 * budget
+    assert evals == passes + 1
+    ref, _, ref_resid = _kink_bisection_roots(heis1, phi, kern, 0.5, A)
+    assert resid <= 2.2e-16 and ref_resid <= 2.2e-16
+    assert abs(roots[0] - ref[0]) <= 1e-13
 
 
 def test_level_set_root_at_left_end_of_flat_interval(heis1):

@@ -56,6 +56,10 @@ def _phi():
     return GraphFunction.from_expression("x2", Box(**UNIT), 2, 1)
 
 
+def _phi_h2():
+    return GraphFunction.from_expression("x2", Box([0.0] * 4, [1.0] * 4), 4, 1)
+
+
 def _cli(argv, text="{not json"):
     """Run ``argv`` with the placeholder BAD replaced by a file holding
     ``text``, by default not JSON; the exit code."""
@@ -301,6 +305,42 @@ CASES = [
      lambda G, tmp: standard_group("free_step2", 2.5)),
     ("holder-grid-one", errors.ValidationError, "grid_per_axis must be an integer of at",
      lambda G, tmp: vertical_holder_modulus(_phi(), [0.5], grid_per_axis=1)),
+    # a kernel built on heisenberg(1) and used on heisenberg(2), and a T, a
+    # radius, an opening or a seed that is not one, ended in an untyped
+    # error; a w with a component too many gave a one-entry residual
+    *[(f"{name}-kernel-group", errors.ValidationError, "the kernel was built on",
+       lambda G, tmp, call=call: call(standard_group("heisenberg", 2, epsilon=1.0),
+                                      _phi_h2(), MollifierKernel(G, 0.2, points_per_axis=4)))
+      for name, call in (
+          ("indicator", lambda G, phi, k: mollified_indicator(G, phi, k, np.full(5, 0.5))),
+          ("gradient",
+           lambda G, phi, k: horizontal_gradient_mollified(G, phi, k, np.full(5, 0.5))),
+          ("level-set", lambda G, phi, k: level_set_phi_alpha(G, phi, k, 0.5, np.full(4, 0.5))),
+          ("gradient-mass",
+           lambda G, phi, k: horizontal_gradient_mass(G, phi, k, base_per_axis=2)))],
+    ("rk4-T-string", errors.ValidationError, "need a finite T > 0, got '1'",
+     lambda G, tmp: integrate_characteristic(G, _phi(), 2, np.full(2, 0.5), "1", 8)),
+    ("bump-radius-string", errors.ValidationError, "radius must be positive and finite",
+     lambda G, tmp: TestFunction(np.full(2, 0.5), "0.2")),
+    *[(f"cone-{name}-string", errors.ValidationError, message,
+       lambda G, tmp, kwargs=kwargs: check_cone_containment(G, _phi(), samples=10,
+                                                            **kwargs))
+      for name, message, kwargs in (
+          ("opening", "cone opening must be positive", {"beta": "0.5"}),
+          ("radius", "radius must be positive", {"beta": 0.5, "radius": "0.5"}),
+          ("seed", "seed must be a non-negative integer", {"beta": 0.5, "seed": "x"}))],
+    ("cone-b12-string", errors.ValidationError, "b12 must be positive",
+     lambda G, tmp: beta_for_k(0.5, b12="1")),
+    ("lipschitz-seed-string", errors.ValidationError, "seed must be a non-negative integer",
+     lambda G, tmp: estimate_intrinsic_lipschitz(G, _phi(), 10, seed="x")),
+    ("cone-sampler-seed-negative", errors.ValidationError, "seed must be a non-negative",
+     lambda G, tmp: sample_cone_points_m2n1(G, 0.8, 3, seed=-1)),
+    ("calibration-seed-float", errors.ValidationError, "seed must be a non-negative integer",
+     lambda G, tmp: calibrate_epsilon(G, 10, seed=1.5)),
+    ("residual-w-components", errors.DimensionMismatch, "w must give m-1 = 1 components",
+     lambda G, tmp: distributional_residual(
+         G, _phi(), VectorField.constant([0.0, 1.0], Box(**UNIT)),
+         TestFunction([0.5, 0.5], 0.2))),
 ]
 
 
