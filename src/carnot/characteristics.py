@@ -14,16 +14,27 @@ estimate instead of any uniqueness claim.  The rate of a curve is formed
 once from the column b^(s)_{j1} and the constant drift, so each RK4 stage
 costs one evaluation of phi, and the states are bitwise those of forming
 the frozen coefficients at every stage.
+
+The stages run on Python floats: phi sees each stage point in one reused
+(m+n-1,) array, and the shifts and the RK4 combination are formed
+coordinate by coordinate.  Each float operation is the single IEEE
+operation that the elementwise array form made, in the same order, and
+Python fuses no operations across statements, so the states stay bitwise
+those of the array form.  At one point per stage, small arrays cost far
+more in per-call overhead than in arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import le
 
 import numpy as np
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
 from .calculus import _check_direction, _drift, _frozen_coefficients
+from .functions import GraphFunction
 from .quadrature import check_count, check_positive, check_work_budget, tensor_grid
 from .splitting import graph_quasidistance
 
@@ -53,39 +64,55 @@ class CharacteristicCurve:
 
 def _rk4_path(G, phi, j, a0, T, steps):
     d = G.base_dim
-    n = G.n
+    v0 = d - G.n                # first vertical coordinate
+    x = j - 2                   # the coordinate moving at unit speed
     out = np.empty((steps + 1, d))
     out[0] = a0
     h = T / steps
     inside_limit = steps
     # only x_j and the vertical block move, and b_jj = 0: the drift of the
     # frozen coefficients is the same at every stage of the curve
-    col = G.B[:, j - 1, 0]
-    drift = _drift(G, j, out[0])
+    col = G.B[:, j - 1, 0].tolist()
+    drift = _drift(G, j, out[0]).tolist()
+    # a state is inside when it lies in phi's box (Box.contains, read
+    # inline); a phi whose domain is finer than its box (a translated phi
+    # overrides in_domain) is asked as well
+    lo, hi = phi.domain.lo.tolist(), phi.domain.hi.tolist()
+    finer = type(phi).in_domain is not GraphFunction.in_domain
+    half = 0.5 * h
+    vert = range(G.n)
+    buf = np.empty(d)
 
     def rate(b):
-        return phi.eval_extended(b)[..., None] * col + drift
+        buf[:] = b
+        v = float(phi.eval_extended(buf))
+        return [v * c + r for c, r in zip(col, drift)]
 
+    def shift(a, dt, ks):
+        """a moved by dt along x_j and by dt * ks on the vertical block."""
+        b = a.copy()
+        b[x] += dt
+        for s in vert:
+            b[v0 + s] += dt * ks[s]
+        return b
+
+    a = out[0].tolist()
     for k in range(steps):
-        a = out[k]
-
-        def shift(dt, dy):
-            b = a.copy()
-            b[j - 2] += dt
-            b[d - n:] += dy
-            return b
-
         k1 = rate(a)
-        k2 = rate(shift(0.5 * h, 0.5 * h * k1))
-        k3 = rate(shift(0.5 * h, 0.5 * h * k2))
-        k4 = rate(shift(h, h * k3))
-        nxt = shift(h, h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
-        if not np.all(np.isfinite(nxt)):
+        k2 = rate(shift(a, half, k1))
+        k3 = rate(shift(a, half, k2))
+        k4 = rate(shift(a, h, k3))
+        a = a.copy()
+        a[x] += h
+        for s in vert:
+            a[v0 + s] += h * (k1[s] + 2 * k2[s] + 2 * k3[s] + k4[s]) / 6.0
+        if not all(map(math.isfinite, a)):
             raise NonFiniteState(f"characteristic state became non-finite at step {k}")
-        if not phi.in_domain(nxt):
+        if not (all(map(le, lo, a)) and all(map(le, a, hi))) \
+                or finer and not phi.in_domain(a):
             inside_limit = k
             break
-        out[k + 1] = nxt
+        out[k + 1] = a
     return out[:inside_limit + 1], h, inside_limit
 
 
@@ -140,6 +167,8 @@ def broadstar_residual(curve, phi, w_j):
     from scipy.integrate import cumulative_simpson
 
     vals = np.asarray(w_j(curve.base_points), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteState("w_j is not finite at a point of the curve")
     integral = cumulative_simpson(vals, x=curve.t_grid, initial=0.0)
     lhs = curve.phi_along - curve.phi_along[0]
     return float(np.max(np.abs(lhs - integral)))
@@ -170,7 +199,10 @@ def sup_w_estimate(w_j, curve):
     hi = pts.max(axis=0)
     box_pts = tensor_grid(lo, hi, np.where(hi > lo, 5, 1), nodes="endpoint")
     allpts = np.concatenate([pts, box_pts], axis=0)
-    return 1.05 * float(np.max(np.abs(w_j(allpts))))
+    sup = float(np.max(np.abs(w_j(allpts))))
+    if not math.isfinite(sup):
+        raise NonFiniteState("w_j is not finite on the curve's bounding box")
+    return 1.05 * sup
 
 
 def lipschitz_along_curve(G, curve, phi, w_j, holder_constant):

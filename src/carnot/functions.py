@@ -61,14 +61,17 @@ def _compile_expression(expr, m, n):
     except Exception:
         grad = None             # non-smooth expression: fall back to FD
 
+    columns = [(..., i) for i in range(len(names))]
+
     def evaluate(a):
         a = np.asarray(a, dtype=float)
-        cols = [a[..., i] for i in range(a.shape[-1])]
-        out = np.asarray(f(*cols), dtype=float)
-        # copy only a scalar or broadcast result, or one aliasing the
-        # input ("x2" returns its own column); any other is already fresh
-        if out.shape != a.shape[:-1] or np.may_share_memory(out, a):
+        out = np.asarray(f(*[a[c] for c in columns]), dtype=float)
+        # copy only a scalar or broadcast result, or a view, which may alias
+        # the input ("x2" returns its own column); any other is already fresh
+        if out.shape != a.shape[:-1]:
             out = np.broadcast_to(out, a.shape[:-1]).copy()
+        elif out.base is not None:
+            out = out.copy()
         return out
 
     partials = None

@@ -13,7 +13,11 @@ from carnot.characteristics import (
     phi_along_curve_lipschitz_vs_intrinsic,
 )
 from carnot.functions import Box, GraphFunction, base_coordinate_names
-from carnot.splitting import estimate_intrinsic_lipschitz, vertical_holder_modulus
+from carnot.splitting import (
+    estimate_intrinsic_lipschitz,
+    translate_graph_function,
+    vertical_holder_modulus,
+)
 
 from conftest import unit_box
 
@@ -256,3 +260,50 @@ def test_rk4_rate_formed_once_matches_per_stage_loop(group_name, request):
             ref, h_ref, used_ref = _rk4_path_per_stage(G, phi, j, a0, 1.5, 40)
             assert (h, used) == (h_ref, used_ref)
             assert path.tobytes() == ref.tobytes()
+
+
+def _phi_kinds(G, box):
+    """An "x2", a callable, a grid and a translated phi over ``box``, by
+    name; the translated one's domain is finer than its bounding box."""
+    d = G.base_dim
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5,) * d)
+    x2 = GraphFunction.from_expression("x2", box, G.m, G.n)
+    q = np.linspace(0.4, -0.3, G.dim)
+    return {
+        "x2": x2,
+        "callable": GraphFunction.from_callable(
+            lambda a: np.sin(a[..., 0]) * a[..., -1] + 0.5 * a[..., -1] ** 2, box),
+        "grid": GraphFunction.from_grid(values, box),
+        "translated": translate_graph_function(G, x2, q),
+    }
+
+
+@pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
+@pytest.mark.parametrize("kind", ["x2", "callable", "grid", "translated"])
+def test_rk4_stages_match_per_stage_loop_for_each_phi_kind(group_name, kind, request):
+    G = request.getfixturevalue(group_name)
+    phi = _phi_kinds(G, wide_box(G.base_dim, half=1.5))[kind]
+    starts = np.random.default_rng(29).uniform(-0.9, 0.9, size=(3, G.base_dim))
+    truncated = 0
+    for j in range(2, G.m + 1):
+        for a0 in starts:
+            path, h, used = _rk4_path(G, phi, j, a0, 1.7, 24)
+            ref, h_ref, used_ref = _rk4_path_per_stage(G, phi, j, a0, 1.7, 24)
+            assert (h, used) == (h_ref, used_ref)
+            assert path.tobytes() == ref.tobytes()
+            truncated += used < 24
+    # T = 1.7 from within 0.9 of the centre of a 1.5-box: some curves leave it
+    assert truncated > 0
+
+
+def test_rk4_evaluates_phi_once_per_stage(heis1):
+    points = []
+
+    def counted(a):
+        points.append(np.shape(a))
+        return 0.3 * a[..., 0] * a[..., -1]
+
+    phi = GraphFunction.from_callable(counted, wide_box(2))
+    path, _, used = _rk4_path(heis1, phi, 2, np.array([0.1, 0.2]), 1.0, 50)
+    assert used == 50 and path.shape == (51, 2)
+    assert points == [(2,)] * (4 * 50)

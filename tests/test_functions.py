@@ -104,6 +104,19 @@ def test_expression_result_fresh_and_full_shape(expr):
         assert np.array_equal(phi.eval_extended(a), ref(a))
 
 
+def test_aliasing_result_is_copied_for_a_point_and_a_batch():
+    # "x2" returns its own input column: the copy taken of it must share no
+    # memory with the input, so a caller may reuse its buffer
+    phi = GraphFunction.from_expression("x2", unit_box(2), 2, 1)
+    for a in (np.array([0.25, -0.5]), np.linspace(-1.0, 1.0, 24).reshape(4, 3, 2)):
+        out = phi.eval_extended(a)
+        before = out.copy()
+        assert out.shape == a.shape[:-1]
+        assert not np.may_share_memory(out, a)
+        a[...] = 9.0
+        assert out.tobytes() == before.tobytes()
+
+
 def test_constant_broadcasting():
     phi = GraphFunction.constant(2.5, unit_box(3))
     a = np.zeros((4, 5, 3))

@@ -13,7 +13,11 @@ import pytest
 from carnot import cli, errors
 from carnot.area import area_integral
 from carnot.calculus import TestFunction, distributional_residual, intrinsic_derivative
-from carnot.characteristics import integrate_characteristic
+from carnot.characteristics import (
+    broadstar_residual,
+    integrate_characteristic,
+    lipschitz_along_curve,
+)
 from carnot.cones import (
     beta_for_k,
     check_cone_containment,
@@ -83,6 +87,14 @@ def _pole_crossing(G, tmp):
                                         2, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrate_characteristic(G, phi, 2, np.array([0.25, 0.5]), 0.5, 8)
+
+
+def _curve(G):
+    return integrate_characteristic(G, _phi(), 2, np.full(2, 0.5), 0.25, 8)
+
+
+def _nan_w(a):
+    return np.full(np.shape(a)[:-1], np.nan)
 
 
 def _mass_on_pole(G, tmp):
@@ -341,6 +353,13 @@ CASES = [
      lambda G, tmp: distributional_residual(
          G, _phi(), VectorField.constant([0.0, 1.0], Box(**UNIT)),
          TestFunction([0.5, 0.5], 0.2))),
+    # a w that is NaN along the curve gave a NaN residual, and a NaN w_inf
+    # and bound
+    ("broadstar-w-nan", errors.NonFiniteState, "w_j is not finite at a point of the curve",
+     lambda G, tmp: broadstar_residual(_curve(G), _phi(), _nan_w)),
+    ("curve-lipschitz-w-nan", errors.NonFiniteState,
+     "w_j is not finite on the curve's bounding box",
+     lambda G, tmp: lipschitz_along_curve(G, _curve(G), _phi(), _nan_w, 1.0)),
 ]
 
 
