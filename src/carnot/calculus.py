@@ -9,7 +9,11 @@ Heisenberg group D_2 is the classical Burgers operator d/dx2 - phi d/dy.
 Pointwise values use analytic partials when the function carries them and a
 frozen-direction central difference otherwise.  The distributional residual
 checks the integration-by-parts identity of the system D phi = w against
-compactly supported bump test functions on a midpoint quadrature grid.
+compactly supported bump test functions on a midpoint quadrature grid.  Its
+integrand vanishes off the support ball |u| < 1 of the bump, u = (a -
+center)/radius, so only the grid nodes with |u| < 1 are evaluated; the terms
+are placed back at their nodes of the full grid and summed there, in the
+dense grid's order, so the sum is bitwise the one over every node.
 
 Every contraction with the B^(s) blocks is a plain matmul.  One private
 helper applies the frame d/dx-hat + sum_s (value b^(s)_{.1} + 1/2 x-hat
@@ -35,12 +39,18 @@ import numpy as np
 from .errors import (
     DegenerateHorizontalGradient,
     DimensionMismatch,
+    NonFiniteState,
     OutOfDomain,
     StepTooLarge,
     SupportNotCovered,
     ValidationError,
 )
-from .quadrature import check_positive, default_points_per_axis, midpoint_rule
+from .quadrature import (
+    check_positive,
+    default_points_per_axis,
+    grid_from_axes,
+    midpoint_axes,
+)
 
 HORIZONTAL_GRADIENT_FLOOR = 1e-12
 
@@ -195,20 +205,25 @@ class TestFunction:
         u = (np.asarray(a, dtype=float) - self.center) / self.radius
         return u, np.sum(u * u, axis=-1)
 
+    def _on_support(self, u, t):
+        """Value and gradient from u and t = |u|^2 of points in the support
+        ball (every t < 1), forming 1 - t and the exp once."""
+        s = 1.0 - t
+        value = np.exp(1.0 - 1.0 / s)
+        return value, -(value / s ** 2)[..., None] * 2.0 * u / self.radius
+
     def value(self, a):
         u, t = self._u2(a)
         out = np.zeros_like(t)
         inside = t < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+        out[inside] = self._on_support(u[inside], t[inside])[0]
         return out
 
     def gradient(self, a):
         u, t = self._u2(a)
         out = np.zeros_like(u)
         inside = t < 1.0
-        g = np.zeros_like(t)
-        g[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside])) / (1.0 - t[inside]) ** 2
-        out[inside] = -g[inside, None] * 2.0 * u[inside] / self.radius
+        out[inside] = self._on_support(u[inside], t[inside])[1]
         return out
 
     def supported_inside(self, box):
@@ -225,27 +240,55 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     by the midpoint rule with ``points_per_axis`` nodes per axis of phi's
     box (default by dimension).  Near zero at grid resolution iff phi
     solves D phi = w distributionally.
+
+    The integrand vanishes with zeta and its gradient off the support ball
+    |u| < 1, u = (a - center)/radius, so phi, w and zeta are evaluated only
+    at the grid nodes with |u|^2 < 1: per axis the nodes with |u_i| < 1 (a
+    superset, as u_i^2 <= |u|^2 and rounding is monotone) give a sub-box of
+    the grid, and of its nodes those with |u|^2 < 1, by the bump's own
+    expression, are kept.  Each column of the integrand is scattered into
+    zeros over the full grid and summed there, so the sum runs in the dense
+    grid's order over the same nonzero terms: the result is bitwise the
+    dense sum, but for the sign of an all-zero entry.  A phi or w that is
+    not finite at a support node is a NonFiniteState error; off the support
+    neither is read.
     """
     box = phi.domain
     if zeta.center.shape != (box.dim,):
         raise DimensionMismatch(f"center must have length {box.dim}, got {zeta.center.shape}")
     if points_per_axis is None:
         points_per_axis = default_points_per_axis(box.dim)
-    pts, cell = midpoint_rule(box.lo, box.hi, points_per_axis)
+    axes, cell = midpoint_axes(box.lo, box.hi, points_per_axis)
     if not zeta.supported_inside(box):
         raise SupportNotCovered("test function support is not inside the domain box")
+    # per axis, the one index range of nodes with |u_i| < 1
+    cut = []
+    for i, axis in enumerate(axes):
+        near = np.flatnonzero(np.abs((axis - zeta.center[i]) / zeta.radius) < 1.0)
+        cut.append(slice(near[0], near[-1] + 1) if near.size else slice(0, 0))
+    sub = [axis[c] for axis, c in zip(axes, cut)]
+    pts = grid_from_axes(sub)
+    u, t = zeta._u2(pts)
+    inside = t < 1.0
+    pts = pts[inside]
+    zv, zg = zeta._on_support(u[inside], t[inside])
     phi_v = phi.eval_extended(pts)
-    zg = zeta.gradient(pts)
-    zv = zeta.value(pts)
+    w_v = w(pts)
+    k = G.m - 1
+    if np.shape(w_v) != (len(pts), k):
+        raise DimensionMismatch(f"w must give m-1 = {k} components per point, "
+                                f"got shape {np.shape(w_v)}")
+    if not (np.all(np.isfinite(phi_v)) and np.all(np.isfinite(w_v))):
+        raise NonFiniteState("phi or w is not finite at a node of the test function's "
+                             "support")
     # X_j zeta restricted to W: the frame with value 0
     xj_zeta = _frame_apply(G, pts, 0.0, zg)
-    y_zeta = zg[..., G.m - 1:]
+    y_zeta = zg[..., k:]
     col = G.B[:, 1:, 0]                        # b^(s)_{j1} indexed (s, j-2)
     vert = y_zeta @ col
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
-    w_v = w(pts)
-    if np.shape(w_v) != integrand.shape:
-        raise DimensionMismatch(f"w must give m-1 = {G.m - 1} components per point, "
-                                f"got shape {np.shape(w_v)}")
-    total = integrand + w_v * zv[..., None]
-    return np.array([float(np.sum(total[..., j]) * cell) for j in range(G.m - 1)])
+    total = np.zeros(tuple(len(axis) for axis in axes) + (k,))
+    total[tuple(cut)][inside.reshape([len(axis) for axis in sub])] = \
+        integrand + w_v * zv[..., None]
+    total = total.reshape(-1, k)
+    return np.array([float(np.sum(total[..., j]) * cell) for j in range(k)])

@@ -4,8 +4,12 @@ The midpoint rule is order 2, has positive weights, and its nodes never touch
 box boundaries, which keeps integrands with boundary singularities usable.
 Every midpoint weight in the package comes from :func:`midpoint_rule`, so
 that refinement studies are comparable across modules, and every tensor grid
-of sample points is built by :func:`tensor_grid`; only curve integrals
-(``characteristics.broadstar_residual``) use composite Simpson instead.
+of sample points is built by :func:`tensor_grid`, which joins the per-axis
+nodes of :func:`grid_axes` with :func:`grid_from_axes`; a caller that needs
+only a sub-box of a grid (the distributional residual, on a test function's
+support) slices those axes and joins them the same way.  Only curve
+integrals (``characteristics.broadstar_residual``) use composite Simpson
+instead.
 One work budget, :func:`check_work_budget`, caps grid nodes and every other
 count that sizes an array (sampled pairs, cone samples, RK4 rows).  The
 other argument checks that several modules share live here too:
@@ -66,7 +70,14 @@ def seeded_rng(seed):
 
 def tensor_grid(lo, hi, shape, nodes="midpoint"):
     """All nodes of a tensor grid on the box [lo, hi] as an (N, d) array
-    (C order).
+    (C order): :func:`grid_from_axes` of :func:`grid_axes`."""
+    return grid_from_axes(grid_axes(lo, hi, shape, nodes))
+
+
+def grid_axes(lo, hi, shape, nodes="midpoint"):
+    """The node coordinates of :func:`tensor_grid` on each axis, one 1-D
+    array per axis; the counts and the work budget of the whole grid are
+    checked first.
 
     ``"midpoint"`` places cell centres lo + h (k + 1/2), h = (hi - lo) / count;
     ``"endpoint"`` places ``np.linspace(lo, hi, count)`` (just lo for a count
@@ -79,14 +90,17 @@ def tensor_grid(lo, hi, shape, nodes="midpoint"):
     check_work_budget(math.prod(shape), "tensor grid", "nodes")
     if nodes == "midpoint":
         h = (hi - lo) / np.asarray(shape, dtype=float)
-        axes = [lo[i] + h[i] * (np.arange(k) + 0.5) for i, k in enumerate(shape)]
-    elif nodes == "endpoint":
-        axes = [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
-    else:
-        raise ValidationError(f"unknown node placement {nodes!r}")
-    # each axis broadcast straight into its column: one pass over the nodes
-    d = len(shape)
-    out = np.empty(shape + (d,))
+        return [lo[i] + h[i] * (np.arange(k) + 0.5) for i, k in enumerate(shape)]
+    if nodes == "endpoint":
+        return [np.linspace(lo[i], hi[i], k) for i, k in enumerate(shape)]
+    raise ValidationError(f"unknown node placement {nodes!r}")
+
+
+def grid_from_axes(axes):
+    """The (N, d) nodes (C order) of the tensor product of d 1-D axes, each
+    broadcast straight into its column: one pass over the nodes."""
+    d = len(axes)
+    out = np.empty(tuple(len(axis) for axis in axes) + (d,))
     for i, axis in enumerate(axes):
         out[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
     return out.reshape(-1, d)
@@ -105,10 +119,17 @@ def midpoint_rule(lo, hi, per_axis):
     """Composite midpoint rule on the box [lo, hi] with ``per_axis`` cells
     on every axis, a positive integer: the (N, d) nodes of
     :func:`tensor_grid` and the volume of one cell, the weight of each node."""
+    axes, cell = midpoint_axes(lo, hi, per_axis)
+    return grid_from_axes(axes), cell
+
+
+def midpoint_axes(lo, hi, per_axis):
+    """:func:`midpoint_rule` before its nodes are built: the
+    :func:`grid_axes` of its grid and the volume of one cell."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    nodes = tensor_grid(lo, hi, (per_axis,) * lo.size)
-    return nodes, float(np.prod((hi - lo) / per_axis))
+    axes = grid_axes(lo, hi, (per_axis,) * lo.size)
+    return axes, float(np.prod((hi - lo) / per_axis))
 
 
 def richardson_order(coarse, mid, fine):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -290,6 +291,97 @@ def test_residual_support_not_covered(heis1, phi_x2):
     zeta = TestFunction([0.9, 0.9], 0.5)
     with pytest.raises(errors.SupportNotCovered):
         distributional_residual(heis1, phi_x2, w, zeta)
+
+
+def _dense_residual(G, phi, w, zeta, k):
+    """The residual with phi, w and the bump evaluated at every node of the
+    full midpoint grid (the reference for the support-only evaluation);
+    the nodes with |u| < 1 it finds."""
+    box = phi.domain
+    pts, cell = midpoint_rule(box.lo, box.hi, k)
+    u = (pts - zeta.center) / zeta.radius
+    t = np.sum(u * u, axis=-1)
+    inside = t < 1.0
+    zv = np.zeros_like(t)
+    zv[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+    zg = np.zeros_like(u)
+    zg[inside] = -(zv[inside] / (1.0 - t[inside]) ** 2)[:, None] * 2.0 * u[inside] \
+        / zeta.radius
+    phi_v = phi.eval_extended(pts)
+    vert = zg[..., G.m - 1:] @ G.B[:, 1:, 0]
+    integrand = phi_v[..., None] * (_base_frame_apply(G, pts, zg) + phi_v[..., None] * vert)
+    total = integrand + w(pts) * zv[..., None]
+    res = np.array([float(np.sum(total[..., j]) * cell) for j in range(G.m - 1)])
+    return res, int(np.sum(inside))
+
+
+@given(st.integers(0, 3), st.integers(1, 16), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["ball", "inside one cell", "touching the box"]))
+def test_residual_on_support_is_the_dense_sum_property(all_groups, index, k, seed, ball):
+    # phi, w and zeta read on the support only, against every node read:
+    # bitwise equal, but for the sign of an all-zero result when no node
+    # lies in the ball; the grid is capped at about 2^18 nodes per case so
+    # the dense reference stays small
+    G = all_groups[index]
+    d = G.base_dim
+    k = min(k, int(2 ** (18 / d)))
+    names = base_coordinate_names(G.m, G.n)
+    box = Box([-1.0] * d, [1.5] * d)
+    phi = GraphFunction.from_expression(
+        f"0.3*sin(3*{names[0]})*cos({names[-1]}) + {names[-1]}**2 - 0.2", box, G.m, G.n)
+    w = VectorField([GraphFunction.from_expression(f"{v}*{names[-1]} + 0.5", box, G.m, G.n)
+                     for v in names[:G.m - 1]])
+    rng = np.random.default_rng(seed)
+    h = 2.5 / k
+    if ball == "ball":
+        r = rng.uniform(0.02, 1.25)
+        c = rng.uniform(-1.0 + r, 1.5 - r, d)
+    elif ball == "inside one cell":
+        # a quarter cell from a node on every axis: no node within h/4
+        r = rng.uniform(0.1, 0.9) * h / 4.0
+        c = -1.0 + h * (rng.integers(0, k, d) + 0.25)
+    else:
+        # out of the box on one side by less than supported_inside's slack
+        r = rng.uniform(0.05, 1.0)
+        c = rng.uniform(-1.0 + r, 1.5 - r, d)
+        axis = rng.integers(0, d)
+        c[axis] = -1.0 + r - 0.5e-12 if rng.random() < 0.5 else 1.5 - r + 0.5e-12
+    zeta = TestFunction(c, r)
+    got = distributional_residual(G, phi, w, zeta, k)
+    ref, nodes = _dense_residual(G, phi, w, zeta, k)
+    if ball == "inside one cell":
+        assert nodes == 0
+    if nodes == 0:
+        assert np.all(got == 0.0) and np.all(ref == 0.0)
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_residual_reads_phi_on_the_support_only(heis1):
+    # sqrt(x2 - 0.4) is NaN for x2 < 0.4, off the support 0.5 < x2 < 0.9;
+    # the residual is finite and equals that of a phi agreeing on the
+    # support (the dense sum was NaN)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    w = VectorField.constant([1.0], box)
+    zeta = TestFunction([0.7, 0.5], 0.2)
+    res = [distributional_residual(
+        heis1, GraphFunction.from_expression(expr, box, 2, 1), w, zeta, 64)
+        for expr in ("sqrt(x2 - 0.4)", "sqrt(abs(x2 - 0.4))")]
+    assert np.all(np.isfinite(res[0]))
+    assert res[0].tobytes() == res[1].tobytes()
+
+
+def test_residual_grid_over_budget_allocates_nothing(heis1, phi_x2):
+    w = VectorField.constant([1.0], phi_x2.domain)
+    zeta = TestFunction([0.0, 0.0], 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.GridTooLarge, match=f"tensor grid of {2 ** 24} nodes"):
+            distributional_residual(heis1, phi_x2, w, zeta, 2 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1),

@@ -107,6 +107,15 @@ def _mass_on_pole(G, tmp):
                                  base_per_axis=1)
 
 
+def _residual_on_nan_phi(G, tmp):
+    # phi = sqrt(x2 - 0.8) is NaN on the whole support 0.1 < x2 < 0.5; the
+    # invalid square root is silenced so that the typed error is what is seen
+    phi = GraphFunction.from_expression("sqrt(x2 - 0.8)", Box(**UNIT), 2, 1)
+    with np.errstate(invalid="ignore"):
+        distributional_residual(G, phi, VectorField.constant([1.0], Box(**UNIT)),
+                                TestFunction([0.3, 0.5], 0.2), 64)
+
+
 def _level_set_over_budget(G, tmp):
     # one base point more than the budget allows in the level set's ramp
     # table, which must be refused before any of it is split
@@ -360,6 +369,31 @@ CASES = [
     ("curve-lipschitz-w-nan", errors.NonFiniteState,
      "w_j is not finite on the curve's bounding box",
      lambda G, tmp: lipschitz_along_curve(G, _curve(G), _phi(), _nan_w, 1.0)),
+    # a phi or w that is NaN at a node of the test function's support gave
+    # a NaN residual
+    ("residual-phi-nan", errors.NonFiniteState, "phi or w is not finite at a node",
+     _residual_on_nan_phi),
+    ("residual-w-nan", errors.NonFiniteState, "phi or w is not finite at a node",
+     lambda G, tmp: distributional_residual(
+         G, _phi(), lambda a: np.full(np.shape(a)[:-1] + (1,), np.nan),
+         TestFunction([0.5, 0.5], 0.2))),
+    # the residual's grid count and work budget, checked before any node
+    # is built, and the shape of w when no node lies in the support
+    *[(f"residual-grid-{count}", errors.ValidationError,
+       "shape must give a positive count per axis",
+       lambda G, tmp, count=count: distributional_residual(
+           G, _phi(), VectorField.constant([1.0], Box(**UNIT)),
+           TestFunction([0.5, 0.5], 0.2), count))
+      for count in (0, -1, 2.5, True)],
+    ("residual-grid-over-budget", errors.GridTooLarge, "tensor grid of 16777216 nodes",
+     lambda G, tmp: distributional_residual(
+         G, _phi(), VectorField.constant([1.0], Box(**UNIT)),
+         TestFunction([0.5, 0.5], 0.2), 2 ** 12)),
+    ("residual-w-components-no-node", errors.DimensionMismatch,
+     "w must give m-1 = 1 components",
+     lambda G, tmp: distributional_residual(
+         G, _phi(), VectorField.constant([0.0, 1.0], Box(**UNIT)),
+         TestFunction([0.5, 0.5], 1e-3), 4)),
 ]
 
 
