@@ -253,6 +253,13 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     not finite at a support node is a NonFiniteState error; off the support
     neither is read.
     """
+    return np.array(residual_report(G, phi, w, zeta, points_per_axis)["residual"])
+
+
+def residual_report(G, phi, w, zeta, points_per_axis=None):
+    """:func:`distributional_residual` as a report: the ``residual`` list,
+    the ``grid`` points per axis and ``support_nodes``, the count of nodes
+    at which phi, w and the bump were evaluated."""
     box = phi.domain
     if zeta.center.shape != (box.dim,):
         raise DimensionMismatch(f"center must have length {box.dim}, got {zeta.center.shape}")
@@ -291,4 +298,5 @@ def distributional_residual(G, phi, w, zeta, points_per_axis=None):
     total[tuple(cut)][inside.reshape([len(axis) for axis in sub])] = \
         integrand + w_v * zv[..., None]
     total = total.reshape(-1, k)
-    return np.array([float(np.sum(total[..., j]) * cell) for j in range(k)])
+    return {"residual": [float(np.sum(total[..., j]) * cell) for j in range(k)],
+            "grid": int(points_per_axis), "support_nodes": len(pts)}

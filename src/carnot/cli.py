@@ -32,7 +32,6 @@ from . import calculus, characteristics, cones, mollify, splitting
 from . import group as gp
 from .errors import NonFiniteState, NumericalError, ValidationError
 from .functions import load_graph_function, load_vector_field
-from .quadrature import default_points_per_axis
 
 
 def _write_atomic(path, text):
@@ -144,9 +143,9 @@ def cmd_residual(args):
                               f"{G.base_dim} coordinates, then the radius), "
                               f"got {vals.size}")
     zeta = calculus.TestFunction(vals[:-1], vals[-1])
-    k = args.grid if args.grid is not None else default_points_per_axis(phi.domain.dim)
-    res = calculus.distributional_residual(G, phi, w, zeta, points_per_axis=k)
-    return {"residual": res.tolist(), "grid": k, "seed": args.seed}
+    report = calculus.residual_report(G, phi, w, zeta, points_per_axis=args.grid)
+    report["seed"] = args.seed
+    return report
 
 
 def cmd_lipschitz(args):

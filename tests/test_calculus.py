@@ -17,6 +17,7 @@ from carnot.calculus import (
     gradient_from_defining_function,
     intrinsic_derivative,
     intrinsic_gradient,
+    residual_report,
 )
 from carnot.functions import Box, GraphFunction, VectorField, base_coordinate_names
 from carnot.mollify import MollifierKernel, intrinsic_gradient_of_level_set
@@ -349,6 +350,7 @@ def test_residual_on_support_is_the_dense_sum_property(all_groups, index, k, see
     zeta = TestFunction(c, r)
     got = distributional_residual(G, phi, w, zeta, k)
     ref, nodes = _dense_residual(G, phi, w, zeta, k)
+    assert residual_report(G, phi, w, zeta, k)["support_nodes"] == nodes
     if ball == "inside one cell":
         assert nodes == 0
     if nodes == 0:
