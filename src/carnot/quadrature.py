@@ -2,7 +2,8 @@
 
 The midpoint rule is order 2, has positive weights, and its nodes never touch
 box boundaries, which keeps integrands with boundary singularities usable.
-Every midpoint weight in the package comes from :func:`midpoint_rule`, so
+Every midpoint weight in the package comes from :func:`midpoint_rule` (or
+:func:`midpoint_axes`, its weight and axes before the nodes are built), so
 that refinement studies are comparable across modules, and every tensor grid
 of sample points is built by :func:`tensor_grid`, which joins the per-axis
 nodes of :func:`grid_axes` with :func:`grid_from_axes`; a caller that needs
