@@ -51,9 +51,8 @@ def area_integral(G, phi, w=None, points_per_axis=None):
     temporaries stay small on any grid and the sum is unchanged.
     """
     box = phi.domain
-    if points_per_axis is None:
-        points_per_axis = default_points_per_axis(box.dim)
-    pts, cell = midpoint_rule(box.lo, box.hi, points_per_axis)
+    pts, cell = midpoint_rule(box.lo, box.hi,
+                              default_points_per_axis(box.dim, points_per_axis))
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
         chunk = pts[start:start + _POINT_CHUNK]
@@ -67,9 +66,7 @@ def area_report(G, phi, points_per_axis=None):
     convergence order of the three values (k defaults by dimension).  The
     finest grid is checked against the work budget before any integral."""
     dim = phi.domain.dim
-    k = points_per_axis
-    if k is None:
-        k = default_points_per_axis(dim)
+    k = default_points_per_axis(dim, points_per_axis)
     grids = [k * 2 ** i for i in range(3)]
     check_work_budget(grids[-1] ** dim, "tensor grid", "nodes")
     values = [area_integral(G, phi, points_per_axis=g) for g in grids]
@@ -84,17 +81,12 @@ def area_report(G, phi, points_per_axis=None):
     }
 
 
-def subgraph_indicator(G, phi, p):
-    """1 when the point lies strictly below the graph, else 0; a point whose
-    projected base point is outside phi's domain raises OutOfDomain."""
+def subgraph_indicator(G, phi, p, check_domain=True):
+    """1 when the point lies strictly below the graph, else 0.  A point whose
+    projected base point is outside phi's domain raises OutOfDomain, or with
+    ``check_domain=False`` reads phi through its extension beyond its box
+    (expressions evaluate directly, grids clamp)."""
     base, t = project_splitting(G, p)
-    if not np.all(phi.in_domain(base)):
+    if check_domain and not np.all(phi.in_domain(base)):
         raise OutOfDomain("projected base point outside the graph domain")
-    return (t < phi.eval_extended(base)).astype(float)
-
-
-def subgraph_indicator_extended(G, phi, p):
-    """Indicator with the graph function extended beyond its box (expressions
-    evaluate directly, grids clamp); used by the mollification pipeline."""
-    base, t = project_splitting(G, p)
     return (t < phi.eval_extended(base)).astype(float)

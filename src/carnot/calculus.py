@@ -45,6 +45,7 @@ from .errors import (
     SupportNotCovered,
     ValidationError,
 )
+from .functions import check_domain_dim
 from .quadrature import (
     check_positive,
     default_points_per_axis,
@@ -117,6 +118,7 @@ def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
     h = 1e-5 (1 + |a|).  With ``check_domain=False`` the stencil evaluates
     through the function's extension instead of raising.
     """
+    check_domain_dim(phi.domain, G.base_dim)
     a = np.asarray(a, dtype=float)
     if check_domain and not np.all(phi.in_domain(a)):
         raise OutOfDomain("intrinsic derivative point outside domain")
@@ -263,8 +265,7 @@ def residual_report(G, phi, w, zeta, points_per_axis=None):
     box = phi.domain
     if zeta.center.shape != (box.dim,):
         raise DimensionMismatch(f"center must have length {box.dim}, got {zeta.center.shape}")
-    if points_per_axis is None:
-        points_per_axis = default_points_per_axis(box.dim)
+    points_per_axis = default_points_per_axis(box.dim, points_per_axis)
     axes, cell = midpoint_axes(box.lo, box.hi, points_per_axis)
     if not zeta.supported_inside(box):
         raise SupportNotCovered("test function support is not inside the domain box")

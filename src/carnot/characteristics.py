@@ -155,6 +155,7 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
 
 def flux_values(G, j, xhat, phi_values):
     """Conserved fluxes f_s(phi) = (b^(s)_{j1} phi^2 + phi sum_l b^(s)_{jl} x_l)/2."""
+    _check_direction(G, j)
     xhat = np.asarray(xhat, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
     # phi times the frozen coefficients with phi/2 in place of phi

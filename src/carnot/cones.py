@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import group as gp
-from .area import subgraph_indicator_extended
+from .area import subgraph_indicator
 from .errors import (
     DegenerateZ,
     InvalidK,
@@ -190,7 +190,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
     q = gp.multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
-    inside = subgraph_indicator_extended(G, phi, q)
+    inside = subgraph_indicator(G, phi, q, check_domain=False)
     expected = (sides < 0).astype(float)
     violations = int(np.count_nonzero(inside != expected))
     return {

@@ -130,6 +130,12 @@ def _require_inside(a, ok):
         raise OutOfDomain(f"point outside domain: {bad}")
 
 
+def check_domain_dim(domain, base_dim):
+    """DimensionMismatch unless the box ``domain`` has ``base_dim`` = m+n-1 axes."""
+    if domain.dim != base_dim:
+        raise DimensionMismatch(f"domain dimension {domain.dim} != m+n-1 = {base_dim}")
+
+
 class GraphFunction:
     """Scalar function on a box, with optional analytic partials.
 
@@ -162,10 +168,7 @@ class GraphFunction:
                 f"expression must be a string or a number, got {type(expr).__name__}")
         evaluate, partials = _compile_expression(expr, m, n)
         obj = cls(domain, evaluate, "expr", partials=partials, label=str(expr))
-        d = obj.domain.dim
-        if d != m + n - 1:
-            raise DimensionMismatch(
-                f"domain has dimension {d}, expected m+n-1 = {m + n - 1}")
+        check_domain_dim(obj.domain, m + n - 1)
         return obj
 
     @classmethod
@@ -284,9 +287,7 @@ def graph_function_from_dict(data, G, base_dir="."):
         raise ValidationError(f"a function spec is an object, got {data!r}")
     kind = data.get("kind")
     domain = _domain_from_dict(data.get("domain", {}))
-    if domain.dim != G.base_dim:
-        raise DimensionMismatch(
-            f"domain dimension {domain.dim} != m+n-1 = {G.base_dim}")
+    check_domain_dim(domain, G.base_dim)
     if kind == "expr":
         if "expr" not in data:
             raise ValidationError("expression spec missing 'expr' field")

@@ -19,13 +19,19 @@ and the convolution runs over those nodes only.  The indicator becomes per
 node a subcell volume fraction (standard level-set practice), the ramp
 r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
-of kernel weight below the graph, below / (below + above): exactly 1 deep
-inside the subgraph, exactly 0 far above it (phi read through its
-extension beyond its box).  Right multiplication by s e1 moves only the
-V-part of the splitting G = W * V, so g at p * (s e1) is g at p minus s,
-and one table of g per batch of points (one split and one phi evaluation
-per point and node, ``_ramp_table``) serves f_alpha and the three items
-below; a non-finite g is a NonFiniteState error in each of them.
+of kernel weight below the graph, sum_k w_k r_k / sum_k w_k (``_share``):
+each row's vecdot of ramps and weights over the same vecdot of ones, the
+kernel's total (``mollified_indicator`` sums both over its node chunks).
+Rounding is monotone and every r_k <= 1, so f_alpha lies in [0, 1],
+exactly 1 where every ramp is 1 (deep inside the subgraph) and exactly 0
+where every ramp is 0 (far above it, phi read through its extension beyond
+its box).  A row is reduced on its own, so a point's f_alpha, and a base
+point's level-set root, do not depend on the other points of the call.
+Right multiplication by s e1 moves only the V-part of the splitting
+G = W * V, so g at p * (s e1) is g at p minus s, and one table of g per
+batch of points (one split and one phi evaluation per point and node,
+``_ramp_table``) serves f_alpha and the three items below; a non-finite g
+is a NonFiniteState error in each of them.
 
 * the level set.  A section f(t) = sum_k w_k r_k(g_k - t) / sum w is
   nonincreasing and linear between its 2K kinks g_k -+ delta/2, 1 at the
@@ -193,10 +199,11 @@ class MollifierKernel:
     raw_mass: float = field(init=False)
     normalizer: float = field(init=False)
     subcell_width: float = field(init=False)
-    # convolution set: the nonzero-weight nodes u, their weights, and their
-    # terms in every split of u^{-1} p
+    # convolution set: the nonzero-weight nodes u, their weights, their total
+    # (reduced as _share reduces a row) and their terms in every split of u^{-1} p
     _conv_nodes: np.ndarray = field(init=False, repr=False)
     _conv_weights: np.ndarray = field(init=False, repr=False)
+    _conv_total: float = field(init=False, repr=False)
     _conv_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -222,7 +229,8 @@ class MollifierKernel:
         self.subcell_width = 2.0 * a / k
         keep = self.weights > 0.0
         self._conv_nodes = nodes[keep]
-        self._conv_weights = self.weights[keep]
+        w = self._conv_weights = self.weights[keep]
+        self._conv_total = float(np.vecdot(np.ones_like(w), w))
         self._conv_terms = _anchor_terms(G, self._conv_nodes)
 
     def mass(self, points_per_axis=48):
@@ -293,13 +301,9 @@ def _ramp(g, delta, shift, out=None):
     return np.clip(frac, 0.0, 1.0, out=frac)
 
 
-def _ramp_sums(g, w, delta, shift, out=None):
-    """The kernel weight below and above the graph at p * (shift e1):
-    sum_k w_k r_k and sum_k w_k (1 - r_k), the ramps formed in ``out``."""
-    frac = _ramp(g, delta, shift, out=out)
-    below = frac @ w
-    np.subtract(1.0, frac, out=frac)
-    return below, frac @ w
+def _share(ramps, kernel):
+    """Each row's share sum_k w_k r_k / sum_k w_k of kernel weight (module docstring)."""
+    return np.vecdot(ramps, kernel._conv_weights) / kernel._conv_total
 
 
 def mollified_indicator(G, phi, kernel, p):
@@ -308,16 +312,12 @@ def mollified_indicator(G, phi, kernel, p):
     kernel built on G (``_ramp_table``)."""
     p = _check_point(G, p)
     P = np.atleast_2d(p)
-    below = np.zeros(P.shape[0])
-    above = np.zeros_like(below)
+    below, total = np.zeros(P.shape[0]), 0.0
     for nodes, _, _, g in _ramp_table(G, phi, kernel, P):
-        b, a = _ramp_sums(g, kernel._conv_weights[nodes], kernel.subcell_width, 0.0,
-                          out=g)
-        below += b
-        above += a
-    # the share of kernel weight below the graph: exactly 1 (0) where every
-    # node is below (above) it, and in [0, 1] whatever the rounding
-    out = below / (below + above)
+        w = kernel._conv_weights[nodes]
+        below += np.vecdot(_ramp(g, kernel.subcell_width, 0.0, out=g), w)
+        total += np.vecdot(np.ones_like(w), w)
+    out = below / total
     return float(out[0]) if p.ndim == 1 else out
 
 
@@ -346,7 +346,7 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
         xs *= beta.reshape(-1)[band, None]
         for j in range(G.m - 1):
             out[:, j + 1] += np.bincount(rows, xs[:, j], minlength=count)
-    out /= 2.0 * h * np.sum(kernel._conv_weights)
+    out /= 2.0 * h * kernel._conv_total
     return out
 
 
@@ -389,7 +389,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
             out[:, 0] -= np.bincount(entry, beta, minlength=out.shape[0])
             for j in range(k):
                 out[:, j + 1] += np.bincount(entry, beta * xs[:, j], minlength=out.shape[0])
-    out /= 2.0 * h * np.sum(kernel._conv_weights)
+    out /= 2.0 * h * kernel._conv_total
     return out.reshape(count, slices, G.m)
 
 
@@ -424,7 +424,7 @@ def _section_roots(G, phi, kernel, c_level, A):
     _check_level(c_level)
     count, size = A.shape[0], kernel._conv_weights.size
     check_work_budget(count * size, "the level-set ramp table", "point-node pairs")
-    w, delta = kernel._conv_weights, kernel.subcell_width
+    delta = kernel.subcell_width
     g = np.empty((count, size))
     for nodes, _, _, g_chunk in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
         g[:, nodes] = g_chunk
@@ -464,9 +464,8 @@ def _section_roots(G, phi, kernel, c_level, A):
             mid = (right - nearer_left).clip(lo_t + 1, hi_t - 1)
         else:
             mid = (lo_t + hi_t) // 2
-        below, above = _ramp_sums(g if todo.size == count else g[todo], w, delta,
-                                  kinks[todo, mid, None], out=frac[:todo.size])
-        f = below / (below + above)
+        f = _share(_ramp(g if todo.size == count else g[todo], delta,
+                         kinks[todo, mid, None], out=frac[:todo.size]), kernel)
         evals += todo.size
         passes += 1
         up = f > c_level
@@ -478,9 +477,8 @@ def _section_roots(G, phi, kernel, c_level, A):
         moved_lo[todo], moved_hi[todo] = up, ~up
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
-    below, above = _ramp_sums(g, w, delta, roots[:, None], out=frac)
-    residual = float(np.max(np.abs(below / (below + above) - c_level)))
-    return roots, evals + count, residual, g
+    f = _share(_ramp(g, delta, roots[:, None], out=frac), kernel)
+    return roots, evals + count, float(np.max(np.abs(f - c_level))), g
 
 
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):

@@ -107,13 +107,12 @@ def grid_from_axes(axes):
     return out.reshape(-1, d)
 
 
-def default_points_per_axis(dim):
-    """64 per axis in 1-2 D, 24 in 3 D, 8 beyond (cost grows as N^dim)."""
-    if dim <= 2:
-        return 64
-    if dim == 3:
-        return 24
-    return 8
+def default_points_per_axis(dim, count=None):
+    """``count`` when it is not None, else by dimension: 64 per axis in 1-2 D,
+    24 in 3 D, 8 beyond (cost grows as N^dim)."""
+    if count is not None:
+        return count
+    return 64 if dim <= 2 else 24 if dim == 3 else 8
 
 
 def midpoint_rule(lo, hi, per_axis):

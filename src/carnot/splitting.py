@@ -40,7 +40,7 @@ from .errors import (
     OutOfDomain,
     ValidationError,
 )
-from .functions import Box, GraphFunction, _require_inside
+from .functions import Box, GraphFunction, _require_inside, check_domain_dim
 from .quadrature import check_count, check_work_budget, seeded_rng, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
@@ -48,13 +48,20 @@ from .quadrature import check_count, check_work_budget, seeded_rng, tensor_grid
 QUASIDISTANCE_FLOOR = 1e-14
 
 
+def _base_points(G, a):
+    """a as a float array; DimensionMismatch unless its rows have G's m+n-1
+    base coordinates."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (G.base_dim,):
+        raise DimensionMismatch(
+            f"expected base points of length {G.base_dim}, got {a.shape}")
+    return a
+
+
 def graph_point(G, a, t):
     """i(a) * (t e1) in closed form (module docstring); the base points
     a = (x-hat, y) and graph coordinates t broadcast over leading axes."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != G.base_dim:
-        raise DimensionMismatch(
-            f"expected base points of length {G.base_dim}, got {a.shape}")
+    a = _base_points(G, a)
     t = np.asarray(t, dtype=float)
     xhat, y = a[..., :G.m - 1], a[..., G.m - 1:]
     out = np.empty(np.broadcast_shapes(a.shape[:-1], t.shape) + (G.dim,))
@@ -202,10 +209,7 @@ def graph_quasidistance(G, phi, a, b, check_domain=True):
     """|| phi(a)^-1 i(a)^-1 i(b) phi(a) ||, from the closed form of the
     product (module docstring)."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.shape[-1] != G.base_dim:
-        raise DimensionMismatch(
-            f"expected base points of length {G.base_dim}, got {b.shape}")
+    b = _base_points(G, b)
     if check_domain:
         ok = phi.in_domain(a) & phi.in_domain(b)
         if not np.all(ok):
@@ -236,8 +240,7 @@ def sigma_form(G, phi, b, a):
     vectors embedded with x1 = 0.  The inner values are the second layer of
     phi(b)^-1 i(b)^-1 i(a) phi(b), the one graph_quasidistance(b, a) takes
     the norm of."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _base_points(G, a), _base_points(G, b)
     _, y = _conjugated_layers(G, phi.eval_extended(b), b, a)
     return np.sum(np.sqrt(np.abs(y)), axis=-1)
 
@@ -252,6 +255,7 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     a non-finite phi or quasi-distance on any pair raises
     :class:`NonFiniteState`.
     """
+    check_domain_dim(phi.domain, G.base_dim)
     pair_samples = check_count(pair_samples, "pair_samples must be a positive integer")
     check_work_budget(pair_samples, "the Lipschitz estimate", "pairs")
     rng = seeded_rng(seed)
@@ -292,9 +296,13 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     is the pair (y, y') at lag -L) keeps the largest |phi(x, y') - phi(x, y)|
     per lag; no array of all pairs is formed.
     """
-    radii = sorted((float(r) for r in r_list), reverse=True)
+    rule = "Hoelder radii must be positive real numbers"
+    try:
+        radii = sorted((float(r) for r in r_list), reverse=True)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{rule}, got {r_list!r}") from None
     if not all(r > 0 for r in radii):
-        raise ValidationError(f"Hoelder radii must be positive, got {radii}")
+        raise ValidationError(f"{rule}, got {radii}")
     box = phi.domain
     d = box.dim
     rule = f"n_vertical must be an integer from 1 to {d - 1}"

@@ -279,11 +279,11 @@ def test_indicator_matches_full_grid_convolution(request, group, k, expr, alpha)
 
 
 def _one_pass_indicator(G, phi, kernel, P):
-    # f_alpha as one loop: split, phi - t and the ramp sums per node chunk,
-    # with no ramp arguments shared between shifts
+    # f_alpha as one loop: split, phi - t and the weighted ramp sum per node
+    # chunk, with no ramp arguments shared between shifts; the share divides
+    # by the chunks' weight totals, summed as the ramp sums are
     delta = kernel.subcell_width
-    below = np.zeros(P.shape[0])
-    above = np.zeros(P.shape[0])
+    below, total = np.zeros(P.shape[0]), 0.0
     chunk = max(1, mollify._BATCH_OPS_LIMIT // P.shape[0])
     for start in range(0, kernel._conv_weights.size, chunk):
         w = kernel._conv_weights[start:start + chunk]
@@ -292,10 +292,9 @@ def _one_pass_indicator(G, phi, kernel, P):
         frac /= delta
         frac += 0.5
         np.clip(frac, 0.0, 1.0, out=frac)
-        below += frac @ w
-        np.subtract(1.0, frac, out=frac)
-        above += frac @ w
-    return below / (below + above)
+        below += np.vecdot(frac, w)
+        total += np.vecdot(np.ones_like(w), w)
+    return below / total
 
 
 def _group_case(request, index):
@@ -703,7 +702,7 @@ def _kink_bisection_roots(G, phi, kernel, c_level, A):
     # the level-set search as plain bisection over each row's sorted kinks,
     # one pass per halving, then the secant on the last piece; returns the
     # roots, the evaluations of f (with the pass at the roots) and max |f - c|
-    w, delta = kernel._conv_weights, kernel.subcell_width
+    delta = kernel.subcell_width
     g = np.concatenate([g for *_, g in mollify._ramp_table(G, phi, kernel,
                                                            graph_point(G, A, 0.0))], axis=1)
     count, size = g.shape
@@ -714,8 +713,7 @@ def _kink_bisection_roots(G, phi, kernel, c_level, A):
     while np.any(hi - lo > 1):
         todo = np.flatnonzero(hi - lo > 1)
         mid = (lo[todo] + hi[todo]) // 2
-        below, above = mollify._ramp_sums(g[todo], w, delta, kinks[todo, mid, None])
-        f = below / (below + above)
+        f = mollify._share(mollify._ramp(g[todo], delta, kinks[todo, mid, None]), kernel)
         evals += todo.size
         up = f > c_level
         lo[todo[up]], f_lo[todo[up]] = mid[up], f[up]
@@ -723,14 +721,14 @@ def _kink_bisection_roots(G, phi, kernel, c_level, A):
     rows = np.arange(count)
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
-    below, above = mollify._ramp_sums(g, w, delta, roots[:, None])
-    return roots, evals, float(np.max(np.abs(below / (below + above) - c_level)))
+    f = mollify._share(mollify._ramp(g, delta, roots[:, None]), kernel)
+    return roots, evals, float(np.max(np.abs(f - c_level)))
 
 
 def _search_passes(G, phi, kernel, c_level, A):
-    # _section_roots and the passes of its search: one ramp-sum call per
-    # pass over the rows still searching, and one at the roots
-    with mock.patch("carnot.mollify._ramp_sums", wraps=mollify._ramp_sums) as sums:
+    # _section_roots and the passes of its search: one share call per pass
+    # over the rows still searching, and one at the roots
+    with mock.patch("carnot.mollify._share", wraps=mollify._share) as sums:
         roots, evals, resid, _ = _section_roots(G, phi, kernel, c_level, A)
     budget = int(np.ceil(np.log2(2 * kernel._conv_weights.size - 1)))
     return roots, evals, resid, sums.call_count - 1, budget
@@ -741,8 +739,8 @@ def _search_passes(G, phi, kernel, c_level, A):
 def test_level_set_search_matches_kink_bisection(request, index, kind):
     # the secant search ends on the bracket that bisection over the same
     # kinks ends on, in no more evaluations and never more than twice its
-    # passes; where batches of other rows round f differently at a kink the
-    # roots may differ in the last bits
+    # passes; f at a kink has the same bits whichever rows share the pass,
+    # so the roots are bitwise equal
     G, k, phi = _group_case(request, index)
     phi = _phi_as(G, phi, kind)
     d = G.base_dim
@@ -751,7 +749,7 @@ def test_level_set_search_matches_kink_bisection(request, index, kind):
         kern = MollifierKernel(G, alpha, points_per_axis=k)
         roots, evals, resid, passes, budget = _search_passes(G, phi, kern, c_level, A)
         ref, ref_evals, ref_resid = _kink_bisection_roots(G, phi, kern, c_level, A)
-        assert np.max(np.abs(roots - ref)) <= 1e-15
+        assert np.array_equal(roots, ref)
         assert resid <= 1.1e-15 and ref_resid <= 1.1e-15
         assert evals <= ref_evals
         assert passes <= 2 * budget
@@ -771,7 +769,24 @@ def test_level_set_pass_budget_bounds_a_flat_section(heis1):
     assert evals == passes + 1
     ref, _, ref_resid = _kink_bisection_roots(heis1, phi, kern, 0.5, A)
     assert resid <= 2.2e-16 and ref_resid <= 2.2e-16
-    assert abs(roots[0] - ref[0]) <= 1e-13
+    assert roots[0] == ref[0]
+
+
+@pytest.mark.parametrize("group, per_axis, k", [("heis1", 16, 16), ("heis2", 3, 8)])
+def test_level_set_root_does_not_depend_on_batch_mates(request, group, per_axis, k):
+    # f stays within a few ulps of c over stretches of t here, so a root
+    # read off f rounded with other rows could move to another kink; each
+    # row's share is its own reduction, and one call per base point gives
+    # the grid call's roots bit for bit
+    G = request.getfixturevalue(group)
+    d = G.base_dim
+    phi = GraphFunction.from_expression("0.3*abs(y)**0.25", Box([-1.0] * d, [1.0] * d),
+                                        G.m, G.n)
+    kern = MollifierKernel(G, 0.05, points_per_axis=k)
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (per_axis,) * d)
+    roots = level_set_phi_alpha(G, phi, kern, 0.5, A)
+    alone = [level_set_phi_alpha(G, phi, kern, 0.5, a) for a in A]
+    assert np.array_equal(roots, alone)
 
 
 def test_level_set_root_at_left_end_of_flat_interval(heis1):
