@@ -13,9 +13,10 @@ gradient bound of the approximants.
 Numerical notes.  The kernel is a product bump (``MollifierKernel``):
 its weights on the k^(m+n) midpoint grid of its support are the outer
 product of a horizontal and a vertical bump, each on its own k^m or k^n
-block grid, normalized to unit mass; the same blocks count its
-nonzero-weight nodes u_k for the work budget before any kernel is built,
-and the convolution runs over those nodes only.  The indicator becomes per
+block grid, normalized to unit mass.  It keeps the grid's axes and the
+nonzero-weight nodes u_k, which the same blocks count for the work budget
+before any kernel is built and the convolution runs over; the whole grid,
+``nodes`` and ``weights``, is rebuilt on read.  The indicator becomes per
 node a subcell volume fraction (standard level-set practice), the ramp
 r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
@@ -110,6 +111,8 @@ from .quadrature import (
     check_count,
     check_positive,
     check_work_budget,
+    grid_from_axes,
+    midpoint_axes,
     midpoint_rule,
     tensor_grid,
 )
@@ -187,20 +190,21 @@ class MollifierKernel:
     dilated by (x, y) -> (x/a, y/a^2); rho(-p) = rho(p) because both factors
     are even, and the support is exactly {max(|x|, eps |y|^(1/2)) < a}.
     ``points_per_axis`` fixes the midpoint quadrature grid on the support
-    box [-a, a]^m x [-a^2/eps^2, a^2/eps^2]^n; ``nodes`` and ``weights``
-    hold the whole grid, and the convolution uses its nonzero-weight nodes.
+    box [-a, a]^m x [-a^2/eps^2, a^2/eps^2]^n; it keeps the grid's axes and its
+    nonzero-weight nodes.  ``nodes`` and ``weights``, the whole grid, are
+    rebuilt on each read and kept only for the benchmark and tests.
     """
 
     G: object
     alpha: float
     points_per_axis: int = 16
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
     raw_mass: float = field(init=False)
     normalizer: float = field(init=False)
     subcell_width: float = field(init=False)
-    # convolution set: the nonzero-weight nodes u, their weights, their total
-    # (reduced as _share reduces a row) and their terms in every split of u^{-1} p
+    _axes: list = field(init=False, repr=False)
+    # convolution set: the nonzero-weight nodes u, their flat grid indices, weights,
+    # total (reduced as _share reduces a row) and terms in every split of u^{-1} p
+    _conv_index: np.ndarray = field(init=False, repr=False)
     _conv_nodes: np.ndarray = field(init=False, repr=False)
     _conv_weights: np.ndarray = field(init=False, repr=False)
     _conv_total: float = field(init=False, repr=False)
@@ -212,26 +216,36 @@ class MollifierKernel:
         k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
-        nodes, cell = midpoint_rule(-half, half, k)
+        self._axes, cell = midpoint_axes(-half, half, k)
         # continuum normalizer: the profile factorizes into two radial bumps
         z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
-        # the profile at every node of the grid, the horizontal block's axes
-        # outermost: the outer product of its two factors on their blocks
-        profile = np.multiply.outer(_block_bump(G.m, k, a, a),
-                                    _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4))
-        rho = profile.reshape(-1) / z / a ** G.homogeneous_dimension
-        raw = rho * cell
+        # the grid's raw weights, C order: the outer product of the two block bumps
+        raw = (np.multiply.outer(_block_bump(G.m, k, a, a),
+                                 _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4))
+               .reshape(-1) / z / a ** G.homogeneous_dimension * cell)
         self.raw_mass = float(np.sum(raw))
         # normalized discrete weights: deep-inside convolutions evaluate to 1
-        self.weights = raw / self.raw_mass
-        self.nodes = nodes
+        raw /= self.raw_mass
         self.normalizer = 1.0 / z
         self.subcell_width = 2.0 * a / k
-        keep = self.weights > 0.0
-        self._conv_nodes = nodes[keep]
-        w = self._conv_weights = self.weights[keep]
+        keep = self._conv_index = np.flatnonzero(raw)
+        cols = np.unravel_index(keep, (k,) * G.dim)
+        self._conv_nodes = np.stack([axis[i] for axis, i in zip(self._axes, cols)], axis=-1)
+        w = self._conv_weights = raw[keep]
         self._conv_total = float(np.vecdot(np.ones_like(w), w))
         self._conv_terms = _anchor_terms(G, self._conv_nodes)
+
+    @property
+    def nodes(self):
+        """The whole k^(m+n) midpoint grid (C order), built on each read."""
+        return grid_from_axes(self._axes)
+
+    @property
+    def weights(self):
+        """The weight of every node of ``nodes``, 0 off the convolution set."""
+        out = np.zeros(len(self._axes[0]) ** len(self._axes))
+        out[self._conv_index] = self._conv_weights
+        return out
 
     def mass(self, points_per_axis=48):
         """Integral of rho_alpha on an independent grid (should be ~1).

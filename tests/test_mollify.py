@@ -98,7 +98,7 @@ def test_kernel_weights_from_factor_bumps_match_full_grid(request, group):
     # the two factor bumps on their k^m and k^n block grids give the
     # profile of every node of the k^(m+n) grid bit for bit
     G = request.getfixturevalue(group)
-    for k in (4, 5, 8):
+    for k in (4, 5, 8) + tuple(k for k in (12, 16) if k ** G.dim <= 2 ** 20):
         for alpha in (0.013, 0.15, 1.0):
             kern = MollifierKernel(G, alpha, points_per_axis=k)
             half = np.array([alpha] * G.m + [alpha ** 2 / G.epsilon ** 2] * G.n)
@@ -116,6 +116,23 @@ def test_kernel_weights_from_factor_bumps_match_full_grid(request, group):
             assert np.array_equal(kern._conv_weights, weights[keep])
             for got, ref in zip(kern._conv_terms, _anchor_terms(G, nodes[keep])):
                 assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("group, k", [(group, k) for group, k, _ in FOUR_GROUPS])
+def test_kernel_holds_no_full_grid_array(request, group, k):
+    # the kernel keeps its convolution set and the grid's axes, never an
+    # array over all k^(m+n) nodes; nodes and weights are built on read
+    G = request.getfixturevalue(group)
+    kern = MollifierKernel(G, 0.15, points_per_axis=k)
+    held = list(vars(kern).values())
+    while held:
+        item = held.pop()
+        if isinstance(item, (list, tuple)):
+            held.extend(item)
+        elif isinstance(item, np.ndarray):
+            assert k ** G.dim not in item.shape
+    assert kern.nodes.shape == (k ** G.dim, G.dim)
+    assert kern.weights.shape == (k ** G.dim,)
 
 
 @pytest.mark.parametrize("group, k", [("heis1", 16), ("heis2", 8), ("free3", 6)])
