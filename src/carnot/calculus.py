@@ -70,6 +70,7 @@ def frozen_coefficients(G, phi, j, a):
     b_{jj} vanishes by skew-symmetry so the moving coordinate never enters.
     """
     _check_direction(G, j)
+    check_domain_dim(phi.domain, G.base_dim)
     a = np.asarray(a, dtype=float)
     return _frozen_coefficients(G, j, a, phi.eval_extended(a))
 
@@ -263,6 +264,7 @@ def residual_report(G, phi, w, zeta, points_per_axis=None):
     the ``grid`` points per axis and ``support_nodes``, the count of nodes
     at which phi, w and the bump were evaluated."""
     box = phi.domain
+    check_domain_dim(box, G.base_dim)
     if zeta.center.shape != (box.dim,):
         raise DimensionMismatch(f"center must have length {box.dim}, got {zeta.center.shape}")
     points_per_axis = default_points_per_axis(box.dim, points_per_axis)

@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import Box, GraphFunction, _require_inside, check_domain_dim
-from .quadrature import check_count, check_work_budget, seeded_rng, tensor_grid
+from .quadrature import check_count, check_positive, check_work_budget, seeded_rng, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
 # (the a = b limit), not reported as errors.
@@ -164,6 +164,7 @@ def translate_graph_function(G, phi, q):
     translated domain is an exact box; the y-part is tracked by the exact
     membership predicate.
     """
+    check_domain_dim(phi.domain, G.base_dim)
     q = np.asarray(q, dtype=float)
     # bounding box of the translated domain: the x-hat block shifts exactly
     # by q's first layer; the pulled-back vertical block is a_y plus an
@@ -298,11 +299,9 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     """
     rule = "Hoelder radii must be positive real numbers"
     try:
-        radii = sorted((float(r) for r in r_list), reverse=True)
-    except (TypeError, ValueError):
+        radii = sorted((check_positive(r, rule) for r in r_list), reverse=True)
+    except TypeError:
         raise ValidationError(f"{rule}, got {r_list!r}") from None
-    if not all(r > 0 for r in radii):
-        raise ValidationError(f"{rule}, got {radii}")
     box = phi.domain
     d = box.dim
     rule = f"n_vertical must be an integer from 1 to {d - 1}"

@@ -15,6 +15,7 @@ from carnot.area import area_integral
 from carnot.calculus import (
     TestFunction,
     distributional_residual,
+    frozen_coefficients,
     intrinsic_derivative,
     intrinsic_gradient,
 )
@@ -402,9 +403,9 @@ CASES = [
          G, _phi(), VectorField.constant([0.0, 1.0], Box(**UNIT)),
          TestFunction([0.5, 0.5], 1e-3), 4)),
     # an a of the wrong length gave a number, an H1 phi on heisenberg(2) an
-    # untyped matmul ValueError, j = 1 a flux of 0 and j = 3 an IndexError,
-    # and a radius that is no number or no list of radii a ValueError or a
-    # TypeError
+    # untyped matmul or broadcast ValueError, j = 1 a flux of 0 and j = 3 an
+    # IndexError, a radius that is no number or no list of radii a ValueError
+    # or a TypeError, and a numeric string or a bool a radius of 0.5 or 1
     ("sigma-form-a-length", errors.DimensionMismatch, "base points of length 2",
      lambda G, tmp: sigma_form(G, _phi(), [0.5, 0.5], [0.1, 0.2, 0.3])),
     *[(f"{name}-phi-domain-dim", errors.DimensionMismatch, "domain dimension 2 != m\\+n-1 = 4",
@@ -414,13 +415,19 @@ CASES = [
           ("lipschitz", lambda H: estimate_intrinsic_lipschitz(H, _phi(), 10)),
           ("area", lambda H: area_integral(H, _phi(), points_per_axis=4)),
           ("mollify-report", lambda H: approximation_report(
-              H, _phi(), [0.1], grid_per_axis=2, points_per_axis=8)))],
+              H, _phi(), [0.1], grid_per_axis=2, points_per_axis=8)),
+          ("residual", lambda H: distributional_residual(
+              H, _phi(), VectorField.constant([1.0, 1.0, 1.0], Box(**UNIT)),
+              TestFunction([0.5, 0.5], 0.2))),
+          ("frozen-coefficients", lambda H: frozen_coefficients(H, _phi(), 2, [0.5, 0.5])),
+          ("translate", lambda H: translate_graph_function(H, _phi(), np.zeros(5))))],
     *[(f"flux-direction-{j}", errors.ValidationError, "direction index j must be in 2..2",
        lambda G, tmp, j=j: flux_values(G, j, [[0.5]], [0.25]))
       for j in (1, 3)],
     *[(f"holder-radii-{name}", errors.ValidationError, "radii must be positive real numbers",
        lambda G, tmp, r_list=r_list: vertical_holder_modulus(_phi(), r_list, grid_per_axis=5))
-      for name, r_list in (("string", ["a"]), ("none", None))],
+      for name, r_list in (("string", ["a"]), ("none", None), ("numeric-string", ["0.5"]),
+                           ("bool", [True]))],
 ]
 
 
