@@ -25,6 +25,10 @@ G = ["--group", "data/heisenberg1.json"]
 PHI = ["--phi", "data/phi_linear.json"]
 WIDE = ["--phi", "data/phi_linear_wide.json"]
 CURVE = ["--j", "2", "--from", "0,0.25", "--T", "1", "--steps", "1000"]
+# groups beyond H^1, each with a phi that has a sin term in the vertical
+# coordinates, so D_j phi reads the b^(s)_{j1} column as well as the drift
+HEIS2 = ["--group", "data/heisenberg2.json", "--phi", "data/phi_heis2_sin.json"]
+QUAT = ["--group", "data/quaternion.json", "--phi", "data/phi_quat_sin.json"]
 EXAMPLES = {
     "group_validate": ["group", "validate", "data/heisenberg1.json"],
     "group_info": ["group", "info", "data/heisenberg1.json"],
@@ -38,6 +42,14 @@ EXAMPLES = {
     "cone": ["cone", *G, *WIDE, "--samples", "10000"],
     "mollify": ["mollify", *G, *PHI, "--c", "0.45", "--grid", "8"],
     "suite": ["suite", "data/suite.json"],
+    "gradient_heis2": ["gradient", *HEIS2, "--at", "0.3,-0.2,0.4,0.1"],
+    "area_heis2": ["area", *HEIS2, "--grid", "4"],
+    "lipschitz_heis2": ["lipschitz", *HEIS2, "--pairs", "10000"],
+    "cone_heis2": ["cone", *HEIS2, "--samples", "10000"],
+    "gradient_quat": ["gradient", *QUAT, "--at", "0.3,-0.2,0.4,0.1,-0.5,0.25"],
+    "area_quat": ["area", *QUAT, "--grid", "2"],
+    "lipschitz_quat": ["lipschitz", *QUAT, "--pairs", "10000"],
+    "cone_quat": ["cone", *QUAT, "--samples", "10000"],
 }
 
 
