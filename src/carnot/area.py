@@ -15,6 +15,7 @@ import numpy as np
 
 from .calculus import intrinsic_gradient
 from .errors import OutOfDomain
+from .group import _sum_of_squares
 from .quadrature import (
     check_work_budget,
     default_points_per_axis,
@@ -30,14 +31,14 @@ _POINT_CHUNK = 2 ** 14
 def unit_normal(w_at_a):
     """(-1, w) / sqrt(1 + |w|^2): unit Euclidean norm, negative first entry."""
     w = np.atleast_1d(np.asarray(w_at_a, dtype=float))
-    denom = np.sqrt(1.0 + np.sum(w * w, axis=-1))
+    denom = np.sqrt(1.0 + _sum_of_squares(w))
     first = -1.0 / denom
     rest = w / denom[..., None]
     return np.concatenate([first[..., None], rest], axis=-1)
 
 
 def area_integrand(w_values):
-    return np.sqrt(1.0 + np.sum(np.asarray(w_values, dtype=float) ** 2, axis=-1))
+    return np.sqrt(1.0 + _sum_of_squares(w_values))
 
 
 def area_integral(G, phi, w=None, points_per_axis=None):

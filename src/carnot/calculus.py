@@ -15,15 +15,17 @@ center)/radius, so only the grid nodes with |u| < 1 are evaluated; the terms
 are placed back at their nodes of the full grid and summed there, in the
 dense grid's order, so the sum is bitwise the one over every node.
 
-Every contraction with the B^(s) blocks is a plain matmul.  One private
-helper applies the frame d/dx-hat + sum_s (value b^(s)_{.1} + 1/2 x-hat
-B^(s)) d/dy_s to coordinate gradients for all j = 2..m at once, summing its
-vertical terms one index s at a time, so no (points, m-1, n) array is
-formed: with value = phi it is the analytic intrinsic gradient (one
-evaluation of phi, its partials and the domain check for all j; D_j phi is
-its column j - 2), with value = 0 the frame derivatives X_j of a test
-function on the base, and with value = x_1/2 the left-invariant fields
-X_2..X_m of the group.  The graph gradient -(X_2 f, ..., X_m f) / X_1 f of
+Every contraction with the B^(s) blocks walks the group's table of
+nonzero entries b^(s)_jl (``group._walk``), one coordinate column per
+entry, so no small matmul and no (points, m-1, n) array runs on a batch.
+One private helper applies the frame d/dx_j + sum_s (value b^(s)_{j1} +
+1/2 x-hat B^(s)_{j.}) d/dy_s to coordinate gradients for every row j at
+once, each column summed over its entries in increasing (s, l): with
+value = phi it is the analytic intrinsic gradient (one evaluation of phi,
+its partials and the domain check for all j; D_j phi is its column j - 2),
+with value = 0 the frame derivatives X_j of a test function on the base,
+and with value = x_1/2 and the full gradient the left-invariant fields
+X_1..X_m of the group.  The graph gradient -(X_2 f, ..., X_m f) / X_1 f of
 a level set {f = c} is formed once, by ``_graph_gradient``, with one
 degeneracy floor (``HORIZONTAL_GRADIENT_FLOOR``) for a defining function
 and the mollified level set alike.
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import group as gp
 from .errors import (
     DegenerateHorizontalGradient,
     DimensionMismatch,
@@ -76,13 +79,13 @@ def frozen_coefficients(G, phi, j, a):
 
 
 def _drift(G, j, a):
-    """The drift 1/2 sum_i x_i b^(s)_{ji} of the frozen coefficients."""
-    return 0.5 * (a[..., :G.m - 1] @ G.B[:, j - 1, 1:].T)
+    """The drift 1/2 sum_l x_l b^(s)_{jl} of the frozen coefficients."""
+    return 0.5 * gp._row_dot(G, j - 1, a[..., :G.m - 1])
 
 
 def _frozen_coefficients(G, j, a, value):
     """c_s(a) of :func:`frozen_coefficients` with ``value`` in place of phi(a)."""
-    return value[..., None] * G.B[:, j - 1, 0] + _drift(G, j, a)
+    return np.asarray(value)[..., None] * G.B[:, j - 1, 0] + _drift(G, j, a)
 
 
 def _frozen_difference(G, phi, j, a, c, h, check_domain):
@@ -138,24 +141,34 @@ def _intrinsic_gradient(G, phi, a, value, h=None, check_domain=False):
 
 
 def _frame_apply(G, a, value, grad):
-    """d/dx_j + sum_s (value b^(s)_{j1} + 1/2 sum_i x_i b^(s)_{ji}) d/dy_s
-    applied to the coordinate gradients ``grad`` at base points a, for
-    j = 2..m on the last axis; ``value`` is an array over a's points or 0."""
-    k = G.m - 1
-    value = np.asarray(value)[..., None]
-    xhat = a[..., :k]
-    for s in range(G.n):
-        # the frozen coefficient c_s for every j at once, times d/dy_s
-        c = xhat @ G.B[s, 1:, 1:].T
-        c *= 0.5
-        c += value * G.B[s, 1:, 0]
-        c *= grad[..., k + s, None]
-        if s == 0:
-            out = c
-        else:
-            out += c
-    out += grad[..., :k]
+    """d/dx_j + sum_s (value b^(s)_{j1} + 1/2 sum_l x_l b^(s)_{jl}) d/dy_s
+    applied to the coordinate gradients ``grad`` at base points a; ``value``
+    is an array over a's points or 0.  ``grad`` omits d/dx_1, giving
+    j = 2..m on the last axis, or holds it, giving j = 1..m.  Each column is
+    the sum over the entries b^(s)_{jl} in increasing (s, l) of the term of
+    c_s times d/dy_s, then d/dx_j."""
+    first = G.m + G.n - grad.shape[-1]
+    value = np.asarray(value)
+    # a value of 0 gives no terms; -0.0 is the identity of the final sum,
+    # so a column without terms is its d/dx_j, signed zeros included
+    skip = 0 if value.ndim == 0 and value == 0 else -1
+    out = np.full(np.broadcast_shapes(a.shape[:-1], value.shape, grad.shape[:-1])
+                  + (G.m - first,), -0.0)
+    gy = grad[..., G.m - first:]
+    half = 0.5 * a[..., :G.m - 1]
+    # the entry b^(s)_{jl} adds (value b or x_l/2 b) d/dy_s to column j
+    gp._walk(out, ((i - first, value if l == 0 else half[..., l - 1], b, gy[..., s])
+                   for s, i, l, b in G._terms if i >= first and l != skip))
+    out += grad[..., :G.m - first]
     return out
+
+
+def _vertical_rate(G, grad_y):
+    """sum_s b^(s)_{j1} d/dy_s for j = 2..m on the last axis: the frame's
+    d/d value, from the vertical gradients ``grad_y``."""
+    return gp._walk(np.zeros(grad_y.shape[:-1] + (G.m - 1,)),
+                    ((i - 1, grad_y[..., s], b, None) for s, i, l, b in G._terms
+                     if l == 0))
 
 
 def gradient_from_defining_function(G, f_grad, p):
@@ -163,15 +176,14 @@ def gradient_from_defining_function(G, f_grad, p):
     derivatives: -(X_2 f / X_1 f, ..., X_m f / X_1 f) at p.
 
     ``f_grad(p)`` must return coordinate gradients of f, shape (..., m+n).
-    X_j f, j >= 2, is the frame of :func:`_frame_apply` on (x-hat, y) with
-    value x_1/2, the term 1/2 x_1 b^(s)_{j1} of X_j; X_1 f = d_1 f +
-    sum_s drift_s d_{y_s} f, its drift free of x_1 as b^(s)_{11} = 0.
+    X_1 f, ..., X_m f is the frame of :func:`_frame_apply` on (x-hat, y)
+    with value x_1/2, the term 1/2 x_1 b^(s)_{j1} of X_j, and the whole
+    gradient; X_1 has no value term, as b^(s)_{11} = 0.
     """
     p = np.asarray(p, dtype=float)
     grad = np.asarray(f_grad(p), dtype=float)
-    xf = _frame_apply(G, p[..., 1:], 0.5 * p[..., 0], grad[..., 1:])
-    x1f = grad[..., 0] + np.sum(_drift(G, 1, p[..., 1:]) * grad[..., G.m:], axis=-1)
-    return _graph_gradient(x1f, xf)
+    xf = _frame_apply(G, p[..., 1:], 0.5 * p[..., 0], grad)
+    return _graph_gradient(xf[..., 0], xf[..., 1:])
 
 
 def _graph_gradient(x1f, xf):
@@ -293,9 +305,7 @@ def residual_report(G, phi, w, zeta, points_per_axis=None):
                              "support")
     # X_j zeta restricted to W: the frame with value 0
     xj_zeta = _frame_apply(G, pts, 0.0, zg)
-    y_zeta = zg[..., k:]
-    col = G.B[:, 1:, 0]                        # b^(s)_{j1} indexed (s, j-2)
-    vert = y_zeta @ col
+    vert = _vertical_rate(G, zg[..., k:])
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
     total = np.zeros(tuple(len(axis) for axis in axes) + (k,))
     total[tuple(cut)][inside.reshape([len(axis) for axis in sub])] = \

@@ -189,7 +189,7 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     yn = np.linalg.norm(yv, axis=-1)
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
-    q = gp.multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
+    q = gp._multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
     inside = subgraph_indicator(G, phi, q, check_domain=False)
     expected = (sides < 0).astype(float)
     violations = int(np.count_nonzero(inside != expected))

@@ -13,10 +13,17 @@ with <B x_p, x_q>_s = <B^(s) x_p, x_q>, dilations scale the two layers with
 exponents 1 and 2, and the homogeneous norm is
 max(|x|, eps * |y|^(1/2)) for a group-dependent eps in (0, 1].
 
-The bracket <B x_p, x_q> is computed as one matmul of x_q against the
-(m, n*m) matrix with entries B^(s)_ij at (i, s*m + j), built once per
-structure, followed by a batched dot product with x_p; no three-operand
-contraction runs on point batches.
+Each structure keeps one table of the nonzero entries (s, i, j, b^(s)_ij)
+of B, in increasing (s, i, j).  Every contraction with B on point batches
+(the bracket <B x_p, x_q> here; the graph points, the quasi-distance layers
+and the intrinsic frame elsewhere) walks that table with :func:`_walk`:
+each nonzero entry gives one product of coordinate columns, added into one
+column of the output, and each sum runs over its nonzero terms in table
+order from its first term.  The standard groups have two to four nonzero
+entries per B^(s), so a batch costs a few column operations per entry and
+no small matmul.  Short sums over the last axis (the layer norms) run
+column by column too, in the order of ``np.sum``, so their results are
+bitwise those of ``np.sum`` and ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -61,19 +68,18 @@ class GroupStructure:
     name: str = ""
     # max |b_{jl}^{(s)}|, used by several explicit constants
     b_max: float = field(init=False, default=0.0)
-    # B^(s)_ij at (i, s*k + j), for all of B (k = m) and for its block
-    # i, j >= 2 that acts on the base x-block (k = m - 1): see _bracket
-    _bt: np.ndarray = field(init=False, default=None, repr=False)
-    _base_bt: np.ndarray = field(init=False, default=None, repr=False)
+    # the nonzero entries (s, i, j, b^(s)_ij) of B, 0-based, in increasing
+    # (s, i, j): the table that _walk sums over
+    _terms: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "b_max", float(np.max(np.abs(B)))
                            if B.size else 0.0)
-        for name, block in (("_bt", B), ("_base_bt", B[:, 1:, 1:])):
-            object.__setattr__(self, name, block.transpose(1, 0, 2).reshape(
-                block.shape[1], -1))
+        index = np.nonzero(B)
+        object.__setattr__(self, "_terms", tuple(zip(
+            *(k.tolist() for k in index), B[index].tolist())))
 
     @property
     def dim(self) -> int:
@@ -206,25 +212,87 @@ def standard_group(name, param=None, epsilon=None):
     raise UnknownName(f"unknown group name {name!r}")
 
 
-def _bracket(bt, x1, x2):
-    """s-vector of <B^(s) x1, x2> from bt, the (k, n*k) matrix holding
-    B^(s)_ij at (i, s*k + j): the rows sum_i x2_i B^(s)_ij in one matmul,
-    then their dot products with x1.  Broadcasts over leading axes of x1/x2."""
-    rows = np.matmul(x2, bt)
-    rows = rows.reshape(rows.shape[:-1] + (-1, bt.shape[0]))
-    return np.einsum("...sj,...j->...s", rows, x1)
+def _walk(out, terms):
+    """Sum the terms of a pass over a group's table of nonzero entries into
+    the columns of ``out``, in the order given.  A term (c, u, f, v) adds
+    (u f) v, or u f when v is None, to out[..., c]; u and v are coordinate
+    columns (or arrays that broadcast to one) and f a number.  A column
+    starts from its first term, not from 0.0, and a column that no term
+    names keeps what it held.  A product by f = 1 or -1 is exact, so it is
+    not formed: a term with f = -1 is subtracted.  Every term is formed in
+    place, in its column or in one scratch column.  Returns out."""
+    started = set()
+    scratch = None
+    for c, u, f, v in terms:
+        col = out[..., c]
+        if c in started:
+            if scratch is None:
+                scratch = np.empty_like(col)
+            dst = scratch
+        else:
+            started.add(c)
+            dst = col
+        unit = f in (1.0, -1.0)
+        if v is None:
+            np.copyto(dst, u) if unit else np.multiply(u, f, out=dst)
+        elif unit:
+            np.multiply(u, v, out=dst)
+        else:
+            np.multiply(u, f, out=dst)
+            dst *= v
+        if dst is col:
+            if f == -1.0:
+                np.negative(col, out=col)
+        elif f == -1.0:
+            col -= dst
+        else:
+            col += dst
+    return out
 
 
 def bracket(G, x1, x2):
-    """Second-layer bilinear term: s-vector of <B^(s) x1, x2>."""
-    return _bracket(G._bt, x1, x2)
+    """Second-layer bilinear term: s-vector of <B^(s) x1, x2>, the sum of
+    x2_i b^(s)_ij x1_j over the nonzero entries.  x1 and x2 hold the whole
+    first layer, or both omit x_1 (a first layer with x_1 = 0), when only
+    the entries with i, j >= 2 enter.  Broadcasts over leading axes."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    k = G.m - x1.shape[-1]
+    out = np.zeros(np.broadcast_shapes(x1.shape[:-1], x2.shape[:-1]) + (G.n,))
+    return _walk(out, ((s, x2[..., i - k], b, x1[..., j - k])
+                       for s, i, j, b in G._terms if i >= k and j >= k))
+
+
+def _row_dot(G, r, x):
+    """s-vector of sum_j b^(s)_rj x_j, row r of each B^(s) against x, which
+    holds the whole first layer or omits x_1 (its j = 1 entry is then
+    dropped)."""
+    k = G.m - x.shape[-1]
+    return _walk(np.zeros(x.shape[:-1] + (G.n,)),
+                 ((s, x[..., j - k], b, None) for s, i, j, b in G._terms
+                  if i == r and j >= k))
+
+
+def _finite_point(G, p):
+    """_check_point, and ValidationError unless every entry is finite."""
+    p = _check_point(G, p)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("point has a NaN or infinite coordinate")
+    return p
 
 
 def multiply(G, p, q):
-    """Group product p * q."""
-    x1, y1 = split_layers(G, p)
-    x2, y2 = split_layers(G, q)
-    return np.concatenate([x1 + x2, y1 + y2 + 0.5 * bracket(G, x1, x2)], axis=-1)
+    """Group product p * q; ValidationError on a NaN or infinite entry."""
+    return _multiply(G, _finite_point(G, p), _finite_point(G, q))
+
+
+def _multiply(G, p, q):
+    """p * q of checked point arrays p and q."""
+    x1, y1 = p[..., :G.m], p[..., G.m:]
+    x2, y2 = q[..., :G.m], q[..., G.m:]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    np.add(x1, x2, out=out[..., :G.m])
+    out[..., G.m:] = y1 + y2 + 0.5 * bracket(G, x1, x2)
+    return out
 
 
 def inverse(G, p):
@@ -243,20 +311,41 @@ def dilate(G, lam, p):
 
 
 def homogeneous_norm(G, p):
-    """max(|x|, eps |y|^(1/2)); 1-homogeneous under dilations."""
-    return _layer_norm(G, *split_layers(G, p))
+    """max(|x|, eps |y|^(1/2)); 1-homogeneous under dilations.
+    ValidationError on a NaN or infinite entry."""
+    return _norm(G, _finite_point(G, p))
+
+
+def _norm(G, p):
+    """homogeneous_norm of a checked point array."""
+    return _layer_norm(G, p[..., :G.m], p[..., G.m:])
+
+
+def _sum_of_squares(x):
+    """Sum of x_c^2 over the last axis: column by column in np.sum's order,
+    which is sequential below 8 entries, and np.sum itself from 8 on."""
+    x = np.asarray(x, dtype=float)
+    if not 0 < x.shape[-1] < 8:
+        return np.sum(x * x, axis=-1)
+    total = x[..., 0] * x[..., 0]
+    square = np.empty_like(total)
+    for c in range(1, x.shape[-1]):
+        total += np.multiply(x[..., c], x[..., c], out=square)
+    return total
 
 
 def _layer_norm(G, x, y):
     """The homogeneous norm of the point with layers x and y; x may omit
     coordinates that are zero."""
-    return np.maximum(np.linalg.norm(x, axis=-1),
-                      G.epsilon * np.sqrt(np.linalg.norm(y, axis=-1)))
+    return np.maximum(np.sqrt(_sum_of_squares(x)),
+                      G.epsilon * np.sqrt(np.sqrt(_sum_of_squares(y))))
 
 
 def distance(G, p, q):
-    """Left-invariant quasi-distance d(p, q) = ||p^(-1) q||."""
-    return homogeneous_norm(G, multiply(G, inverse(G, p), q))
+    """Left-invariant quasi-distance d(p, q) = ||p^(-1) q||; ValidationError
+    on a NaN or infinite entry."""
+    p, q = _finite_point(G, p), _finite_point(G, q)
+    return _norm(G, _multiply(G, -p, q))
 
 
 def _sample_unit_ball(G, count, rng):
@@ -274,8 +363,9 @@ def triangle_violations(G, p, q, epsilon=None):
     """Count sampled pairs with ||p*q|| > ||p|| + ||q|| beyond fp slack."""
     eps = G.epsilon if epsilon is None else float(epsilon)
     Ge = replace(G, epsilon=eps)
-    lhs = homogeneous_norm(Ge, multiply(Ge, p, q))
-    rhs = homogeneous_norm(Ge, p) + homogeneous_norm(Ge, q)
+    p, q = _check_point(G, p), _check_point(G, q)
+    lhs = _norm(Ge, _multiply(Ge, p, q))
+    rhs = _norm(Ge, p) + _norm(Ge, q)
     return int(np.count_nonzero(lhs - rhs > TRIANGLE_FP_SLACK * np.maximum(1.0, rhs)))
 
 

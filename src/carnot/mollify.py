@@ -103,6 +103,7 @@ from .calculus import (
     _frame_apply,
     _graph_gradient,
     _intrinsic_gradient,
+    _vertical_rate,
     intrinsic_gradient,
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
@@ -384,7 +385,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
         if phi.has_partials:
             grad = phi.partials(at)
             xg = _frame_apply(G, at, t.reshape(-1), grad)
-            rate = grad[:, k:] @ G.B[:, 1:, 0]
+            rate = _vertical_rate(G, grad[:, k:])
         for o in range(width):
             i = lowest + o
             s = first + i * dt

@@ -9,7 +9,9 @@ estimate, vertical Hoelder modulus) built from them.
 
 Graph points, splittings and the graph quasi-distance are closed forms,
 not compositions of group operations.  With a = (x-hat, y), first layers
-embedded with x1 = 0 and b_1 the s-vector of the rows b^(s)_{1.}:
+embedded with x1 = 0 and b_1 the s-vector of the rows b^(s)_{1.}
+(``group._row_dot`` with row 1; the bracket is ``group.bracket`` on x-hat,
+both walks over the group's table of nonzero entries of B):
 
     i(a) * (t e1) = (t, x-hat, y + t/2 <b_1, x-hat>),
     v = u^-1 p = (p1 - u1, p2 - u2 - 1/2 <B u1, p1>) = i(base) * (v1_1 e1),
@@ -67,7 +69,7 @@ def graph_point(G, a, t):
     out = np.empty(np.broadcast_shapes(a.shape[:-1], t.shape) + (G.dim,))
     out[..., 0] = t
     out[..., 1:G.m] = xhat
-    out[..., G.m:] = y + 0.5 * t[..., None] * (xhat @ G.B[:, 0, 1:].T)
+    np.add(y, 0.5 * t[..., None] * gp._row_dot(G, 0, xhat), out=out[..., G.m:])
     return out
 
 
@@ -229,8 +231,8 @@ def _conjugated_layers(G, t, a, b):
     k = G.m - 1
     xa, xb = a[..., :k], b[..., :k]
     g1 = xb - xa
-    y = b[..., k:] - a[..., k:] - 0.5 * gp._bracket(G._base_bt, xa, xb)
-    y += t[..., None] * (g1 @ G.B[:, 0, 1:].T)
+    y = b[..., k:] - a[..., k:] - 0.5 * gp.bracket(G, xa, xb)
+    y += t[..., None] * gp._row_dot(G, 0, g1)
     return g1, y
 
 

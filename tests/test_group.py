@@ -4,6 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from carnot import errors
+from carnot.calculus import _frame_apply
 from carnot.group import (
     GroupStructure,
     bracket,
@@ -19,6 +20,8 @@ from carnot.group import (
     triangle_violations,
     _sample_unit_ball,
 )
+
+from carnot.splitting import _conjugated_layers, graph_point
 
 from conftest import random_points
 
@@ -290,3 +293,71 @@ def test_bracket_matches_einsum_property(G, seed, count):
         got = bracket(G, a, b)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def _dense_frame(G, a, value, grad):
+    """The frame d/dx_j + sum_s c_s d/dy_s, j = 2..m, with one matmul per s
+    for the drift of c_s, summed over s in order."""
+    k = G.m - 1
+    for s in range(G.n):
+        c = a[..., :k] @ G.B[s, 1:, 1:].T
+        c *= 0.5
+        c += np.asarray(value)[..., None] * G.B[s, 1:, 0]
+        c *= grad[..., k + s, None]
+        if s == 0:
+            out = c
+        else:
+            out += c
+    return out + grad[..., :k]
+
+
+def _dense_conjugated_layers(G, t, a, b):
+    k = G.m - 1
+    xa, xb = a[..., :k], b[..., :k]
+    g1 = xb - xa
+    y = b[..., k:] - a[..., k:] - 0.5 * np.einsum("sij,...j,...i->...s",
+                                                  G.B[:, 1:, 1:], xa, xb)
+    y += t[..., None] * (g1 @ G.B[:, 0, 1:].T)
+    return g1, y
+
+
+# standard groups whose full bracket sums two nonzero terms per s, so that
+# its order cannot matter
+_BRACKET_BITWISE = {"heisenberg(1)", "free_step2(3)"}
+
+
+@given(st.one_of(st.sampled_from(_STANDARD).map(
+                     lambda spec: standard_group(*spec, epsilon=1.0)),
+                 _skew_families().map(lambda family: GroupStructure(*family))),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 50))
+def test_table_walk_matches_dense_formulas_property(G, seed, count):
+    # the kernels that walk B's nonzero entries against the dense matmul and
+    # einsum formulas, on batches and on one point: within 1e-13 for any B,
+    # and bitwise on the standard groups, the full bracket where its sums
+    # have two terms
+    rng = np.random.default_rng(seed)
+    a, b = (rng.uniform(-1.0, 1.0, size=(count, G.base_dim)) for _ in range(2))
+    x1, x2 = (rng.uniform(-1.0, 1.0, size=(count, G.m)) for _ in range(2))
+    t, value = (rng.uniform(-1.0, 1.0, size=count) for _ in range(2))
+    grad = rng.standard_normal((count, G.base_dim))
+    xa, xb = a[:, :G.m - 1], b[:, :G.m - 1]
+    standard = G.name != ""
+    pairs = [
+        (bracket(G, x1, x2), np.einsum("sij,...j,...i->...s", G.B, x1, x2),
+         G.name in _BRACKET_BITWISE),
+        (bracket(G, xa, xb), np.einsum("sij,...j,...i->...s", G.B[:, 1:, 1:], xa, xb),
+         standard),
+        (_frame_apply(G, a, value, grad), _dense_frame(G, a, value, grad), standard),
+        (_frame_apply(G, a[0], value[0], grad[0]),
+         _dense_frame(G, a[0], value[0], grad[0]), standard),
+        (graph_point(G, a, t)[:, G.m:],
+         a[:, G.m - 1:] + 0.5 * t[:, None] * (xa @ G.B[:, 0, 1:].T), standard),
+        *((got, want, standard) for got, want in zip(
+            _conjugated_layers(G, t, a, b), _dense_conjugated_layers(G, t, a, b))),
+    ]
+    for got, want, bitwise in pairs:
+        assert got.shape == want.shape
+        if bitwise:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from carnot import errors, splitting
 from carnot.functions import Box, GraphFunction, base_coordinate_names
-from carnot.group import _bracket, dilate, homogeneous_norm, inverse, multiply
+from carnot.group import dilate, homogeneous_norm, inverse, multiply
 from carnot.splitting import (
     Cone,
     _anchor_terms,
@@ -562,7 +562,7 @@ def _sigma_form_reference(G, phi, b, a):
     xa, ya = a[..., :k], a[..., k:]
     xb, yb = b[..., :k], b[..., k:]
     lin = (xa - xb) @ G.B[:, 0, 1:].T          # sum_l (x_l - x'_l) b^(s)_{1l}
-    cross = _bracket(G._base_bt, xb, xa)       # <B^(s) x', x>
+    cross = np.einsum("sij,...j,...i->...s", G.B[:, 1:, 1:], xb, xa)   # <B^(s) x', x>
     inner = ya - yb + phi.eval_extended(b)[..., None] * lin - 0.5 * cross
     return np.sum(np.sqrt(np.abs(inner)), axis=-1)
 
