@@ -10,7 +10,8 @@ while the vertical block follows
 the drift term being constant along the line (b_{jj} = 0).  Trajectories are
 integrated with fixed-step RK4; the right-hand side is merely continuous in
 general (Peano setting), so a step-halved rerun is reported as the error
-estimate instead of any uniqueness claim.  The rate of a curve is formed
+estimate instead of any uniqueness claim; it runs when the estimate is
+first read.  The rate of a curve is formed
 once from the column b^(s)_{j1} and the constant drift, so each RK4 stage
 costs one evaluation of phi, and the states are bitwise those of forming
 the frozen coefficients at every stage.
@@ -26,6 +27,7 @@ more in per-call overhead than in arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import le
@@ -48,9 +50,21 @@ class CharacteristicCurve:
     base_points: np.ndarray     # (steps+1, m+n-1): full base point per time
     phi_along: np.ndarray
     step: float
-    error_estimate: float       # max state discrepancy vs step-halved rerun
     exit_time: float | None = None
     n_vertical: int = field(default=1)
+    # (G, phi, a0, T, steps) of the integration, for the step-halved rerun
+    _rerun: tuple = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def error_estimate(self):
+        """Max discrepancy of the vertical states against the step-halved
+        rerun at their shared times, from a rerun with the same arguments on
+        first read; a rerun that goes non-finite raises NonFiniteState here."""
+        G, phi, a0, T, steps = self._rerun
+        fine, _, used_fine = _rk4_path(G, phi, self.j, a0, T, 2 * steps)
+        shared = min(len(self.t_grid) - 1, used_fine // 2)
+        return float(np.max(np.abs(self.base_points[:shared + 1, G.m - 1:]
+                                   - fine[:2 * shared + 1:2, G.m - 1:]))) if shared else 0.0
 
     @property
     def gamma(self):
@@ -120,7 +134,7 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
     """Fixed-step RK4 characteristic from base point a0 over [0, T].
 
     A rerun with halved step supplies ``error_estimate`` (max discrepancy at
-    shared times).  If the trajectory leaves the domain box it is truncated
+    shared times) when it is first read; its work is checked here.  If the trajectory leaves the domain box it is truncated
     and the exit time recorded rather than extrapolated; a start point
     outside the domain raises :class:`LeftDomain`, and a NaN or infinite T
     or start point and a direction j outside 2..m a :class:`ValidationError`.
@@ -141,16 +155,12 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
     path, h, used = _rk4_path(G, phi, j, a0, T, steps)
     if used == 0:
         raise LeftDomain("trajectory exits the domain box within the first step")
-    fine, _, used_fine = _rk4_path(G, phi, j, a0, T, 2 * steps)
-    shared = min(used, (used_fine // 2))
-    err = float(np.max(np.abs(path[:shared + 1, G.m - 1:]
-                              - fine[:2 * shared + 1:2, G.m - 1:]))) if shared else 0.0
     t_grid = h * np.arange(path.shape[0])
     exit_time = None if used == steps else float(t_grid[-1])
     return CharacteristicCurve(
         j=j, t_grid=t_grid, base_points=path,
         phi_along=np.asarray(phi.eval_extended(path)),
-        step=h, error_estimate=err, exit_time=exit_time, n_vertical=G.n)
+        step=h, exit_time=exit_time, n_vertical=G.n, _rerun=(G, phi, a0.copy(), T, steps))
 
 
 def flux_values(G, j, xhat, phi_values):

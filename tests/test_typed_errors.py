@@ -38,7 +38,16 @@ from carnot.functions import (
     graph_function_from_dict,
     vector_field_from_dict,
 )
-from carnot.group import calibrate_epsilon, dilate, inverse, make_group, standard_group
+from carnot.group import (
+    calibrate_epsilon,
+    dilate,
+    distance,
+    homogeneous_norm,
+    inverse,
+    make_group,
+    multiply,
+    standard_group,
+)
 from carnot.mollify import (
     MollifierKernel,
     approximation_report,
@@ -428,6 +437,13 @@ CASES = [
        lambda G, tmp, r_list=r_list: vertical_holder_modulus(_phi(), r_list, grid_per_axis=5))
       for name, r_list in (("string", ["a"]), ("none", None), ("numeric-string", ["0.5"]),
                            ("bool", [True]))],
+    # a NaN or infinite point gave a NaN product, norm or distance
+    ("multiply-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: multiply(G, [0.5, np.nan, 0.0], np.zeros(3))),
+    ("norm-inf-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: homogeneous_norm(G, [[0.0, 0.0, 1.0], [0.0, 0.0, np.inf]])),
+    ("distance-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: distance(G, np.zeros(3), [0.0, 0.0, np.nan])),
 ]
 
 
