@@ -149,16 +149,16 @@ def _frame_apply(G, a, value, grad):
     c_s times d/dy_s, then d/dx_j."""
     first = G.m + G.n - grad.shape[-1]
     value = np.asarray(value)
-    # a value of 0 gives no terms; -0.0 is the identity of the final sum,
-    # so a column without terms is its d/dx_j, signed zeros included
-    skip = 0 if value.ndim == 0 and value == 0 else -1
+    # a value of 0 adds no terms; -0.0 is the identity of the final sum, so
+    # a column without terms is its d/dx_j, signed zeros included
+    with_value = not (value.ndim == 0 and value == 0)
     out = np.full(np.broadcast_shapes(a.shape[:-1], value.shape, grad.shape[:-1])
                   + (G.m - first,), -0.0)
     gy = grad[..., G.m - first:]
     half = 0.5 * a[..., :G.m - 1]
     # the entry b^(s)_{jl} adds (value b or x_l/2 b) d/dy_s to column j
     gp._walk(out, ((i - first, value if l == 0 else half[..., l - 1], b, gy[..., s])
-                   for s, i, l, b in G._terms if i >= first and l != skip))
+                   for s, i, l, b in G._terms if i >= first and (l > 0 or with_value)))
     out += grad[..., :G.m - first]
     return out
 

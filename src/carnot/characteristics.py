@@ -9,12 +9,11 @@ while the vertical block follows
 
 the drift term being constant along the line (b_{jj} = 0).  Trajectories are
 integrated with fixed-step RK4; the right-hand side is merely continuous in
-general (Peano setting), so a step-halved rerun is reported as the error
-estimate instead of any uniqueness claim; it runs when the estimate is
-first read.  The rate of a curve is formed
-once from the column b^(s)_{j1} and the constant drift, so each RK4 stage
-costs one evaluation of phi, and the states are bitwise those of forming
-the frozen coefficients at every stage.
+general (Peano setting), so a step-halved rerun, run when the estimate is
+first read, is reported as the error estimate instead of any uniqueness
+claim.  The rate of a curve is formed once from the column b^(s)_{j1} and
+the constant drift, so each RK4 stage costs one evaluation of phi, and the
+states are bitwise those of forming the frozen coefficients at every stage.
 
 The stages run on Python floats: phi sees each stage point in one reused
 (m+n-1,) array, and the shifts and the RK4 combination are formed
@@ -134,8 +133,9 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
     """Fixed-step RK4 characteristic from base point a0 over [0, T].
 
     A rerun with halved step supplies ``error_estimate`` (max discrepancy at
-    shared times) when it is first read; its work is checked here.  If the trajectory leaves the domain box it is truncated
-    and the exit time recorded rather than extrapolated; a start point
+    shared times) when that is first read; its work is checked here.  If
+    the trajectory leaves the domain box it is truncated and the exit time
+    recorded rather than extrapolated; a start point
     outside the domain raises :class:`LeftDomain`, and a NaN or infinite T
     or start point and a direction j outside 2..m a :class:`ValidationError`.
     """

@@ -232,14 +232,14 @@ def _walk(out, terms):
         else:
             started.add(c)
             dst = col
-        unit = f in (1.0, -1.0)
-        if v is None:
-            np.copyto(dst, u) if unit else np.multiply(u, f, out=dst)
-        elif unit:
-            np.multiply(u, v, out=dst)
-        else:
+        if f not in (1.0, -1.0):
             np.multiply(u, f, out=dst)
-            dst *= v
+            if v is not None:
+                dst *= v
+        elif v is None:
+            np.copyto(dst, u)
+        else:
+            np.multiply(u, v, out=dst)
         if dst is col:
             if f == -1.0:
                 np.negative(col, out=col)
