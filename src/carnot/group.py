@@ -291,7 +291,10 @@ def _multiply(G, p, q):
     x2, y2 = q[..., :G.m], q[..., G.m:]
     out = np.empty(np.broadcast_shapes(p.shape, q.shape))
     np.add(x1, x2, out=out[..., :G.m])
-    out[..., G.m:] = y1 + y2 + 0.5 * bracket(G, x1, x2)
+    y = np.add(y1, y2, out=out[..., G.m:])
+    cross = bracket(G, x1, x2)
+    cross *= 0.5
+    y += cross
     return out
 
 

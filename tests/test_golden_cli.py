@@ -1,6 +1,7 @@
-"""The README CLI examples and ``suite data/suite.json`` against recorded
-reports: a refactor must leave every ``--json`` report (and the
-characteristics curve CSV) byte-identical.  ``mollify`` runs on a coarse
+"""The README CLI examples, ``gradient``, ``area``, ``lipschitz`` and
+``cone`` on heisenberg(2) and the quaternion group, and ``suite
+data/suite.json`` against recorded reports: a refactor must leave every
+``--json`` report (and the characteristics curve CSV) byte-identical.  ``mollify`` runs on a coarse
 base grid of 8 points per axis to keep its run time short.
 
 After an intended change of a report, rewrite the recordings with
