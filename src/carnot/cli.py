@@ -215,7 +215,7 @@ def cmd_cone(args):
     sample = phi.domain.sample(2048, np.random.default_rng(args.seed))
     # a sampled point may sit within one difference step of the box edge
     w = calculus.intrinsic_gradient(G, phi, sample, check_domain=False)
-    w_sup = float(np.max(np.linalg.norm(w, axis=-1)))
+    w_sup = float(np.max(np.sqrt(gp._sum_of_squares(w))))
     if not np.isfinite(w_sup):
         raise NonFiniteState(f"intrinsic gradient of phi is {w_sup} on a sampled point")
     k = args.k if args.k is not None else 1.0 / np.sqrt(1.0 + w_sup ** 2)

@@ -182,11 +182,11 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     # W-component with homogeneous norm <= 0.95 beta |t|
     r_w = 0.95 * beta * np.abs(t)
     xhat = rng.uniform(-1.0, 1.0, size=(samples, G.m - 1))
-    xhat *= (r_w / np.maximum(np.linalg.norm(xhat, axis=-1), 1e-300))[:, None] \
+    xhat *= (r_w / np.maximum(np.sqrt(gp._sum_of_squares(xhat)), 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
     yv = rng.uniform(-1.0, 1.0, size=(samples, G.n))
     y_cap = (r_w / G.epsilon) ** 2
-    yn = np.linalg.norm(yv, axis=-1)
+    yn = np.sqrt(gp._sum_of_squares(yv))
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
     q = gp._multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
