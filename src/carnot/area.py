@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import intrinsic_gradient
-from .errors import OutOfDomain
-from .group import _sum_of_squares
+from .calculus import _intrinsic_gradient, intrinsic_gradient
+from .errors import OutOfDomain, ValidationError
+from .functions import check_domain_dim
+from .group import _finite_point, _sum_of_squares
 from .quadrature import (
     check_work_budget,
     default_points_per_axis,
@@ -29,8 +30,11 @@ _POINT_CHUNK = 2 ** 14
 
 
 def unit_normal(w_at_a):
-    """(-1, w) / sqrt(1 + |w|^2): unit Euclidean norm, negative first entry."""
+    """(-1, w) / sqrt(1 + |w|^2): unit Euclidean norm, negative first entry;
+    ValidationError on a NaN or infinite entry of w."""
     w = np.atleast_1d(np.asarray(w_at_a, dtype=float))
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("w has a NaN or infinite entry")
     denom = np.sqrt(1.0 + _sum_of_squares(w))
     first = -1.0 / denom
     rest = w / denom[..., None]
@@ -50,14 +54,27 @@ def area_integral(G, phi, w=None, points_per_axis=None):
     The value equals the graph perimeter up to an uncomputed group constant.
     The integrand is evaluated on chunks of nodes into one array, so its
     temporaries stay small on any grid and the sum is unchanged.
+
+    Midpoint nodes lie inside the box (within the work budget, rounding
+    cannot push lo + h (k + 1/2) past hi), so when phi's domain is its whole
+    box the nodes skip the domain test; a phi without partials still has
+    its difference stencil checked against the domain.
     """
     box = phi.domain
     pts, cell = midpoint_rule(box.lo, box.hi,
                               default_points_per_axis(box.dim, points_per_axis))
+    if w is None:
+        check_domain_dim(box, G.base_dim)
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
         chunk = pts[start:start + _POINT_CHUNK]
-        w_vals = w(chunk) if w is not None else intrinsic_gradient(G, phi, chunk)
+        if w is not None:
+            w_vals = w(chunk)
+        elif phi.fills_box:
+            w_vals = _intrinsic_gradient(G, phi, chunk, phi.eval_extended(chunk),
+                                         check_domain=True)
+        else:
+            w_vals = intrinsic_gradient(G, phi, chunk)
         values[start:start + _POINT_CHUNK] = area_integrand(w_vals)
     return float(np.sum(values) * cell)
 
@@ -86,7 +103,15 @@ def subgraph_indicator(G, phi, p, check_domain=True):
     """1 when the point lies strictly below the graph, else 0.  A point whose
     projected base point is outside phi's domain raises OutOfDomain, or with
     ``check_domain=False`` reads phi through its extension beyond its box
-    (expressions evaluate directly, grids clamp)."""
+    (expressions evaluate directly, grids clamp), where a NaN or infinite
+    point is a ValidationError."""
+    if not check_domain:
+        p = _finite_point(G, p)
+    return _subgraph_indicator(G, phi, p, check_domain)
+
+
+def _subgraph_indicator(G, phi, p, check_domain=False):
+    """:func:`subgraph_indicator` without the finiteness check."""
     base, t = project_splitting(G, p)
     if check_domain and not np.all(phi.in_domain(base)):
         raise OutOfDomain("projected base point outside the graph domain")

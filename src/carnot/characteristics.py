@@ -15,13 +15,15 @@ claim.  The rate of a curve is formed once from the column b^(s)_{j1} and
 the constant drift, so each RK4 stage costs one evaluation of phi, and the
 states are bitwise those of forming the frozen coefficients at every stage.
 
-The stages run on Python floats: phi sees each stage point in one reused
-(m+n-1,) array, and the shifts and the RK4 combination are formed
-coordinate by coordinate.  Each float operation is the single IEEE
-operation that the elementwise array form made, in the same order, and
-Python fuses no operations across statements, so the states stay bitwise
-those of the array form.  At one point per stage, small arrays cost far
-more in per-call overhead than in arithmetic.
+The stages run on Python floats: the shifts and the RK4 combination are
+formed coordinate by coordinate, and an expression phi is evaluated by its
+one-point call on the stage's floats (``functions`` module docstring).  A
+grid, callable or translated phi sees each stage point in one reused
+(m+n-1,) array.  Each float operation is the single IEEE operation that
+the elementwise array form made, in the same order, and Python fuses no
+operations across statements, so the states stay bitwise those of the
+array form.  At one point per stage, small arrays cost far more in
+per-call overhead than in arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from .errors import LeftDomain, NonFiniteState, ValidationError
 from .calculus import _check_direction, _drift, _frozen_coefficients
-from .functions import GraphFunction
 from .quadrature import check_count, check_positive, check_work_budget, tensor_grid
 from .splitting import graph_quasidistance
 
@@ -91,14 +92,19 @@ def _rk4_path(G, phi, j, a0, T, steps):
     # inline); a phi whose domain is finer than its box (a translated phi
     # overrides in_domain) is asked as well
     lo, hi = phi.domain.lo.tolist(), phi.domain.hi.tolist()
-    finer = type(phi).in_domain is not GraphFunction.in_domain
+    finer = not phi.fills_box
     half = 0.5 * h
     vert = range(G.n)
-    buf = np.empty(d)
+    value = phi.one_point
+    if value is None:
+        buf = np.empty(d)
+
+        def value(b):
+            buf[:] = b
+            return float(phi.eval_extended(buf))
 
     def rate(b):
-        buf[:] = b
-        v = float(phi.eval_extended(buf))
+        v = value(b)
         return [v * c + r for c, r in zip(col, drift)]
 
     def shift(a, dt, ks):

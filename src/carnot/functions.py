@@ -6,6 +6,17 @@ multilinear interpolation, or an opaque callable (used for translated and
 level-set-extracted functions).  Coordinates on the base are named
 x2..xm, y1..yn; when n == 1 the alias ``y`` is accepted.
 
+An expression also has a one-point call on Python floats, which the RK4
+stages of a characteristic use: the compiled expression runs on the floats
+themselves, not on 0-d arrays.  It gives the bits of the array call because
+every operation is then either one IEEE float operation, which Python and
+numpy round alike, or a numpy function called on a scalar.  Python's
+``float ** e`` is libm ``pow``, which differs from numpy's power in the last
+bit on a few percent of values, so the compiled code prints every power as
+``numpy.power(b, e)`` (the square roots sympy prints as ``numpy.sqrt``).
+A Python float divided by zero raises where numpy gives inf or nan; the
+one-point call then evaluates that point through the array call.
+
 Vector fields w = (w_2, ..., w_m) on the base reuse the same machinery
 componentwise.
 """
@@ -31,11 +42,31 @@ def base_coordinate_names(m, n):
 _ALLOWED_FUNCS = ("sin", "cos", "exp", "sqrt", "Abs", "pi", "tanh")
 
 
+@functools.cache
+def _power_printer():
+    """sympy's numpy printer with each power it would print as ``b**e``
+    printed as ``numpy.power(b, e)`` (module docstring); on arrays the two
+    give the same bits."""
+    from sympy import S
+    from sympy.printing.numpy import NumPyPrinter
+
+    class PowerPrinter(NumPyPrinter):
+        def _hprint_Pow(self, expr, rational=False, sqrt="numpy.sqrt"):
+            if not rational and expr.is_commutative and expr.exp in (S.Half, -S.Half):
+                return super()._hprint_Pow(expr, rational, sqrt)
+            return (f"{self._module_format('numpy.power')}"
+                    f"({self._print(expr.base)}, {self._print(expr.exp)})")
+
+    return PowerPrinter
+
+
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr, m, n):
-    """(evaluate, partials) for an expression over the base of G(m, n);
-    partials is None when sympy cannot compile the derivatives.  sympy is
-    imported here, so only a process that compiles an expression loads it."""
+    """(evaluate, partials, point) for an expression over the base of
+    G(m, n): the array call, the array partials (None when sympy cannot
+    compile the derivatives) and the one-point call on a list of floats
+    (module docstring).  sympy is imported here, so only a process that
+    compiles an expression loads it."""
     import sympy as sp
 
     names = base_coordinate_names(m, n)
@@ -55,9 +86,13 @@ def _compile_expression(expr, m, n):
     if extra:
         raise ValidationError(
             f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
-    f = sp.lambdify(syms, tree, modules="numpy")
+    # the settings lambdify gives its own printer
+    printer = _power_printer()({"fully_qualified_modules": False, "inline": True,
+                                "allow_unknown_functions": True, "user_functions": {}})
+    f = sp.lambdify(syms, tree, modules="numpy", printer=printer)
     try:
-        grad = sp.lambdify(syms, [sp.diff(tree, s) for s in syms], modules="numpy")
+        grad = sp.lambdify(syms, [sp.diff(tree, s) for s in syms], modules="numpy",
+                           printer=printer)
     except Exception:
         grad = None             # non-smooth expression: fall back to FD
 
@@ -74,6 +109,13 @@ def _compile_expression(expr, m, n):
             out = out.copy()
         return out
 
+    def point(coords):
+        try:
+            return float(f(*coords))
+        except ZeroDivisionError:
+            # a Python float divided by zero, where numpy returns inf or nan
+            return float(evaluate(coords))
+
     partials = None
     if grad is not None:
         def partials(a):
@@ -83,7 +125,7 @@ def _compile_expression(expr, m, n):
                     for g in grad(*cols)]
             return np.stack(outs, axis=-1)
 
-    return evaluate, partials
+    return evaluate, partials, point
 
 
 @dataclass(frozen=True)
@@ -97,6 +139,9 @@ class Box:
         if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi)) \
                 or np.any(hi <= lo):
             raise ValidationError("invalid box: need finite lo < hi componentwise")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise ValidationError("invalid box: the width hi - lo overflows")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -117,8 +162,16 @@ class Box:
         return np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
 
     def sample(self, count, rng):
+        """``count`` uniform points of the box: the bits and the generator
+        state of ``rng.uniform(lo, hi, (count, dim))``, which forms the same
+        lo + (hi - lo) * u through a broadcast over the short last axis that
+        costs several times more than these column passes."""
         count = check_count(count, "sample count must be a positive integer")
-        return rng.uniform(self.lo, self.hi, size=(count, self.dim))
+        out = rng.random((count, self.dim))
+        for col, lo, width in zip(out.T, self.lo, self.hi - self.lo):
+            col *= width
+            col += lo
+        return out
 
 
 def _require_inside(a, ok):
@@ -143,14 +196,18 @@ class GraphFunction:
     with a domain check (raises :class:`OutOfDomain`); ``eval_extended``
     evaluates everywhere (expressions/callables directly, grids by clamped
     interpolation), which the mollification pipeline relies on.
+    ``one_point`` is an expression's one-point call on a list of floats
+    (module docstring), unchecked like ``eval_extended``; it is None for the
+    other kinds.
     """
 
-    def __init__(self, domain, fn, kind, partials=None, label=""):
+    def __init__(self, domain, fn, kind, partials=None, label="", one_point=None):
         self.domain = domain if isinstance(domain, Box) else Box(*domain)
         self._fn = fn
         self.kind = kind
         self._partials = partials
         self.label = label
+        self.one_point = one_point
 
     # -- constructors ----------------------------------------------------------
 
@@ -166,8 +223,9 @@ class GraphFunction:
         if isinstance(expr, bool) or not isinstance(expr, (str, int, float)):
             raise ValidationError(
                 f"expression must be a string or a number, got {type(expr).__name__}")
-        evaluate, partials = _compile_expression(expr, m, n)
-        obj = cls(domain, evaluate, "expr", partials=partials, label=str(expr))
+        evaluate, partials, point = _compile_expression(expr, m, n)
+        obj = cls(domain, evaluate, "expr", partials=partials, label=str(expr),
+                  one_point=point)
         check_domain_dim(obj.domain, m + n - 1)
         return obj
 
@@ -223,6 +281,12 @@ class GraphFunction:
 
     def in_domain(self, a):
         return self.domain.contains(self._check_dim(a))
+
+    @property
+    def fills_box(self):
+        """Whether every point of the domain box is in the domain; a subclass
+        with a finer ``in_domain`` (a translated phi) does not."""
+        return type(self).in_domain is GraphFunction.in_domain
 
     def __call__(self, a):
         a = self._check_dim(a)

@@ -124,9 +124,16 @@ def project_splitting(G, p):
 
 
 def graph_map(G, phi, a, check_domain=True):
-    """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0)."""
+    """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0).  A base point
+    outside phi's domain raises OutOfDomain, or with ``check_domain=False``
+    reads phi through its extension, where a NaN or infinite point is a
+    ValidationError."""
     a = np.asarray(a, dtype=float)
-    return graph_point(G, a, phi(a) if check_domain else phi.eval_extended(a))
+    if check_domain:
+        return graph_point(G, a, phi(a))
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("point has a NaN or infinite coordinate")
+    return graph_point(G, a, phi.eval_extended(a))
 
 
 def _pulled_base(G, q, a):
@@ -202,7 +209,13 @@ class Cone:
 
 
 def cone_membership(G, cone, p):
-    """Membership test; on the axis P_W = 0 every opening qualifies."""
+    """Membership test; on the axis P_W = 0 every opening qualifies.  A NaN
+    or infinite point is a ValidationError."""
+    return _cone_membership(G, cone, gp._finite_point(G, p))
+
+
+def _cone_membership(G, cone, p):
+    """:func:`cone_membership` without the finiteness check."""
     b, t = _split_from(G, cone.vertex, p)
     w_norm = gp._layer_norm(G, b[..., :G.m - 1], b[..., G.m - 1:])
     return w_norm <= cone.beta * np.abs(t)

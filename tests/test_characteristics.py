@@ -263,14 +263,20 @@ def test_rk4_rate_formed_once_matches_per_stage_loop(group_name, request):
 
 
 def _phi_kinds(G, box):
-    """An "x2", a callable, a grid and a translated phi over ``box``, by
-    name; the translated one's domain is finer than its bounding box."""
+    """An "x2", a power-and-division expression, a callable, a grid and a
+    translated phi over ``box``, by name; the translated one's domain is
+    finer than its bounding box."""
     d = G.base_dim
     values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5,) * d)
     x2 = GraphFunction.from_expression("x2", box, G.m, G.n)
+    y = base_coordinate_names(G.m, G.n)[-1]
     q = np.linspace(0.4, -0.3, G.dim)
     return {
         "x2": x2,
+        "power": GraphFunction.from_expression(
+            f"0.3*x2**3 - 0.2*{y}**2 + 0.1*Abs({y})**(1/4) + sqrt(2 + x2)"
+            f" + 0.4*x2/(2.5 + {y}) + 0.05*(1 + x2**2)**(-1) + 0.1*Abs(x2)**(3/2)",
+            box, G.m, G.n),
         "callable": GraphFunction.from_callable(
             lambda a: np.sin(a[..., 0]) * a[..., -1] + 0.5 * a[..., -1] ** 2, box),
         "grid": GraphFunction.from_grid(values, box),
@@ -279,7 +285,7 @@ def _phi_kinds(G, box):
 
 
 @pytest.mark.parametrize("group_name", ["heis1", "heis2", "free3", "quat"])
-@pytest.mark.parametrize("kind", ["x2", "callable", "grid", "translated"])
+@pytest.mark.parametrize("kind", ["x2", "power", "callable", "grid", "translated"])
 def test_rk4_stages_match_per_stage_loop_for_each_phi_kind(group_name, kind, request):
     G = request.getfixturevalue(group_name)
     phi = _phi_kinds(G, wide_box(G.base_dim, half=1.5))[kind]

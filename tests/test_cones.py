@@ -126,3 +126,30 @@ def test_containment_power(heis1):
     phi = GraphFunction.from_expression("x2", unit_box(2, half=4.0), 2, 1)
     report = check_cone_containment(heis1, phi, 10.0, samples=5000, seed=7)
     assert report["violations"] > 0
+
+
+def test_cone_draws_are_rng_uniform_bitwise(heis1, quat, monkeypatch):
+    # the sweep's base points are rng.uniform on the inner box, and the
+    # generator is left where rng.uniform leaves it: the graph coordinates
+    # drawn next are the same too
+    import carnot.cones as cones
+
+    calls = []
+    graph_point = cones.graph_point
+
+    def recording(G, a, t):
+        calls.append((np.array(a), np.array(t)))
+        return graph_point(G, a, t)
+
+    monkeypatch.setattr(cones, "graph_point", recording)
+    for G, lo, hi in ((heis1, [-1.0, -2.0], [0.5, 3.0]), (quat, [-0.5] * 6, [0.75] * 6)):
+        phi = GraphFunction.from_expression("0.2*x2", (lo, hi), G.m, G.n)
+        calls.clear()
+        check_cone_containment(G, phi, 0.3, samples=500, seed=17, radius=0.4)
+        rng = np.random.default_rng(17)
+        lo, hi = phi.domain.lo, phi.domain.hi
+        A = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=(500, len(lo)))
+        t = rng.uniform(0.05, 1.0, size=500) * 0.4
+        t = t * (rng.integers(0, 2, size=500) * 2 - 1)
+        assert calls[0][0].tobytes() == A.tobytes()
+        assert calls[1][1].tobytes() == t.tobytes()

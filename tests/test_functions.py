@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import errors
@@ -297,3 +298,80 @@ def test_box_contains_matches_all_over_axis(dim, seed):
     assert np.array_equal(box.contains(pts), want)
     assert box.contains(pts[1, 7]) == want[1, 7]
     assert box.contains(box.lo) and box.contains(box.hi)
+
+
+# powers 2, 3, -1, 1/2, 1/4 and 3/2, sqrt, Abs, exp, sin, cos, tanh, pi,
+# division and a constant; points with x2 = 0, y = 0 or x2 = y divide by
+# zero, and negative ones take the square root of a negative number
+_CATALOG = [
+    "x2**2 + 0.5*y**3",
+    "1/x2 + y**(-1)",
+    "x2**(1/2) - Abs(y)**(1/4)",
+    "Abs(x2)**(3/2) + sqrt(1 + y**2)",
+    "exp(-y**2)*sin(3*x2) + x2/y",
+    "cos(x2)/(x2 - y) + pi",
+    "tanh(x2*y)/3 - sqrt(y)",
+    "y**(-2) - 1/sqrt(x2)",
+    "2.5",
+]
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                   st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+def _run_recorded(fn):
+    """(fn(), the categories of the warnings it issued)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    return value, {w.category for w in caught}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_CATALOG), _COORD, _COORD)
+def test_one_point_call_matches_array_call_bitwise(expr, x2, y):
+    phi = GraphFunction.from_expression(expr, unit_box(2), 2, 1)
+    got, got_warned = _run_recorded(lambda: phi.one_point([x2, y]))
+    want, want_warned = _run_recorded(lambda: phi.eval_extended(np.array([[x2, y]]))[0])
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert got_warned == want_warned
+
+
+def _default_lambdify(expr, partials):
+    """``expr`` over H^1's base, or its partials, through sympy's default
+    numpy printer."""
+    x2, y1 = syms = sp.symbols("x2 y1")
+    tree = sp.sympify(expr, locals={"x2": x2, "y1": y1, "y": y1, "Abs": sp.Abs})
+    if partials:
+        tree = [sp.diff(tree, s) for s in syms]
+    return sp.lambdify(syms, tree, modules="numpy")
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_CATALOG), st.integers(0, 2 ** 32 - 1))
+def test_compiled_expression_matches_default_lambdify_bitwise(expr, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3.0, 3.0, size=(200, 2))
+    a[rng.integers(0, 200, 10), rng.integers(0, 2, 10)] = 0.0
+    phi = GraphFunction.from_expression(expr, unit_box(2), 2, 1)
+    with np.errstate(all="ignore"):
+        want = _default_lambdify(expr, False)(a[:, 0], a[:, 1])
+        want = np.broadcast_to(np.asarray(want, dtype=float), (200,))
+        assert phi.eval_extended(a).tobytes() == want.tobytes()
+        if phi.has_partials:
+            want = np.stack([np.broadcast_to(np.asarray(g, dtype=float), (200,))
+                             for g in _default_lambdify(expr, True)(a[:, 0], a[:, 1])],
+                            axis=-1)
+            assert phi.partials(a).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_box_sample_is_rng_uniform_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    lo = rng.uniform(-5.0, 0.0, dim)
+    box = Box(lo, lo + rng.uniform(1e-3, 7.0, dim))
+    mine, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for count in (1, 7, 1000):
+        got = box.sample(count, mine)
+        assert got.tobytes() == ref.uniform(box.lo, box.hi, size=(count, dim)).tobytes()
+        assert mine.bit_generator.state == ref.bit_generator.state

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from carnot import cli, errors
-from carnot.area import area_integral
+from carnot.area import area_integral, subgraph_indicator, unit_normal
 from carnot.calculus import (
     TestFunction,
     distributional_residual,
@@ -61,6 +61,7 @@ from carnot.splitting import (
     Cone,
     cone_membership,
     estimate_intrinsic_lipschitz,
+    graph_map,
     graph_quasidistance,
     sigma_form,
     translate_graph_function,
@@ -444,6 +445,21 @@ CASES = [
      lambda G, tmp: homogeneous_norm(G, [[0.0, 0.0, 1.0], [0.0, 0.0, np.inf]])),
     ("distance-nan-point", errors.ValidationError, "point has a NaN or infinite",
      lambda G, tmp: distance(G, np.zeros(3), [0.0, 0.0, np.nan])),
+    # a box whose width hi - lo overflows escaped as an untyped OverflowError
+    # from rng.uniform when sampled
+    ("box-width-overflows", errors.ValidationError, "width hi - lo overflows",
+     lambda G, tmp: Box([-1e308, 0.0], [1e308, 1.0]).sample(3, np.random.default_rng(0))),
+    # a NaN or infinite point gave NaN, False or 0.0 through phi's extension,
+    # the cone test or the normal
+    ("graph-map-unchecked-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: graph_map(G, _phi(), [[0.5, 0.5], [np.nan, 0.5]], check_domain=False)),
+    ("unit-normal-inf-w", errors.ValidationError, "w has a NaN or infinite",
+     lambda G, tmp: unit_normal([0.5, np.inf])),
+    ("cone-membership-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: cone_membership(G, Cone(np.zeros(3), 0.5), [np.nan, 0.0, 0.0])),
+    ("subgraph-indicator-unchecked-inf-point", errors.ValidationError,
+     "point has a NaN or infinite",
+     lambda G, tmp: subgraph_indicator(G, _phi(), [0.0, 0.5, -np.inf], check_domain=False)),
 ]
 
 
