@@ -35,7 +35,7 @@ from operator import le
 
 import numpy as np
 
-from .errors import LeftDomain, NonFiniteState, ValidationError
+from .errors import DimensionMismatch, LeftDomain, NonFiniteState, ValidationError
 from .calculus import _check_direction, _drift, _frozen_coefficients
 from .quadrature import check_count, check_positive, check_work_budget, tensor_grid
 from .splitting import graph_quasidistance
@@ -170,9 +170,13 @@ def integrate_characteristic(G, phi, j, a0, T, steps=1000):
 
 
 def flux_values(G, j, xhat, phi_values):
-    """Conserved fluxes f_s(phi) = (b^(s)_{j1} phi^2 + phi sum_l b^(s)_{jl} x_l)/2."""
+    """Conserved fluxes f_s(phi) = (b^(s)_{j1} phi^2 + phi sum_l b^(s)_{jl} x_l)/2
+    at x-hat = (x_2, ..., x_m); other than m - 1 coordinates is a DimensionMismatch."""
     _check_direction(G, j)
     xhat = np.asarray(xhat, dtype=float)
+    if xhat.ndim == 0 or xhat.shape[-1] != G.m - 1:
+        raise DimensionMismatch(
+            f"expected x-hat of length {G.m - 1}, got shape {xhat.shape}")
     phi_values = np.asarray(phi_values, dtype=float)
     # phi times the frozen coefficients with phi/2 in place of phi
     return phi_values[..., None] * _frozen_coefficients(G, j, xhat, 0.5 * phi_values)

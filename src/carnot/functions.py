@@ -60,13 +60,27 @@ def _power_printer():
     return PowerPrinter
 
 
+def _overflows(tree):
+    """Whether a rational constant p/q of a sympy tree lies beyond the float
+    range: the compiled code reads it as Python's int division (p alone for
+    an integer), an OverflowError on every call."""
+    from sympy import Rational
+
+    for number in tree.atoms(Rational):
+        try:
+            number.p / number.q
+        except OverflowError:
+            return True
+    return False
+
+
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr, m, n):
     """(evaluate, partials, point) for an expression over the base of
     G(m, n): the array call, the array partials (None when sympy cannot
-    compile the derivatives) and the one-point call on a list of floats
-    (module docstring).  sympy is imported here, so only a process that
-    compiles an expression loads it."""
+    compile the derivatives or one has a constant beyond the float range)
+    and the one-point call on a list of floats (module docstring).  sympy is
+    imported here, so only a process that compiles an expression loads it."""
     import sympy as sp
 
     names = base_coordinate_names(m, n)
@@ -86,13 +100,17 @@ def _compile_expression(expr, m, n):
     if extra:
         raise ValidationError(
             f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
+    if _overflows(tree):
+        raise ValidationError(f"expression {expr!r} has a constant too large for a float")
     # the settings lambdify gives its own printer
     printer = _power_printer()({"fully_qualified_modules": False, "inline": True,
                                 "allow_unknown_functions": True, "user_functions": {}})
     f = sp.lambdify(syms, tree, modules="numpy", printer=printer)
     try:
-        grad = sp.lambdify(syms, [sp.diff(tree, s) for s in syms], modules="numpy",
-                           printer=printer)
+        diffs = [sp.diff(tree, s) for s in syms]
+        # a derivative's constant beyond the float range falls back to FD too
+        grad = (None if any(map(_overflows, diffs)) else
+                sp.lambdify(syms, diffs, modules="numpy", printer=printer))
     except Exception:
         grad = None             # non-smooth expression: fall back to FD
 
@@ -274,7 +292,7 @@ class GraphFunction:
 
     def _check_dim(self, a):
         a = np.asarray(a, dtype=float)
-        if a.shape[-1] != self.domain.dim:
+        if a.ndim == 0 or a.shape[-1] != self.domain.dim:
             raise DimensionMismatch(
                 f"expected base points of length {self.domain.dim}, got {a.shape}")
         return a

@@ -299,16 +299,17 @@ def _multiply(G, p, q):
 
 
 def inverse(G, p):
-    """Group inverse, p^(-1) = -p."""
-    return -_check_point(G, p)
+    """Group inverse, p^(-1) = -p; ValidationError on a NaN or infinite entry."""
+    return -_finite_point(G, p)
 
 
 def dilate(G, lam, p):
-    """Anisotropic dilation: x -> lam x, y -> lam^2 y."""
+    """Anisotropic dilation: x -> lam x, y -> lam^2 y; ValidationError on a
+    NaN or infinite entry of p."""
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise NonPositiveLambda(f"dilation factor must be positive and finite, got {lam}")
-    x, y = split_layers(G, p)
+    x, y = split_layers(G, _finite_point(G, p))
     lam = lam[..., None]
     return np.concatenate([lam * x, lam ** 2 * y], axis=-1)
 

@@ -13,10 +13,12 @@ gradient bound of the approximants.
 Numerical notes.  The kernel is a product bump (``MollifierKernel``):
 its weights on the k^(m+n) midpoint grid of its support are the outer
 product of a horizontal and a vertical bump, each on its own k^m or k^n
-block grid, normalized to unit mass.  It keeps the grid's axes and the
-nonzero-weight nodes u_k, which the same blocks count for the work budget
-before any kernel is built and the convolution runs over; the whole grid,
-``nodes`` and ``weights``, is rebuilt on read.  The indicator becomes per
+block grid, over the sum of that product on the grid: unit discrete mass,
+with no continuum normalizer (every share below divides by the weights'
+total anyway).  It keeps the grid's axes and the nonzero-weight nodes u_k,
+which the same blocks count for the work budget before any kernel is
+built and the convolution runs over; the whole grid, ``nodes`` and
+``weights``, is rebuilt on read.  The indicator becomes per
 node a subcell volume fraction (standard level-set practice), the ramp
 r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
@@ -93,7 +95,6 @@ is a NonFiniteState error in each of them.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -144,18 +145,6 @@ def _bump(t):
     return out
 
 
-@functools.cache
-def _radial_mass(dim):
-    """int_{R^dim} exp(-1/(1-|x|^2)) dx via the radial representation,
-    memoised: each kernel needs it for its two block dimensions."""
-    from scipy.integrate import quad
-    from scipy.special import gamma as gamma_fn
-
-    surface = 2.0 * np.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
-    val, _ = quad(lambda r: _bump(r * r) * r ** (dim - 1), 0.0, 1.0, limit=200)
-    return surface * val
-
-
 def _kernel_points_per_axis(points_per_axis):
     """An integer below 4, zero and negatives too, underflows the kernel;
     any other count that is not a positive integer is a ValidationError."""
@@ -187,20 +176,20 @@ def _nonzero_node_count(G, points_per_axis):
 class MollifierKernel:
     """Symmetric smooth kernel on the homogeneous ball of radius alpha.
 
-    Unit-ball profile rho(x, y) = C exp(-1/(1-|x|^2)) exp(-1/(1-eps^4|y|^2)),
+    Unit-ball profile rho(x, y) = exp(-1/(1-|x|^2)) exp(-1/(1-eps^4|y|^2)),
     dilated by (x, y) -> (x/a, y/a^2); rho(-p) = rho(p) because both factors
     are even, and the support is exactly {max(|x|, eps |y|^(1/2)) < a}.
-    ``points_per_axis`` fixes the midpoint quadrature grid on the support
-    box [-a, a]^m x [-a^2/eps^2, a^2/eps^2]^n; it keeps the grid's axes and its
-    nonzero-weight nodes.  ``nodes`` and ``weights``, the whole grid, are
-    rebuilt on each read and kept only for the benchmark and tests.
+    ``points_per_axis`` fixes the midpoint grid on the support box
+    [-a, a]^m x [-a^2/eps^2, a^2/eps^2]^n.  The weights are the profile at
+    the grid's nodes over its sum there, with no continuum normalizer; the
+    kernel keeps the grid's axes and its nonzero-weight nodes.  ``nodes``
+    and ``weights``, the whole grid, are rebuilt on each read and kept only
+    for the benchmark and tests.
     """
 
     G: object
     alpha: float
     points_per_axis: int = 16
-    raw_mass: float = field(init=False)
-    normalizer: float = field(init=False)
     subcell_width: float = field(init=False)
     _axes: list = field(init=False, repr=False)
     # convolution set: the nonzero-weight nodes u, their flat grid indices, weights,
@@ -217,22 +206,18 @@ class MollifierKernel:
         k = _kernel_points_per_axis(self.points_per_axis)
         y_half = a * a / G.epsilon ** 2
         half = np.array([a] * G.m + [y_half] * G.n)
-        self._axes, cell = midpoint_axes(-half, half, k)
-        # continuum normalizer: the profile factorizes into two radial bumps
-        z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
-        # the grid's raw weights, C order: the outer product of the two block bumps
-        raw = (np.multiply.outer(_block_bump(G.m, k, a, a),
-                                 _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4))
-               .reshape(-1) / z / a ** G.homogeneous_dimension * cell)
-        self.raw_mass = float(np.sum(raw))
-        # normalized discrete weights: deep-inside convolutions evaluate to 1
-        raw /= self.raw_mass
-        self.normalizer = 1.0 / z
+        self._axes = midpoint_axes(-half, half, k)[0]
+        # the grid's weights, C order: the outer product of the two block
+        # bumps over its sum, so deep-inside convolutions evaluate to 1
+        weights = np.multiply.outer(
+            _block_bump(G.m, k, a, a),
+            _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4)).reshape(-1)
+        weights /= np.sum(weights)
         self.subcell_width = 2.0 * a / k
-        keep = self._conv_index = np.flatnonzero(raw)
+        keep = self._conv_index = np.flatnonzero(weights)
         cols = np.unravel_index(keep, (k,) * G.dim)
         self._conv_nodes = np.stack([axis[i] for axis, i in zip(self._axes, cols)], axis=-1)
-        w = self._conv_weights = raw[keep]
+        w = self._conv_weights = weights[keep]
         self._conv_total = float(np.vecdot(np.ones_like(w), w))
         self._conv_terms = _anchor_terms(G, self._conv_nodes)
 
@@ -247,37 +232,6 @@ class MollifierKernel:
         out = np.zeros(len(self._axes[0]) ** len(self._axes))
         out[self._conv_index] = self._conv_weights
         return out
-
-    def mass(self, points_per_axis=48):
-        """Integral of rho_alpha on an independent grid (should be ~1).
-
-        The profile factorizes into horizontal and vertical bumps, so the
-        two blocks are integrated on separate tensor grids.  Each block is
-        radial and its midpoint axis symmetric about 0, so every axis is
-        folded onto its nonnegative nodes: multiplicity 2, or 1 for the node
-        at 0 of an odd count.
-        """
-        G, a = self.G, self.alpha
-        k = check_count(points_per_axis, "points_per_axis must be a positive integer")
-        count = (k + 1) // 2
-        mult = np.full(count, 2.0)
-        if k % 2:
-            mult[0] = 1.0
-
-        def block(dim, half, scale):
-            cell = 2.0 * half / k
-            # the nonnegative midpoints of [-half, half] split into k cells
-            pts = tensor_grid(np.full(dim, half - count * cell), np.full(dim, half),
-                              (count,) * dim)
-            weight = mult
-            for _ in range(dim - 1):
-                weight = np.multiply.outer(weight, mult)
-            vals = _bump(scale * np.sum(pts * pts, axis=-1))
-            return float(vals @ weight.reshape(-1)) * cell ** dim
-
-        ix = block(G.m, a, 1.0 / a ** 2)
-        iy = block(G.n, a * a / G.epsilon ** 2, G.epsilon ** 4 / a ** 4)
-        return ix * iy * self.normalizer / a ** G.homogeneous_dimension
 
 
 def _node_chunks(kernel, count, limit=None):

@@ -30,8 +30,7 @@ from .errors import GridTooLarge, ValidationError
 # Largest count of points any one array may be built for: tensor grid
 # nodes, sampled pairs, cone samples and RK4 rows.  Larger counts are
 # rejected before anything is allocated.  The default grids stay well below
-# it (the finest area grid on a 4-D base has 32^4 ~ 1.05M nodes;
-# MollifierKernel.mass folds its 48^4 grid on an m = 4 group to 24^4), and a
+# it (the finest area grid on a 4-D base has 32^4 ~ 1.05M nodes), and a
 # free_step2(3) kernel at 16 points per axis (16.7M nodes) is rejected.
 MAX_GRID_NODES = 2 ** 23
 

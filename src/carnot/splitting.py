@@ -60,6 +60,12 @@ def _base_points(G, a):
     return a
 
 
+def _check_finite(*points):
+    """ValidationError unless every entry of every array is finite."""
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise ValidationError("point has a NaN or infinite coordinate")
+
+
 def graph_point(G, a, t):
     """i(a) * (t e1) in closed form (module docstring); the base points
     a = (x-hat, y) and graph coordinates t broadcast over leading axes."""
@@ -131,8 +137,7 @@ def graph_map(G, phi, a, check_domain=True):
     a = np.asarray(a, dtype=float)
     if check_domain:
         return graph_point(G, a, phi(a))
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("point has a NaN or infinite coordinate")
+    _check_finite(a)
     return graph_point(G, a, phi.eval_extended(a))
 
 
@@ -223,13 +228,17 @@ def _cone_membership(G, cone, p):
 
 def graph_quasidistance(G, phi, a, b, check_domain=True):
     """|| phi(a)^-1 i(a)^-1 i(b) phi(a) ||, from the closed form of the
-    product (module docstring)."""
+    product (module docstring).  Arguments outside phi's domain raise
+    OutOfDomain, or with ``check_domain=False`` read phi through its
+    extension, where a NaN or infinite point is a ValidationError."""
     a = np.asarray(a, dtype=float)
     b = _base_points(G, b)
     if check_domain:
         ok = phi.in_domain(a) & phi.in_domain(b)
         if not np.all(ok):
             raise OutOfDomain("quasi-distance arguments outside domain")
+    else:
+        _check_finite(a, b)
     return _quasidistance(G, phi.eval_extended(a), a, b)
 
 
@@ -255,8 +264,9 @@ def sigma_form(G, phi, b, a):
     - 1/2 <B^(s) x', x>|^(1/2), with a = (x, y), b = (x', y') and first-layer
     vectors embedded with x1 = 0.  The inner values are the second layer of
     phi(b)^-1 i(b)^-1 i(a) phi(b), the one graph_quasidistance(b, a) takes
-    the norm of."""
+    the norm of.  A NaN or infinite point is a ValidationError."""
     a, b = _base_points(G, a), _base_points(G, b)
+    _check_finite(a, b)
     _, y = _conjugated_layers(G, phi.eval_extended(b), b, a)
     return np.sum(np.sqrt(np.abs(y)), axis=-1)
 

@@ -734,6 +734,9 @@ def _bad_file_probe(tmp_path, heis_file, phi_file, probe):
         bad = write("w.json", {"components": 5})
         return ["broadstar", "--group", heis_file, "--phi", phi_file, "--w", bad,
                 "--from", "0,0", "--steps", "8"]
+    if probe == "expr-constant-overflows":
+        bad = write("phi.json", {"kind": "expr", "expr": "10**400*x2", "domain": domain})
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
     if probe == "grid-values-miss-shape":
         write("vals.csv", ",".join(["0.5"] * 9))
         bad = write("phi.json", {"kind": "grid", "domain": domain,
@@ -759,6 +762,7 @@ BAD_FILE_PROBES = [
     ("domain-bound-nan", errors.ValidationError, "need finite lo < hi"),
     ("phi-not-object", errors.ValidationError, "a function spec is an object"),
     ("w-components-not-list", errors.ValidationError, "'components' must be a list"),
+    ("expr-constant-overflows", errors.ValidationError, "constant too large for a float"),
 ]
 
 

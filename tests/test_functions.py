@@ -51,6 +51,15 @@ def test_expression_rejects_unknown_symbols():
         GraphFunction.from_expression("x2 +* 1", unit_box(2), 2, 1)
 
 
+def test_expression_derivative_constant_beyond_float_range_has_no_partials():
+    # 2**1023 fits a float, the derivative's 3*2**1023 does not: its compiled
+    # partials raised OverflowError at every call, so phi has none and its
+    # derivatives are central differences
+    phi = GraphFunction.from_expression("2**1023*x2**3", unit_box(2), 2, 1)
+    assert phi(np.array([0.25, 0.5])) == 2.0 ** 1023 / 64
+    assert not phi.has_partials
+
+
 @pytest.mark.parametrize("expr, m, n", [
     ("sin(x2)*y + x2**2", 2, 1),
     ("x2*x3 + exp(y1)*y2 - tanh(y3)", 3, 3),

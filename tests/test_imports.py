@@ -1,6 +1,6 @@
 """Which heavy dependencies each CLI path loads, in a fresh interpreter:
 sympy only once an expression is compiled, scipy only once a grid is
-interpolated, a curve integral is taken or a mollifier is built; and
+interpolated or a curve integral is taken; and
 README's module pointers name every module, each with a docstring."""
 
 import importlib
@@ -31,6 +31,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["gradient", "--group", "data/heisenberg1.json",
                            "--phi", "data/phi_linear.json", "--at", "0.5,0.5"]))
     steps["gradient"] = loaded()
+    codes.append(cli.main(["mollify", "--group", "data/heisenberg1.json",
+                           "--phi", "data/phi_linear.json", "--grid", "4"]))
+    steps["mollify"] = loaded()
     codes.append(cli.main(["broadstar", "--group", "data/heisenberg1.json",
                            "--phi", "data/phi_linear_wide.json",
                            "--w", "data/w_one.json", "--from", "0,0.25",
@@ -68,11 +71,12 @@ def test_heavy_imports_load_on_first_use():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     none = {"scipy": False, "sympy": False}
     assert result["steps"] == {
         "import": none,
         "group validate": none,
         "gradient": {"scipy": False, "sympy": True},
+        "mollify": {"scipy": False, "sympy": True},
         "broadstar": {"scipy": True, "sympy": True},
     }

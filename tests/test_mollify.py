@@ -15,7 +15,6 @@ from carnot.mollify import (
     MollifierKernel,
     _bump,
     _nonzero_node_count,
-    _radial_mass,
     _section_roots,
     approximation_report,
     horizontal_gradient_mass,
@@ -50,41 +49,6 @@ def section_point(G, a, t):
                     lift_graph_value(G, np.asarray(t)))
 
 
-def test_radial_mass_memo_matches_quadrature():
-    for dim in range(1, 6):
-        assert _radial_mass(dim) == _radial_mass.__wrapped__(dim)
-
-
-def test_kernel_mass_normalized(heis1, free3):
-    for alpha in (0.2, 0.05):
-        kern = MollifierKernel(heis1, alpha)
-        assert abs(kern.mass() - 1.0) <= 1e-3
-    kern = MollifierKernel(free3, 0.2, points_per_axis=6)
-    assert abs(kern.mass() - 1.0) <= 1e-3
-
-
-def _full_grid_mass(kern, k):
-    # the kernel mass on the unfolded k^dim grids of both factor blocks
-    G, a = kern.G, kern.alpha
-
-    def block(dim, half, scale):
-        pts = tensor_grid(np.full(dim, -half), np.full(dim, half), (k,) * dim)
-        vals = _bump(scale * np.sum(pts * pts, axis=-1))
-        return float(np.sum(vals)) * (2.0 * half / k) ** dim
-
-    ix = block(G.m, a, 1.0 / a ** 2)
-    iy = block(G.n, a * a / G.epsilon ** 2, G.epsilon ** 4 / a ** 4)
-    return ix * iy * kern.normalizer / a ** G.homogeneous_dimension
-
-
-@pytest.mark.parametrize("k", [12, 13, 48])
-def test_kernel_mass_folded_matches_full_grid(heis1, heis2, k):
-    for G, alpha in ((heis1, 0.1), (heis2, 0.15)):
-        kern = MollifierKernel(G, alpha, points_per_axis=8)
-        full = _full_grid_mass(kern, k)
-        assert kern.mass(points_per_axis=k) == pytest.approx(full, rel=1e-12)
-
-
 def _full_grid_profile(kern, p):
     # the unnormalised profile of rho(delta_{1/alpha} p) at every point p
     G, a = kern.G, kern.alpha
@@ -96,21 +60,18 @@ def _full_grid_profile(kern, p):
 @pytest.mark.parametrize("group", ["heis1", "heis2", "free3", "quat"])
 def test_kernel_weights_from_factor_bumps_match_full_grid(request, group):
     # the two factor bumps on their k^m and k^n block grids give the
-    # profile of every node of the k^(m+n) grid bit for bit
+    # profile of every node of the k^(m+n) grid bit for bit, and the
+    # weights are that profile over its sum
     G = request.getfixturevalue(group)
     for k in (4, 5, 8) + tuple(k for k in (12, 16) if k ** G.dim <= 2 ** 20):
         for alpha in (0.013, 0.15, 1.0):
             kern = MollifierKernel(G, alpha, points_per_axis=k)
             half = np.array([alpha] * G.m + [alpha ** 2 / G.epsilon ** 2] * G.n)
             nodes = tensor_grid(-half, half, (k,) * G.dim)
-            z = _radial_mass(G.m) * _radial_mass(G.n) / G.epsilon ** (2 * G.n)
-            raw = (_full_grid_profile(kern, nodes) / z / alpha ** G.homogeneous_dimension
-                   * float(np.prod(2.0 * half / k)))
-            raw_mass = float(np.sum(raw))
-            weights = raw / raw_mass
+            profile = _full_grid_profile(kern, nodes)
+            weights = profile / np.sum(profile)
             keep = weights > 0.0
             assert np.array_equal(kern.nodes, nodes)
-            assert kern.raw_mass == raw_mass
             assert np.array_equal(kern.weights, weights)
             assert np.array_equal(kern._conv_nodes, nodes[keep])
             assert np.array_equal(kern._conv_weights, weights[keep])
@@ -928,7 +889,6 @@ def test_pipeline_higher_dimensional_group(heis2):
     box = Box([0.0] * 4, [1.0] * 4)
     phi = GraphFunction.from_expression("0.5*x2 + 0.25*x4", box, 4, 1)
     kern = MollifierKernel(heis2, 0.15, points_per_axis=8)
-    assert abs(kern.mass() - 1.0) <= 1e-3
     A = tensor_grid(box.lo, box.hi, (3,) * 4)
     pa = level_set_phi_alpha(heis2, phi, kern, 0.5, A)
     assert np.max(np.abs(pa - phi.eval_extended(A))) <= 5e-3
@@ -941,7 +901,6 @@ def test_pipeline_small_epsilon():
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     kern = MollifierKernel(G, 0.1)
-    assert abs(kern.mass() - 1.0) <= 1e-3
     A = tensor_grid(box.lo, box.hi, (6, 6))
     pa = level_set_phi_alpha(G, phi, kern, 0.45, A)
     err = np.max(np.abs(pa - phi.eval_extended(A)))

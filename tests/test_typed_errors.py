@@ -267,10 +267,6 @@ CASES = [
      "points_per_axis must be a positive integer",
      lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
                                          points_per_axis=6.5)),
-    *[(f"kernel-mass-count-{count}", errors.ValidationError,
-       "points_per_axis must be a positive integer",
-       lambda G, tmp, count=count: MollifierKernel(G, 0.2, points_per_axis=4).mass(count))
-      for count in (2.5, True, 0)],
     *[(f"holder-n-vertical-{k}", errors.ValidationError, "n_vertical must be an integer",
        lambda G, tmp, k=k: vertical_holder_modulus(_phi(), [0.5], grid_per_axis=5,
                                                    n_vertical=k))
@@ -460,6 +456,33 @@ CASES = [
     ("subgraph-indicator-unchecked-inf-point", errors.ValidationError,
      "point has a NaN or infinite",
      lambda G, tmp: subgraph_indicator(G, _phi(), [0.0, 0.5, -np.inf], check_domain=False)),
+    # a NaN point gave a NaN form, quasi-distance, inverse or dilation
+    ("sigma-form-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: sigma_form(G, _phi(), [0.5, np.nan], [0.5, 0.5])),
+    ("quasidistance-unchecked-nan-point", errors.ValidationError,
+     "point has a NaN or infinite",
+     lambda G, tmp: graph_quasidistance(G, _phi(), [np.nan, 0.5], [0.5, 0.5],
+                                        check_domain=False)),
+    ("inverse-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: inverse(G, [0.5, np.nan, 0.0])),
+    ("dilate-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: dilate(G, 2.0, [0.0, 0.0, np.nan])),
+    # a 0-d base point escaped as an IndexError from phi's shape check
+    *[(f"{name}-0d-base-point", errors.DimensionMismatch, "base points of length 2",
+       lambda G, tmp, call=call: call(G, _phi()))
+      for name, call in (
+          ("eval-extended", lambda G, phi: phi.eval_extended(0.5)),
+          ("phi-call", lambda G, phi: phi(0.5)),
+          ("in-domain", lambda G, phi: phi.in_domain(0.5)),
+          ("gradient", lambda G, phi: intrinsic_gradient(G, phi, 0.5)),
+          ("quasidistance", lambda G, phi: graph_quasidistance(G, phi, 0.5, [0.5, 0.5])))],
+    # the drift read the first m - 1 coordinates of any longer x-hat
+    ("flux-xhat-length", errors.DimensionMismatch, "x-hat of length 1",
+     lambda G, tmp: flux_values(G, 2, [0.5, 0.5, 0.5], [0.1])),
+    # an integer constant beyond the float range was an OverflowError on every call
+    *[(f"expr-constant-{name}", errors.ValidationError, "constant too large for a float",
+       lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
+      for name, expr in (("power-of-ten", "10**400*x2"), ("power-of-two", "x2*2**2000"))],
 ]
 
 
