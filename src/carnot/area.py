@@ -14,16 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import _intrinsic_gradient, intrinsic_gradient
-from .errors import OutOfDomain, ValidationError
+from .errors import NonFiniteState, OutOfDomain, ValidationError
 from .functions import check_domain_dim
-from .group import _finite_point, _sum_of_squares
+from .group import _sum_of_squares
 from .quadrature import (
     check_work_budget,
     default_points_per_axis,
     midpoint_rule,
     richardson_order,
 )
-from .splitting import project_splitting
+from .splitting import _split_from
 
 # grid nodes per integrand evaluation in area_integral
 _POINT_CHUNK = 2 ** 14
@@ -45,15 +45,14 @@ def area_integrand(w_values):
     return np.sqrt(1.0 + _sum_of_squares(w_values))
 
 
-def area_integral(G, phi, w=None, points_per_axis=None):
-    """Quadrature of sqrt(1 + |w|^2) over the base domain, on
-    ``points_per_axis`` midpoint nodes per axis (default by dimension).
-
-    ``w`` may be a vector field; when omitted the intrinsic gradient of phi
-    is evaluated on the grid (analytic partials or central differences).
-    The value equals the graph perimeter up to an uncomputed group constant.
-    The integrand is evaluated on chunks of nodes into one array, so its
-    temporaries stay small on any grid and the sum is unchanged.
+def area_integral(G, phi, points_per_axis=None):
+    """Quadrature of sqrt(1 + |w|^2) over the base domain, with w the
+    intrinsic gradient of phi (analytic partials or central differences),
+    on ``points_per_axis`` midpoint nodes per axis (default by dimension).
+    The value equals the graph perimeter up to an uncomputed group constant;
+    a NaN or infinite integrand is a NonFiniteState error.  The integrand
+    is evaluated on chunks of nodes into one array, so its temporaries stay
+    small on any grid and the sum is unchanged.
 
     Midpoint nodes lie inside the box (within the work budget, rounding
     cannot push lo + h (k + 1/2) past hi), so when phi's domain is its whole
@@ -61,21 +60,20 @@ def area_integral(G, phi, w=None, points_per_axis=None):
     its difference stencil checked against the domain.
     """
     box = phi.domain
+    check_domain_dim(box, G.base_dim)
     pts, cell = midpoint_rule(box.lo, box.hi,
                               default_points_per_axis(box.dim, points_per_axis))
-    if w is None:
-        check_domain_dim(box, G.base_dim)
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
         chunk = pts[start:start + _POINT_CHUNK]
-        if w is not None:
-            w_vals = w(chunk)
-        elif phi.fills_box:
+        if phi.fills_box:
             w_vals = _intrinsic_gradient(G, phi, chunk, phi.eval_extended(chunk),
                                          check_domain=True)
         else:
             w_vals = intrinsic_gradient(G, phi, chunk)
         values[start:start + _POINT_CHUNK] = area_integrand(w_vals)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("the area integrand is not finite at a grid node")
     return float(np.sum(values) * cell)
 
 
@@ -99,20 +97,17 @@ def area_report(G, phi, points_per_axis=None):
     }
 
 
-def subgraph_indicator(G, phi, p, check_domain=True):
+def subgraph_indicator(G, phi, p):
     """1 when the point lies strictly below the graph, else 0.  A point whose
-    projected base point is outside phi's domain raises OutOfDomain, or with
-    ``check_domain=False`` reads phi through its extension beyond its box
-    (expressions evaluate directly, grids clamp), where a NaN or infinite
-    point is a ValidationError."""
-    if not check_domain:
-        p = _finite_point(G, p)
-    return _subgraph_indicator(G, phi, p, check_domain)
+    projected base point is outside phi's domain raises OutOfDomain."""
+    return _subgraph_indicator(G, phi, p, check_domain=True)
 
 
 def _subgraph_indicator(G, phi, p, check_domain=False):
-    """:func:`subgraph_indicator` without the finiteness check."""
-    base, t = project_splitting(G, p)
+    """:func:`subgraph_indicator`, by default on points known to be finite
+    and reading phi through its extension beyond its box (expressions
+    evaluate directly, grids clamp), as the cone sweep does."""
+    base, t = _split_from(G, np.zeros(G.dim), p)
     if check_domain and not np.all(phi.in_domain(base)):
         raise OutOfDomain("projected base point outside the graph domain")
     return (t < phi.eval_extended(base)).astype(float)

@@ -48,7 +48,7 @@ from .errors import (
     SupportNotCovered,
     ValidationError,
 )
-from .functions import check_domain_dim
+from .functions import check_base_points, check_domain_dim
 from .quadrature import (
     check_positive,
     default_points_per_axis,
@@ -71,10 +71,12 @@ def frozen_coefficients(G, phi, j, a):
 
     The drift sum runs over the base x-block (i = 2..m); the diagonal entry
     b_{jj} vanishes by skew-symmetry so the moving coordinate never enters.
+    A NaN or infinite base point is a ValidationError.
     """
     _check_direction(G, j)
     check_domain_dim(phi.domain, G.base_dim)
-    a = np.asarray(a, dtype=float)
+    a = check_base_points(a, G.base_dim)
+    gp._check_finite(a)
     return _frozen_coefficients(G, j, a, phi.eval_extended(a))
 
 
@@ -105,11 +107,10 @@ def _frozen_difference(G, phi, j, a, c, h, check_domain):
     return (phi.eval_extended(fwd) - phi.eval_extended(bwd)) / (2.0 * h)
 
 
-def intrinsic_derivative(G, phi, j, a, h=None, check_domain=True):
-    """D_j phi at base points a: column j - 2 of :func:`intrinsic_gradient`,
-    which takes the same ``h`` and ``check_domain``."""
+def intrinsic_derivative(G, phi, j, a):
+    """D_j phi at base points a: column j - 2 of :func:`intrinsic_gradient`."""
     _check_direction(G, j)
-    return intrinsic_gradient(G, phi, a, h, check_domain)[..., j - 2]
+    return intrinsic_gradient(G, phi, a)[..., j - 2]
 
 
 def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
@@ -119,11 +120,16 @@ def intrinsic_gradient(G, phi, a, h=None, check_domain=True):
     Uses analytic partials when available (and no ``h``), in one pass over
     them; otherwise an O(h^2) central difference along each frozen
     direction e_j + sum_s c_s(a) e_{y_s} with default step
-    h = 1e-5 (1 + |a|).  With ``check_domain=False`` the stencil evaluates
-    through the function's extension instead of raising.
+    h = 1e-5 (1 + |a|); a given ``h`` must be positive and finite.  With
+    ``check_domain=False`` the stencil evaluates through the function's
+    extension instead of raising.
     """
     check_domain_dim(phi.domain, G.base_dim)
     a = np.asarray(a, dtype=float)
+    if h is not None:
+        h = np.asarray(h, dtype=float)
+        if not np.all(np.isfinite(h) & (h > 0)):
+            raise ValidationError(f"difference step h must be positive and finite, got {h}")
     if check_domain and not np.all(phi.in_domain(a)):
         raise OutOfDomain("intrinsic derivative point outside domain")
     return _intrinsic_gradient(G, phi, a, phi.eval_extended(a), h, check_domain)
@@ -175,13 +181,19 @@ def gradient_from_defining_function(G, f_grad, p):
     """Intrinsic gradient from a defining function via its horizontal frame
     derivatives: -(X_2 f / X_1 f, ..., X_m f / X_1 f) at p.
 
-    ``f_grad(p)`` must return coordinate gradients of f, shape (..., m+n).
+    ``f_grad(p)`` must return finite coordinate gradients of f, shape
+    (..., m+n); a NaN or infinite point is a ValidationError.
     X_1 f, ..., X_m f is the frame of :func:`_frame_apply` on (x-hat, y)
     with value x_1/2, the term 1/2 x_1 b^(s)_{j1} of X_j, and the whole
     gradient; X_1 has no value term, as b^(s)_{11} = 0.
     """
-    p = np.asarray(p, dtype=float)
+    p = gp._finite_point(G, p)
     grad = np.asarray(f_grad(p), dtype=float)
+    if grad.shape[-1:] != (G.dim,):
+        raise DimensionMismatch(f"f_grad must give gradients of length {G.dim}, "
+                                f"got shape {grad.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteState("f_grad is not finite at a point")
     xf = _frame_apply(G, p[..., 1:], 0.5 * p[..., 0], grad)
     return _graph_gradient(xf[..., 0], xf[..., 1:])
 
@@ -210,7 +222,11 @@ class TestFunction:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        try:
+            object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        except (TypeError, ValueError):
+            raise ValidationError(f"test-function center must be finite numbers, "
+                                  f"got {self.center!r}") from None
         if not np.all(np.isfinite(self.center)):
             raise ValidationError("test-function center must be finite")
         object.__setattr__(self, "radius", check_positive(

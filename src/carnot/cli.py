@@ -7,12 +7,12 @@ byte-identical reports; curves are CSV.  Exit codes: 0 success, 1
 validation or usage error, 2 numerical failure.
 
 Each shared option is declared once, on a parent parser that the
-subcommands taking it inherit: ``--seed/--out/--json`` (all),
-``--group/--phi`` (the eight commands that read a graph function), ``--w``
-and ``--j/--from/--T/--steps``.  Those eight read ``--group`` then
-``--phi`` through :func:`_inputs`.  Every ``cmd_*`` returns its report;
-:func:`run` parses and runs one command and writes ``--out``, and
-:func:`main` prints the report once.
+subcommands taking it inherit: ``--out/--json`` (all), ``--seed`` (all
+but ``group``), ``--group/--phi`` (the eight commands that read a graph
+function), ``--w`` and ``--j/--from/--T/--steps``.
+Those eight read ``--group`` then ``--phi`` through :func:`_inputs`.
+Every ``cmd_*`` returns its report; :func:`run` parses and runs one
+command and writes ``--out``, and :func:`main` prints the report once.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from . import calculus, characteristics, cones, mollify, splitting
 from . import group as gp
 from .errors import NonFiniteState, NumericalError, ValidationError
 from .functions import load_graph_function, load_vector_field
+from .quadrature import seeded_rng
 
 
 def _write_atomic(path, text):
@@ -212,7 +213,7 @@ def cmd_mollify(args):
 
 def cmd_cone(args):
     G, phi = _inputs(args)
-    sample = phi.domain.sample(2048, np.random.default_rng(args.seed))
+    sample = phi.domain.sample(2048, seeded_rng(args.seed))
     # a sampled point may sit within one difference step of the box edge
     w = calculus.intrinsic_gradient(G, phi, sample, check_domain=False)
     w_sup = float(np.max(np.sqrt(gp._sum_of_squares(w))))
@@ -282,10 +283,11 @@ def build_parser():
         prog="carnot",
         description="numerics for step-2 Carnot groups and intrinsic graphs")
     subs = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--json", action="store_true")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out")
-    common.add_argument("--json", action="store_true")
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--group", required=True)
     inputs.add_argument("--phi", required=True)
@@ -298,42 +300,43 @@ def build_parser():
     curve.add_argument("--steps", type=int, default=1000)
 
     def add(fn, shared, **kw):
-        p = subs.add_parser(fn.__name__.removeprefix("cmd_"), parents=[*shared, common], **kw)
+        p = subs.add_parser(fn.__name__.removeprefix("cmd_"), parents=shared, **kw)
         p.set_defaults(fn=fn)
         return p
 
-    p = add(cmd_group, [], help="validate or describe a group file")
+    p = add(cmd_group, [output], help="validate or describe a group file")
     p.add_argument("action", choices=["validate", "info"])
     p.add_argument("file")
 
-    p = add(cmd_gradient, [inputs], help="intrinsic gradient at a base point")
+    p = add(cmd_gradient, [inputs, common], help="intrinsic gradient at a base point")
     p.add_argument("--at", required=True, help="comma-separated base point")
 
-    p = add(cmd_residual, [inputs, field], help="distributional residual of D phi = w")
+    p = add(cmd_residual, [inputs, field, common],
+            help="distributional residual of D phi = w")
     p.add_argument("--zeta", required=True,
                    help="bump spec: center coordinates then radius")
     p.add_argument("--grid", type=int, help="points per axis (default by base dimension)")
 
-    p = add(cmd_lipschitz, [inputs], help="intrinsic Lipschitz estimate")
+    p = add(cmd_lipschitz, [inputs, common], help="intrinsic Lipschitz estimate")
     p.add_argument("--pairs", type=int, default=10_000)
 
-    add(cmd_characteristics, [inputs, curve])
-    add(cmd_broadstar, [inputs, field, curve])
+    add(cmd_characteristics, [inputs, curve, common])
+    add(cmd_broadstar, [inputs, field, curve, common])
 
-    p = add(cmd_area, [inputs], help="graph area integral with order estimate")
+    p = add(cmd_area, [inputs, common], help="graph area integral with order estimate")
     p.add_argument("--grid", type=int,
                    help="coarsest points per axis (default by base dimension)")
 
-    p = add(cmd_mollify, [inputs], help="smoothing pipeline convergence report")
+    p = add(cmd_mollify, [inputs, common], help="smoothing pipeline convergence report")
     p.add_argument("--alphas", default="0.2,0.1,0.05")
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--grid", type=int, default=32)
 
-    p = add(cmd_cone, [inputs], help="cone-containment sweep")
+    p = add(cmd_cone, [inputs, common], help="cone-containment sweep")
     p.add_argument("--k", type=float)
     p.add_argument("--samples", type=int, default=10_000)
 
-    p = add(cmd_suite, [], help="run a scenario suite from a config file")
+    p = add(cmd_suite, [common], help="run a scenario suite from a config file")
     p.add_argument("config")
     return parser
 
@@ -365,7 +368,7 @@ def run(argv):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2, args, None
-    except (KeyError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"error: invalid input file ({exc})", file=sys.stderr)
         return 1, args, None
     return (1 if report.get("failed") else 0), args, report

@@ -16,6 +16,8 @@ restricts itself to the representable sector.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import group as gp
@@ -39,11 +41,11 @@ def beta_for_k(k, epsilon=1.0, b12=1.0):
     eps^2 (b12/2 + sqrt(b12^2/4 + 3 b12 h / (2 eps^2))) / 2; the second
     bound k / sqrt(2 - 2k^2) is +inf at k = 1 and is dropped there.
     """
-    k = float(k)
-    if not (0.0 < k <= 1.0):
+    if not (isinstance(k, numbers.Real) and 0.0 < k <= 1.0):
         raise InvalidK(f"k must lie in (0, 1], got {k}")
-    if not (0.0 < epsilon <= 1.0):
+    if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon <= 1.0):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+    k = float(k)
     b12 = check_positive(b12, "b12 must be positive and finite")
     h = np.sqrt(k * k / (2.0 - k * k))
     disc = b12 * b12 / 4.0 + 3.0 * b12 * h / (2.0 * epsilon ** 2)

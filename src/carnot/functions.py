@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -38,8 +39,11 @@ def base_coordinate_names(m, n):
     return [f"x{j}" for j in range(2, m + 1)] + [f"y{s}" for s in range(1, n + 1)]
 
 
-# sympy names an expression may use; "abs" is an alias of Abs
-_ALLOWED_FUNCS = ("sin", "cos", "exp", "sqrt", "Abs", "pi", "tanh")
+# the sympy functions and constants an expression may use besides +, -, *, /
+# and ** ("abs" is an alias of Abs); any other sympy name (gamma, Heaviside,
+# Integral, I, zoo, nan, ...) is a ValidationError when the expression is
+# compiled (``_unsupported``)
+_ALLOWED_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "Abs", "tanh", "pi", "E")
 
 
 @functools.cache
@@ -60,27 +64,41 @@ def _power_printer():
     return PowerPrinter
 
 
-def _overflows(tree):
-    """Whether a rational constant p/q of a sympy tree lies beyond the float
-    range: the compiled code reads it as Python's int division (p alone for
-    an integer), an OverflowError on every call."""
-    from sympy import Rational
+def _unsupported(tree):
+    """Why the compiled code cannot evaluate a sympy tree on real floats
+    (a phrase), or None: every node must be a symbol, +, * or **, a name of
+    ``_ALLOWED_FUNCS`` or a number the compiled code reads as a finite float.
+    It reads a rational p/q as Python's int division (p alone for an
+    integer), an OverflowError beyond the float range, and a float literal
+    as Python does, inf beyond it, which sympy keeps finite."""
+    import sympy as sp
 
-    for number in tree.atoms(Rational):
-        try:
-            number.p / number.q
-        except OverflowError:
-            return True
-    return False
+    allowed = {getattr(sp, name) for name in _ALLOWED_FUNCS}
+    for node in sp.preorder_traversal(tree):
+        if isinstance(node, (sp.Symbol, sp.Add, sp.Mul, sp.Pow)) \
+                or node in allowed or node.func in allowed:
+            continue
+        if isinstance(node, (sp.Rational, sp.Float)):
+            try:
+                value = node.p / node.q if isinstance(node, sp.Rational) else float(node)
+            except OverflowError:
+                value = math.inf
+            if math.isfinite(value):
+                continue
+            return "has a constant too large for a float"
+        if node.is_Atom and node.is_number and not node.is_real:
+            return f"has the constant {node}, which is not a finite real number"
+        return f"uses {node.func.__name__}, which is not one of {', '.join(_ALLOWED_FUNCS)}"
+    return None
 
 
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr, m, n):
     """(evaluate, partials, point) for an expression over the base of
-    G(m, n): the array call, the array partials (None when sympy cannot
-    compile the derivatives or one has a constant beyond the float range)
-    and the one-point call on a list of floats (module docstring).  sympy is
-    imported here, so only a process that compiles an expression loads it."""
+    G(m, n): the array call, the array partials (None when a derivative
+    fails the check of ``_unsupported``, as Abs's does) and the one-point
+    call on a list of floats (module docstring).  sympy is imported here, so
+    only a process that compiles an expression loads it."""
     import sympy as sp
 
     names = base_coordinate_names(m, n)
@@ -100,19 +118,17 @@ def _compile_expression(expr, m, n):
     if extra:
         raise ValidationError(
             f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
-    if _overflows(tree):
-        raise ValidationError(f"expression {expr!r} has a constant too large for a float")
+    problem = _unsupported(tree)
+    if problem:
+        raise ValidationError(f"expression {expr!r} {problem}")
     # the settings lambdify gives its own printer
     printer = _power_printer()({"fully_qualified_modules": False, "inline": True,
                                 "allow_unknown_functions": True, "user_functions": {}})
     f = sp.lambdify(syms, tree, modules="numpy", printer=printer)
-    try:
-        diffs = [sp.diff(tree, s) for s in syms]
-        # a derivative's constant beyond the float range falls back to FD too
-        grad = (None if any(map(_overflows, diffs)) else
-                sp.lambdify(syms, diffs, modules="numpy", printer=printer))
-    except Exception:
-        grad = None             # non-smooth expression: fall back to FD
+    diffs = [sp.diff(tree, s) for s in syms]
+    # derivatives that cannot be compiled fall back to central differences
+    grad = (None if any(map(_unsupported, diffs)) else
+            sp.lambdify(syms, diffs, modules="numpy", printer=printer))
 
     columns = [(..., i) for i in range(len(names))]
 
@@ -152,8 +168,12 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        try:
+            lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
+            hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        except (TypeError, ValueError):
+            raise ValidationError(f"domain bounds must be numbers, got lo={self.lo!r}, "
+                                  f"hi={self.hi!r}") from None
         if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi)) \
                 or np.any(hi <= lo):
             raise ValidationError("invalid box: need finite lo < hi componentwise")
@@ -199,6 +219,15 @@ def _require_inside(a, ok):
         flat = a.reshape(-1, a.shape[-1])
         bad = flat[~np.atleast_1d(ok).reshape(-1)][0]
         raise OutOfDomain(f"point outside domain: {bad}")
+
+
+def check_base_points(a, dim):
+    """a as a float array; DimensionMismatch unless its rows have ``dim``
+    coordinates (a 0-d array has no rows)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != dim:
+        raise DimensionMismatch(f"expected base points of length {dim}, got {a.shape}")
+    return a
 
 
 def check_domain_dim(domain, base_dim):
@@ -290,15 +319,8 @@ class GraphFunction:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _check_dim(self, a):
-        a = np.asarray(a, dtype=float)
-        if a.ndim == 0 or a.shape[-1] != self.domain.dim:
-            raise DimensionMismatch(
-                f"expected base points of length {self.domain.dim}, got {a.shape}")
-        return a
-
     def in_domain(self, a):
-        return self.domain.contains(self._check_dim(a))
+        return self.domain.contains(check_base_points(a, self.domain.dim))
 
     @property
     def fills_box(self):
@@ -307,13 +329,13 @@ class GraphFunction:
         return type(self).in_domain is GraphFunction.in_domain
 
     def __call__(self, a):
-        a = self._check_dim(a)
+        a = check_base_points(a, self.domain.dim)
         _require_inside(a, self.in_domain(a))
         return self._fn(a)
 
     def eval_extended(self, a):
         """Evaluate without the domain check (grids are clamped)."""
-        return self._fn(self._check_dim(a))
+        return self._fn(check_base_points(a, self.domain.dim))
 
     @property
     def has_partials(self):
@@ -322,7 +344,7 @@ class GraphFunction:
     def partials(self, a):
         if self._partials is None:
             raise ValidationError(f"{self.kind} graph function has no analytic partials")
-        return self._partials(self._check_dim(a))
+        return self._partials(check_base_points(a, self.domain.dim))
 
     def __repr__(self):
         return f"GraphFunction({self.kind}: {self.label})"
@@ -356,11 +378,7 @@ def _domain_from_dict(data):
         lo, hi = data["lo"], data["hi"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"function spec missing domain field: {exc}") from exc
-    try:
-        return Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"domain bounds must be numbers, got lo={lo!r}, hi={hi!r}") from None
+    return Box(lo, hi)
 
 
 def graph_function_from_dict(data, G, base_dir="."):
@@ -376,8 +394,10 @@ def graph_function_from_dict(data, G, base_dir="."):
         return GraphFunction.from_expression(data["expr"], domain, G.m, G.n)
     if kind == "grid":
         spec = data.get("grid")
-        if not spec or "shape" not in spec or "values" not in spec:
-            raise ValidationError("grid spec needs 'shape' and 'values' fields")
+        if not (isinstance(spec, dict) and "shape" in spec
+                and isinstance(spec.get("values"), str)):
+            raise ValidationError("grid spec needs 'shape' and 'values' fields, "
+                                  "'values' a file name")
         path = spec["values"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)

@@ -46,7 +46,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .quadrature import check_count, seeded_rng
+from .quadrature import check_count, check_work_budget, seeded_rng
 
 # Absolute slack used when checking the triangle inequality numerically: the
 # inequality is tight (equality on collinear horizontal pairs), so exact
@@ -113,6 +113,14 @@ def split_layers(G, p):
     return p[..., :G.m], p[..., G.m:]
 
 
+def _dimensions(m, n):
+    """(m, n) as ints; ValidationError unless both are integers (a bool is
+    not): int() would read 2.7 as 2, and "2" and True as counts."""
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (m, n)):
+        raise ValidationError(f"group 'm' and 'n' must be integers, got {m!r} and {n!r}")
+    return int(m), int(n)
+
+
 def make_group(m, n, matrices, epsilon=None, name=""):
     """Validate group data and build a :class:`GroupStructure`.
 
@@ -123,14 +131,16 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     with its default samples, memoised by ``(m, n, B)`` content in a bounded
     per-process cache, so reloading a structure does not calibrate again.
     """
-    m = int(m)
-    n = int(n)
+    m, n = _dimensions(m, n)
     if m < 2 or n < 1:
         raise ValidationError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if n > m * (m - 1) // 2:
         raise TooManyVerticalDirections(
             f"n={n} exceeds m(m-1)/2={m*(m-1)//2} for m={m}")
-    B = np.array(matrices, dtype=float)     # a copy: callers keep theirs
+    try:
+        B = np.array(matrices, dtype=float)     # a copy: callers keep theirs
+    except (TypeError, ValueError):
+        raise ValidationError(f"B must be {n} arrays of {m} x {m} numbers") from None
     if B.shape != (n, m, m):
         raise DimensionMismatch(
             f"expected {n} matrices of shape ({m},{m}), got array of shape {B.shape}")
@@ -194,22 +204,24 @@ def standard_group(name, param=None, epsilon=None):
         if isinstance(k, numbers.Real) and k < 1:
             raise UnknownName(f"heisenberg index must be >= 1, got {k}")
         k = check_count(k, "heisenberg index must be an integer")
-        return make_group(2 * k, 1, _heisenberg_matrices(k), epsilon,
-                          name=f"heisenberg({k})")
-    if key == "free_step2":
+        m, n, build, label = 2 * k, 1, lambda: _heisenberg_matrices(k), f"heisenberg({k})"
+    elif key == "free_step2":
         m = 2 if param is None else param
         if isinstance(m, numbers.Real) and m < 2:
             raise UnknownName(f"free_step2 needs m >= 2, got {m}")
         m = check_count(m, "free_step2 needs an integer m")
-        return make_group(m, m * (m - 1) // 2, _free_step2_matrices(m), epsilon,
-                          name=f"free_step2({m})")
-    if key == "h_type":
+        n, build = m * (m - 1) // 2, lambda: _free_step2_matrices(m)
+        label = f"free_step2({m})"
+    elif key == "h_type":
         ident = (param or "quaternion")
         if str(ident) != "quaternion":
             raise UnknownName(f"unknown h_type id {ident!r}; built-in: 'quaternion'")
-        return make_group(4, 3, _quaternion_matrices(), epsilon,
-                          name="h_type(quaternion)")
-    raise UnknownName(f"unknown group name {name!r}")
+        m, n, build, label = 4, 3, _quaternion_matrices, "h_type(quaternion)"
+    else:
+        raise UnknownName(f"unknown group name {name!r}")
+    # B's n m^2 entries go through the budget before any matrix is built
+    check_work_budget(n * m * m, "the matrices B", "entries")
+    return make_group(m, n, build(), epsilon, name=label)
 
 
 def _walk(out, terms):
@@ -272,11 +284,16 @@ def _row_dot(G, r, x):
                   if i == r and j >= k))
 
 
+def _check_finite(*points):
+    """ValidationError unless every entry of every array is finite."""
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise ValidationError("point has a NaN or infinite coordinate")
+
+
 def _finite_point(G, p):
     """_check_point, and ValidationError unless every entry is finite."""
     p = _check_point(G, p)
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("point has a NaN or infinite coordinate")
+    _check_finite(p)
     return p
 
 
@@ -407,9 +424,8 @@ def group_from_dict(data):
         m, n, rows = data["m"], data["n"], data["B"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"group definition missing field: {exc}") from exc
-    # a JSON integer only: int() would read 2.7, "2" and true as counts
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (m, n)):
-        raise ValidationError(f"group 'm' and 'n' must be integers, got {m!r} and {n!r}")
+    # the row sizes below need the integers that make_group checks
+    m, n = _dimensions(m, n)
     if not isinstance(rows, list) or len(rows) != n:
         raise DimensionMismatch(f"'B' must be a list of {n} matrices")
     mats = []

@@ -479,7 +479,11 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     gradient sup not to exceed the measured sup of phi's intrinsic gradient
     by more than ``GRADIENT_ALLOWANCE``.
     """
-    alphas = sorted(float(al) for al in alpha_list)
+    rule = "alpha must be positive and finite"
+    try:
+        alphas = sorted(check_positive(al, rule) for al in alpha_list)
+    except TypeError:
+        raise ValidationError(f"{rule}, got {alpha_list!r}") from None
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
     _check_level(c_level)

@@ -53,10 +53,12 @@ def check_count(count, rule):
 
 def check_positive(value, rule):
     """``value`` as a float; :class:`ValidationError` stating ``rule`` unless
-    it is a positive finite real number (a bool is not)."""
+    it is a positive finite real number (a bool is not).  A numpy scalar is
+    named by its Python value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{rule}, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValidationError(f"{rule}, got {shown!r}")
     return float(value)
 
 

@@ -42,7 +42,13 @@ from .errors import (
     OutOfDomain,
     ValidationError,
 )
-from .functions import Box, GraphFunction, _require_inside, check_domain_dim
+from .functions import (
+    Box,
+    GraphFunction,
+    _require_inside,
+    check_base_points,
+    check_domain_dim,
+)
 from .quadrature import check_count, check_positive, check_work_budget, seeded_rng, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
@@ -50,26 +56,10 @@ from .quadrature import check_count, check_positive, check_work_budget, seeded_r
 QUASIDISTANCE_FLOOR = 1e-14
 
 
-def _base_points(G, a):
-    """a as a float array; DimensionMismatch unless its rows have G's m+n-1
-    base coordinates."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1:] != (G.base_dim,):
-        raise DimensionMismatch(
-            f"expected base points of length {G.base_dim}, got {a.shape}")
-    return a
-
-
-def _check_finite(*points):
-    """ValidationError unless every entry of every array is finite."""
-    if not all(np.all(np.isfinite(p)) for p in points):
-        raise ValidationError("point has a NaN or infinite coordinate")
-
-
 def graph_point(G, a, t):
     """i(a) * (t e1) in closed form (module docstring); the base points
     a = (x-hat, y) and graph coordinates t broadcast over leading axes."""
-    a = _base_points(G, a)
+    a = check_base_points(a, G.base_dim)
     t = np.asarray(t, dtype=float)
     xhat, y = a[..., :G.m - 1], a[..., G.m - 1:]
     out = np.empty(np.broadcast_shapes(a.shape[:-1], t.shape) + (G.dim,))
@@ -112,12 +102,18 @@ def _split(G, terms, p, rows=np.s_[:, None], cols=np.s_[:]):
     return np.moveaxis(buf, 0, -1), t
 
 
-def _split_from(G, u, p):
-    """(base, t) of u^-1 p for one anchor u and points p of any leading shape."""
-    p = gp._check_point(G, p)
+def _anchor(G, u):
+    """u as a float array; DimensionMismatch unless it is one point of G."""
     u = np.asarray(u, dtype=float)
     if u.shape != (G.dim,):
         raise DimensionMismatch(f"expected an anchor of length {G.dim}, got {u.shape}")
+    return u
+
+
+def _split_from(G, u, p):
+    """(base, t) of u^-1 p for one anchor u and points p of any leading shape."""
+    p = gp._check_point(G, p)
+    u = _anchor(G, u)
     base, t = _split(G, _anchor_terms(G, u[None]), p.reshape(-1, G.dim))
     # t[()] is a scalar for a single point
     return base.reshape(p.shape[:-1] + (G.base_dim,)), t.reshape(p.shape[:-1])[()]
@@ -125,20 +121,15 @@ def _split_from(G, u, p):
 
 def project_splitting(G, p):
     """Split p = p_W * p_V = graph_point(G, base, t); returns (base, t),
-    the base coordinates of p_W and the graph coordinate x1 of p_V."""
-    return _split_from(G, np.zeros(G.dim), p)
+    the base coordinates of p_W and the graph coordinate x1 of p_V.  A NaN
+    or infinite point is a ValidationError."""
+    return _split_from(G, np.zeros(G.dim), gp._finite_point(G, p))
 
 
-def graph_map(G, phi, a, check_domain=True):
-    """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0).  A base point
-    outside phi's domain raises OutOfDomain, or with ``check_domain=False``
-    reads phi through its extension, where a NaN or infinite point is a
-    ValidationError."""
-    a = np.asarray(a, dtype=float)
-    if check_domain:
-        return graph_point(G, a, phi(a))
-    _check_finite(a)
-    return graph_point(G, a, phi.eval_extended(a))
+def graph_map(G, phi, a):
+    """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0); a base point outside
+    phi's domain raises OutOfDomain."""
+    return graph_point(G, a, phi(a))
 
 
 def _pulled_base(G, q, a):
@@ -164,7 +155,7 @@ class _TranslatedFunction(GraphFunction):
         return super().in_domain(a) & self._phi.in_domain(base)
 
     def __call__(self, a):
-        a = self._check_dim(a)
+        a = check_base_points(a, self.domain.dim)
         b, t = _pulled_base(self._G, self._q, a)
         _require_inside(a, self.domain.contains(a) & self._phi.in_domain(b))
         return self._phi.eval_extended(b) - t
@@ -179,7 +170,7 @@ def translate_graph_function(G, phi, q):
     membership predicate.
     """
     check_domain_dim(phi.domain, G.base_dim)
-    q = np.asarray(q, dtype=float)
+    q = _anchor(G, q)
     # bounding box of the translated domain: the x-hat block shifts exactly
     # by q's first layer; the pulled-back vertical block is a_y plus an
     # affine function of a_xhat, so its extremes sit at the x-hat corners.
@@ -232,13 +223,13 @@ def graph_quasidistance(G, phi, a, b, check_domain=True):
     OutOfDomain, or with ``check_domain=False`` read phi through its
     extension, where a NaN or infinite point is a ValidationError."""
     a = np.asarray(a, dtype=float)
-    b = _base_points(G, b)
+    b = check_base_points(b, G.base_dim)
     if check_domain:
         ok = phi.in_domain(a) & phi.in_domain(b)
         if not np.all(ok):
             raise OutOfDomain("quasi-distance arguments outside domain")
     else:
-        _check_finite(a, b)
+        gp._check_finite(a, b)
     return _quasidistance(G, phi.eval_extended(a), a, b)
 
 
@@ -265,8 +256,8 @@ def sigma_form(G, phi, b, a):
     vectors embedded with x1 = 0.  The inner values are the second layer of
     phi(b)^-1 i(b)^-1 i(a) phi(b), the one graph_quasidistance(b, a) takes
     the norm of.  A NaN or infinite point is a ValidationError."""
-    a, b = _base_points(G, a), _base_points(G, b)
-    _check_finite(a, b)
+    a, b = check_base_points(a, G.base_dim), check_base_points(b, G.base_dim)
+    gp._check_finite(a, b)
     _, y = _conjugated_layers(G, phi.eval_extended(b), b, a)
     return np.sum(np.sqrt(np.abs(y)), axis=-1)
 

@@ -240,7 +240,7 @@ def test_criterion_08_area_formula(groups):
     G = groups["heisenberg(1)"]
     box = Box([0.0, 0.0], [1.0, 1.0])
     flat = GraphFunction.constant(0.0, box)
-    v_flat = area_integral(G, flat, w=VectorField.constant([0.0], box))
+    v_flat = area_integral(G, flat)
     linear = GraphFunction.from_expression("x2", box, 2, 1)
     v_lin = area_integral(G, linear)
     smooth = GraphFunction.from_expression("0.3*sin(2*x2)*cos(y)",

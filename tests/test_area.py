@@ -12,7 +12,7 @@ from carnot.area import (
     unit_normal,
 )
 from carnot.calculus import gradient_from_defining_function, intrinsic_gradient
-from carnot.functions import Box, GraphFunction, VectorField
+from carnot.functions import Box, GraphFunction
 from carnot.group import multiply
 from carnot.splitting import graph_map
 
@@ -38,7 +38,7 @@ def test_unit_normal_is_unit():
 def test_area_flat_graph_unit_box(heis1):
     box = Box([0.0, 0.0], [1.0, 1.0])
     phi0 = GraphFunction.constant(0.0, box)
-    val = area_integral(heis1, phi0, w=VectorField.constant([0.0], box))
+    val = area_integral(heis1, phi0)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -47,6 +47,21 @@ def test_area_linear_graph_sqrt2(heis1):
     phi = GraphFunction.from_expression("x2", box, 2, 1)
     val = area_integral(heis1, phi)
     assert val == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+
+def test_area_of_translated_graph(heis1):
+    # a translated phi has no partials and a domain finer than its box, so
+    # its nodes go through the domain test: shifted vertically, its domain
+    # is a box and its area is phi's within the central differences' error;
+    # shifted along x1, its domain is a parallelogram inside its bounding box
+    phi = GraphFunction.from_expression("0.3*sin(2*x2)*cos(y)", unit_box(2), 2, 1)
+    up = splitting.translate_graph_function(heis1, phi, [0.0, 0.0, 0.25])
+    assert not up.fills_box
+    assert area_integral(heis1, up, points_per_axis=32) == pytest.approx(
+        area_integral(heis1, phi, points_per_axis=32), abs=1e-9)
+    along = splitting.translate_graph_function(heis1, phi, [0.3, 0.0, 0.0])
+    with pytest.raises(errors.OutOfDomain):
+        area_integral(heis1, along, points_per_axis=32)
 
 
 def test_area_quadrature_order(heis1):

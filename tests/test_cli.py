@@ -462,22 +462,28 @@ def test_non_text_expr_rejected(heis_file, tmp_path, capsys, expr):
     assert "unknown symbols" not in err
 
 
-@pytest.mark.parametrize("expr", ["sqrt(x2-2)", "nan"])
-@pytest.mark.parametrize("command, key", [
-    (["gradient", "--at", "0.5,0.5"], "gradient[0]"),
-    (["area", "--grid", "8"], "area_integral"),
-])
+# a phi that is NaN on its box: sqrt(x2-2) is a numerical failure (exit 2);
+# the constant nan is rejected when the expression is compiled (exit 1)
+_NAN_PHIS = [("sqrt(x2-2)", 2), ("nan", 1)]
+
+
+@pytest.mark.parametrize("expr, exit_code", _NAN_PHIS, ids=[expr for expr, _ in _NAN_PHIS])
+@pytest.mark.parametrize("command, message", [
+    (["gradient", "--at", "0.5,0.5"], "report value gradient[0] is nan"),
+    (["area", "--grid", "8"], "the area integrand is not finite"),
+], ids=["command0-gradient[0]", "command1-area_integral"])
 def test_non_finite_report_is_numerical_failure(heis_file, tmp_path, capsys,
-                                                expr, command, key):
-    # these reports exited 0 with the value printed as null
+                                                expr, exit_code, command, message):
+    # these reports exited 0 with the value printed as null: gradient names
+    # its NaN report value, and area its NaN integrand
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps(_phi_spec(expr)))
     argv = [command[0], "--group", heis_file, "--phi", str(phi), *command[1:]]
     with np.errstate(invalid="ignore"):
-        assert main(argv + ["--json"]) == 2
+        assert main(argv + ["--json"]) == exit_code
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"report value {key} is nan" in err
+        assert err.startswith("error: expression") if exit_code == 1 else message in err
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({"scenarios": [
             {"name": "nan", "command": argv[0], "args": argv[1:]}]}))
@@ -528,11 +534,11 @@ def test_bad_counts_are_validation_errors(heis_file, phi_file, capsys, command,
         args.fn(args)
 
 
-@pytest.mark.parametrize("expr", ["sqrt(x2-2)", "nan"])
+@pytest.mark.parametrize("expr, exit_code", _NAN_PHIS, ids=[expr for expr, _ in _NAN_PHIS])
 @pytest.mark.parametrize("command", [["lipschitz", "--pairs", "200"],
                                      ["cone", "--samples", "200"]])
 def test_non_finite_phi_is_numerical_failure(heis_file, tmp_path, capsys, expr,
-                                             command):
+                                             exit_code, command):
     # lipschitz said "all sampled pairs coincide" and cone said "k must lie
     # in (0, 1], got nan", both exit 1
     phi = tmp_path / "phi.json"
@@ -540,7 +546,10 @@ def test_non_finite_phi_is_numerical_failure(heis_file, tmp_path, capsys, expr,
     argv = [command[0], "--group", heis_file, "--phi", str(phi), *command[1:]]
     with np.errstate(invalid="ignore"):
         code, args, report = run(argv)
-        assert (code, report) == (2, None)
+        assert (code, report) == (exit_code, None)
+        if exit_code == 1:
+            assert capsys.readouterr().err.startswith("error: expression")
+            return
         assert capsys.readouterr().err.startswith("numerical failure: ")
         with pytest.raises(errors.NonFiniteState):
             args.fn(args)
@@ -578,6 +587,21 @@ def test_non_finite_alpha_is_validation_error(heis_file, phi_file, capsys, alpha
     assert (code, report) == (1, None)
     assert caught == []
     assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+
+
+@pytest.mark.parametrize("command, err", [
+    (["mollify", "--alphas", "0,0.1", "--grid", "2"],
+     "error: alpha must be positive and finite, got 0.0\n"),
+    (["residual", "--w", "W", "--zeta", "0.5,0.5,-0.3"],
+     "error: test-function radius must be positive and finite, got -0.3\n"),
+])
+def test_rejected_option_value_is_named_as_given(heis_file, phi_file, w_one_file, capsys,
+                                                 command, err):
+    # a value parsed off an option was named as np.float64(-0.3)
+    argv = [command[0], "--group", heis_file, "--phi", phi_file,
+            *[w_one_file if a == "W" else a for a in command[1:]]]
+    assert run(argv)[0] == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("command", ["characteristics", "broadstar"])
@@ -737,6 +761,23 @@ def _bad_file_probe(tmp_path, heis_file, phi_file, probe):
     if probe == "expr-constant-overflows":
         bad = write("phi.json", {"kind": "expr", "expr": "10**400*x2", "domain": domain})
         return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    if probe.startswith("expr-"):
+        # zoo was a KeyError, I a TypeError traceback, and x2**I and gamma
+        # exited 0, x2**I with its imaginary part dropped
+        expr = {"expr-complex-infinity": "1/0 + x2", "expr-imaginary-unit": "I*x2",
+                "expr-imaginary-power": "x2**I", "expr-function-gamma": "gamma(x2)"}[probe]
+        bad = write("phi.json", {"kind": "expr", "expr": expr, "domain": domain})
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0.5,0.5"]
+    if probe.startswith("grid-spec-"):
+        # each ended in a TypeError traceback
+        spec = {"grid-spec-list": ["shape", "values"], "grid-spec-string": "shape values",
+                "grid-spec-values-number": {"shape": [3, 3], "values": 3}}[probe]
+        bad = write("phi.json", {"kind": "grid", "domain": domain, "grid": spec})
+        return ["gradient", "--group", heis_file, "--phi", bad, "--at", "0,0"]
+    if probe == "cone-seed-negative":
+        # an uncaught ValueError from np.random.default_rng
+        return ["cone", "--group", heis_file, "--phi", phi_file, "--samples", "100",
+                "--seed", "-1"]
     if probe == "grid-values-miss-shape":
         write("vals.csv", ",".join(["0.5"] * 9))
         bad = write("phi.json", {"kind": "grid", "domain": domain,
@@ -763,6 +804,14 @@ BAD_FILE_PROBES = [
     ("phi-not-object", errors.ValidationError, "a function spec is an object"),
     ("w-components-not-list", errors.ValidationError, "'components' must be a list"),
     ("expr-constant-overflows", errors.ValidationError, "constant too large for a float"),
+    ("expr-complex-infinity", errors.ValidationError, "zoo, which is not a finite real"),
+    ("expr-imaginary-unit", errors.ValidationError, "I, which is not a finite real"),
+    ("expr-imaginary-power", errors.ValidationError, "I, which is not a finite real"),
+    ("expr-function-gamma", errors.ValidationError, "gamma, which is not one of"),
+    ("grid-spec-list", errors.ValidationError, "grid spec needs"),
+    ("grid-spec-string", errors.ValidationError, "grid spec needs"),
+    ("grid-spec-values-number", errors.ValidationError, "grid spec needs"),
+    ("cone-seed-negative", errors.ValidationError, "seed must be a non-negative integer"),
 ]
 
 
@@ -783,6 +832,12 @@ def test_bad_files_are_typed_errors(tmp_path, heis_file, phi_file, capsys, probe
     assert err.startswith("error: ") and message in err
     with pytest.raises(error):
         args.fn(args)
+
+
+def test_group_takes_no_seed(heis_file, capsys):
+    # group took a --seed and neither read nor echoed it
+    assert run(["group", "validate", heis_file, "--seed", "1"]) == (1, None, None)
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, j", [("characteristics", "1"), ("broadstar", "3")])
@@ -865,7 +920,8 @@ _COUNT_OPTIONS = {"--grid", "--pairs", "--samples", "--steps"}
 @st.composite
 def _fuzz_case(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-    options = dict(_FUZZ_COMMANDS[command])
+    # every fuzzed command takes --seed, so a negative one is drawn too
+    options = {**_FUZZ_COMMANDS[command], "--seed": "0"}
     fuzzed = draw(st.sampled_from([None, *sorted(options)]))
     if fuzzed is not None:
         options[fuzzed] = draw(st.sampled_from(_FUZZ_VALUES))

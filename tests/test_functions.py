@@ -60,6 +60,15 @@ def test_expression_derivative_constant_beyond_float_range_has_no_partials():
     assert not phi.has_partials
 
 
+def test_expression_with_uncompilable_derivative_has_no_partials():
+    # Abs's derivative holds re, im and an unevaluated Derivative, which the
+    # compile check refuses: phi has no partials, so its derivatives are
+    # central differences
+    phi = GraphFunction.from_expression("abs(x2 - 0.5) + x2", unit_box(2), 2, 1)
+    assert phi(np.array([0.25, 0.5])) == 0.5
+    assert not phi.has_partials
+
+
 @pytest.mark.parametrize("expr, m, n", [
     ("sin(x2)*y + x2**2", 2, 1),
     ("x2*x3 + exp(y1)*y2 - tanh(y3)", 3, 3),

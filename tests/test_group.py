@@ -274,6 +274,17 @@ def test_memoised_calibration_property(family):
                        lam * homogeneous_norm(G, p), rtol=1e-13)
 
 
+@pytest.mark.parametrize("name, param", [("heisenberg", 2), ("free_step2", 5)])
+def test_norm_is_bitwise_its_linalg_form(name, param):
+    # the layer sums run column by column below 8 entries and through np.sum
+    # from 8 on (free_step2(5) has n = 10): bitwise np.linalg.norm either way
+    G = standard_group(name, param, epsilon=0.5)
+    p = np.random.default_rng(5).normal(size=(100, G.dim))
+    want = np.maximum(np.linalg.norm(p[:, :G.m], axis=-1),
+                      0.5 * np.sqrt(np.linalg.norm(p[:, G.m:], axis=-1)))
+    assert homogeneous_norm(G, p).tobytes() == want.tobytes()
+
+
 _STANDARD = [("heisenberg", 1), ("heisenberg", 2), ("free_step2", 3),
              ("h_type", "quaternion")]
 

@@ -10,7 +10,7 @@ from carnot import mollify
 from carnot.area import area_integral
 from carnot.calculus import _intrinsic_gradient, intrinsic_gradient
 from carnot.functions import Box, GraphFunction
-from carnot.group import multiply
+from carnot.group import make_group, multiply, standard_group
 from carnot.mollify import (
     MollifierKernel,
     _bump,
@@ -123,6 +123,21 @@ def test_nonzero_node_count_matches_built_kernel(request, group):
         for alpha in (0.013, 0.05, 0.3):
             kern = MollifierKernel(G, alpha, points_per_axis=k)
             assert _nonzero_node_count(G, k) == kern._conv_weights.size
+
+
+def test_kernel_on_an_equal_group(heis1, phi_unit):
+    # a kernel carries the bracket terms of its group: one built on an equal
+    # but distinct group gives the same bits, one built on a group of the
+    # same m, n and epsilon but another B is refused
+    p = graph_point(heis1, [[0.5, 0.5], [0.25, 0.75]], [0.4, 0.3])
+    want = mollified_indicator(heis1, phi_unit, MollifierKernel(heis1, 0.2, 8), p)
+    twin = standard_group("heisenberg", 1, epsilon=1.0)
+    assert twin is not heis1
+    got = mollified_indicator(heis1, phi_unit, MollifierKernel(twin, 0.2, 8), p)
+    assert got.tobytes() == want.tobytes()
+    scaled = make_group(2, 1, [[[0.0, 2.0], [-2.0, 0.0]]], epsilon=1.0)
+    with pytest.raises(errors.ValidationError, match="the kernel was built on"):
+        mollified_indicator(heis1, phi_unit, MollifierKernel(scaled, 0.2, 8), p)
 
 
 def test_kernel_symmetric(kernel01):

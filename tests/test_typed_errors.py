@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from carnot import cli, errors
-from carnot.area import area_integral, subgraph_indicator, unit_normal
+from carnot.area import area_integral, unit_normal
 from carnot.calculus import (
     TestFunction,
     distributional_residual,
     frozen_coefficients,
+    gradient_from_defining_function,
     intrinsic_derivative,
     intrinsic_gradient,
 )
@@ -61,8 +62,8 @@ from carnot.splitting import (
     Cone,
     cone_membership,
     estimate_intrinsic_lipschitz,
-    graph_map,
     graph_quasidistance,
+    project_splitting,
     sigma_form,
     translate_graph_function,
     vertical_holder_modulus,
@@ -72,6 +73,10 @@ DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 GROUP = os.path.join(DATA, "heisenberg1.json")
 PHI = os.path.join(DATA, "phi_linear.json")
 UNIT = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+# the matrix B of heisenberg(1)
+G_H1_B = [[[0.0, 1.0], [-1.0, 0.0]]]
 
 
 def _phi():
@@ -134,6 +139,14 @@ def _residual_on_nan_phi(G, tmp):
                                 TestFunction([0.3, 0.5], 0.2), 64)
 
 
+def _area_of_overflow(G, tmp):
+    # exp(1000 x2) overflows on most of the box and its gradient is NaN
+    # there; the overflow is silenced so that the typed error is what is seen
+    phi = GraphFunction.from_expression("exp(1000*x2)", Box(**UNIT), 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        area_integral(G, phi, points_per_axis=8)
+
+
 def _level_set_over_budget(G, tmp):
     # one base point more than the budget allows in the level set's ramp
     # table, which must be refused before any of it is split
@@ -170,6 +183,16 @@ CASES = [
      lambda G, tmp: make_group(1, 1, np.zeros((1, 1, 1)))),
     ("group-matrix-shape", errors.DimensionMismatch, "matrices of shape",
      lambda G, tmp: make_group(2, 1, np.zeros((1, 3, 3)))),
+    # int() built m = 2 from 2.5, and "a" and B = "ab" raised ValueErrors
+    *[(f"group-{name}", errors.ValidationError, message,
+       lambda G, tmp, args=args: make_group(*args))
+      for name, message, args in (
+          ("m-float", "'m' and 'n' must be integers", (2.5, 1, G_H1_B)),
+          ("m-string", "'m' and 'n' must be integers", ("a", 1, G_H1_B)),
+          ("b-string", "B must be 1 arrays of 2 x 2 numbers", (2, 1, "ab")))],
+    # 29.1 TiB of B was an untyped MemoryError
+    ("heisenberg-matrices-budget", errors.GridTooLarge, "the matrices B of 4000000000000",
+     lambda G, tmp: standard_group("heisenberg", 10 ** 6)),
     ("heisenberg-index", errors.UnknownName, "heisenberg index",
      lambda G, tmp: standard_group("heisenberg", 0)),
     ("calibration-samples", errors.ValidationError, "sample_count",
@@ -445,17 +468,12 @@ CASES = [
     # from rng.uniform when sampled
     ("box-width-overflows", errors.ValidationError, "width hi - lo overflows",
      lambda G, tmp: Box([-1e308, 0.0], [1e308, 1.0]).sample(3, np.random.default_rng(0))),
-    # a NaN or infinite point gave NaN, False or 0.0 through phi's extension,
-    # the cone test or the normal
-    ("graph-map-unchecked-nan-point", errors.ValidationError, "point has a NaN or infinite",
-     lambda G, tmp: graph_map(G, _phi(), [[0.5, 0.5], [np.nan, 0.5]], check_domain=False)),
+    # a NaN or infinite point gave NaN or False through the normal or the
+    # cone test
     ("unit-normal-inf-w", errors.ValidationError, "w has a NaN or infinite",
      lambda G, tmp: unit_normal([0.5, np.inf])),
     ("cone-membership-nan-point", errors.ValidationError, "point has a NaN or infinite",
      lambda G, tmp: cone_membership(G, Cone(np.zeros(3), 0.5), [np.nan, 0.0, 0.0])),
-    ("subgraph-indicator-unchecked-inf-point", errors.ValidationError,
-     "point has a NaN or infinite",
-     lambda G, tmp: subgraph_indicator(G, _phi(), [0.0, 0.5, -np.inf], check_domain=False)),
     # a NaN point gave a NaN form, quasi-distance, inverse or dilation
     ("sigma-form-nan-point", errors.ValidationError, "point has a NaN or infinite",
      lambda G, tmp: sigma_form(G, _phi(), [0.5, np.nan], [0.5, 0.5])),
@@ -479,10 +497,62 @@ CASES = [
     # the drift read the first m - 1 coordinates of any longer x-hat
     ("flux-xhat-length", errors.DimensionMismatch, "x-hat of length 1",
      lambda G, tmp: flux_values(G, 2, [0.5, 0.5, 0.5], [0.1])),
-    # an integer constant beyond the float range was an OverflowError on every call
+    # an integer constant beyond the float range was an OverflowError on every
+    # call, and a float literal beyond it an inf
     *[(f"expr-constant-{name}", errors.ValidationError, "constant too large for a float",
        lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
-      for name, expr in (("power-of-ten", "10**400*x2"), ("power-of-two", "x2*2**2000"))],
+      for name, expr in (("power-of-ten", "10**400*x2"), ("power-of-two", "x2*2**2000"),
+                         ("float-literal", "1e400*x2"))],
+    # NaN, an infinity or the imaginary unit gave NaN, inf or a dropped
+    # imaginary part, or failed at the first call (zoo a KeyError)
+    *[(f"expr-constant-{name}", errors.ValidationError, "which is not a finite real number",
+       lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
+      for name, expr in (("nan", "nan*x2"), ("infinity", "oo*x2"),
+                         ("complex-infinity", "1/0 + x2"), ("imaginary-unit", "I*x2"),
+                         ("square-root-of-minus-one", "sqrt(-1)*x2"),
+                         ("imaginary-power", "x2**I"))],
+    # a sympy name outside the allowed functions compiled, then raised a
+    # NameError or a printing error at the first call, or evaluated
+    *[(f"expr-function-{name}", errors.ValidationError, "which is not one of sin, cos",
+       lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
+      for name, expr in (("gamma", "gamma(x2)"), ("zeta", "zeta(x2)"),
+                         ("besselj", "besselj(0, x2)"), ("heaviside", "Heaviside(x2)"),
+                         ("integral", "Integral(x2, x2)"),
+                         ("derivative", "Derivative(y, x2)"))],
+    # a NaN point, a zero step or a gradient of the wrong length or NaN gave
+    # NaN or an empty array
+    ("project-splitting-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: project_splitting(G, [np.nan, 0.5, 0.5])),
+    ("frozen-coefficients-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: frozen_coefficients(G, _phi(), 2, [np.nan, 0.5])),
+    ("gradient-step-zero", errors.ValidationError, "step h must be positive and finite",
+     lambda G, tmp: intrinsic_gradient(G, _phi(), [0.5, 0.5], h=0.0)),
+    ("defining-function-gradient-length", errors.DimensionMismatch,
+     "f_grad must give gradients of length 3",
+     lambda G, tmp: gradient_from_defining_function(G, lambda p: np.ones(2), np.zeros(3))),
+    ("defining-function-nan-point", errors.ValidationError, "point has a NaN or infinite",
+     lambda G, tmp: gradient_from_defining_function(G, np.ones_like, [np.nan, 0.5, 0.5])),
+    ("defining-function-nan-gradient", errors.NonFiniteState, "f_grad is not finite",
+     lambda G, tmp: gradient_from_defining_function(
+         G, lambda p: np.array([np.nan, 1.0, 0.0]), np.zeros(3))),
+    ("area-integrand-overflows", errors.NonFiniteState, "the area integrand is not finite",
+     _area_of_overflow),
+    # a k, an epsilon, an alpha, a bound or a centre that is not a number, and
+    # a translation q that is not a point, raised an untyped ValueError,
+    # TypeError or IndexError
+    ("cone-k-string", errors.InvalidK, "k must lie in",
+     lambda G, tmp: beta_for_k("a")),
+    ("cone-epsilon-string", errors.ValidationError, "epsilon must lie in",
+     lambda G, tmp: beta_for_k(0.5, "a")),
+    *[(f"report-alphas-{name}", errors.ValidationError, "alpha must be positive and finite",
+       lambda G, tmp, alphas=alphas: approximation_report(G, _phi(), alphas, grid_per_axis=2))
+      for name, alphas in (("string", ["a"]), ("not-a-list", 0.1))],
+    ("box-bound-string", errors.ValidationError, "domain bounds must be numbers",
+     lambda G, tmp: Box(["a"], [1])),
+    ("bump-center-string", errors.ValidationError, "center must be finite numbers",
+     lambda G, tmp: TestFunction(["a"], 0.1)),
+    ("translate-scalar-q", errors.DimensionMismatch, "anchor of length 3",
+     lambda G, tmp: translate_graph_function(G, _phi(), 0.1)),
 ]
 
 
