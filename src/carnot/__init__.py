@@ -6,9 +6,21 @@ derivatives and distributional residuals (``calculus``), characteristic
 lines (``characteristics``), the graph area integral (``area``), the
 mollification pipeline (``mollify``), constructive cone geometry
 (``cones``), and the ``carnot`` CLI (``cli``).
+
+These public names have no caller among the CLI commands, the benchmark
+workloads (``bench/workloads.py``) and the acceptance criteria
+(``tests/test_acceptance.py``), and each stays for a reason: the paper's
+objects ``project_splitting``, ``sigma_form`` and
+``translate_graph_function``; the along-curve checks that ROADMAP item 4
+wires into a report, ``characteristics.conservation_residual`` and
+``phi_along_curve_lipschitz_vs_intrinsic`` with its constant chain
+``characteristics.curve_graph_speed_bound``; the approximants' gradient
+``mollify.intrinsic_gradient_of_level_set``, which item 7 compares with w;
+and ``horizontal_gradient_mollified`` and ``level_set_phi_alpha``, which
+the benchmark's per-layer timings (``bench/layers.py``) call.
 """
 
-from .area import area_integral, subgraph_indicator, unit_normal
+from .area import area_integral
 from .calculus import (
     TestFunction,
     distributional_residual,
@@ -100,8 +112,6 @@ __all__ = [
     "project_splitting",
     "sigma_form",
     "standard_group",
-    "subgraph_indicator",
     "translate_graph_function",
-    "unit_normal",
     "vertical_holder_modulus",
 ]

@@ -1,12 +1,12 @@
-"""Unit normal of the intrinsic subgraph and the graph area integral.
+"""The graph area integral.
 
 The subgraph E collects the points strictly below the graph in the graph
-coordinate; its inward unit normal along the graph is
-(-1, w) / sqrt(1 + |w|^2) with w the intrinsic gradient, and the surface
-content of the graph over the base domain is int sqrt(1 + |w|^2).  The
-group constants relating this integral to the perimeter and to spherical
-Hausdorff measure are never computed; all outputs are normalized to the
-area integral itself.
+coordinate.  Its inward unit normal along the graph is
+(-1, w) / sqrt(1 + |w|^2) with w the intrinsic gradient; the normal is a
+bijection of w, so the package computes w alone.  The surface content of
+the graph over the base domain is int sqrt(1 + |w|^2).  The group constants
+relating this integral to the perimeter and to spherical Hausdorff measure
+are never computed; all outputs are normalized to the area integral itself.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import _intrinsic_gradient, intrinsic_gradient
-from .errors import NonFiniteState, OutOfDomain, ValidationError
+from .errors import NonFiniteState
 from .functions import check_domain_dim
 from .group import _sum_of_squares
 from .quadrature import (
@@ -23,26 +23,9 @@ from .quadrature import (
     midpoint_rule,
     richardson_order,
 )
-from .splitting import _split_from
 
 # grid nodes per integrand evaluation in area_integral
 _POINT_CHUNK = 2 ** 14
-
-
-def unit_normal(w_at_a):
-    """(-1, w) / sqrt(1 + |w|^2): unit Euclidean norm, negative first entry;
-    ValidationError on a NaN or infinite entry of w."""
-    w = np.atleast_1d(np.asarray(w_at_a, dtype=float))
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("w has a NaN or infinite entry")
-    denom = np.sqrt(1.0 + _sum_of_squares(w))
-    first = -1.0 / denom
-    rest = w / denom[..., None]
-    return np.concatenate([first[..., None], rest], axis=-1)
-
-
-def area_integrand(w_values):
-    return np.sqrt(1.0 + _sum_of_squares(w_values))
 
 
 def area_integral(G, phi, points_per_axis=None):
@@ -71,7 +54,7 @@ def area_integral(G, phi, points_per_axis=None):
                                          check_domain=True)
         else:
             w_vals = intrinsic_gradient(G, phi, chunk)
-        values[start:start + _POINT_CHUNK] = area_integrand(w_vals)
+        values[start:start + _POINT_CHUNK] = np.sqrt(1.0 + _sum_of_squares(w_vals))
     if not np.all(np.isfinite(values)):
         raise NonFiniteState("the area integrand is not finite at a grid node")
     return float(np.sum(values) * cell)
@@ -95,19 +78,3 @@ def area_report(G, phi, points_per_axis=None):
         "grids": grids,
         "estimated_order": order,
     }
-
-
-def subgraph_indicator(G, phi, p):
-    """1 when the point lies strictly below the graph, else 0.  A point whose
-    projected base point is outside phi's domain raises OutOfDomain."""
-    return _subgraph_indicator(G, phi, p, check_domain=True)
-
-
-def _subgraph_indicator(G, phi, p, check_domain=False):
-    """:func:`subgraph_indicator`, by default on points known to be finite
-    and reading phi through its extension beyond its box (expressions
-    evaluate directly, grids clamp), as the cone sweep does."""
-    base, t = _split_from(G, np.zeros(G.dim), p)
-    if check_domain and not np.all(phi.in_domain(base)):
-        raise OutOfDomain("projected base point outside the graph domain")
-    return (t < phi.eval_extended(base)).astype(float)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import le
 
@@ -226,17 +227,27 @@ def sup_w_estimate(w_j, curve):
     return 1.05 * sup
 
 
+def _check_constant(value, name):
+    """``value`` as a float; ValidationError unless it is a finite real >= 0
+    (not a bool).  C_h = 0 holds for a phi that does not depend on y."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def lipschitz_along_curve(G, curve, phi, w_j, holder_constant):
     """Measured Lipschitz constant of phi along the curve and the explicit
     bound ||w_j||_inf + (1 + sqrt 2)/2 * C_h^2 * sum_s |b^(s)_{j1}|.
 
     ``w_j`` is the j-th intrinsic derivative of phi (a callable on base
     points) and ``holder_constant`` C_h its vertical 1/2-Hoelder constant,
-    e.g. from one domain-wide :func:`vertical_holder_modulus`; ``phi``
-    itself is not read.  The bound is proved for two vertical directions;
-    for general n the sum over all s is the direct extension and is flagged
-    as extrapolated.
+    e.g. from one domain-wide :func:`vertical_holder_modulus`, a finite
+    number >= 0; ``phi`` itself is not read.  The bound is proved for two
+    vertical directions; for general n the sum over all s is the direct
+    extension and is flagged as extrapolated.
     """
+    holder_constant = _check_constant(holder_constant, "holder_constant")
     measured = _pairwise_sup_slope(curve.t_grid, curve.phi_along)
     w_inf = sup_w_estimate(w_j, curve)
     col_sum = float(np.sum(np.abs(G.B[:, curve.j - 1, 0])))
@@ -266,11 +277,12 @@ def curve_graph_speed_bound(G, c1, C_L):
 def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L):
     """Check the quasi-distance growth bound along a characteristic and the
     induced Lipschitz bound |phi(gamma(t)) - phi(gamma(t1))| <= C_L C1 (t-t1)
-    for an intrinsic Lipschitz constant C_L of phi.
+    for an intrinsic Lipschitz constant C_L of phi, a finite number >= 0.
 
     Returns measured slopes and the bound C1 computed from the norm
     equivalence constant c1 = 1 + 1/eps (exact for the max-norm).
     """
+    C_L = _check_constant(C_L, "C_L")
     c1 = 1.0 + 1.0 / G.epsilon
     C1 = curve_graph_speed_bound(G, c1, C_L)
     t = curve.t_grid
@@ -296,7 +308,7 @@ def phi_along_curve_lipschitz_vs_intrinsic(G, curve, phi, C_L):
 def conservation_residual(G, curve, w_j):
     """Max mismatch of d/dt f_s(phi(gamma(t))) against gamma_dot_s * w_j
     along the curve, centered differences at interior grid times; phi is
-    read off the curve's samples."""
+    read off the curve's samples, and a w_j not finite there is an error."""
     # the full x-block: the flux drift ignores the moving coordinate (b_jj = 0)
     f = flux_values(G, curve.j, curve.base_points[:, :G.m - 1], curve.phi_along)
     t = curve.t_grid
@@ -304,4 +316,6 @@ def conservation_residual(G, curve, w_j):
     vel = _frozen_coefficients(G, curve.j, curve.base_points[1:-1],
                                curve.phi_along[1:-1])
     w_vals = np.asarray(w_j(curve.base_points[1:-1]), dtype=float)
+    if not np.all(np.isfinite(w_vals)):
+        raise NonFiniteState("w_j is not finite at a point of the curve")
     return float(np.max(np.abs(dfdt - vel * w_vals[:, None])))

@@ -63,8 +63,6 @@ def _jsonable(obj, key=""):
     if isinstance(obj, dict):
         return {k: _jsonable(v, f"{key}.{k}" if key else str(k))
                 for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.bool_, bool)):

@@ -21,17 +21,17 @@ import numbers
 import numpy as np
 
 from . import group as gp
-from .area import _subgraph_indicator
 from .errors import (
     DegenerateZ,
     InvalidK,
+    NonFiniteState,
     PointOutsideCone,
     ValidationError,
     ValueNotRepresentable,
 )
 from .functions import Box
 from .quadrature import check_count, check_positive, check_work_budget, seeded_rng
-from .splitting import Cone, _cone_membership, cone_membership, graph_point
+from .splitting import Cone, _cone_membership, _split_from, cone_membership, graph_point
 
 
 def beta_for_k(k, epsilon=1.0, b12=1.0):
@@ -169,7 +169,8 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     construction; the report counts indicator disagreements (0 expected
     for openings below the intrinsic-Lipschitz threshold).  The sweep's
     batches are finite by construction, so it calls the helpers that skip
-    the public functions' finiteness checks.
+    the public functions' finiteness checks; a phi that is not finite where
+    the sweep reads it would miscount, so it is a NonFiniteState error.
     """
     beta = check_positive(beta, "cone opening must be positive and finite")
     radius = check_positive(radius, "radius must be positive and finite")
@@ -179,7 +180,10 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     box = phi.domain
     inner = Box(box.lo + 0.1 * (box.hi - box.lo), box.hi - 0.1 * (box.hi - box.lo))
     A = inner.sample(samples, rng)
-    P = graph_point(G, A, phi.eval_extended(A))
+    values = phi.eval_extended(A)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("phi is not finite at a sampled base point")
+    P = graph_point(G, A, values)
     t = rng.uniform(0.05, 1.0, size=samples) * radius
     sides = rng.integers(0, 2, size=samples) * 2 - 1     # -1: below, +1: above
     t = t * sides
@@ -203,3 +207,14 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
         "beta": beta,
         "radius": radius,
     }
+
+
+def _subgraph_indicator(G, phi, p):
+    """1 where a finite point of p lies strictly below the graph, else 0,
+    reading phi through its extension beyond its box (grids clamp); a phi
+    not finite at a projected base point is a NonFiniteState error."""
+    base, t = _split_from(G, np.zeros(G.dim), p)
+    values = phi.eval_extended(base)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("phi is not finite at the base point of a cone point")
+    return (t < values).astype(float)

@@ -248,12 +248,11 @@ class GraphFunction:
     other kinds.
     """
 
-    def __init__(self, domain, fn, kind, partials=None, label="", one_point=None):
+    def __init__(self, domain, fn, kind, partials=None, one_point=None):
         self.domain = domain if isinstance(domain, Box) else Box(*domain)
         self._fn = fn
         self.kind = kind
         self._partials = partials
-        self.label = label
         self.one_point = one_point
 
     # -- constructors ----------------------------------------------------------
@@ -271,8 +270,7 @@ class GraphFunction:
             raise ValidationError(
                 f"expression must be a string or a number, got {type(expr).__name__}")
         evaluate, partials, point = _compile_expression(expr, m, n)
-        obj = cls(domain, evaluate, "expr", partials=partials, label=str(expr),
-                  one_point=point)
+        obj = cls(domain, evaluate, "expr", partials=partials, one_point=point)
         check_domain_dim(obj.domain, m + n - 1)
         return obj
 
@@ -297,11 +295,11 @@ class GraphFunction:
             # clamp: multilinear extension is constant along the clipped axes
             return interp(domain.clamp(a).reshape(-1, domain.dim)).reshape(a.shape[:-1])
 
-        return cls(domain, evaluate, "grid", label="grid")
+        return cls(domain, evaluate, "grid")
 
     @classmethod
     def from_callable(cls, fn, domain):
-        return cls(domain, fn, "callable", label="callable")
+        return cls(domain, fn, "callable")
 
     @classmethod
     def constant(cls, value, domain):
@@ -314,8 +312,7 @@ class GraphFunction:
             a = np.asarray(a, dtype=float)
             return np.zeros(a.shape)
 
-        return cls(domain, evaluate, "callable", partials=partials,
-                   label=f"const({value:g})")
+        return cls(domain, evaluate, "callable", partials=partials)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -346,9 +343,6 @@ class GraphFunction:
             raise ValidationError(f"{self.kind} graph function has no analytic partials")
         return self._partials(check_base_points(a, self.domain.dim))
 
-    def __repr__(self):
-        return f"GraphFunction({self.kind}: {self.label})"
-
 
 class VectorField:
     """w = (w_2, ..., w_m): componentwise graph functions on a shared box."""
@@ -366,9 +360,6 @@ class VectorField:
 
     def __call__(self, a):
         return np.stack([c.eval_extended(a) for c in self.components], axis=-1)
-
-    def __len__(self):
-        return len(self.components)
 
 
 # -- JSON interface --------------------------------------------------------------

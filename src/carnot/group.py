@@ -46,14 +46,16 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .quadrature import check_count, check_work_budget, seeded_rng
+from .quadrature import check_count, check_work_budget
 
 # Absolute slack used when checking the triangle inequality numerically: the
 # inequality is tight (equality on collinear horizontal pairs), so exact
 # comparisons would flag pure rounding noise as violations.
 TRIANGLE_FP_SLACK = 1e-12
-# calibrate_epsilon searches eps = 2^0, 2^-1, ..., 2^-EPSILON_GRID_DEPTH.
+# calibrate_epsilon searches eps = 2^0, 2^-1, ..., 2^-EPSILON_GRID_DEPTH on
+# CALIBRATION_PAIRS pairs drawn from seed 0.
 EPSILON_GRID_DEPTH = 20
+CALIBRATION_PAIRS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +109,6 @@ def _check_point(G, p):
     return p
 
 
-def split_layers(G, p):
-    """Return the (x, y) layers of a point array."""
-    p = _check_point(G, p)
-    return p[..., :G.m], p[..., G.m:]
-
-
 def _dimensions(m, n):
     """(m, n) as ints; ValidationError unless both are integers (a bool is
     not): int() would read 2.7 as 2, and "2" and True as counts."""
@@ -127,9 +123,9 @@ def make_group(m, n, matrices, epsilon=None, name=""):
     ``matrices`` is a sequence of n real m x m arrays.  Skew-symmetry is
     checked entrywise exactly (group data is exact user input); linear
     independence through singular values of the stacked vectorizations with
-    threshold 1e-10.  ``epsilon=None`` triggers :func:`calibrate_epsilon`
-    with its default samples, memoised by ``(m, n, B)`` content in a bounded
-    per-process cache, so reloading a structure does not calibrate again.
+    threshold 1e-10.  ``epsilon=None`` triggers :func:`calibrate_epsilon`,
+    memoised by ``(m, n, B)`` content in a bounded per-process cache, so
+    reloading a structure does not calibrate again.
     """
     m, n = _dimensions(m, n)
     if m < 2 or n < 1:
@@ -326,9 +322,9 @@ def dilate(G, lam, p):
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise NonPositiveLambda(f"dilation factor must be positive and finite, got {lam}")
-    x, y = split_layers(G, _finite_point(G, p))
+    p = _finite_point(G, p)
     lam = lam[..., None]
-    return np.concatenate([lam * x, lam ** 2 * y], axis=-1)
+    return np.concatenate([lam * p[..., :G.m], lam ** 2 * p[..., G.m:]], axis=-1)
 
 
 def homogeneous_norm(G, p):
@@ -380,27 +376,26 @@ def _sample_unit_ball(G, count, rng):
     return p
 
 
-def triangle_violations(G, p, q, epsilon=None):
-    """Count sampled pairs with ||p*q|| > ||p|| + ||q|| beyond fp slack."""
-    eps = G.epsilon if epsilon is None else float(epsilon)
-    Ge = replace(G, epsilon=eps)
+def triangle_violations(G, p, q, epsilon):
+    """Count pairs with ||p*q|| > ||p|| + ||q|| beyond fp slack, at ``epsilon``."""
+    Ge = replace(G, epsilon=float(epsilon))
     p, q = _check_point(G, p), _check_point(G, q)
     lhs = _norm(Ge, _multiply(Ge, p, q))
     rhs = _norm(Ge, p) + _norm(Ge, q)
     return int(np.count_nonzero(lhs - rhs > TRIANGLE_FP_SLACK * np.maximum(1.0, rhs)))
 
 
-def calibrate_epsilon(G, sample_count=10_000, seed=0):
+def calibrate_epsilon(G):
     """Largest eps on the dyadic grid 2^0, 2^-1, ... that satisfies the
-    triangle inequality on ``sample_count`` sampled pairs from the unit ball.
+    triangle inequality on ``CALIBRATION_PAIRS`` (10^4) pairs sampled from
+    the unit ball with ``np.random.default_rng(0)``: p, then q.
 
     The same pairs are reused for every eps, so the per-pair pass set is
     monotone in eps and the search result is well-defined and deterministic.
     """
-    sample_count = check_count(sample_count, "sample_count must be a positive integer")
-    rng = seeded_rng(seed)
-    p = _sample_unit_ball(G, sample_count, rng)
-    q = _sample_unit_ball(G, sample_count, rng)
+    rng = np.random.default_rng(0)
+    p = _sample_unit_ball(G, CALIBRATION_PAIRS, rng)
+    q = _sample_unit_ball(G, CALIBRATION_PAIRS, rng)
     for k in range(EPSILON_GRID_DEPTH + 1):
         eps = 2.0 ** (-k)
         if triangle_violations(G, p, q, epsilon=eps) == 0:

@@ -134,6 +134,8 @@ _SLOPE_STEP = 1.0 / 64.0
 RATE_FACTOR = 2.0
 RATE_NOISE_FLOOR = 5e-5
 GRADIENT_ALLOWANCE = 1.10
+# approximation_report reads the gradient on every (N // GRADIENT_SAMPLES)-th grid point
+GRADIENT_SAMPLES = 256
 
 
 def _bump(t):
@@ -453,13 +455,15 @@ def _section_roots(G, phi, kernel, c_level, A):
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     """Gradient of the extracted graph via its defining function:
     -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set, at the
-    shifts phi_alpha(a) of one table of g on the rows i(a).  One value per
-    base point, or :class:`DimensionMismatch`."""
+    shifts phi_alpha(a) of one table of g on the rows i(a).  One finite
+    value per base point, or a :class:`ValidationError`."""
     A = np.asarray(A, dtype=float)
     phi_alpha_values = np.asarray(phi_alpha_values, dtype=float)
     if phi_alpha_values.shape != A.shape[:-1]:
         raise DimensionMismatch(f"need one phi_alpha value per base point, shape "
                                 f"{A.shape[:-1]}, got {phi_alpha_values.shape}")
+    if not np.all(np.isfinite(phi_alpha_values)):
+        raise ValidationError("phi_alpha values must be finite")
     grad = _shifted_gradient(G, phi, kernel, np.atleast_2d(graph_point(G, A, 0.0)),
                              np.reshape(phi_alpha_values, (-1, 1)))
     grad = _graph_gradient(grad[:, 0], grad[:, 1:])
@@ -467,11 +471,12 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
 
 
 def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
-                         points_per_axis=16, gradient_samples=256):
+                         points_per_axis=16):
     """Convergence table of the smoothing pipeline.
 
     Per alpha: sup|phi_alpha - phi| on a base grid, the rate ratio
-    sup/alpha, sup|grad of the approximant| on a subsample of the grid, the
+    sup/alpha, sup|grad of the approximant| on every (N // 256)-th of the
+    grid's N points (``GRADIENT_SAMPLES``; all of them when N < 512), the
     point-evaluations of f_alpha spent on the level set and its final
     max |f - c|.
     PASS requires the rate ratios to stay within ``RATE_FACTOR`` of each
@@ -487,7 +492,6 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
     _check_level(c_level)
-    check_count(gradient_samples, "gradient_samples must be a positive integer")
     # one ramp argument per grid point and nonzero kernel node, checked
     # before anything is built; tensor_grid rejects a count below 1
     check_work_budget(max(grid_per_axis, 0) ** phi.domain.dim
@@ -496,7 +500,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
-    sub = slice(None, None, max(1, len(A) // gradient_samples))
+    sub = slice(None, None, max(1, len(A) // GRADIENT_SAMPLES))
     P = graph_point(G, A[sub], 0.0)
     rows = []
     for alpha in alphas:

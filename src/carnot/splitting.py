@@ -144,7 +144,7 @@ class _TranslatedFunction(GraphFunction):
 
     def __init__(self, G, phi, q, domain):
         self._G, self._phi, self._q = G, phi, q
-        super().__init__(domain, self._value, "callable", label=f"translate({phi.label})")
+        super().__init__(domain, self._value, "callable")
 
     def _value(self, a):
         b, t = _pulled_base(self._G, self._q, a)
@@ -311,7 +311,8 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     On the grid a pair is fixed by its vertical index lag L, and |y' - y|
     depends on L alone, so one pass over the lags L > 0 (the pair (y', y)
     is the pair (y, y') at lag -L) keeps the largest |phi(x, y') - phi(x, y)|
-    per lag; no array of all pairs is formed.
+    per lag; no array of all pairs is formed.  A phi not finite at a grid
+    node is a NonFiniteState error.
     """
     rule = "Hoelder radii must be positive real numbers"
     try:
@@ -334,6 +335,8 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     pts = tensor_grid(box.lo, box.hi, shape, nodes="endpoint")
     # (x-slices, y-axis 1, ..., y-axis n_vertical)
     vals = phi.eval_extended(pts).reshape((-1,) + shape[d - n_vertical:])
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteState("phi is not finite at a node of the Hoelder grid")
     spacing = (box.hi[d - n_vertical:] - box.lo[d - n_vertical:]) / max(g - 1, 1)
     lags = [lag for lag in itertools.product(range(1 - g, g), repeat=n_vertical)
             if lag > (0,) * n_vertical]

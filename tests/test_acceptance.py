@@ -95,7 +95,7 @@ def test_criterion_02_norm_invariance_and_calibration(groups):
         d0 = distance(G, p, q)
         dg = distance(G, multiply(G, g, p), multiply(G, g, q))
         ok &= bool(np.max(np.abs(dg - d0) / np.maximum(1.0, d0)) <= 1e-12)
-        eps = calibrate_epsilon(G, 10_000, seed=0)
+        eps = calibrate_epsilon(G)
         fresh = np.random.default_rng(12345)
         ps = _sample_unit_ball(G, 10_000, fresh)
         qs = _sample_unit_ball(G, 10_000, fresh)

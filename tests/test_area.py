@@ -1,38 +1,14 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from carnot import errors, splitting
-from carnot.area import (
-    area_integral,
-    area_report,
-    subgraph_indicator,
-    unit_normal,
-)
+from carnot.area import area_integral, area_report
 from carnot.calculus import gradient_from_defining_function, intrinsic_gradient
 from carnot.functions import Box, GraphFunction
-from carnot.group import multiply
 from carnot.splitting import graph_map
 
-from conftest import lift_graph_value, unit_box
-
-
-def test_unit_normal_flat():
-    assert np.allclose(unit_normal([0.0]), [-1.0, 0.0])
-
-
-def test_unit_normal_heisenberg_unit_slope():
-    assert np.allclose(unit_normal([1.0]), [-1.0 / np.sqrt(2), 1.0 / np.sqrt(2)])
-
-
-def test_unit_normal_is_unit():
-    rng = np.random.default_rng(103)
-    w = rng.normal(size=(200, 3))
-    nu = unit_normal(w)
-    assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0)
-    assert np.all(nu[:, 0] < 0)
+from conftest import unit_box
 
 
 def test_area_flat_graph_unit_box(heis1):
@@ -90,37 +66,10 @@ def test_area_lower_bound_volume(heis1):
     assert area_integral(heis1, phi0) == pytest.approx(volume, abs=1e-12)
 
 
-def test_subgraph_indicator_above_below(heis1, phi_x2):
-    a = np.array([0.25, -0.3])
-    p = graph_map(heis1, phi_x2, a)
-    below = multiply(heis1, p, lift_graph_value(heis1, np.array(-0.5)))
-    above = multiply(heis1, p, lift_graph_value(heis1, np.array(0.5)))
-    assert subgraph_indicator(heis1, phi_x2, below) == 1.0
-    assert subgraph_indicator(heis1, phi_x2, above) == 0.0
-    # boundary excluded by the strict inequality
-    assert subgraph_indicator(heis1, phi_x2, p) == 0.0
-
-
-def test_subgraph_indicator_out_of_domain(heis1, phi_x2):
-    with pytest.raises(errors.OutOfDomain):
-        subgraph_indicator(heis1, phi_x2, np.array([0.0, 5.0, 0.0]))
-
-
-def test_subgraph_indicator_splits_once(heis1, phi_x2):
-    # one split serves the domain check and the value
-    p = graph_map(heis1, phi_x2, np.array([0.25, -0.3]))
-    below = multiply(heis1, p, lift_graph_value(heis1, np.array(-0.5)))
-    with mock.patch("carnot.splitting._split", wraps=splitting._split) as split:
-        assert subgraph_indicator(heis1, phi_x2, below) == 1.0
-        assert split.call_count == 1
-        with pytest.raises(errors.OutOfDomain):
-            subgraph_indicator(heis1, phi_x2, np.array([0.0, 5.0, 0.0]))
-        assert split.call_count == 2
-
-
 def test_normal_consistency_with_defining_function(heis1):
-    # f = x1 - y: normals from the intrinsic gradient of the explicit graph
-    # match the frame-derivative route on the surface
+    # f = x1 - y: the intrinsic gradient of the explicit graph matches the
+    # frame-derivative route on the surface, and with it the unit normal
+    # (-1, w) / sqrt(1 + |w|^2), a bijection of w
     def grad_f(p):
         g = np.zeros(p.shape)
         g[..., 0] = 1.0
@@ -134,4 +83,4 @@ def test_normal_consistency_with_defining_function(heis1):
     pts = graph_map(heis1, phi, A)
     w_frame = gradient_from_defining_function(heis1, grad_f, pts)
     w_direct = intrinsic_gradient(heis1, phi, A)
-    assert np.allclose(unit_normal(w_frame), unit_normal(w_direct), atol=1e-8)
+    assert np.allclose(w_frame, w_direct, atol=1e-8)

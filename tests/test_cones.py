@@ -4,6 +4,7 @@ import sympy as sp
 
 from carnot import errors
 from carnot.cones import (
+    _subgraph_indicator,
     beta_for_k,
     check_cone_containment,
     cone_window,
@@ -13,9 +14,10 @@ from carnot.cones import (
     sample_cone_points_m2n1,
 )
 from carnot.functions import GraphFunction
-from carnot.group import make_group
+from carnot.group import make_group, multiply
+from carnot.splitting import graph_map
 
-from conftest import unit_box
+from conftest import lift_graph_value, unit_box
 
 
 def test_beta_quadratic_root_oracle():
@@ -104,6 +106,17 @@ def test_construct_eta_negative_b12():
         assert rep["identity_residual"] <= 1e-12 * max(1.0, abs(p[2]))
         assert rep["angle_slack"][0] >= -1e-12
         assert rep["angle_slack"][1] >= -1e-12
+
+
+def test_subgraph_indicator_above_below(heis1, phi_x2):
+    a = np.array([0.25, -0.3])
+    p = graph_map(heis1, phi_x2, a)
+    below = multiply(heis1, p, lift_graph_value(heis1, np.array(-0.5)))
+    above = multiply(heis1, p, lift_graph_value(heis1, np.array(0.5)))
+    assert _subgraph_indicator(heis1, phi_x2, below) == 1.0
+    assert _subgraph_indicator(heis1, phi_x2, above) == 0.0
+    # boundary excluded by the strict inequality
+    assert _subgraph_indicator(heis1, phi_x2, p) == 0.0
 
 
 def test_containment_half_space(heis1):

@@ -216,13 +216,13 @@ def test_vector_field_dict(heis1, free3):
     w = vector_field_from_dict(
         {"kind": "expr", "domain": {"lo": [-1, -1], "hi": [1, 1]}, "expr": "1"},
         heis1)
-    assert len(w) == 1
+    assert len(w.components) == 1
     spec = {"components": [
         {"kind": "expr", "domain": {"lo": [-1] * 5, "hi": [1] * 5}, "expr": "x2"},
         {"kind": "expr", "domain": {"lo": [-1] * 5, "hi": [1] * 5}, "expr": "y2"},
     ]}
     w3 = vector_field_from_dict(spec, free3)
-    assert len(w3) == 2
+    assert len(w3.components) == 2
     with pytest.raises(errors.DimensionMismatch):
         vector_field_from_dict(
             {"kind": "expr", "domain": {"lo": [-1] * 5, "hi": [1] * 5},

@@ -1,8 +1,10 @@
 """Which heavy dependencies each CLI path loads, in a fresh interpreter:
 sympy only once an expression is compiled, scipy only once a grid is
-interpolated or a curve integral is taken; and
-README's module pointers name every module, each with a docstring."""
+interpolated or a curve integral is taken;
+README's module pointers name every module, each with a docstring; and
+no module keeps an import or a private helper that nothing uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -61,6 +63,41 @@ def test_readme_points_to_every_module_docstring():
         assert (importlib.import_module(f"carnot.{name}").__doc__ or "").strip(), name
     modules = {path.stem for path in pathlib.Path(carnot.__file__).parent.glob("*.py")}
     assert set(named) == modules - {"__init__", "errors"}
+
+
+def test_no_unused_imports_or_private_helpers():
+    # no linter runs here, and a deletion leaves stale names behind: every
+    # module but __init__ uses each name it imports, and each module-level
+    # _private function or class is named somewhere in the package
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(carnot.__file__).parent.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    stale = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        stale.append(f"{module}: import {name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__") \
+                    and node.name not in referenced:
+                stale.append(f"{module}: {node.name}")
+    assert stale == []
 
 
 def test_heavy_imports_load_on_first_use():

@@ -550,12 +550,12 @@ def test_approximation_report_splits_each_pair_once(request, index):
     phi = _counted_phi(G, calls)
     d = G.base_dim
     A = tensor_grid([0.0] * d, [1.0] * d, (2,) * d)
-    sub = slice(None, None, max(1, len(A) // 3))
+    sub = slice(None, None, max(1, len(A) // mollify.GRADIENT_SAMPLES))
     alphas, c = [0.2, 0.3], 0.5
     nodes = _nonzero_node_count(G, k)
     with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         approximation_report(G, phi, alphas, c_level=c, grid_per_axis=2,
-                             points_per_axis=k, gradient_samples=3)
+                             points_per_axis=k)
     report_calls = sum(calls)
     # a table call takes a slice of the nodes, a band call an array of pairs
     cols = [call.kwargs["cols"] for call in split.call_args_list]
@@ -844,7 +844,7 @@ def test_gradient_ratio_matches_w(heis1, phi_unit):
 def test_approximation_report_flat(heis1):
     phi0 = GraphFunction.constant(0.0, unit_box(2))
     rep = approximation_report(heis1, phi0, [0.2, 0.1], c_level=0.5,
-                               grid_per_axis=6, gradient_samples=8)
+                               grid_per_axis=6)
     for row in rep["rows"]:
         assert row["sup_error"] <= 2e-3
         assert row["gradient_sup"] <= 1e-6
@@ -858,25 +858,21 @@ def test_approximation_report_rejects_negative_grid(heis1, phi_unit):
         approximation_report(heis1, phi_unit, [0.1], grid_per_axis=-5000)
 
 
-@pytest.mark.parametrize("args", [{"gradient_samples": 0}, {"gradient_samples": 1.5},
-                                  {"gradient_samples": -3}, {"gradient_samples": True},
-                                  {"c_level": 0.0}, {"c_level": 1.0},
+@pytest.mark.parametrize("args", [{"c_level": 0.0}, {"c_level": 1.0},
                                   {"c_level": float("nan")}, {"c_level": "0.5"}],
                          ids=lambda args: "{}={!r}".format(*next(iter(args.items()))))
 def test_approximation_report_rejects_bad_arguments(heis1, phi_unit, args):
     # typed errors, raised before any kernel or table is built
     with mock.patch("carnot.mollify.MollifierKernel") as kernel, \
             mock.patch("carnot.mollify._split") as split:
-        with pytest.raises(errors.ValidationError,
-                           match="gradient_samples must be a positive integer"
-                           if "gradient_samples" in args else r"level c must lie in \(0, 1\)"):
+        with pytest.raises(errors.ValidationError, match=r"level c must lie in \(0, 1\)"):
             approximation_report(heis1, phi_unit, [0.1], grid_per_axis=4, **args)
     assert kernel.call_count == 0 and split.call_count == 0
 
 
 def test_approximation_report_linear_rate(heis1, phi_unit):
     rep = approximation_report(heis1, phi_unit, [0.2, 0.1], c_level=0.45,
-                               grid_per_axis=8, gradient_samples=16)
+                               grid_per_axis=8)
     ratios = [row["rate_ratio"] for row in rep["rows"]]
     assert max(ratios) <= 2.0 * min(ratios)
     for row in rep["rows"]:

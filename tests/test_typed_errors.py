@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from carnot import cli, errors
-from carnot.area import area_integral, unit_normal
+from carnot.area import area_integral
 from carnot.calculus import (
     TestFunction,
     distributional_residual,
@@ -22,9 +22,11 @@ from carnot.calculus import (
 )
 from carnot.characteristics import (
     broadstar_residual,
+    conservation_residual,
     flux_values,
     integrate_characteristic,
     lipschitz_along_curve,
+    phi_along_curve_lipschitz_vs_intrinsic,
 )
 from carnot.cones import (
     beta_for_k,
@@ -40,7 +42,6 @@ from carnot.functions import (
     vector_field_from_dict,
 )
 from carnot.group import (
-    calibrate_epsilon,
     dilate,
     distance,
     homogeneous_norm,
@@ -54,6 +55,7 @@ from carnot.mollify import (
     approximation_report,
     horizontal_gradient_mass,
     horizontal_gradient_mollified,
+    intrinsic_gradient_of_level_set,
     level_set_phi_alpha,
     mollified_indicator,
 )
@@ -159,6 +161,21 @@ def _level_set_over_budget(G, tmp):
             assert split.call_count == 0
 
 
+def _on_log_phi(expr, call):
+    """``call(G, phi)`` for phi = ``expr``, a logarithm that is NaN on part
+    of the unit box; the invalid logarithm and its pole are silenced so that
+    the typed error is what is seen."""
+    def run(G, tmp):
+        phi = GraphFunction.from_expression(expr, Box(**UNIT), 2, 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            call(G, phi)
+    return run
+
+
+def _ones(a):
+    return np.ones(np.shape(a)[:-1])
+
+
 def _grid_of_words(G, tmp):
     values = tmp / "values.csv"
     values.write_text("a,b\nc,d\n")
@@ -195,8 +212,6 @@ CASES = [
      lambda G, tmp: standard_group("heisenberg", 10 ** 6)),
     ("heisenberg-index", errors.UnknownName, "heisenberg index",
      lambda G, tmp: standard_group("heisenberg", 0)),
-    ("calibration-samples", errors.ValidationError, "sample_count",
-     lambda G, tmp: calibrate_epsilon(G, sample_count=0)),
     ("quasidistance-point-length", errors.DimensionMismatch, "base points of length 2",
      lambda G, tmp: graph_quasidistance(G, _phi(), np.zeros(2), np.zeros(3))),
     ("quasidistance-outside", errors.OutOfDomain, "quasi-distance arguments",
@@ -271,17 +286,10 @@ CASES = [
      lambda G, tmp: estimate_intrinsic_lipschitz(G, _phi(), True)),
     ("cone-count-float", errors.ValidationError, "samples must be a positive integer",
      lambda G, tmp: check_cone_containment(G, _phi(), 0.5, samples=2.5)),
-    ("report-count-float", errors.ValidationError, "gradient_samples must be a positive",
-     lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
-                                         gradient_samples=2.5)),
     *[(f"rk4-steps-{steps}", errors.ValidationError, "RK4 steps must be a positive integer",
        lambda G, tmp, steps=steps: integrate_characteristic(G, _phi(), 2, np.full(2, 0.5),
                                                             1.0, steps))
       for steps in (100.0, 8.0, 100.5)],
-    *[(f"calibration-samples-{count}", errors.ValidationError,
-       "sample_count must be a positive integer",
-       lambda G, tmp, count=count: calibrate_epsilon(G, sample_count=count))
-      for count in (10.5, True)],
     *[(f"kernel-count-{count}", errors.ValidationError,
        "points_per_axis must be a positive integer",
        lambda G, tmp, count=count: MollifierKernel(G, 0.1, points_per_axis=count))
@@ -393,8 +401,6 @@ CASES = [
      lambda G, tmp: estimate_intrinsic_lipschitz(G, _phi(), 10, seed="x")),
     ("cone-sampler-seed-negative", errors.ValidationError, "seed must be a non-negative",
      lambda G, tmp: sample_cone_points_m2n1(G, 0.8, 3, seed=-1)),
-    ("calibration-seed-float", errors.ValidationError, "seed must be a non-negative integer",
-     lambda G, tmp: calibrate_epsilon(G, 10, seed=1.5)),
     ("residual-w-components", errors.DimensionMismatch, "w must give m-1 = 1 components",
      lambda G, tmp: distributional_residual(
          G, _phi(), VectorField.constant([0.0, 1.0], Box(**UNIT)),
@@ -468,10 +474,7 @@ CASES = [
     # from rng.uniform when sampled
     ("box-width-overflows", errors.ValidationError, "width hi - lo overflows",
      lambda G, tmp: Box([-1e308, 0.0], [1e308, 1.0]).sample(3, np.random.default_rng(0))),
-    # a NaN or infinite point gave NaN or False through the normal or the
-    # cone test
-    ("unit-normal-inf-w", errors.ValidationError, "w has a NaN or infinite",
-     lambda G, tmp: unit_normal([0.5, np.inf])),
+    # a NaN or infinite point gave False through the cone test
     ("cone-membership-nan-point", errors.ValidationError, "point has a NaN or infinite",
      lambda G, tmp: cone_membership(G, Cone(np.zeros(3), 0.5), [np.nan, 0.0, 0.0])),
     # a NaN point gave a NaN form, quasi-distance, inverse or dilation
@@ -553,6 +556,35 @@ CASES = [
      lambda G, tmp: TestFunction(["a"], 0.1)),
     ("translate-scalar-q", errors.DimensionMismatch, "anchor of length 3",
      lambda G, tmp: translate_graph_function(G, _phi(), 0.1)),
+    # a NaN phi_alpha value, a NaN w_j and a NaN, infinite or negative
+    # constant gave a NaN gradient, residual or bound (or a negative one)
+    ("level-set-gradient-nan-value", errors.ValidationError,
+     "phi_alpha values must be finite",
+     lambda G, tmp: intrinsic_gradient_of_level_set(
+         G, _phi(), MollifierKernel(G, 0.1, points_per_axis=4), [[0.5, 0.5]], [np.nan])),
+    ("conservation-nan-w", errors.NonFiniteState, "w_j is not finite at a point",
+     lambda G, tmp: conservation_residual(G, _curve(G), _nan_w)),
+    *[(f"curve-lipschitz-holder-{name}", errors.ValidationError,
+       "holder_constant must be a finite number >= 0",
+       lambda G, tmp, c=c: lipschitz_along_curve(G, _curve(G), _phi(), _ones, c))
+      for name, c in (("nan", np.nan), ("inf", np.inf), ("negative", -1.0))],
+    *[(f"curve-speed-lipschitz-{name}", errors.ValidationError,
+       "C_L must be a finite number >= 0",
+       lambda G, tmp, c=c: phi_along_curve_lipschitz_vs_intrinsic(G, _curve(G), _phi(), c))
+      for name, c in (("nan", np.nan), ("inf", np.inf), ("negative", -1.0))],
+    # a phi that is NaN inside its own box gave a wrong violation count (375
+    # for log(x2 - 0.5) at beta 0.3) or a NaN modulus
+    ("cone-nan-phi-at-base-point", errors.NonFiniteState,
+     "phi is not finite at a sampled base point",
+     _on_log_phi("log(x2 - 0.5)",
+                 lambda G, phi: check_cone_containment(G, phi, 0.3, samples=1000))),
+    ("cone-nan-phi-at-cone-point", errors.NonFiniteState,
+     "phi is not finite at the base point of a cone point",
+     _on_log_phi("log(x2 - 0.05)",
+                 lambda G, phi: check_cone_containment(G, phi, 0.3, samples=1000))),
+    ("holder-nan-phi", errors.NonFiniteState, "phi is not finite at a node of the Hoelder",
+     _on_log_phi("log(x2 - 0.5)",
+                 lambda G, phi: vertical_holder_modulus(phi, [0.5], grid_per_axis=5))),
 ]
 
 
