@@ -1,5 +1,7 @@
 """The README CLI examples, ``gradient``, ``area``, ``lipschitz`` and
-``cone`` on heisenberg(2) and the quaternion group, and ``suite
+``cone`` on heisenberg(2) and the quaternion group, ``gradient``, ``area``,
+``lipschitz`` and ``residual`` on a grid phi over heisenberg(1) and
+heisenberg(2), and ``suite
 data/suite.json`` against recorded reports: a refactor must leave every
 ``--json`` report (and the characteristics curve CSV) byte-identical.  ``mollify`` runs on a coarse
 base grid of 8 points per axis to keep its run time short.
@@ -30,6 +32,11 @@ CURVE = ["--j", "2", "--from", "0,0.25", "--T", "1", "--steps", "1000"]
 # coordinates, so D_j phi reads the b^(s)_{j1} column as well as the drift
 HEIS2 = ["--group", "data/heisenberg2.json", "--phi", "data/phi_heis2_sin.json"]
 QUAT = ["--group", "data/quaternion.json", "--phi", "data/phi_quat_sin.json"]
+# sampled (grid) phi: a 9 x 7 grid on H^1, interpolated in two axes, and a
+# 5 x 4 x 1 x 3 grid on heisenberg(2), whose four axes and one-node axis take
+# the general multilinear path
+GRID_H1 = ["--group", "data/heisenberg1.json", "--phi", "data/phi_grid_h1.json"]
+GRID_HEIS2 = ["--group", "data/heisenberg2.json", "--phi", "data/phi_grid_heis2.json"]
 EXAMPLES = {
     "group_validate": ["group", "validate", "data/heisenberg1.json"],
     "group_info": ["group", "info", "data/heisenberg1.json"],
@@ -51,6 +58,16 @@ EXAMPLES = {
     "area_quat": ["area", *QUAT, "--grid", "2"],
     "lipschitz_quat": ["lipschitz", *QUAT, "--pairs", "10000"],
     "cone_quat": ["cone", *QUAT, "--samples", "10000"],
+    "gradient_grid": ["gradient", *GRID_H1, "--at", "0.3,-0.45"],
+    "area_grid": ["area", *GRID_H1, "--grid", "32"],
+    "lipschitz_grid": ["lipschitz", *GRID_H1, "--pairs", "10000"],
+    "residual_grid": ["residual", *GRID_H1, "--w", "data/w_one.json",
+                      "--zeta", "0.1,-0.2,0.5", "--grid", "64"],
+    "gradient_grid_heis2": ["gradient", *GRID_HEIS2, "--at", "0.3,-0.2,0.4,0.1"],
+    "area_grid_heis2": ["area", *GRID_HEIS2, "--grid", "4"],
+    "lipschitz_grid_heis2": ["lipschitz", *GRID_HEIS2, "--pairs", "10000"],
+    "residual_grid_heis2": ["residual", *GRID_HEIS2, "--w", "data/w_heis2.json",
+                            "--zeta", "0.1,-0.2,0.3,0.05,0.5", "--grid", "8"],
 }
 
 
