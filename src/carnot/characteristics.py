@@ -183,15 +183,49 @@ def flux_values(G, j, xhat, phi_values):
     return phi_values[..., None] * _frozen_coefficients(G, j, xhat, 0.5 * phi_values)
 
 
+def _simpson_pieces(y, dx):
+    """Per node triple, the integral over the first of its two intervals of
+    the parabola through the three nodes, for unequal intervals ``dx``."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """int_{x_0}^{x_i} y for each node i, with the bits of scipy's
+    ``cumulative_simpson(y, x=x, initial=0.0)``.  An interval takes the
+    parabola through itself and the next node (the forward pieces) or the
+    previous node (the pieces of the reversed arrays): the forward piece on
+    even intervals, the backward one on odd intervals and on the last.
+    Fewer than three nodes take the trapezoid rule."""
+    dx = np.diff(x)
+    if len(y) < 3:
+        pieces = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        forward = _simpson_pieces(y, dx)
+        backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(dx))
+        pieces[:-1:2] = forward[::2]
+        pieces[1::2] = backward[::2]
+        pieces[-1] = backward[-1]
+    # scipy adds the initial 0.0 to every sum, which turns -0.0 into +0.0
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
 def broadstar_residual(curve, phi, w_j):
     """max_t | phi(gamma(t)) - phi(gamma(0)) - int_0^t w_j(gamma(r)) dr |,
-    the integral by composite Simpson on the curve's uniform time grid."""
-    from scipy.integrate import cumulative_simpson
-
+    the integral by cumulative composite Simpson on the curve's uniform time
+    grid."""
     vals = np.asarray(w_j(curve.base_points), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteState("w_j is not finite at a point of the curve")
-    integral = cumulative_simpson(vals, x=curve.t_grid, initial=0.0)
+    integral = _cumulative_simpson(vals, curve.t_grid)
     lhs = curve.phi_along - curve.phi_along[0]
     return float(np.max(np.abs(lhs - integral)))
 

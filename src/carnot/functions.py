@@ -17,6 +17,20 @@ bit on a few percent of values, so the compiled code prints every power as
 A Python float divided by zero raises where numpy gives inf or nan; the
 one-point call then evaluates that point through the array call.
 
+A grid function clamps each point to its box and interpolates
+multilinearly between the corners of the grid cell that holds it, with the
+bits of scipy's ``RegularGridInterpolator(method="linear")``, which the
+tests check it against.  A coordinate's cell starts at the last node at or
+below it (the last cell also holds hi), and its weight on the cell's right
+node is (x - left node) / cell width, w, with 1 - w on the left node.  On
+two axes the four corner terms, each value times its two weights in turn,
+are summed left to right as scipy's ``evaluate_linear_2d`` sums them; on
+any other count the corners are summed in ``itertools.product`` order from
++0.0, each value times the product of its weights.  An axis of one node
+holds no cell and phi is constant along it; on two axes the two terms
+along the other axis are summed from the first, with no +0.0 in front, as
+scipy sums them.
+
 Vector fields w = (w_2, ..., w_m) on the base reuse the same machinery
 componentwise.
 """
@@ -24,6 +38,7 @@ componentwise.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -236,6 +251,92 @@ def check_domain_dim(domain, base_dim):
         raise DimensionMismatch(f"domain dimension {domain.dim} != m+n-1 = {base_dim}")
 
 
+def _multilinear(values, domain):
+    """The array call of a grid phi: the multilinear interpolant of
+    ``values`` on the uniform node axes of ``domain`` at each point clamped
+    to the box, with the bits of scipy's ``RegularGridInterpolator``
+    (module docstring)."""
+    shape = values.shape
+    axes = [np.linspace(lo, hi, k) for lo, hi, k in zip(domain.lo, domain.hi, shape)]
+    widths = [np.diff(axis) for axis in axes]
+    # phi is constant along an axis of one node, which no corner reads
+    live = [i for i, k in enumerate(shape) if k > 1]
+    flat_axes = [i for i, k in enumerate(shape) if k == 1]
+    flat = values.ravel()
+    strides = [stride // values.itemsize for stride in values.strides]
+    # per corner of a cell, its side on each live axis and its flat offset
+    corner_offsets = [(corner, sum(strides[i] for i, bit in zip(live, corner) if bit))
+                      for corner in itertools.product((0, 1), repeat=len(live))]
+
+    def cell(pts, i):
+        """Per clamped point, the cell of axis i that holds its coordinate
+        (the last cell holds hi) and the coordinate's distance from the
+        cell's left node as a fraction of the cell's width."""
+        x = pts[:, i]
+        # the interior nodes at or below x: scipy's index, clipped to the cells
+        k = axes[i][1:-1].searchsorted(x, "right")
+        return k, (x - axes[i][k]) / widths[i][k]
+
+    def corners(pts):
+        """The sum over the corners of each point's cell, in the order of
+        ``itertools.product``, each value times the product of its weights
+        taken axis by axis; the sum starts from the first term."""
+        cells = [cell(pts, i) for i in live]
+        # an index per point, also when no axis is live
+        base = sum((k * strides[i] for i, (k, _) in zip(live, cells)),
+                   np.zeros(len(pts), dtype=np.intp))
+        out = None
+        for corner, offset in corner_offsets:
+            weight = 1.0
+            for bit, (_, y) in zip(corner, cells):
+                weight = weight * (y if bit else 1 - y)
+            term = flat[base + offset] * weight
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+    if values.ndim == 2 and not flat_axes:
+        def interpolate(pts):
+            """scipy's ``evaluate_linear_2d``: one left-to-right sum of four
+            terms, each value times its two weights in turn."""
+            k0, y0 = cell(pts, 0)
+            k1, y1 = cell(pts, 1)
+            k = k0 * shape[1] + k1
+            a0, a1 = 1 - y0, 1 - y1
+            out = flat[k] * a0 * a1
+            out += flat[k + 1] * a0 * y1
+            k += shape[1]
+            out += flat[k] * y0 * a1
+            out += flat[k + 1] * y0 * y1
+            # scipy's sum starts from +0.0, so that four -0.0 terms give +0.0
+            out += 0.0
+            return out
+    elif values.ndim == 2:
+        # scipy's two-axis path along the axis of more nodes, if any, with
+        # no +0.0 in front
+        interpolate = corners
+    else:
+        def interpolate(pts):
+            # scipy's general path sums from +0.0
+            out = corners(pts)
+            out += 0.0
+            return out
+
+    def evaluate(a):
+        a = np.asarray(a, dtype=float)
+        pts = domain.clamp(a.reshape(-1, domain.dim))
+        out = interpolate(pts)
+        if flat_axes:
+            # no corner reads a coordinate on a one-node axis; scipy gives
+            # NaN wherever one is NaN
+            out[np.isnan(pts[:, flat_axes]).any(axis=1)] = np.nan
+        return out.reshape(a.shape[:-1])
+
+    return evaluate
+
+
 class GraphFunction:
     """Scalar function on a box, with optional analytic partials.
 
@@ -276,26 +377,21 @@ class GraphFunction:
 
     @classmethod
     def from_grid(cls, values, domain):
-        from scipy.interpolate import RegularGridInterpolator
-
+        """phi sampled at the uniform nodes of ``domain``, ``values.shape[i]``
+        nodes on axis i, with the clamped multilinear extension (module
+        docstring); an axis of one node makes phi constant along it."""
         domain = domain if isinstance(domain, Box) else Box(*domain)
-        values = np.asarray(values, dtype=float)
+        # a C-ordered copy, which the flat corner indices of the interpolant read
+        values = np.array(values, dtype=float)
         if values.ndim != domain.dim:
             raise DimensionMismatch(
                 f"grid has {values.ndim} axes but domain is {domain.dim}-dimensional")
+        if values.size == 0:
+            raise ValidationError(f"every grid axis needs at least one node, "
+                                  f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("grid values must be finite")
-        axes = [np.linspace(domain.lo[i], domain.hi[i], values.shape[i])
-                for i in range(domain.dim)]
-        interp = RegularGridInterpolator(axes, values, method="linear",
-                                         bounds_error=False, fill_value=None)
-
-        def evaluate(a):
-            a = np.asarray(a, dtype=float)
-            # clamp: multilinear extension is constant along the clipped axes
-            return interp(domain.clamp(a).reshape(-1, domain.dim)).reshape(a.shape[:-1])
-
-        return cls(domain, evaluate, "grid")
+        return cls(domain, _multilinear(values, domain), "grid")
 
     @classmethod
     def from_callable(cls, fn, domain):
@@ -389,6 +485,11 @@ def graph_function_from_dict(data, G, base_dir="."):
                 and isinstance(spec.get("values"), str)):
             raise ValidationError("grid spec needs 'shape' and 'values' fields, "
                                   "'values' a file name")
+        shape = spec["shape"]
+        if not (isinstance(shape, list) and all(
+                isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in shape)):
+            raise ValidationError(f"grid shape must be a list of integers >= 1, "
+                                  f"got {shape!r}")
         path = spec["values"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -397,10 +498,10 @@ def graph_function_from_dict(data, G, base_dir="."):
         except ValueError as exc:
             raise ValidationError(f"grid values in {path} must be numbers: {exc}") from None
         try:
-            values = values.reshape(spec["shape"])
-        except (TypeError, ValueError):
+            values = values.reshape(shape)
+        except ValueError:
             raise DimensionMismatch(f"{values.size} grid values in {path} do not "
-                                    f"fill the shape {spec['shape']!r}") from None
+                                    f"fill the shape {shape!r}") from None
         return GraphFunction.from_grid(values, domain)
     raise ValidationError(f"unknown function kind {kind!r}")
 

@@ -10,7 +10,8 @@ nodes of :func:`grid_axes` with :func:`grid_from_axes`; a caller that needs
 only a sub-box of a grid (the distributional residual, on a test function's
 support) slices those axes and joins them the same way.  Only curve
 integrals (``characteristics.broadstar_residual``) use composite Simpson
-instead.
+instead: a cumulative Simpson in numpy with the piece formula for unequal
+intervals and the bits of scipy's ``cumulative_simpson``.
 One work budget, :func:`check_work_budget`, caps grid nodes and every other
 count that sizes an array (sampled pairs, cone samples, RK4 rows).  The
 other argument checks that several modules share live here too:

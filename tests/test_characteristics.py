@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot import errors
 from carnot.calculus import frozen_coefficients
 from carnot.characteristics import (
+    _cumulative_simpson,
     _rk4_path,
     broadstar_residual,
     conservation_residual,
@@ -123,6 +126,28 @@ def test_broadstar_detects_wrong_w(heis1):
     curve = integrate_characteristic(heis1, phi, 2, np.array([0.0, 0.25]), 1.0, 500)
     res = broadstar_residual(curve, phi, lambda pts: np.zeros(pts.shape[:-1]))
     assert res > 0.1
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.integers(2, 40), st.sampled_from([500, 501, 1000, 1001])),
+       st.sampled_from(["uniform", "unequal"]),
+       st.sampled_from(["normal", "integer", "negative-zero"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cumulative_simpson_matches_scipy_property(nodes, spacing, kind, seed):
+    # bitwise scipy's cumulative_simpson(initial=0.0), its trapezoid fallback
+    # on two nodes included, on an even or odd count of uniform times (a
+    # curve's grid) or unequal ones, with the sign of every zero
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(seed)
+    t = (rng.uniform(0.001, 0.1) * np.arange(nodes) if spacing == "uniform"
+         else np.cumsum(rng.uniform(0.01, 1.0, nodes)) - 3.0)
+    y = {"normal": rng.normal(size=nodes), "integer": np.round(rng.normal(size=nodes)),
+         "negative-zero": np.full(nodes, -0.0)}[kind]
+    got = _cumulative_simpson(y, t)
+    want = cumulative_simpson(y, x=t, initial=0.0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_lipschitz_along_curve_linear(heis1):

@@ -180,6 +180,60 @@ def test_grid_interpolation_error_order():
     assert errs[1] / errs[2] >= 3.0
 
 
+def _same_bits(got, want):
+    """Equal values, NaN where the other is NaN, and the same sign on every
+    zero (np.array_equal takes -0.0 for +0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    keep = ~np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[keep]), np.signbit(want[keep])))
+
+
+@st.composite
+def _grids(draw):
+    """A box of 1 to 6 axes of 1 to 5 nodes each, values from a seed
+    (normal, rounded to integers so that terms cancel, or all -0.0) and
+    points on the nodes, on grid lines, at the box's corners, outside the
+    box and with a NaN coordinate."""
+    d = draw(st.integers(1, 6))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    lo = np.array(draw(st.lists(st.sampled_from([0.0, -1.0, -2.5, 0.3]),
+                                min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = {"normal": rng.normal(size=shape), "integer": np.round(rng.normal(size=shape)),
+              "negative-zero": np.full(shape, -0.0)}[
+        draw(st.sampled_from(["normal", "integer", "negative-zero"]))]
+    box = Box(lo, lo + width)
+    axes = [np.linspace(a, b, k) for a, b, k in zip(box.lo, box.hi, shape)]
+    pts = rng.uniform(box.lo, box.hi, (40, d))
+    on_node = rng.random(pts.shape) < 0.3
+    for i, axis in enumerate(axes):
+        pts[on_node[:, i], i] = rng.choice(axis, on_node[:, i].sum())
+    outside = rng.uniform(box.lo - width, box.hi + width, (8, d))
+    corners = np.array(np.meshgrid(*zip(box.lo, box.hi), indexing="ij")).reshape(d, -1).T
+    pts = np.concatenate([pts, outside, corners, [np.full(d, -0.0)], [box.hi + 1.0]])
+    pts[0, rng.integers(d)] = np.nan
+    return box, axes, values, pts
+
+
+@settings(max_examples=200)
+@given(_grids())
+def test_grid_interpolant_matches_scipy_property(grid):
+    # bitwise scipy's RegularGridInterpolator on the clamped points, batched
+    # and one point at a time, for every axis count and one-node axes
+    from scipy.interpolate import RegularGridInterpolator
+
+    box, axes, values, pts = grid
+    want = RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
+                                   fill_value=None)(box.clamp(pts))
+    phi = GraphFunction.from_grid(values, box)
+    assert _same_bits(phi.eval_extended(pts), want)
+    assert _same_bits(phi.eval_extended(pts.reshape(2, -1, box.dim)), want.reshape(2, -1))
+    for point, value in zip(pts[-4:], want[-4:]):
+        assert _same_bits(phi.eval_extended(point), value)
+
+
 def test_function_json_roundtrip(tmp_path, heis1):
     spec = {"kind": "expr", "domain": {"lo": [-1, -1], "hi": [1, 1]},
             "expr": "x2*y"}

@@ -1,6 +1,6 @@
 """Which heavy dependencies each CLI path loads, in a fresh interpreter:
-sympy only once an expression is compiled, scipy only once a grid is
-interpolated or a curve integral is taken;
+sympy only once an expression is compiled, and scipy never, not for a grid
+phi nor for a curve integral, and no module imports it;
 README's module pointers name every module, each with a docstring; and
 no module keeps an import or a private helper that nothing uses."""
 
@@ -41,6 +41,9 @@ with contextlib.redirect_stdout(io.StringIO()):
                            "--w", "data/w_one.json", "--from", "0,0.25",
                            "--steps", "64"]))
     steps["broadstar"] = loaded()
+    codes.append(cli.main(["gradient", "--group", "data/heisenberg1.json",
+                           "--phi", "data/phi_grid_h1.json", "--at", "0.3,-0.45"]))
+    steps["gradient on a grid"] = loaded()
 print(json.dumps({"codes": codes, "steps": steps}))
 """
 
@@ -100,6 +103,16 @@ def test_no_unused_imports_or_private_helpers():
     assert stale == []
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the package's numpy code is checked
+    # against it, and no module may import it
+    for path in pathlib.Path(carnot.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
 def test_heavy_imports_load_on_first_use():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -108,12 +121,13 @@ def test_heavy_imports_load_on_first_use():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     none = {"scipy": False, "sympy": False}
     assert result["steps"] == {
         "import": none,
         "group validate": none,
         "gradient": {"scipy": False, "sympy": True},
         "mollify": {"scipy": False, "sympy": True},
-        "broadstar": {"scipy": True, "sympy": True},
+        "broadstar": {"scipy": False, "sympy": True},
+        "gradient on a grid": {"scipy": False, "sympy": True},
     }

@@ -183,6 +183,24 @@ def _grid_of_words(G, tmp):
                               "grid": {"shape": [2, 2], "values": str(values)}}, G)
 
 
+def _grid_of_shape(shape, values):
+    """A grid spec of ``shape`` over a CSV file of ``values``."""
+    def call(G, tmp):
+        csv = tmp / "values.csv"
+        csv.write_text(",".join(map(str, values)))
+        return graph_function_from_dict({"kind": "grid", "domain": UNIT,
+                                         "grid": {"shape": shape, "values": str(csv)}}, G)
+    return call
+
+
+def _cli_grid_of_no_nodes(G, tmp):
+    # `carnot gradient` on a grid of shape [0, 2] over an empty CSV file
+    (tmp / "empty.csv").write_text("")
+    return _cli(["gradient", "--group", GROUP, "--phi", "BAD", "--at", "0.5,0.5"],
+                json.dumps({"kind": "grid", "domain": UNIT,
+                            "grid": {"shape": [0, 2], "values": "empty.csv"}}))(G, tmp)
+
+
 CASES = [
     ("grid-axes", errors.DimensionMismatch, "grid has 3 axes",
      lambda G, tmp: GraphFunction.from_grid(np.zeros((3, 3, 3)), Box(**UNIT))),
@@ -261,6 +279,15 @@ CASES = [
      lambda G, tmp: graph_function_from_dict(
          {"kind": "expr", "domain": {"lo": [0.0, 0.0]}, "expr": "x2"}, G)),
     ("grid-values-not-numbers", errors.ValidationError, "must be numbers", _grid_of_words),
+    # an axis of no nodes ended in an untyped IndexError, and a -1 in a
+    # spec's shape was inferred from the count of values
+    ("grid-axis-of-no-nodes", errors.ValidationError,
+     "every grid axis needs at least one node",
+     lambda G, tmp: GraphFunction.from_grid(np.zeros((0, 2)), Box(**UNIT))),
+    ("grid-shape-inferred", errors.ValidationError,
+     "grid shape must be a list of integers >= 1", _grid_of_shape([-1, 2], [0.5] * 4)),
+    ("cli-grid-of-no-nodes", 1, "grid shape must be a list of integers >= 1",
+     _cli_grid_of_no_nodes),
     ("free-step2-m", errors.UnknownName, "free_step2 needs m >= 2",
      lambda G, tmp: standard_group("free_step2", 1)),
     # a valid but steep bracket: at B = 1e13 B_heisenberg every eps down to
