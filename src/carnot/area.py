@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import _intrinsic_gradient, intrinsic_gradient
+from .calculus import intrinsic_gradient
 from .errors import NonFiniteState
 from .functions import check_domain_dim
 from .group import _sum_of_squares
@@ -36,11 +36,6 @@ def area_integral(G, phi, points_per_axis=None):
     a NaN or infinite integrand is a NonFiniteState error.  The integrand
     is evaluated on chunks of nodes into one array, so its temporaries stay
     small on any grid and the sum is unchanged.
-
-    Midpoint nodes lie inside the box (within the work budget, rounding
-    cannot push lo + h (k + 1/2) past hi), so when phi's domain is its whole
-    box the nodes skip the domain test; a phi without partials still has
-    its difference stencil checked against the domain.
     """
     box = phi.domain
     check_domain_dim(box, G.base_dim)
@@ -48,12 +43,7 @@ def area_integral(G, phi, points_per_axis=None):
                               default_points_per_axis(box.dim, points_per_axis))
     values = np.empty(len(pts))
     for start in range(0, len(pts), _POINT_CHUNK):
-        chunk = pts[start:start + _POINT_CHUNK]
-        if phi.fills_box:
-            w_vals = _intrinsic_gradient(G, phi, chunk, phi.eval_extended(chunk),
-                                         check_domain=True)
-        else:
-            w_vals = intrinsic_gradient(G, phi, chunk)
+        w_vals = intrinsic_gradient(G, phi, pts[start:start + _POINT_CHUNK])
         values[start:start + _POINT_CHUNK] = np.sqrt(1.0 + _sum_of_squares(w_vals))
     if not np.all(np.isfinite(values)):
         raise NonFiniteState("the area integrand is not finite at a grid node")

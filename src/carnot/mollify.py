@@ -24,12 +24,12 @@ r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
 of kernel weight below the graph, sum_k w_k r_k / sum_k w_k (``_share``):
 each row's vecdot of ramps and weights over the same vecdot of ones, the
-kernel's total (``mollified_indicator`` sums both over its node chunks).
-Rounding is monotone and every r_k <= 1, so f_alpha lies in [0, 1],
-exactly 1 where every ramp is 1 (deep inside the subgraph) and exactly 0
-where every ramp is 0 (far above it, phi read through its extension beyond
-its box).  A row is reduced on its own, so a point's f_alpha, and a base
-point's level-set root, do not depend on the other points of the call.
+kernel's total.  Rounding is monotone and every r_k <= 1, so f_alpha lies
+in [0, 1], exactly 1 where every ramp is 1 (deep inside the subgraph) and
+exactly 0 where every ramp is 0 (far above it, phi read through its
+extension beyond its box).  Tables come in blocks of whole rows, each row
+reduced on its own, so a point's values depend neither on the other points
+of the call, nor on the blocks, nor on the leading axes of the batch.
 Right multiplication by s e1 moves only the V-part of the splitting
 G = W * V, so g at p * (s e1) is g at p minus s, and one table of g per
 batch of points (one split and one phi evaluation per point and node,
@@ -80,16 +80,16 @@ is a NonFiniteState error in each of them.
   read off the table of g on the rows i(a); the window half-width
   R * 48/47 puts both end nodes at distance R, where the gradient is
   exactly 0.  All 48 slices are shifts of the same rows, so they read one
-  more pass over that table, in node chunks: two passes in all, not one
+  more pass over that table, in row blocks: two passes in all, not one
   per slice.  Slice i of row a sits at t_0 + i dt, so the slices in a
   pair's band are a run of at most floor(2 reach/dt) + 1 from just above
   floor((g - reach - t_0)/dt), found in closed form.  That run and one
   slack slice per side against rounding, clipped to the 48 slices, are
-  read in as many dense passes over the chunk, and off its band a pair
+  read in as many dense passes over the block, and off its band a pair
   reads beta = 0 exactly (``_sliced_gradient``).  With analytic partials
   X_j g is affine in the value it is frozen at: at t + s it is X_j g at t
   plus s sum_s' b^(s')_{j1} d_{y_s'} phi, so the partials are evaluated
-  once per chunk, on every pair; central differences are taken in each
+  once per block, on every pair; central differences are taken in each
   pass where beta != 0.
 """
 
@@ -108,6 +108,7 @@ from .calculus import (
     intrinsic_gradient,
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
+from .functions import check_base_points
 from .group import _check_point
 from .quadrature import (
     check_count,
@@ -121,8 +122,8 @@ from .quadrature import (
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
-# point-node pairs per node chunk of the two gradients, which hold several
-# arrays of that size per chunk
+# point-node pairs per row block of the two gradients, which hold several
+# arrays of that size per block
 _GRADIENT_OPS_LIMIT = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
@@ -236,30 +237,31 @@ class MollifierKernel:
         return out
 
 
-def _node_chunks(kernel, count, limit=None):
-    """Ranges of nonzero kernel nodes holding at most ``limit`` (default
-    ``_BATCH_OPS_LIMIT``) point-node pairs for ``count`` points."""
-    chunk = max(1, (limit or _BATCH_OPS_LIMIT) // max(count, 1))
-    size = kernel._conv_weights.size
-    return [(start, min(start + chunk, size)) for start in range(0, size, chunk)]
-
-
 def _ramp_table(G, phi, kernel, P, limit=None):
-    """Per chunk of ``_node_chunks``: its slice of nodes u, (base, t) of
-    u^-1 p for every row p of P, and g = phi(base) - t, a fresh array (not
-    phi's result) the caller may overwrite; a non-finite g raises NonFiniteState.
-    The kernel holds the bracket terms of its nodes, so it must be built on
+    """Per block of whole rows of P, one row or at most ``limit`` (default
+    ``_BATCH_OPS_LIMIT``) point-node pairs: its slice of rows, (base, t) of
+    u^-1 p for those rows p and all nonzero kernel nodes u, and g = phi(base)
+    - t, a fresh array the caller may overwrite; a non-finite g raises
+    NonFiniteState.  The kernel holds the bracket terms of its nodes, so it must be built on
     G or on a group of the same m, n, epsilon and B (a ValidationError)."""
     K = kernel.G
     if K is not G and not (K.m == G.m and K.n == G.n and K.epsilon == G.epsilon
                            and np.array_equal(K.B, G.B)):
         raise ValidationError(f"the kernel was built on {K}, not on {G}")
-    for start, stop in _node_chunks(kernel, P.shape[0], limit):
-        base, t = _split(G, kernel._conv_terms, P, cols=np.s_[start:stop])
+    step = max(1, (limit or _BATCH_OPS_LIMIT) // kernel._conv_weights.size)
+    for start in range(0, P.shape[0], step):
+        rows = slice(start, start + step)
+        base, t = _split(G, kernel._conv_terms, P[rows])
         g = np.subtract(phi.eval_extended(base), t)
         if not np.all(np.isfinite(g)):
             raise NonFiniteState("phi is not finite within the kernel's reach of a point")
-        yield slice(start, stop), base, t, g
+        yield rows, base, t, g
+
+
+def _restore(out, lead):
+    """Per-row ``out`` with the leading axes ``lead`` back (a scalar as a float)."""
+    out = out.reshape(lead + out.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 def _ramp(g, delta, shift, out=None):
@@ -282,41 +284,38 @@ def mollified_indicator(G, phi, kernel, p):
     indicator, in [0, 1], nonincreasing in the graph coordinate, with a
     kernel built on G (``_ramp_table``)."""
     p = _check_point(G, p)
-    P = np.atleast_2d(p)
-    below, total = np.zeros(P.shape[0]), 0.0
-    for nodes, _, _, g in _ramp_table(G, phi, kernel, P):
-        w = kernel._conv_weights[nodes]
-        below += np.vecdot(_ramp(g, kernel.subcell_width, 0.0, out=g), w)
-        total += np.vecdot(np.ones_like(w), w)
-    out = below / total
-    return float(out[0]) if p.ndim == 1 else out
+    P = p.reshape(-1, G.dim)
+    out = np.empty(P.shape[0])
+    for rows, _, _, g in _ramp_table(G, phi, kernel, P):
+        out[rows] = _share(_ramp(g, kernel.subcell_width, 0.0, out=g), kernel)
+    return _restore(out, p.shape[:-1])
 
 
 def _shifted_gradient(G, phi, kernel, P, shift, g=None):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, m), for every row
     p of P and its shift s (a scalar or a (P, 1) column), read off the
-    table of g on P: ``g`` when given (every node), otherwise built here
-    chunk by chunk.  The derivation is the module docstring's gradient."""
+    table of g on P: ``g`` when given, otherwise built here block by block.
+    The derivation is the module docstring's gradient."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
     count = P.shape[0]
     shift = np.broadcast_to(shift, (count, 1))
-    tables = ([(slice(0, kernel._conv_weights.size), g)] if g is not None else
-              ((nodes, g) for nodes, _, _, g in
-               _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT)))
+    tables = ([(slice(None), None, None, g)] if g is not None else
+              _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT))
     out = np.zeros((count, G.m))
-    for nodes, g in tables:
+    for rows, _, _, g in tables:
+        s = shift[rows]
         # beta holds 2h w_k beta_k
-        beta = _ramp(g, delta, shift - h)
-        beta -= _ramp(g, delta, shift + h)
-        beta *= kernel._conv_weights[nodes]
-        out[:, 0] -= np.sum(beta, axis=-1)
+        beta = _ramp(g, delta, s - h)
+        beta -= _ramp(g, delta, s + h)
+        beta *= kernel._conv_weights
+        out[rows, 0] -= np.sum(beta, axis=-1)
         band = np.flatnonzero(beta != 0.0)
-        rows, cols = np.divmod(band, g.shape[1])
-        base, t = _split(G, kernel._conv_terms, P, rows=rows, cols=cols + nodes.start)
-        xs = _intrinsic_gradient(G, phi, base, t + shift[rows, 0])
+        band_rows, cols = np.divmod(band, g.shape[1])
+        base, t = _split(G, kernel._conv_terms, P[rows], rows=band_rows, cols=cols)
+        xs = _intrinsic_gradient(G, phi, base, t + s[band_rows, 0])
         xs *= beta.reshape(-1)[band, None]
         for j in range(G.m - 1):
-            out[:, j + 1] += np.bincount(rows, xs[:, j], minlength=count)
+            out[rows, j + 1] += np.bincount(band_rows, xs[:, j], minlength=g.shape[0])
     out /= 2.0 * h * kernel._conv_total
     return out
 
@@ -324,18 +323,19 @@ def _shifted_gradient(G, phi, kernel, P, shift, g=None):
 def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
     """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, slices, m), for
     every row p of P and its shifts s = first + i dt, i < slices (``first``
-    one value per row), read off one table of g on P, streamed in node
-    chunks.  Each pair is read on the ``width`` slices from ``lowest``,
+    one value per row), read off one table of g on P, streamed in row
+    blocks.  Each pair is read on the ``width`` slices from ``lowest``,
     which hold every slice where its beta is not 0; the derivation is the
     module docstring's gradient mass."""
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    count, k = P.shape[0], G.m - 1
+    k = G.m - 1
     reach = 0.5 * delta + h
     width = min(int(2.0 * reach / dt) + 3, slices)
     first = np.reshape(first, (-1, 1))
-    out = np.zeros((count * slices, G.m))
-    for nodes, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
-        lowest = np.floor((g - reach - first) / dt).clip(0, slices - width).astype(int)
+    out = np.zeros((P.shape[0], slices, G.m))
+    for rows, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+        block = out[rows].reshape(-1, G.m)
+        lowest = np.floor((g - reach - first[rows]) / dt).clip(0, slices - width).astype(int)
         # every pair's base point, column by column off base's buffer
         at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1).T
         if phi.has_partials:
@@ -344,10 +344,10 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
             rate = _vertical_rate(G, grad[:, k:])
         for o in range(width):
             i = lowest + o
-            s = first + i * dt
+            s = first[rows] + i * dt
             beta = _ramp(g, delta, s - h)
             beta -= _ramp(g, delta, s + h)
-            beta *= kernel._conv_weights[nodes]
+            beta *= kernel._conv_weights
             band = np.flatnonzero(beta)
             beta = beta.reshape(-1)[band]
             # the (row, slice) entry of each band pair
@@ -357,28 +357,28 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
                 xs = xg[band] + s[:, None] * rate[band]
             else:
                 xs = _intrinsic_gradient(G, phi, at[band], t.reshape(-1)[band] + s)
-            out[:, 0] -= np.bincount(entry, beta, minlength=out.shape[0])
+            block[:, 0] -= np.bincount(entry, beta, minlength=len(block))
             for j in range(k):
-                out[:, j + 1] += np.bincount(entry, beta * xs[:, j], minlength=out.shape[0])
+                block[:, j + 1] += np.bincount(entry, beta * xs[:, j], minlength=len(block))
     out /= 2.0 * h * kernel._conv_total
-    return out.reshape(count, slices, G.m)
+    return out
 
 
 def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
     p = _check_point(G, p)
-    out = _shifted_gradient(G, phi, kernel, np.atleast_2d(p), 0.0)
-    return out[0] if p.ndim == 1 else out
+    return _restore(_shifted_gradient(G, phi, kernel, p.reshape(-1, G.dim), 0.0),
+                    p.shape[:-1])
 
 
 def level_set_phi_alpha(G, phi, kernel, c_level, a):
     """phi_alpha(a): the root in t of f_alpha(i(a) * (t e1)) = c, batched
     over the base points (see ``_section_roots``).  Where f_alpha equals c
     over an interval of t, the root is the interval's left end."""
-    a = np.asarray(a, dtype=float)
-    roots, *_ = _section_roots(G, phi, kernel, c_level, np.atleast_2d(a))
-    return float(roots[0]) if a.ndim == 1 else roots
+    a = check_base_points(a, G.base_dim)
+    roots, *_ = _section_roots(G, phi, kernel, c_level, a.reshape(-1, G.base_dim))
+    return _restore(roots, a.shape[:-1])
 
 
 def _check_level(c_level):
@@ -397,8 +397,8 @@ def _section_roots(G, phi, kernel, c_level, A):
     check_work_budget(count * size, "the level-set ramp table", "point-node pairs")
     delta = kernel.subcell_width
     g = np.empty((count, size))
-    for nodes, _, _, g_chunk in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
-        g[:, nodes] = g_chunk
+    for block, _, _, g_block in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
+        g[block] = g_block
     # each row's kinks in order: the sorted g -+ delta/2, merged; the search
     # keeps f(kinks[lo]) > c >= f(kinks[hi]) on neighbouring kinks at the end
     kinks = np.empty((count, 2 * size))
@@ -449,7 +449,7 @@ def _section_roots(G, phi, kernel, c_level, A):
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
     f = _share(_ramp(g, delta, roots[:, None], out=frac), kernel)
-    return roots, evals + count, float(np.max(np.abs(f - c_level))), g
+    return roots, evals + count, float(np.max(np.abs(f - c_level), initial=0.0)), g
 
 
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
@@ -457,17 +457,16 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     -(X_2 f_alpha / X_1 f_alpha, ...) evaluated on the level set, at the
     shifts phi_alpha(a) of one table of g on the rows i(a).  One finite
     value per base point, or a :class:`ValidationError`."""
-    A = np.asarray(A, dtype=float)
+    A = check_base_points(A, G.base_dim)
     phi_alpha_values = np.asarray(phi_alpha_values, dtype=float)
     if phi_alpha_values.shape != A.shape[:-1]:
         raise DimensionMismatch(f"need one phi_alpha value per base point, shape "
                                 f"{A.shape[:-1]}, got {phi_alpha_values.shape}")
     if not np.all(np.isfinite(phi_alpha_values)):
         raise ValidationError("phi_alpha values must be finite")
-    grad = _shifted_gradient(G, phi, kernel, np.atleast_2d(graph_point(G, A, 0.0)),
-                             np.reshape(phi_alpha_values, (-1, 1)))
-    grad = _graph_gradient(grad[:, 0], grad[:, 1:])
-    return grad[0] if A.ndim == 1 else grad
+    grad = _shifted_gradient(G, phi, kernel, graph_point(G, A.reshape(-1, G.base_dim), 0.0),
+                             phi_alpha_values.reshape(-1, 1))
+    return _restore(_graph_gradient(grad[:, 0], grad[:, 1:]), A.shape[:-1])
 
 
 def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
@@ -555,16 +554,16 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     phi_vals = phi.eval_extended(A)
     if not np.all(np.isfinite(phi_vals)):
         raise NonFiniteState("phi is not finite at a base node of the gradient mass")
-    rows = graph_point(G, A, 0.0)
-    spread = max(float(np.max(np.abs(g - phi_vals[:, None])))
-                 for *_, g in _ramp_table(G, phi, kernel, rows))
+    P = graph_point(G, A, 0.0)
+    spread = max(float(np.max(np.abs(g - phi_vals[rows, None])))
+                 for rows, *_, g in _ramp_table(G, phi, kernel, P))
     t_points = 48
     reach = spread + 0.5 * kernel.subcell_width + kernel.alpha * _SLOPE_STEP
     # R widened by a relative 1e-12, so that the rounding of the shifts
     # phi(a) -+ R cannot bring an end node's ramps off their saturated values
     half = reach * (1.0 + 1e-12) * t_points / (t_points - 1)
     dt = 2.0 * half / t_points
-    grad = _sliced_gradient(G, phi, kernel, rows, phi_vals - half + 0.5 * dt, dt, t_points)
+    grad = _sliced_gradient(G, phi, kernel, P, phi_vals - half + 0.5 * dt, dt, t_points)
     mags = np.linalg.norm(grad, axis=-1)
     return {"mass": float(np.sum(mags)) * dt * cell_base, "window_halfwidth": half,
             "edge_gradient_max": float(np.max(mags[:, [0, -1]]))}

@@ -126,10 +126,17 @@ def project_splitting(G, p):
     return _split_from(G, np.zeros(G.dim), gp._finite_point(G, p))
 
 
+def _finite_phi(values):
+    """phi's values at base points; NonFiniteState unless all are finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("phi is not finite at a base point")
+    return values
+
+
 def graph_map(G, phi, a):
     """Graph point Phi(a) = i(a) * (phi(a), 0, ..., 0); a base point outside
-    phi's domain raises OutOfDomain."""
-    return graph_point(G, a, phi(a))
+    phi's domain raises OutOfDomain, a NaN or infinite phi(a) NonFiniteState."""
+    return graph_point(G, a, _finite_phi(phi(a)))
 
 
 def _pulled_base(G, q, a):
@@ -221,7 +228,8 @@ def graph_quasidistance(G, phi, a, b, check_domain=True):
     """|| phi(a)^-1 i(a)^-1 i(b) phi(a) ||, from the closed form of the
     product (module docstring).  Arguments outside phi's domain raise
     OutOfDomain, or with ``check_domain=False`` read phi through its
-    extension, where a NaN or infinite point is a ValidationError."""
+    extension, where a NaN or infinite point is a ValidationError; a NaN or
+    infinite phi(a) is a NonFiniteState error."""
     a = np.asarray(a, dtype=float)
     b = check_base_points(b, G.base_dim)
     if check_domain:
@@ -230,7 +238,7 @@ def graph_quasidistance(G, phi, a, b, check_domain=True):
             raise OutOfDomain("quasi-distance arguments outside domain")
     else:
         gp._check_finite(a, b)
-    return _quasidistance(G, phi.eval_extended(a), a, b)
+    return _quasidistance(G, _finite_phi(phi.eval_extended(a)), a, b)
 
 
 def _quasidistance(G, t, a, b):
@@ -255,10 +263,11 @@ def sigma_form(G, phi, b, a):
     - 1/2 <B^(s) x', x>|^(1/2), with a = (x, y), b = (x', y') and first-layer
     vectors embedded with x1 = 0.  The inner values are the second layer of
     phi(b)^-1 i(b)^-1 i(a) phi(b), the one graph_quasidistance(b, a) takes
-    the norm of.  A NaN or infinite point is a ValidationError."""
+    the norm of.  A NaN or infinite point is a ValidationError, a NaN or
+    infinite phi(b) a NonFiniteState error."""
     a, b = check_base_points(a, G.base_dim), check_base_points(b, G.base_dim)
     gp._check_finite(a, b)
-    _, y = _conjugated_layers(G, phi.eval_extended(b), b, a)
+    _, y = _conjugated_layers(G, _finite_phi(phi.eval_extended(b)), b, a)
     return np.sum(np.sqrt(np.abs(y)), axis=-1)
 
 

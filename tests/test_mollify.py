@@ -272,22 +272,19 @@ def test_indicator_matches_full_grid_convolution(request, group, k, expr, alpha)
 
 
 def _one_pass_indicator(G, phi, kernel, P):
-    # f_alpha as one loop: split, phi - t and the weighted ramp sum per node
-    # chunk, with no ramp arguments shared between shifts; the share divides
-    # by the chunks' weight totals, summed as the ramp sums are
-    delta = kernel.subcell_width
-    below, total = np.zeros(P.shape[0]), 0.0
-    chunk = max(1, mollify._BATCH_OPS_LIMIT // P.shape[0])
-    for start in range(0, kernel._conv_weights.size, chunk):
-        w = kernel._conv_weights[start:start + chunk]
-        base, t = _split(G, kernel._conv_terms, P, cols=np.s_[start:start + chunk])
-        frac = np.subtract(phi.eval_extended(base), t)
+    # f_alpha as one loop over the points: split, phi - t and one vecdot of
+    # the ramps with the weights per row, with no ramp arguments shared
+    # between shifts; the share divides by the weights' vecdot with ones
+    delta, w = kernel.subcell_width, kernel._conv_weights
+    out = np.empty(P.shape[0])
+    for row in range(P.shape[0]):
+        base, t = _split(G, kernel._conv_terms, P[row:row + 1])
+        frac = np.subtract(phi.eval_extended(base), t)[0]
         frac /= delta
         frac += 0.5
         np.clip(frac, 0.0, 1.0, out=frac)
-        below += np.vecdot(frac, w)
-        total += np.vecdot(np.ones_like(w), w)
-    return below / total
+        out[row] = np.vecdot(frac, w) / np.vecdot(np.ones_like(w), w)
+    return out
 
 
 def _group_case(request, index):
@@ -311,15 +308,16 @@ def _straddling_points(G, phi, alpha, count, seed):
 def test_indicator_bitwise_matches_one_pass_loop_property(request, index, seed, alpha,
                                                    count, chunked):
     # the s = 0 share of the ramp arguments is the one-pass loop's f_alpha
-    # bit for bit; a small chunk limit splits the nodes of every point batch
+    # bit for bit; a small limit splits every batch of points into row blocks
     G, k, phi = _group_case(request, index)
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     P = _straddling_points(G, phi, alpha, count, seed)
     limit = 2 ** 12 if chunked else mollify._BATCH_OPS_LIMIT
-    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", limit):
-        if chunked and count > 1:
-            assert len(mollify._node_chunks(kern, count)) > 1
+    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", limit), \
+            mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         f = mollified_indicator(G, phi, kern, P)
+        if chunked and count > 1:
+            assert split.call_count > 1
         assert np.array_equal(f, _one_pass_indicator(G, phi, kern, P))
         if count == 1:
             assert mollified_indicator(G, phi, kern, P[0]) == f[0]
@@ -557,12 +555,11 @@ def test_approximation_report_splits_each_pair_once(request, index):
         approximation_report(G, phi, alphas, c_level=c, grid_per_axis=2,
                              points_per_axis=k)
     report_calls = sum(calls)
-    # a table call takes a slice of the nodes, a band call an array of pairs
-    cols = [call.kwargs["cols"] for call in split.call_args_list]
-    split_rows = sum(call.args[2].shape[0] * (col.stop - col.start)
-                     for call, col in zip(split.call_args_list, cols)
-                     if isinstance(col, slice))
-    assert split_rows == len(alphas) * len(A) * nodes
+    # a table call splits its rows against every node (the anchors of its
+    # terms), a band call takes arrays of pairs
+    tables = [call for call in split.call_args_list if "cols" not in call.kwargs]
+    split_pairs = sum(call.args[2].shape[0] * call.args[1][0].shape[1] for call in tables)
+    assert split_pairs == len(alphas) * len(A) * nodes
     # the band of each alpha from the roots' own table
     bands = []
     for alpha in alphas:
@@ -575,7 +572,8 @@ def test_approximation_report_splits_each_pair_once(request, index):
             - np.clip((g[sub] - (shift + h)) / delta + 0.5, 0.0, 1.0))
         bands.append(np.count_nonzero(beta))
         assert 0 < bands[-1] < g[sub].size // 2
-    assert [col.size for col in cols if not isinstance(col, slice)] == bands
+    assert [call.kwargs["cols"].size for call in split.call_args_list
+            if "cols" in call.kwargs] == bands
     # phi on the grid and its central differences for w_inf, then per alpha
     # g once per pair and the central differences along X_2..X_m on the band
     assert report_calls == ((2 + 2 * (G.m - 1)) * len(A)
@@ -585,13 +583,16 @@ def test_approximation_report_splits_each_pair_once(request, index):
 
 def test_gradient_mass_evaluates_partials_once_per_chunk(heis1, phi_unit):
     # X_j g is affine in the value it is frozen at, so one evaluation of the
-    # partials per node chunk serves all 48 t-slices
+    # partials per row block serves all 48 t-slices; a block holds whole rows
     kern = MollifierKernel(heis1, 0.05)
-    chunks = mollify._node_chunks(kern, 8 * 8, mollify._GRADIENT_OPS_LIMIT)
-    assert len(chunks) > 1
+    nodes = kern._conv_weights.size
+    blocks = -(-8 * 8 // (mollify._GRADIENT_OPS_LIMIT // nodes))
+    assert blocks > 1
     with mock.patch.object(phi_unit, "partials", wraps=phi_unit.partials) as partials:
         rep = horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
-    assert partials.call_count == len(chunks)
+    assert partials.call_count == blocks
+    sizes = [len(call.args[0]) for call in partials.call_args_list]
+    assert sum(sizes) == 8 * 8 * nodes and all(size % nodes == 0 for size in sizes)
     assert rep["edge_gradient_max"] == 0.0
 
 
@@ -978,19 +979,19 @@ def test_gradient_mass_edge_gradient_is_exactly_zero(request, group, k, alpha,
 
 
 def test_gradient_mass_splits_one_table(heis1, phi_unit):
-    # one split of the base rows i(a) sizes the window, and one more, chunked
-    # for the gradient, serves all 48 t-slices
+    # one split of the base rows i(a) sizes the window, and one more, in row
+    # blocks for the gradient, serves all 48 t-slices
     kern = MollifierKernel(heis1, 0.05)
-    rows = 8 * 8
+    rows, nodes = 8 * 8, kern._conv_weights.size
     with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
-    chunks = mollify._node_chunks(kern, rows, mollify._GRADIENT_OPS_LIMIT)
-    assert len(chunks) > 1
-    assert split.call_count == 1 + len(chunks)
-    cols = [call.kwargs["cols"] for call in split.call_args_list]
-    pairs = sum(call.args[2].shape[0] * (col.stop - col.start)
-                for call, col in zip(split.call_args_list, cols))
-    assert pairs == 2 * rows * kern._conv_weights.size
+    blocks = -(-rows // (mollify._GRADIENT_OPS_LIMIT // nodes))
+    assert blocks > 1
+    assert split.call_count == 1 + blocks
+    # each call splits whole rows against every node (the anchors of its terms)
+    pairs = [call.args[2].shape[0] * call.args[1][0].shape[1]
+             for call in split.call_args_list]
+    assert pairs[0] == rows * nodes and sum(pairs) == 2 * rows * nodes
 
 
 def test_gradient_mass_work_is_budgeted(heis2):
@@ -1003,3 +1004,51 @@ def test_gradient_mass_work_is_budgeted(heis2):
         with pytest.raises(errors.GridTooLarge, match="gradient-mass ramp table"):
             horizontal_gradient_mass(heis2, phi, kern)
     assert split.call_count == 0
+
+
+def _four_calls(G, phi, kern, P, A, values):
+    # the four entry points: f_alpha and its gradient at P, the roots and
+    # the level set's gradient at the base points A
+    return (mollified_indicator(G, phi, kern, P),
+            horizontal_gradient_mollified(G, phi, kern, P),
+            level_set_phi_alpha(G, phi, kern, 0.5, A),
+            intrinsic_gradient_of_level_set(G, phi, kern, A, values))
+
+
+@given(index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.05, 0.3))
+def test_results_do_not_depend_on_the_batch_property(request, index, seed, alpha):
+    # a point's f_alpha, gradient, root and level-set gradient are its own,
+    # bit for bit: alone, in sub-batches, under leading axes (2, 3) and with
+    # both table limits so small that every row block is one row
+    G, k, phi = _group_case(request, index)
+    kern = MollifierKernel(G, alpha, points_per_axis=k)
+    P = _straddling_points(G, phi, alpha, 6, seed)
+    A = np.random.default_rng(seed).uniform(0.0, 1.0, size=(6, G.base_dim))
+    values = level_set_phi_alpha(G, phi, kern, 0.5, A)
+    whole = _four_calls(G, phi, kern, P, A, values)
+    alone = [_four_calls(G, phi, kern, P[i], A[i], values[i]) for i in range(6)]
+    halves = [_four_calls(G, phi, kern, P[i:i + 3], A[i:i + 3], values[i:i + 3])
+              for i in (0, 3)]
+    shaped = _four_calls(G, phi, kern, P.reshape(2, 3, -1), A.reshape(2, 3, -1),
+                         values.reshape(2, 3))
+    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", 1), \
+            mock.patch.object(mollify, "_GRADIENT_OPS_LIMIT", 1):
+        small = _four_calls(G, phi, kern, P, A, values)
+    for j, want in enumerate(whole):
+        assert np.array_equal(np.stack([np.asarray(out[j]) for out in alone]), want)
+        assert np.array_equal(np.concatenate([out[j] for out in halves]), want)
+        assert shaped[j].shape == (2, 3) + want.shape[1:]
+        assert np.array_equal(shaped[j].reshape(want.shape), want)
+        assert np.array_equal(small[j], want)
+    assert isinstance(alone[0][0], float) and isinstance(alone[0][2], float)
+
+
+def test_empty_batches_give_empty_results(heis1, phi_unit, kernel01):
+    # no points in, no values out, from each entry point
+    points, base = np.empty((0, 3)), np.empty((0, 2))
+    assert mollified_indicator(heis1, phi_unit, kernel01, points).shape == (0,)
+    assert horizontal_gradient_mollified(heis1, phi_unit, kernel01, points).shape == (0, 2)
+    assert level_set_phi_alpha(heis1, phi_unit, kernel01, 0.5, base).shape == (0,)
+    assert intrinsic_gradient_of_level_set(heis1, phi_unit, kernel01, base,
+                                           np.empty(0)).shape == (0, 1)

@@ -64,6 +64,7 @@ from carnot.splitting import (
     Cone,
     cone_membership,
     estimate_intrinsic_lipschitz,
+    graph_map,
     graph_quasidistance,
     project_splitting,
     sigma_form,
@@ -612,6 +613,15 @@ CASES = [
     ("holder-nan-phi", errors.NonFiniteState, "phi is not finite at a node of the Hoelder",
      _on_log_phi("log(x2 - 0.5)",
                  lambda G, phi: vertical_holder_modulus(phi, [0.5], grid_per_axis=5))),
+    # the same phi gave a graph point (nan, 0.25, nan) and a NaN quasi-distance
+    # and coordinate form at the base point (0.25, 0.5)
+    ("graph-map-nan-phi", errors.NonFiniteState, "phi is not finite at a base point",
+     _on_log_phi("log(x2 - 0.5)", lambda G, phi: graph_map(G, phi, [0.25, 0.5]))),
+    ("quasidistance-nan-phi", errors.NonFiniteState, "phi is not finite at a base point",
+     _on_log_phi("log(x2 - 0.5)",
+                 lambda G, phi: graph_quasidistance(G, phi, [0.25, 0.5], [0.75, 0.5]))),
+    ("sigma-form-nan-phi", errors.NonFiniteState, "phi is not finite at a base point",
+     _on_log_phi("log(x2 - 0.5)", lambda G, phi: sigma_form(G, phi, [0.25, 0.5], [0.75, 0.5]))),
 ]
 
 
