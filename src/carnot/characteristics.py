@@ -16,14 +16,13 @@ the constant drift, so each RK4 stage costs one evaluation of phi, and the
 states are bitwise those of forming the frozen coefficients at every stage.
 
 The stages run on Python floats: the shifts and the RK4 combination are
-formed coordinate by coordinate, and an expression phi is evaluated by its
-one-point call on the stage's floats (``functions`` module docstring).  A
-grid, callable or translated phi sees each stage point in one reused
-(m+n-1,) array.  Each float operation is the single IEEE operation that
-the elementwise array form made, in the same order, and Python fuses no
-operations across statements, so the states stay bitwise those of the
-array form.  At one point per stage, small arrays cost far more in
-per-call overhead than in arithmetic.
+formed coordinate by coordinate, and phi is evaluated by its one-point call
+on the stage's floats (``functions`` module docstring), which for any phi
+but an expression builds one (m+n-1,) array per stage.  Each float
+operation is the single IEEE operation that the elementwise array form
+made, in the same order, and Python fuses no operations across statements,
+so the states stay bitwise those of the array form.  At one point per
+stage, small arrays cost far more in per-call overhead than in arithmetic.
 """
 
 from __future__ import annotations
@@ -90,19 +89,13 @@ def _rk4_path(G, phi, j, a0, T, steps):
     col = G.B[:, j - 1, 0].tolist()
     drift = _drift(G, j, out[0]).tolist()
     # a state is inside when it lies in phi's box (Box.contains, read
-    # inline); a phi whose domain is finer than its box (a translated phi
-    # overrides in_domain) is asked as well
+    # inline); a phi whose domain is finer than its box (a translated phi's
+    # inside mask) is asked as well
     lo, hi = phi.domain.lo.tolist(), phi.domain.hi.tolist()
     finer = not phi.fills_box
     half = 0.5 * h
     vert = range(G.n)
     value = phi.one_point
-    if value is None:
-        buf = np.empty(d)
-
-        def value(b):
-            buf[:] = b
-            return float(phi.eval_extended(buf))
 
     def rate(b):
         v = value(b)

@@ -55,7 +55,7 @@ def beta_for_k(k, epsilon=1.0, b12=1.0):
     return float(beta)
 
 
-def cone_window(k, epsilon=1.0, b12=1.0):
+def cone_window(k, epsilon, b12):
     """(beta, h) pair used by the parallelogram construction."""
     return beta_for_k(k, epsilon, b12), float(np.sqrt(k * k / (2.0 - k * k)))
 

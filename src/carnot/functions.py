@@ -2,20 +2,22 @@
 
 A ``GraphFunction`` is either a closed-form expression (parsed with sympy,
 evaluated through lambdify, with analytic partials), a sampled grid with
-multilinear interpolation, or an opaque callable (used for translated and
-level-set-extracted functions).  Coordinates on the base are named
-x2..xm, y1..yn; when n == 1 the alias ``y`` is accepted.
+multilinear interpolation, or an opaque callable.  An optional mask narrows
+its domain below its box (a translated phi).  Coordinates on the base are
+named x2..xm, y1..yn; when n == 1 the alias ``y`` is accepted.
 
-An expression also has a one-point call on Python floats, which the RK4
-stages of a characteristic use: the compiled expression runs on the floats
-themselves, not on 0-d arrays.  It gives the bits of the array call because
-every operation is then either one IEEE float operation, which Python and
-numpy round alike, or a numpy function called on a scalar.  Python's
-``float ** e`` is libm ``pow``, which differs from numpy's power in the last
-bit on a few percent of values, so the compiled code prints every power as
-``numpy.power(b, e)`` (the square roots sympy prints as ``numpy.sqrt``).
-A Python float divided by zero raises where numpy gives inf or nan; the
-one-point call then evaluates that point through the array call.
+Each has a one-point call on a list of floats, which the RK4 stages of a
+characteristic use.  For a grid or a callable it is the array function on
+that one point; an expression's runs the compiled expression on the floats
+themselves, not on 0-d arrays.  The latter gives the bits of the array call
+because every operation is then either one IEEE float operation, which
+Python and numpy round alike, or a numpy function called on a scalar.
+Python's ``float ** e`` is libm ``pow``, which differs from numpy's power
+in the last bit on a few percent of values, so the compiled code prints
+every power as ``numpy.power(b, e)`` (the square roots sympy prints as
+``numpy.sqrt``).  A Python float divided by zero raises where numpy gives
+inf or nan; the one-point call then evaluates that point through the array
+call.
 
 A grid function clamps each point to its box and interpolates
 multilinearly between the corners of the grid cell that holds it, with the
@@ -227,15 +229,6 @@ class Box:
         return out
 
 
-def _require_inside(a, ok):
-    """Raise :class:`OutOfDomain` naming the first point of ``a`` where the
-    domain mask ``ok`` fails."""
-    if not np.all(ok):
-        flat = a.reshape(-1, a.shape[-1])
-        bad = flat[~np.atleast_1d(ok).reshape(-1)][0]
-        raise OutOfDomain(f"point outside domain: {bad}")
-
-
 def check_base_points(a, dim):
     """a as a float array; DimensionMismatch unless its rows have ``dim``
     coordinates (a 0-d array has no rows)."""
@@ -340,21 +333,25 @@ def _multilinear(values, domain):
 class GraphFunction:
     """Scalar function on a box, with optional analytic partials.
 
-    ``kind`` is "expr", "grid" or "callable".  Calling the object evaluates
-    with a domain check (raises :class:`OutOfDomain`); ``eval_extended``
-    evaluates everywhere (expressions/callables directly, grids by clamped
-    interpolation), which the mollification pipeline relies on.
-    ``one_point`` is an expression's one-point call on a list of floats
-    (module docstring), unchecked like ``eval_extended``; it is None for the
-    other kinds.
+    Calling the object evaluates with a domain check (raises
+    :class:`OutOfDomain`); ``eval_extended`` evaluates everywhere
+    (expressions/callables directly, grids by clamped interpolation), which
+    the mollification pipeline relies on.  The mask ``inside`` narrows the
+    domain below the box; ``fills_box`` says there is none.  ``one_point``
+    is the one-point call (module docstring), unchecked like
+    ``eval_extended``.
     """
 
-    def __init__(self, domain, fn, kind, partials=None, one_point=None):
+    def __init__(self, domain, fn, partials=None, one_point=None, inside=None):
         self.domain = domain if isinstance(domain, Box) else Box(*domain)
         self._fn = fn
-        self.kind = kind
         self._partials = partials
+        if one_point is None:
+            def one_point(coords):
+                return float(fn(np.array(coords, dtype=float)))
         self.one_point = one_point
+        self._inside = inside
+        self.fills_box = inside is None
 
     # -- constructors ----------------------------------------------------------
 
@@ -371,7 +368,7 @@ class GraphFunction:
             raise ValidationError(
                 f"expression must be a string or a number, got {type(expr).__name__}")
         evaluate, partials, point = _compile_expression(expr, m, n)
-        obj = cls(domain, evaluate, "expr", partials=partials, one_point=point)
+        obj = cls(domain, evaluate, partials=partials, one_point=point)
         check_domain_dim(obj.domain, m + n - 1)
         return obj
 
@@ -391,11 +388,11 @@ class GraphFunction:
                                   f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("grid values must be finite")
-        return cls(domain, _multilinear(values, domain), "grid")
+        return cls(domain, _multilinear(values, domain))
 
     @classmethod
     def from_callable(cls, fn, domain):
-        return cls(domain, fn, "callable")
+        return cls(domain, fn)
 
     @classmethod
     def constant(cls, value, domain):
@@ -408,22 +405,21 @@ class GraphFunction:
             a = np.asarray(a, dtype=float)
             return np.zeros(a.shape)
 
-        return cls(domain, evaluate, "callable", partials=partials)
+        return cls(domain, evaluate, partials=partials)
 
     # -- evaluation -------------------------------------------------------------
 
     def in_domain(self, a):
-        return self.domain.contains(check_base_points(a, self.domain.dim))
-
-    @property
-    def fills_box(self):
-        """Whether every point of the domain box is in the domain; a subclass
-        with a finer ``in_domain`` (a translated phi) does not."""
-        return type(self).in_domain is GraphFunction.in_domain
+        a = check_base_points(a, self.domain.dim)
+        ok = self.domain.contains(a)
+        return ok if self.fills_box else ok & self._inside(a)
 
     def __call__(self, a):
         a = check_base_points(a, self.domain.dim)
-        _require_inside(a, self.in_domain(a))
+        ok = self.in_domain(a)
+        if not np.all(ok):
+            bad = a.reshape(-1, a.shape[-1])[~np.atleast_1d(ok).reshape(-1)][0]
+            raise OutOfDomain(f"point outside domain: {bad}")
         return self._fn(a)
 
     def eval_extended(self, a):
@@ -436,7 +432,7 @@ class GraphFunction:
 
     def partials(self, a):
         if self._partials is None:
-            raise ValidationError(f"{self.kind} graph function has no analytic partials")
+            raise ValidationError("graph function has no analytic partials")
         return self._partials(check_base_points(a, self.domain.dim))
 
 

@@ -14,14 +14,18 @@ exponents 1 and 2, and the homogeneous norm is
 max(|x|, eps * |y|^(1/2)) for a group-dependent eps in (0, 1].
 
 Each structure keeps one table of the nonzero entries (s, i, j, b^(s)_ij)
-of B, in increasing (s, i, j).  Every contraction with B on point batches
+of B, in increasing (s, i, j).  The contractions with B on point batches
 (the bracket <B x_p, x_q> here; the graph points, the quasi-distance layers
-and the intrinsic frame elsewhere) walks that table with :func:`_walk`:
+and the intrinsic frame elsewhere) walk that table with :func:`_walk`:
 each nonzero entry gives one product of coordinate columns, added into one
 column of the output, and each sum runs over its nonzero terms in table
 order from its first term.  The standard groups have two to four nonzero
 entries per B^(s), so a batch costs a few column operations per entry and
-no small matmul.  Short sums over the last axis (the layer norms) run
+no small matmul.  Two contractions are BLAS matmuls instead, B on the left
+and the long point axis last: the anchor terms of
+``splitting._anchor_terms`` and the point terms ``p_half_row1`` of
+``splitting._split``.  They stay matmuls so that the mollifier's results
+keep their bits.  Short sums over the last axis (the layer norms) run
 column by column too, in the order of ``np.sum``, so their results are
 bitwise those of ``np.sum`` and ``np.linalg.norm``.
 """

@@ -34,7 +34,8 @@ Right multiplication by s e1 moves only the V-part of the splitting
 G = W * V, so g at p * (s e1) is g at p minus s, and one table of g per
 batch of points (one split and one phi evaluation per point and node,
 ``_ramp_table``) serves f_alpha and the three items below; a non-finite g
-is a NonFiniteState error in each of them.
+is a NonFiniteState error in each of them, and a NaN or infinite point given
+to a public call a ValidationError.
 
 * the level set.  A section f(t) = sum_k w_k r_k(g_k - t) / sum w is
   nonincreasing and linear between its 2K kinks g_k -+ delta/2, 1 at the
@@ -109,7 +110,7 @@ from .calculus import (
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
 from .functions import check_base_points
-from .group import _check_point
+from .group import _check_finite, _finite_point
 from .quadrature import (
     check_count,
     check_positive,
@@ -283,7 +284,7 @@ def mollified_indicator(G, phi, kernel, p):
     """f_alpha at point(s) p: the group convolution of the subgraph
     indicator, in [0, 1], nonincreasing in the graph coordinate, with a
     kernel built on G (``_ramp_table``)."""
-    p = _check_point(G, p)
+    p = _finite_point(G, p)
     P = p.reshape(-1, G.dim)
     out = np.empty(P.shape[0])
     for rows, _, _, g in _ramp_table(G, phi, kernel, P):
@@ -367,7 +368,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
 def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
-    p = _check_point(G, p)
+    p = _finite_point(G, p)
     return _restore(_shifted_gradient(G, phi, kernel, p.reshape(-1, G.dim), 0.0),
                     p.shape[:-1])
 
@@ -377,6 +378,7 @@ def level_set_phi_alpha(G, phi, kernel, c_level, a):
     over the base points (see ``_section_roots``).  Where f_alpha equals c
     over an interval of t, the root is the interval's left end."""
     a = check_base_points(a, G.base_dim)
+    _check_finite(a)
     roots, *_ = _section_roots(G, phi, kernel, c_level, a.reshape(-1, G.base_dim))
     return _restore(roots, a.shape[:-1])
 
@@ -458,6 +460,7 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
     shifts phi_alpha(a) of one table of g on the rows i(a).  One finite
     value per base point, or a :class:`ValidationError`."""
     A = check_base_points(A, G.base_dim)
+    _check_finite(A)
     phi_alpha_values = np.asarray(phi_alpha_values, dtype=float)
     if phi_alpha_values.shape != A.shape[:-1]:
         raise DimensionMismatch(f"need one phi_alpha value per base point, shape "

@@ -16,7 +16,8 @@ One work budget, :func:`check_work_budget`, caps grid nodes and every other
 count that sizes an array (sampled pairs, cone samples, RK4 rows).  The
 other argument checks that several modules share live here too:
 :func:`check_count`, :func:`check_positive` and :func:`seeded_rng` make a
-count, a positive scalar or a seed that is not one a ValidationError.
+count, a positive scalar or a seed that is not one (a bool is none of
+them) a ValidationError.
 """
 
 from __future__ import annotations
@@ -64,11 +65,14 @@ def check_positive(value, rule):
 
 
 def seeded_rng(seed):
-    """``np.random.default_rng(seed)``; a seed it refuses is a ValidationError."""
+    """``np.random.default_rng(seed)``; a seed it refuses, or a bool, is a
+    ValidationError."""
     try:
-        return np.random.default_rng(seed)
+        if not isinstance(seed, bool):
+            return np.random.default_rng(seed)
     except (TypeError, ValueError):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
+        pass
+    raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def tensor_grid(lo, hi, shape, nodes="midpoint"):

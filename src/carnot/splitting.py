@@ -5,7 +5,9 @@ subgroup {x1 = 0}, identified with R^(m+n-1) through the inclusion
 i(x2..xm, y1..yn) = (0, x2..xm, y1..yn).  This module provides the exact
 projections, graph maps, intrinsic translations, the graph quasi-distance
 and its coordinate form, and the sampled diagnostics (intrinsic Lipschitz
-estimate, vertical Hoelder modulus) built from them.
+estimate, vertical Hoelder modulus) built from them.  A translated phi is a
+plain ``GraphFunction`` on a bounding box whose ``inside`` mask keeps the
+points that pull back into phi's domain.
 
 Graph points, splittings and the graph quasi-distance are closed forms,
 not compositions of group operations.  With a = (x-hat, y), first layers
@@ -42,13 +44,7 @@ from .errors import (
     OutOfDomain,
     ValidationError,
 )
-from .functions import (
-    Box,
-    GraphFunction,
-    _require_inside,
-    check_base_points,
-    check_domain_dim,
-)
+from .functions import Box, GraphFunction, check_base_points, check_domain_dim
 from .quadrature import check_count, check_positive, check_work_budget, seeded_rng, tensor_grid
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
@@ -139,45 +135,29 @@ def graph_map(G, phi, a):
     return graph_point(G, a, _finite_phi(phi(a)))
 
 
-def _pulled_base(G, q, a):
-    """(base, t) of q^-1 i(a)."""
-    return _split_from(G, q, graph_point(G, a, 0.0))
-
-
-class _TranslatedFunction(GraphFunction):
-    """phi_q(a) = phi(base) - t with (base, t) the split of q^-1 i(a),
-    defined where base lies in phi's domain; a checked call splits once for
-    both the domain check and the value."""
-
-    def __init__(self, G, phi, q, domain):
-        self._G, self._phi, self._q = G, phi, q
-        super().__init__(domain, self._value, "callable")
-
-    def _value(self, a):
-        b, t = _pulled_base(self._G, self._q, a)
-        return self._phi.eval_extended(b) - t
-
-    def in_domain(self, a):
-        base = _pulled_base(self._G, self._q, a)[0]
-        return super().in_domain(a) & self._phi.in_domain(base)
-
-    def __call__(self, a):
-        a = check_base_points(a, self.domain.dim)
-        b, t = _pulled_base(self._G, self._q, a)
-        _require_inside(a, self.domain.contains(a) & self._phi.in_domain(b))
-        return self._phi.eval_extended(b) - t
-
-
 def translate_graph_function(G, phi, q):
-    """Evaluator for the translated function: q * graph(phi) = graph(phi_q).
+    """The translated function: q * graph(phi) = graph(phi_q).
 
-    phi_q(a) = phi(P_W(q^-1 i(a))) - t(q^-1 i(a)) on the set where the
-    projected base point lies in phi's domain.  The x-hat part of the
-    translated domain is an exact box; the y-part is tracked by the exact
-    membership predicate.
+    phi_q(a) = phi(base) - t with (base, t) the split of q^-1 i(a), on the
+    set where base lies in phi's domain: a ``GraphFunction`` on a bounding
+    box, narrowed by that set as its ``inside`` mask.  The x-hat part of
+    the translated domain is an exact box; the y-part is tracked by the
+    mask.
     """
     check_domain_dim(phi.domain, G.base_dim)
     q = _anchor(G, q)
+
+    def pulled(a):
+        """(base, t) of q^-1 i(a)."""
+        return _split_from(G, q, graph_point(G, a, 0.0))
+
+    def value(a):
+        b, t = pulled(a)
+        return phi.eval_extended(b) - t
+
+    def mask(a):
+        return phi.in_domain(pulled(a)[0])
+
     # bounding box of the translated domain: the x-hat block shifts exactly
     # by q's first layer; the pulled-back vertical block is a_y plus an
     # affine function of a_xhat, so its extremes sit at the x-hat corners.
@@ -189,10 +169,10 @@ def translate_graph_function(G, phi, q):
     corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
                           nodes="endpoint")
     # the vertical part of the pulled-back corners is the affine correction
-    g_y = _pulled_base(G, q, np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
+    g_y = pulled(np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
     lo[G.m - 1:] -= np.max(g_y, axis=0)
     hi[G.m - 1:] -= np.min(g_y, axis=0)
-    return _TranslatedFunction(G, phi, q, Box(lo, hi))
+    return GraphFunction(Box(lo, hi), value, inside=mask)
 
 
 @dataclass(frozen=True)

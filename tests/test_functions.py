@@ -17,12 +17,14 @@ from carnot.functions import (
     load_graph_function,
     vector_field_from_dict,
 )
+from carnot.group import standard_group
 from carnot.quadrature import (
     MAX_GRID_NODES,
     midpoint_rule,
     richardson_order,
     tensor_grid,
 )
+from carnot.splitting import translate_graph_function
 
 from conftest import unit_box
 
@@ -407,6 +409,42 @@ def test_one_point_call_matches_array_call_bitwise(expr, x2, y):
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
     assert got_warned == want_warned
+
+
+# values of grid nodes and constants, signed zeros among them
+_VALUE = st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.25])
+
+
+def _one_point_kind(kind, data):
+    """A phi of ``kind`` that is not an expression, drawn from ``data``."""
+    if kind.startswith("grid"):
+        # the 2-D interpolant, the 2-D one along the one axis of more than
+        # one node, and the general corner loop
+        shape = {"grid-2d": (3, 4), "grid-2d-one-node": (1, 3),
+                 "grid-3d": (2, 3, 2)}[kind]
+        values = data.draw(st.lists(_VALUE, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        return GraphFunction.from_grid(np.reshape(values, shape), unit_box(len(shape)))
+    if kind == "callable":
+        return GraphFunction.from_callable(
+            lambda a: np.sin(a[..., 0]) * a[..., -1] - a[..., 1] ** 2, unit_box(2))
+    if kind == "constant":
+        return GraphFunction.constant(data.draw(_VALUE), unit_box(2))
+    G = standard_group("heisenberg", 1, epsilon=1.0)
+    q = data.draw(st.sampled_from([[0.0, 0.0, 0.0], [0.3, -0.2, 0.15], [-0.0, 0.5, -1.0]]))
+    return translate_graph_function(
+        G, GraphFunction.from_expression("x2*y - 0.5*x2", unit_box(2), 2, 1), q)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["grid-2d", "grid-2d-one-node", "grid-3d", "callable", "constant",
+                        "translated"]), _COORD, _COORD, _COORD, st.data())
+def test_one_point_call_matches_array_call_for_every_kind(kind, x2, y, z, data):
+    phi = _one_point_kind(kind, data)
+    a = np.array([x2, y, z][:phi.domain.dim])
+    got = phi.one_point(a.tolist())
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(float(phi.eval_extended(a))).tobytes()
 
 
 def _default_lambdify(expr, partials):

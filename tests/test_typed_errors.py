@@ -115,6 +115,12 @@ def _pole_crossing(G, tmp):
         integrate_characteristic(G, phi, 2, np.array([0.25, 0.5]), 0.5, 8)
 
 
+# points and base points of heisenberg(1) with a NaN or infinite coordinate
+_BAD_POINTS = (("nan", [0.1, 0.2, np.nan]), ("inf", [0.1, 0.2, np.inf]),
+               ("inf-x1", [np.inf, 0.2, 0.3]))
+_BAD_BASE_POINTS = (("nan", [0.5, np.nan]), ("inf", [0.5, np.inf]))
+
+
 def _curve(G):
     return integrate_characteristic(G, _phi(), 2, np.full(2, 0.5), 0.25, 8)
 
@@ -271,7 +277,7 @@ CASES = [
                                             0.5, 3)),
     ("grid-not-finite", errors.ValidationError, "grid values must be finite",
      lambda G, tmp: GraphFunction.from_grid(np.full((2, 2), np.nan), Box(**UNIT))),
-    ("no-partials", errors.ValidationError, "callable graph function has no analytic",
+    ("no-partials", errors.ValidationError, "graph function has no analytic partials",
      lambda G, tmp: GraphFunction.from_callable(np.sin, Box(**UNIT)).partials(
          np.zeros(2))),
     ("empty-vector-field", errors.ValidationError, "at least one component",
@@ -622,6 +628,25 @@ CASES = [
                  lambda G, phi: graph_quasidistance(G, phi, [0.25, 0.5], [0.75, 0.5]))),
     ("sigma-form-nan-phi", errors.NonFiniteState, "phi is not finite at a base point",
      _on_log_phi("log(x2 - 0.5)", lambda G, phi: sigma_form(G, phi, [0.25, 0.5], [0.75, 0.5]))),
+    # an infinite point gave a level 0.5, a gradient [[1.]] and an f_alpha
+    # of 0.98, or a RuntimeWarning from numpy; a NaN point read as phi not
+    # finite within the kernel's reach (NonFiniteState)
+    *[(f"{name}-{kind}-point", errors.ValidationError, "point has a NaN or infinite",
+       lambda G, tmp, call=call, x=x: call(G, _phi(), MollifierKernel(G, 0.1, points_per_axis=4),
+                                           x))
+      for name, call, points in (
+          ("indicator", mollified_indicator, _BAD_POINTS),
+          ("gradient", horizontal_gradient_mollified, _BAD_POINTS),
+          ("level-set", lambda G, phi, k, a: level_set_phi_alpha(G, phi, k, 0.5, a),
+           _BAD_BASE_POINTS),
+          ("level-set-gradient",
+           lambda G, phi, k, a: intrinsic_gradient_of_level_set(G, phi, k, [a], [0.5]),
+           _BAD_BASE_POINTS))
+      for kind, x in points],
+    # True and False ran as the seeds 1 and 0
+    *[(f"lipschitz-seed-{seed}", errors.ValidationError, "seed must be a non-negative integer",
+       lambda G, tmp, seed=seed: estimate_intrinsic_lipschitz(G, _phi(), 10, seed=seed))
+      for seed in (True, False)],
 ]
 
 
