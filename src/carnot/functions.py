@@ -1,23 +1,23 @@
 """Scalar functions on a box in R^(m+n-1): the graph data.
 
-A ``GraphFunction`` is either a closed-form expression (parsed with sympy,
-evaluated through lambdify, with analytic partials), a sampled grid with
-multilinear interpolation, or an opaque callable.  An optional mask narrows
-its domain below its box (a translated phi).  Coordinates on the base are
-named x2..xm, y1..yn; when n == 1 the alias ``y`` is accepted.
+A ``GraphFunction`` is either a closed-form expression with analytic
+partials, a sampled grid with multilinear interpolation, or an opaque
+callable.  An optional mask narrows its domain below its box (a translated
+phi).  Coordinates on the base are named x2..xm, y1..yn; when n == 1 the
+alias ``y`` is accepted.
 
-Each has a one-point call on a list of floats, which the RK4 stages of a
-characteristic use.  For a grid or a callable it is the array function on
-that one point; an expression's runs the compiled expression on the floats
-themselves, not on 0-d arrays.  The latter gives the bits of the array call
-because every operation is then either one IEEE float operation, which
-Python and numpy round alike, or a numpy function called on a scalar.
-Python's ``float ** e`` is libm ``pow``, which differs from numpy's power
-in the last bit on a few percent of values, so the compiled code prints
-every power as ``numpy.power(b, e)`` (the square roots sympy prints as
-``numpy.sqrt``).  A Python float divided by zero raises where numpy gives
-inf or nan; the one-point call then evaluates that point through the array
-call.
+An expression is parsed by Python's ``ast`` into a tree, folded where it is
+constant and printed as numpy code in the tree's order, with its partials
+from a small differentiator (``_d``).  Each phi has a one-point call on a
+list of floats, which the RK4 stages of a characteristic use: a grid's or a
+callable's is the array function on that one point; an expression's runs
+on the floats themselves and gives the bits of the array call, as every
+operation is then one IEEE float operation, which Python and numpy round
+alike, or a numpy function called on a scalar.  Python's ``float ** e`` is
+libm ``pow``, which differs from numpy's power in the last bit on a few
+percent of values, so every power is printed as ``numpy.power(b, e)``.  A
+Python float divided by zero raises where numpy gives inf or nan; the
+one-point call then evaluates that point through the array call.
 
 A grid function clamps each point to its box and interpolates
 multilinearly between the corners of the grid cell that holds it, with the
@@ -39,10 +39,12 @@ componentwise.
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -56,125 +58,164 @@ def base_coordinate_names(m, n):
     return [f"x{j}" for j in range(2, m + 1)] + [f"y{s}" for s in range(1, n + 1)]
 
 
-# the sympy functions and constants an expression may use besides +, -, *, /
-# and ** ("abs" is an alias of Abs); any other sympy name (gamma, Heaviside,
-# Integral, I, zoo, nan, ...) is a ValidationError when the expression is
-# compiled (``_unsupported``)
-_ALLOWED_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "Abs", "tanh", "pi", "E")
+# the language: numbers, the coordinates, the constants pi and E, + - * /
+# and ** (or ^), unary - and +, and these functions ("abs" is Abs)
+_CALLS = ("sin", "cos", "tan", "exp", "log", "sqrt", "Abs", "tanh")
+_CONSTANTS = {"pi": math.pi, "E": math.e}
+# the globals of the compiled code: the numpy functions it calls, no builtins
+_NUMPY = {"__builtins__": {}, "power": np.power, **{n: getattr(np, n.lower()) for n in _CALLS}}
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "power",
+        ast.USub: "neg", ast.UAdd: "pos"}
+_RANK = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
-@functools.cache
-def _power_printer():
-    """sympy's numpy printer with each power it would print as ``b**e``
-    printed as ``numpy.power(b, e)`` (module docstring); on arrays the two
-    give the same bits."""
-    from sympy import S
-    from sympy.printing.numpy import NumPyPrinter
-
-    class PowerPrinter(NumPyPrinter):
-        def _hprint_Pow(self, expr, rational=False, sqrt="numpy.sqrt"):
-            if not rational and expr.is_commutative and expr.exp in (S.Half, -S.Half):
-                return super()._hprint_Pow(expr, rational, sqrt)
-            return (f"{self._module_format('numpy.power')}"
-                    f"({self._print(expr.base)}, {self._print(expr.exp)})")
-
-    return PowerPrinter
+def _source(tree, rank=0):
+    """The numpy source of a tree, in parentheses where it binds less tightly
+    than ``rank`` (a right operand of equal rank keeps them): the tree's order."""
+    if not isinstance(tree, tuple):
+        return repr(tree) if isinstance(tree, float) else tree
+    op, *args = tree
+    if op not in _RANK:
+        return f"{op}({', '.join(map(_source, args))})"
+    source = (f"-{_source(args[0], 3)}" if op == "neg" else
+              f"{_source(args[0], _RANK[op])} {op} {_source(args[1], _RANK[op] + 1)}")
+    return f"({source})" if _RANK[op] < rank else source
 
 
-def _unsupported(tree):
-    """Why the compiled code cannot evaluate a sympy tree on real floats
-    (a phrase), or None: every node must be a symbol, +, * or **, a name of
-    ``_ALLOWED_FUNCS`` or a number the compiled code reads as a finite float.
-    It reads a rational p/q as Python's int division (p alone for an
-    integer), an OverflowError beyond the float range, and a float literal
-    as Python does, inf beyond it, which sympy keeps finite."""
-    import sympy as sp
+def _op(op, *args):
+    """The tree (op, *args), or if every argument is a number the one the code
+    computes ("pos" keeps it): OverflowError if infinite, ArithmeticError if NaN."""
+    if not all(isinstance(arg, float) for arg in args):
+        return (op, *args)
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            value = args[0] if op == "pos" else float(eval(_source((op, *args)), _NUMPY))
+    except (ZeroDivisionError, FloatingPointError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise OverflowError if math.isinf(value) else ArithmeticError
+    return value
 
-    allowed = {getattr(sp, name) for name in _ALLOWED_FUNCS}
-    for node in sp.preorder_traversal(tree):
-        if isinstance(node, (sp.Symbol, sp.Add, sp.Mul, sp.Pow)) \
-                or node in allowed or node.func in allowed:
-            continue
-        if isinstance(node, (sp.Rational, sp.Float)):
-            try:
-                value = node.p / node.q if isinstance(node, sp.Rational) else float(node)
-            except OverflowError:
-                value = math.inf
-            if math.isfinite(value):
-                continue
-            return "has a constant too large for a float"
-        if node.is_Atom and node.is_number and not node.is_real:
-            return f"has the constant {node}, which is not a finite real number"
-        return f"uses {node.func.__name__}, which is not one of {', '.join(_ALLOWED_FUNCS)}"
-    return None
+
+def _parse(node, expr, names):
+    """The tree of ``expr``'s ``ast`` node, a float, a coordinate name or (op,
+    *trees), folded by ``_op``; a ValidationError outside the language."""
+    kind, op, args, func = type(node), "pos", [], getattr(node, "func", None)
+    if kind is ast.Name and node.id in names:
+        return names[node.id]
+    if kind is ast.Call and getattr(func, "id", None) not in _CALLS + ("abs",):
+        raise ValidationError(f"expression {expr!r} uses {ast.unparse(func)}, which is not "
+                              f"one of {', '.join(_CALLS)}")
+    if kind is ast.Call and len(node.args) == 1 and not node.keywords:
+        op, args = "Abs" if func.id == "abs" else func.id, node.args
+    elif kind in (ast.BinOp, ast.UnaryOp) and type(node.op) in _OPS:
+        op, args = _OPS[type(node.op)], [c for c in ast.iter_child_nodes(node)
+                                         if isinstance(c, ast.expr)]
+    elif not (kind is ast.Constant and type(node.value) in (int, float, complex)):
+        raise ValidationError(f"expression {expr!r} uses {ast.unparse(node)!r}, which is "
+                              f"not part of the language")
+    args = list(map(_parse, args, itertools.repeat(expr), itertools.repeat(names)))
+    try:
+        if kind is ast.Constant:
+            # float() of an int beyond the float range is an OverflowError
+            return _op("pos", math.nan if type(node.value) is complex else float(node.value))
+        return args[0] if op == "pos" else _op(op, *args)
+    except ArithmeticError as exc:
+        why = ("a constant too large for a float" if isinstance(exc, OverflowError) else
+               f"the constant {ast.unparse(node)}, which is not a finite real number")
+        raise ValidationError(f"expression {expr!r} has {why}") from None
+
+
+def _d(op, a, b):
+    """The tree (op, a, b) as the differentiator forms it: sums with 0, zero
+    dividends and powers of 1 drop out, and numeric factors fold by one rule.
+    A zero factor gives 0, a number moves to the front of a product, a number
+    times a product that starts with one is their product (rounded once)
+    times the rest, and a factor 1 drops out."""
+    if op == "*":
+        if 0.0 in (a, b):
+            return 0.0
+        a, b = (b, a) if isinstance(b, float) else (a, b)
+        if type(a) is float and type(b) is tuple and b[0] == "*" and type(b[1]) is float:
+            a, b = _op("*", a, b[1]), b[2]
+        if a == 1.0:
+            return b
+    elif b == 0.0 and op in ("+", "-") or a == 0.0 and op == "/" \
+            or b == 1.0 and op == "power":
+        return a
+    elif a == 0.0 and op in ("+", "-"):
+        return b if op == "+" else _op("neg", b)
+    return _op(op, a, b)
+
+
+def _derivative(tree, name):
+    """The tree of d tree / d ``name``, each step formed by ``_d``; None
+    where it needs Abs's derivative.  A fold that is not finite raises."""
+    if not isinstance(tree, tuple):
+        return 1.0 if tree == name else 0.0
+    op, *args = tree
+    d = list(map(_derivative, args, itertools.repeat(name)))
+    if None in d or op == "Abs":
+        return None
+    (a, da), (b, db) = (args[0], d[0]), (args[-1], d[-1])
+    if op in ("+", "-", "neg"):
+        return _d(op, da, db) if op != "neg" else _d("-", 0.0, da)
+    if op == "*":
+        return _d("+", _d("*", da, b), _d("*", a, db))
+    if op == "/":
+        return _d("-", _d(op, da, b), _d(op, _d("*", a, db), _d("power", b, 2.0)))
+    if op == "power":
+        # d a**b = b a**(b - 1) da + a**b log(a) db
+        return _d("+", _d("*", _d("*", b, _d(op, a, _d("-", b, 1.0))), da),
+                  _d("*", _d("*", tree, _op("log", a)), db))
+    # f'(a) for tree = f(a)
+    outer = {"sin": ("cos", a), "cos": ("neg", ("sin", a)), "exp": tree,
+             "log": ("/", 1.0, a), "sqrt": ("/", 1.0, ("*", 2.0, tree)),
+             "tan": ("+", 1.0, ("power", tree, 2.0)),
+             "tanh": ("-", 1.0, ("power", tree, 2.0))}
+    return _d("*", outer[op], da)
 
 
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr, m, n):
-    """(evaluate, partials, point) for an expression over the base of
-    G(m, n): the array call, the array partials (None when a derivative
-    fails the check of ``_unsupported``, as Abs's does) and the one-point
-    call on a list of floats (module docstring).  sympy is imported here, so
-    only a process that compiles an expression loads it."""
-    import sympy as sp
-
-    names = base_coordinate_names(m, n)
-    syms = sp.symbols(names)
-    local = dict(zip(names, syms))
-    if n == 1:
-        local["y"] = local["y1"]
-    local.update({name: getattr(sp, name) for name in _ALLOWED_FUNCS})
-    local["abs"] = sp.Abs
+    """(evaluate, partials, point) for an expression over the base of G(m, n):
+    numpy code from its folded ``ast`` tree (``_parse``) and partials (``_d``;
+    None where one is not formed or folds a non-finite constant)."""
+    params = base_coordinate_names(m, n)
+    names = dict(zip(params, params)) | _CONSTANTS | ({"y": "y1"} if n == 1 else {})
+    source = expr.strip().replace("^", "**")  # ^ is a power, of a power's precedence
     try:
-        tree = sp.sympify(expr, locals=local)
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
-        raise ValidationError(f"cannot parse expression {expr!r}: {exc}") from exc
-    if not isinstance(tree, sp.Expr):
-        raise ValidationError(f"expression {expr!r} is not a scalar expression")
-    extra = tree.free_symbols - set(syms)
-    if extra:
-        raise ValidationError(
-            f"expression {expr!r} uses unknown symbols {sorted(map(str, extra))}")
-    problem = _unsupported(tree)
-    if problem:
-        raise ValidationError(f"expression {expr!r} {problem}")
-    # the settings lambdify gives its own printer
-    printer = _power_printer()({"fully_qualified_modules": False, "inline": True,
-                                "allow_unknown_functions": True, "user_functions": {}})
-    f = sp.lambdify(syms, tree, modules="numpy", printer=printer)
-    diffs = [sp.diff(tree, s) for s in syms]
-    # derivatives that cannot be compiled fall back to central differences
-    grad = (None if any(map(_unsupported, diffs)) else
-            sp.lambdify(syms, diffs, modules="numpy", printer=printer))
-
-    columns = [(..., i) for i in range(len(names))]
+        tree = _parse(ast.parse(source, mode="eval").body, expr, names)
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot parse expression {expr!r}: {exc}") from None
+    try:
+        grads = [_derivative(tree, name) for name in params]
+    except (ArithmeticError, RecursionError):
+        grads = [None]
+    head = f"lambda {', '.join(params)}: "
+    f = eval(head + _source(tree), _NUMPY)
 
     def evaluate(a):
-        a = np.asarray(a, dtype=float)
-        out = np.asarray(f(*[a[c] for c in columns]), dtype=float)
-        # copy only a scalar or broadcast result, or a view, which may alias
-        # the input ("x2" returns its own column); any other is already fresh
-        if out.shape != a.shape[:-1]:
-            out = np.broadcast_to(out, a.shape[:-1]).copy()
-        elif out.base is not None:
-            out = out.copy()
+        out = np.asarray(f(*[a[..., i] for i in range(len(params))]), dtype=float)
+        # copy a scalar result or a view, which may alias the input ("x2")
+        if out.shape != a.shape[:-1] or out.base is not None:
+            out = np.full(a.shape[:-1], out)
         return out
+
+    partials = None
+    if None not in grads:
+        grad = eval(f"{head}({', '.join(map(_source, grads))},)", _NUMPY)
+
+        def partials(a):
+            columns = grad(*[a[..., i] for i in range(len(params))])
+            return np.stack([np.broadcast_to(g, a.shape[:-1]) for g in columns], axis=-1)
 
     def point(coords):
         try:
             return float(f(*coords))
         except ZeroDivisionError:
             # a Python float divided by zero, where numpy returns inf or nan
-            return float(evaluate(coords))
-
-    partials = None
-    if grad is not None:
-        def partials(a):
-            a = np.asarray(a, dtype=float)
-            cols = [a[..., i] for i in range(a.shape[-1])]
-            outs = [np.broadcast_to(np.asarray(g, dtype=float), a.shape[:-1])
-                    for g in grad(*cols)]
-            return np.stack(outs, axis=-1)
+            return float(evaluate(np.array(coords, dtype=float)))
 
     return evaluate, partials, point
 
@@ -360,14 +401,14 @@ class GraphFunction:
         """Closed-form phi over ``domain``, from a string or a number.
 
         Parsing and compilation are memoised by ``(expr, m, n)`` in a
-        bounded per-process cache, so a loop that rebuilds the same
-        expression pays for sympy once; each call still returns a fresh
-        object with its own domain.
+        bounded per-process cache; each call still returns a fresh object
+        with its own domain.
         """
         if isinstance(expr, bool) or not isinstance(expr, (str, int, float)):
             raise ValidationError(
                 f"expression must be a string or a number, got {type(expr).__name__}")
-        evaluate, partials, point = _compile_expression(expr, m, n)
+        # a number as its repr, which keeps every bit (and -0.0 apart from 0.0)
+        evaluate, partials, point = _compile_expression(str(expr), m, n)
         obj = cls(domain, evaluate, partials=partials, one_point=point)
         check_domain_dim(obj.domain, m + n - 1)
         return obj
@@ -396,16 +437,11 @@ class GraphFunction:
 
     @classmethod
     def constant(cls, value, domain):
-        value = float(value)
-
-        def evaluate(a):
-            return np.full(np.asarray(a).shape[:-1], value)
-
-        def partials(a):
-            a = np.asarray(a, dtype=float)
-            return np.zeros(a.shape)
-
-        return cls(domain, evaluate, partials=partials)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ValidationError(f"a constant phi needs a finite number, got {value!r}")
+        domain = domain if isinstance(domain, Box) else Box(*domain)
+        return cls.from_expression(float(value), domain, domain.dim + 1, 0)
 
     # -- evaluation -------------------------------------------------------------
 

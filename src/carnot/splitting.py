@@ -161,18 +161,22 @@ def translate_graph_function(G, phi, q):
     # bounding box of the translated domain: the x-hat block shifts exactly
     # by q's first layer; the pulled-back vertical block is a_y plus an
     # affine function of a_xhat, so its extremes sit at the x-hat corners.
-    shift_x = q[1:G.m]
-    lo = phi.domain.lo.copy()
-    hi = phi.domain.hi.copy()
-    lo[:G.m - 1] += shift_x
-    hi[:G.m - 1] += shift_x
-    corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
-                          nodes="endpoint")
-    # the vertical part of the pulled-back corners is the affine correction
-    g_y = pulled(np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
-    lo[G.m - 1:] -= np.max(g_y, axis=0)
-    hi[G.m - 1:] -= np.min(g_y, axis=0)
-    return GraphFunction(Box(lo, hi), value, inside=mask)
+    lo, hi = phi.domain.lo.copy(), phi.domain.hi.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo[:G.m - 1] += q[1:G.m]
+        hi[:G.m - 1] += q[1:G.m]
+        corners = tensor_grid(lo[:G.m - 1], hi[:G.m - 1], (2,) * (G.m - 1),
+                              nodes="endpoint")
+        # the vertical part of the pulled-back corners is the affine correction
+        g_y = pulled(np.pad(corners, ((0, 0), (0, G.n))))[0][:, G.m - 1:]
+        lo[G.m - 1:] -= np.max(g_y, axis=0)
+        hi[G.m - 1:] -= np.min(g_y, axis=0)
+    try:
+        # Box refuses the bounds that a NaN, infinite or too large q leaves
+        return GraphFunction(Box(lo, hi), value, inside=mask)
+    except ValidationError:
+        raise ValidationError(f"translation q = {q.tolist()} must be finite and keep phi's "
+                              f"domain within the float range") from None
 
 
 @dataclass(frozen=True)

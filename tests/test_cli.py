@@ -804,9 +804,9 @@ BAD_FILE_PROBES = [
     ("phi-not-object", errors.ValidationError, "a function spec is an object"),
     ("w-components-not-list", errors.ValidationError, "'components' must be a list"),
     ("expr-constant-overflows", errors.ValidationError, "constant too large for a float"),
-    ("expr-complex-infinity", errors.ValidationError, "zoo, which is not a finite real"),
-    ("expr-imaginary-unit", errors.ValidationError, "I, which is not a finite real"),
-    ("expr-imaginary-power", errors.ValidationError, "I, which is not a finite real"),
+    ("expr-complex-infinity", errors.ValidationError, "1 / 0, which is not a finite real"),
+    ("expr-imaginary-unit", errors.ValidationError, "'I', which is not part of the language"),
+    ("expr-imaginary-power", errors.ValidationError, "'I', which is not part of the language"),
     ("expr-function-gamma", errors.ValidationError, "gamma, which is not one of"),
     ("grid-spec-list", errors.ValidationError, "grid spec needs"),
     ("grid-spec-string", errors.ValidationError, "grid spec needs"),

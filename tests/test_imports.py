@@ -1,6 +1,6 @@
 """Which heavy dependencies each CLI path loads, in a fresh interpreter:
-sympy only once an expression is compiled, and scipy never, not for a grid
-phi nor for a curve integral, and no module imports it;
+neither scipy nor sympy, not for an expression, a grid phi or a curve
+integral, and no module imports either;
 README's module pointers name every module, each with a docstring; and
 no module keeps an import or a private helper that nothing uses."""
 
@@ -103,17 +103,18 @@ def test_no_unused_imports_or_private_helpers():
     assert stale == []
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test dependency only: the package's numpy code is checked
-    # against it, and no module may import it
+def test_no_module_imports_a_test_dependency():
+    # scipy and sympy are test dependencies only: the package's numpy code
+    # is checked against them, and no module may import either
     for path in pathlib.Path(carnot.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+            assert not any(name.split(".")[0] in ("scipy", "sympy") for name in names), \
+                path.name
 
 
-def test_heavy_imports_load_on_first_use():
+def test_no_command_loads_a_heavy_import():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -123,11 +124,6 @@ def test_heavy_imports_load_on_first_use():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0, 0]
     none = {"scipy": False, "sympy": False}
-    assert result["steps"] == {
-        "import": none,
-        "group validate": none,
-        "gradient": {"scipy": False, "sympy": True},
-        "mollify": {"scipy": False, "sympy": True},
-        "broadstar": {"scipy": False, "sympy": True},
-        "gradient on a grid": {"scipy": False, "sympy": True},
-    }
+    assert result["steps"] == {step: none for step in (
+        "import", "group validate", "gradient", "mollify", "broadstar",
+        "gradient on a grid")}

@@ -541,12 +541,15 @@ CASES = [
       for name, expr in (("power-of-ten", "10**400*x2"), ("power-of-two", "x2*2**2000"),
                          ("float-literal", "1e400*x2"))],
     # NaN, an infinity or the imaginary unit gave NaN, inf or a dropped
-    # imaginary part, or failed at the first call (zoo a KeyError)
+    # imaginary part, or failed at the first call (zoo a KeyError); sympy's
+    # names for them are not part of the language
     *[(f"expr-constant-{name}", errors.ValidationError, "which is not a finite real number",
        lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
-      for name, expr in (("nan", "nan*x2"), ("infinity", "oo*x2"),
-                         ("complex-infinity", "1/0 + x2"), ("imaginary-unit", "I*x2"),
-                         ("square-root-of-minus-one", "sqrt(-1)*x2"),
+      for name, expr in (("complex-infinity", "1/0 + x2"),
+                         ("square-root-of-minus-one", "sqrt(-1)*x2"))],
+    *[(f"expr-constant-{name}", errors.ValidationError, "which is not part of the language",
+       lambda G, tmp, expr=expr: GraphFunction.from_expression(expr, Box(**UNIT), 2, 1))
+      for name, expr in (("nan", "nan*x2"), ("infinity", "oo*x2"), ("imaginary-unit", "I*x2"),
                          ("imaginary-power", "x2**I"))],
     # a sympy name outside the allowed functions compiled, then raised a
     # NameError or a printing error at the first call, or evaluated
@@ -590,6 +593,18 @@ CASES = [
      lambda G, tmp: TestFunction(["a"], 0.1)),
     ("translate-scalar-q", errors.DimensionMismatch, "anchor of length 3",
      lambda G, tmp: translate_graph_function(G, _phi(), 0.1)),
+    # a NaN or infinite q read as an invalid box or escaped as numpy's
+    # RuntimeWarning, and so did a q whose shift leaves the float range
+    *[(f"translate-q-{name}", errors.ValidationError, r"translation q = \[.*\] must be finite",
+       lambda G, tmp, q=q: translate_graph_function(G, _phi(), q))
+      for name, q in (("nan", [np.nan, 0.0, 0.0]), ("inf", [0.0, np.inf, 0.0]),
+                      ("inf-x1", [-np.inf, 0.0, 0.0]), ("overflow", [1e308, 1e308, 0.0]),
+                      ("too-far", [0.0, 0.0, 1e308]))],
+    # a value that is not a number raised an untyped ValueError, and NaN gave
+    # a phi that is NaN everywhere
+    *[(f"constant-{name}", errors.ValidationError, "a constant phi needs a finite number",
+       lambda G, tmp, value=value: GraphFunction.constant(value, Box(**UNIT)))
+      for name, value in (("string", "x"), ("nan", np.nan), ("inf", -np.inf))],
     # a NaN phi_alpha value, a NaN w_j and a NaN, infinite or negative
     # constant gave a NaN gradient, residual or bound (or a negative one)
     ("level-set-gradient-nan-value", errors.ValidationError,
