@@ -69,16 +69,32 @@ _OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "power
 _RANK = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
+def _left_spine(tree):
+    """tree and its first arguments while they apply tree's operator, top
+    first: the chain that a long sum or product a op b op c ... parses to."""
+    spine = [tree]
+    while isinstance(spine[-1][1], tuple) and spine[-1][1][0] == tree[0]:
+        spine.append(spine[-1][1])
+    return spine
+
+
 def _source(tree, rank=0):
     """The numpy source of a tree, in parentheses where it binds less tightly
-    than ``rank`` (a right operand of equal rank keeps them): the tree's order."""
+    than ``rank`` (a right operand of equal rank keeps them): the tree's order.
+    A left spine of one operator is printed in a loop, with no parentheses
+    inside it."""
     if not isinstance(tree, tuple):
         return repr(tree) if isinstance(tree, float) else tree
     op, *args = tree
     if op not in _RANK:
         return f"{op}({', '.join(map(_source, args))})"
-    source = (f"-{_source(args[0], 3)}" if op == "neg" else
-              f"{_source(args[0], _RANK[op])} {op} {_source(args[1], _RANK[op] + 1)}")
+    if op == "neg":
+        source = f"-{_source(args[0], 3)}"
+    else:
+        spine = _left_spine(tree)
+        source = " ".join([_source(spine[-1][1], _RANK[op])]
+                          + [f"{op} {_source(node[2], _RANK[op] + 1)}"
+                             for node in reversed(spine)])
     return f"({source})" if _RANK[op] < rank else source
 
 
@@ -99,7 +115,22 @@ def _op(op, *args):
 
 def _parse(node, expr, names):
     """The tree of ``expr``'s ``ast`` node, a float, a coordinate name or (op,
-    *trees), folded by ``_op``; a ValidationError outside the language."""
+    *trees), folded by ``_op``; a ValidationError outside the language.  A
+    left spine of one binary operator, as in x2 + x2 + ... + x2, is parsed
+    bottom first in a loop, not one call deep per term."""
+    spine = [node]
+    while type(node) is ast.BinOp and type(node.left) is ast.BinOp \
+            and type(node.left.op) is type(node.op):
+        node = node.left
+        spine.append(node)
+    tree = None
+    for node in reversed(spine):
+        tree = _parse_node(node, expr, names, tree)
+    return tree
+
+
+def _parse_node(node, expr, names, left):
+    """``_parse`` of one node, given the tree of its left operand or None."""
     kind, op, args, func = type(node), "pos", [], getattr(node, "func", None)
     if kind is ast.Name and node.id in names:
         return names[node.id]
@@ -114,7 +145,8 @@ def _parse(node, expr, names):
     elif not (kind is ast.Constant and type(node.value) in (int, float, complex)):
         raise ValidationError(f"expression {expr!r} uses {ast.unparse(node)!r}, which is "
                               f"not part of the language")
-    args = list(map(_parse, args, itertools.repeat(expr), itertools.repeat(names)))
+    args = [left if i == 0 and left is not None else _parse(arg, expr, names)
+            for i, arg in enumerate(args)]
     try:
         if kind is ast.Constant:
             # float() of an int beyond the float range is an OverflowError
@@ -150,11 +182,20 @@ def _d(op, a, b):
 
 def _derivative(tree, name):
     """The tree of d tree / d ``name``, each step formed by ``_d``; None
-    where it needs Abs's derivative.  A fold that is not finite raises."""
+    where it needs Abs's derivative.  A fold that is not finite raises.  A
+    left spine of one operator is differentiated bottom first in a loop."""
     if not isinstance(tree, tuple):
         return 1.0 if tree == name else 0.0
+    spine = _left_spine(tree)
+    d = _derivative(spine[-1][1], name)
+    for node in reversed(spine):
+        d = _derivative_step(node, [d] + [_derivative(arg, name) for arg in node[2:]])
+    return d
+
+
+def _derivative_step(tree, d):
+    """d tree from the derivatives ``d`` of its arguments (``_derivative``)."""
     op, *args = tree
-    d = list(map(_derivative, args, itertools.repeat(name)))
     if None in d or op == "Abs":
         return None
     (a, da), (b, db) = (args[0], d[0]), (args[-1], d[-1])
@@ -184,16 +225,21 @@ def _compile_expression(expr, m, n):
     params = base_coordinate_names(m, n)
     names = dict(zip(params, params)) | _CONSTANTS | ({"y": "y1"} if n == 1 else {})
     source = expr.strip().replace("^", "**")  # ^ is a power, of a power's precedence
+    head = f"lambda {', '.join(params)}: "
     try:
         tree = _parse(ast.parse(source, mode="eval").body, expr, names)
+        # nested calls past Python's 200 parentheses are a SyntaxError here
+        f = eval(head + _source(tree), _NUMPY)
     except (SyntaxError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse expression {expr!r}: {exc}") from None
     try:
         grads = [_derivative(tree, name) for name in params]
-    except (ArithmeticError, RecursionError):
-        grads = [None]
-    head = f"lambda {', '.join(params)}: "
-    f = eval(head + _source(tree), _NUMPY)
+        grad = None if None in grads else eval(
+            f"{head}({', '.join(map(_source, grads))},)", _NUMPY)
+    except (ArithmeticError, RecursionError, SyntaxError):
+        # a fold that is not finite, or partials nested deeper than Python
+        # compiles (a long product's)
+        grad = None
 
     def evaluate(a):
         out = np.asarray(f(*[a[..., i] for i in range(len(params))]), dtype=float)
@@ -203,8 +249,7 @@ def _compile_expression(expr, m, n):
         return out
 
     partials = None
-    if None not in grads:
-        grad = eval(f"{head}({', '.join(map(_source, grads))},)", _NUMPY)
+    if grad is not None:
 
         def partials(a):
             columns = grad(*[a[..., i] for i in range(len(params))])

@@ -18,9 +18,11 @@ with no continuum normalizer (every share below divides by the weights'
 total anyway).  It keeps the grid's axes and the nonzero-weight nodes u_k,
 which the same blocks count for the work budget before any kernel is
 built and the convolution runs over; the whole grid, ``nodes`` and
-``weights``, is rebuilt on read.  The indicator becomes per
-node a subcell volume fraction (standard level-set practice), the ramp
-r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
+``weights``, is rebuilt on read.  Each kernel is built once per process:
+kernels of the same alpha and k on groups of the same m, n, epsilon and B
+share one read-only convolution set from a bounded memo.  The indicator
+becomes per node a subcell volume fraction (standard level-set practice),
+the ramp r_k = clip(g_k/delta + 1/2, 0, 1) over one grid cell delta of the ramp
 argument g_k = phi(base(u_k^-1 p)) - t(u_k^-1 p), and f_alpha is the share
 of kernel weight below the graph, sum_k w_k r_k / sum_k w_k (``_share``):
 each row's vecdot of ramps and weights over the same vecdot of ones, the
@@ -66,13 +68,15 @@ to a public call a ValidationError.
   in x-hat alone every X_j g is phi's constant gradient, and so is the
   level set's gradient up to rounding.  At p * (s e1) the ramps are read
   at g - s and X_j g is frozen at t + s, so one table serves any shift s.
-  Only the band of pairs with beta != 0 is split again, by the table's
-  split indexed by the band's pairs, to form X_j g from phi's partials or
-  else its central differences (2(m - 1) evaluations of phi per band
-  pair), summed back into the rows (``_shifted_gradient``).  The level
-  set's gradient at i(a) * (phi_alpha(a) e1) is the shift phi_alpha(a) of
-  the rows i(a): it reads the table the roots were found on, so the report
-  splits every (point, node) pair once per alpha.
+  Only the band of pairs with beta != 0 reads its base and t off the
+  table block's split, by the band's flat pair indices, to form X_j g from
+  phi's partials or else its central differences (2(m - 1) evaluations of
+  phi per band pair), summed back into the rows (``_shifted_gradient``).
+  The level set's gradient at i(a) * (phi_alpha(a) e1) is the shift
+  phi_alpha(a) of the rows i(a): the report walks the row blocks of the
+  table on the rows i(a) once per alpha, finds each block's roots and reads
+  the gradient of its subsampled rows off the same block, so it splits
+  every (point, node) pair once per alpha, and no pair twice.
 * the gradient mass, the integral of |grad_G f_alpha| over the base and t
   on 48 midpoint nodes in t per base column a.  At i(a) * (t e1) the ramp
   argument of node k is g_k(i(a)) - t, and every beta_k is 0 once
@@ -97,6 +101,8 @@ to a public call a ValidationError.
 from __future__ import annotations
 
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,16 +121,17 @@ from .quadrature import (
     check_count,
     check_positive,
     check_work_budget,
+    grid_axes,
     grid_from_axes,
-    midpoint_axes,
     midpoint_rule,
     tensor_grid,
 )
 from .splitting import _anchor_terms, _split, graph_point
 
 _BATCH_OPS_LIMIT = 2 ** 21
-# point-node pairs per row block of the two gradients, which hold several
-# arrays of that size per block
+# point-node pairs per row block of the two gradients and of the level-set
+# walks, which hold several arrays of that size per block: the split, g, the
+# sorted kinks and the ramps
 _GRADIENT_OPS_LIMIT = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
@@ -162,7 +169,7 @@ def _block_bump(dim, k, half, unit, factor=1.0):
     """exp(-1/(1 - factor |x/unit|^2)) at the k^dim midpoint nodes x of
     [-half, half]^dim (C order): one factor of the kernel profile on its
     block of the kernel grid."""
-    x = midpoint_rule(np.full(dim, -half), np.full(dim, half), k)[0] / unit
+    x = grid_from_axes(grid_axes(np.full(dim, -half), np.full(dim, half), (k,) * dim)) / unit
     return _bump(factor * np.sum(x * x, axis=-1))
 
 
@@ -176,6 +183,69 @@ def _nonzero_node_count(G, points_per_axis):
             * int(np.count_nonzero(_block_bump(G.n, k, 1.0, 1.0))))
 
 
+def _kernel_alpha(G, alpha):
+    """alpha as a float; a ValidationError names it unless it is positive and
+    finite and a^2, the vertical half-width a^2/eps^2 and the widths 2a and
+    2a^2/eps^2 of the kernel's support box are finite normal floats: below,
+    a^2 underflows and the weights are NaN; above, the box overflows."""
+    a = check_positive(alpha, "alpha must be positive and finite")
+    with np.errstate(all="ignore"):
+        unit = np.float64(a) * a
+        y_half = unit / np.float64(G.epsilon) ** 2
+        normal = (min(unit, y_half) >= np.finfo(float).tiny
+                  and np.isfinite(2.0 * max(a, y_half)))
+    if not normal:
+        raise ValidationError(f"alpha must keep the kernel's support box [-a, a]^m x "
+                              f"[-a^2/eps^2, a^2/eps^2]^n within the normal float range, "
+                              f"got {a!r}")
+    return a
+
+
+# Convolution sets by (m, n, eps, B, alpha, k), shared by every kernel the
+# process builds for them: a report builds one kernel per alpha, again on each
+# call.  The memo keeps no group, and holds at most _KERNEL_MEMO_BYTES of
+# arrays, oldest out first, because nothing else bounds how many kernels a
+# process builds or how large they are (one free_step2(3) set at k = 12 takes
+# 165 MB; the five of a benchmark smoothing pass take 3.6 MB).
+_KERNEL_MEMO_BYTES = 2 ** 26
+_kernel_memo = OrderedDict()
+_kernel_memo_lock = threading.Lock()
+
+
+def _convolution_set(G, a, k):
+    """(axes, subcell width, flat index, nodes, weights, total, bracket terms)
+    of the kernel of radius a with k points per axis on G (``MollifierKernel``),
+    from the memo or built and stored there; its arrays are read-only."""
+    key = (G.m, G.n, G.epsilon, G.B.tobytes(), a, k)
+    with _kernel_memo_lock:
+        if key in _kernel_memo:
+            _kernel_memo.move_to_end(key)
+            return _kernel_memo[key][0]
+    y_half = a * a / G.epsilon ** 2
+    half = np.array([a] * G.m + [y_half] * G.n)
+    axes = tuple(grid_axes(-half, half, (k,) * G.dim))
+    # the grid's weights, C order: the outer product of the two block
+    # bumps over its sum, so deep-inside convolutions evaluate to 1
+    weights = np.multiply.outer(
+        _block_bump(G.m, k, a, a),
+        _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4)).reshape(-1)
+    weights /= np.sum(weights)
+    keep = np.flatnonzero(weights)
+    cols = np.unravel_index(keep, (k,) * G.dim)
+    nodes = np.stack([axis[i] for axis, i in zip(axes, cols)], axis=-1)
+    w = weights[keep]
+    terms = _anchor_terms(G, nodes)
+    arrays = (*axes, keep, nodes, w, *terms)
+    for array in arrays:
+        array.flags.writeable = False
+    conv = (axes, 2.0 * a / k, keep, nodes, w, float(np.vecdot(np.ones_like(w), w)), terms)
+    with _kernel_memo_lock:
+        _kernel_memo[key] = conv, sum(array.nbytes for array in arrays)
+        while sum(size for _, size in _kernel_memo.values()) > _KERNEL_MEMO_BYTES:
+            _kernel_memo.popitem(last=False)
+    return conv
+
+
 @dataclass
 class MollifierKernel:
     """Symmetric smooth kernel on the homogeneous ball of radius alpha.
@@ -186,16 +256,20 @@ class MollifierKernel:
     ``points_per_axis`` fixes the midpoint grid on the support box
     [-a, a]^m x [-a^2/eps^2, a^2/eps^2]^n.  The weights are the profile at
     the grid's nodes over its sum there, with no continuum normalizer; the
-    kernel keeps the grid's axes and its nonzero-weight nodes.  ``nodes``
-    and ``weights``, the whole grid, are rebuilt on each read and kept only
-    for the benchmark and tests.
+    kernel keeps the grid's axes and its nonzero-weight nodes, with their
+    terms in the one split of ``splitting._split``.  Those arrays are
+    read-only and shared by every kernel of the same alpha and k on a group
+    of the same m, n, epsilon and B (``_convolution_set``).  ``nodes`` and
+    ``weights``, the whole grid, are rebuilt on each read and kept only for
+    the benchmark and tests.  An alpha whose a^2 underflows or whose
+    support box overflows is a ValidationError.
     """
 
     G: object
     alpha: float
     points_per_axis: int = 16
     subcell_width: float = field(init=False)
-    _axes: list = field(init=False, repr=False)
+    _axes: tuple = field(init=False, repr=False)
     # convolution set: the nonzero-weight nodes u, their flat grid indices, weights,
     # total (reduced as _share reduces a row) and terms in every split of u^{-1} p
     _conv_index: np.ndarray = field(init=False, repr=False)
@@ -205,25 +279,10 @@ class MollifierKernel:
     _conv_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        G = self.G
-        a = check_positive(self.alpha, "alpha must be positive and finite")
-        k = _kernel_points_per_axis(self.points_per_axis)
-        y_half = a * a / G.epsilon ** 2
-        half = np.array([a] * G.m + [y_half] * G.n)
-        self._axes = midpoint_axes(-half, half, k)[0]
-        # the grid's weights, C order: the outer product of the two block
-        # bumps over its sum, so deep-inside convolutions evaluate to 1
-        weights = np.multiply.outer(
-            _block_bump(G.m, k, a, a),
-            _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4)).reshape(-1)
-        weights /= np.sum(weights)
-        self.subcell_width = 2.0 * a / k
-        keep = self._conv_index = np.flatnonzero(weights)
-        cols = np.unravel_index(keep, (k,) * G.dim)
-        self._conv_nodes = np.stack([axis[i] for axis, i in zip(self._axes, cols)], axis=-1)
-        w = self._conv_weights = weights[keep]
-        self._conv_total = float(np.vecdot(np.ones_like(w), w))
-        self._conv_terms = _anchor_terms(G, self._conv_nodes)
+        (self._axes, self.subcell_width, self._conv_index, self._conv_nodes,
+         self._conv_weights, self._conv_total, self._conv_terms) = _convolution_set(
+            self.G, _kernel_alpha(self.G, self.alpha),
+            _kernel_points_per_axis(self.points_per_axis))
 
     @property
     def nodes(self):
@@ -292,32 +351,41 @@ def mollified_indicator(G, phi, kernel, p):
     return _restore(out, p.shape[:-1])
 
 
-def _shifted_gradient(G, phi, kernel, P, shift, g=None):
-    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (P, m), for every row
-    p of P and its shift s (a scalar or a (P, 1) column), read off the
-    table of g on P: ``g`` when given, otherwise built here block by block.
-    The derivation is the module docstring's gradient."""
+def _shifted_gradient(G, phi, kernel, table, shift, pick):
+    """(X_1 f_alpha, ..., X_m f_alpha) at p * (s e1), (rows, m), for the rows
+    ``pick`` (a slice) of one block (base, t, g) of a ramp table on points p
+    and their shifts s, a column of one value per row.  The band of pairs
+    with beta != 0 reads its base and t off the block's flat columns; the
+    derivation is the module docstring's gradient."""
+    base, t, g = table
     h, delta = kernel.alpha * _SLOPE_STEP, kernel.subcell_width
-    count = P.shape[0]
-    shift = np.broadcast_to(shift, (count, 1))
-    tables = ([(slice(None), None, None, g)] if g is not None else
-              _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT))
-    out = np.zeros((count, G.m))
-    for rows, _, _, g in tables:
-        s = shift[rows]
-        # beta holds 2h w_k beta_k
-        beta = _ramp(g, delta, s - h)
-        beta -= _ramp(g, delta, s + h)
-        beta *= kernel._conv_weights
-        out[rows, 0] -= np.sum(beta, axis=-1)
-        band = np.flatnonzero(beta != 0.0)
-        band_rows, cols = np.divmod(band, g.shape[1])
-        base, t = _split(G, kernel._conv_terms, P[rows], rows=band_rows, cols=cols)
-        xs = _intrinsic_gradient(G, phi, base, t + s[band_rows, 0])
-        xs *= beta.reshape(-1)[band, None]
-        for j in range(G.m - 1):
-            out[rows, j + 1] += np.bincount(band_rows, xs[:, j], minlength=g.shape[0])
+    g = g[pick]
+    # beta holds 2h w_k beta_k
+    beta = _ramp(g, delta, shift - h)
+    beta -= _ramp(g, delta, shift + h)
+    beta *= kernel._conv_weights
+    out = np.zeros((g.shape[0], G.m))
+    out[:, 0] -= np.sum(beta, axis=-1)
+    band = np.flatnonzero(beta != 0.0)
+    band_rows, cols = np.divmod(band, g.shape[1])
+    # each band pair's index among the block's flat pairs
+    pairs = np.arange(t.shape[0])[pick][band_rows] * t.shape[1] + cols
+    at = np.moveaxis(base, -1, 0).reshape(G.base_dim, -1)
+    xs = _intrinsic_gradient(G, phi, np.take(at, pairs, axis=1).T,
+                             np.take(t, pairs) + shift[band_rows, 0])
+    xs *= beta.reshape(-1)[band, None]
+    for j in range(G.m - 1):
+        out[:, j + 1] += np.bincount(band_rows, xs[:, j], minlength=g.shape[0])
     out /= 2.0 * h * kernel._conv_total
+    return out
+
+
+def _gradient_at_shifts(G, phi, kernel, P, shift):
+    """``_shifted_gradient`` on every row of P and its shift, a (P, 1)
+    column, block by block of one table of g on P."""
+    out = np.empty((P.shape[0], G.m))
+    for rows, *table in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+        out[rows] = _shifted_gradient(G, phi, kernel, table, shift[rows], slice(None))
     return out
 
 
@@ -369,7 +437,8 @@ def horizontal_gradient_mollified(G, phi, kernel, p):
     """(X_1 f_alpha, ..., X_m f_alpha) at p: the ramp slopes beta weight
     X_j g of every (point, node) pair, from one split (module docstring)."""
     p = _finite_point(G, p)
-    return _restore(_shifted_gradient(G, phi, kernel, p.reshape(-1, G.dim), 0.0),
+    P = p.reshape(-1, G.dim)
+    return _restore(_gradient_at_shifts(G, phi, kernel, P, np.zeros((P.shape[0], 1))),
                     p.shape[:-1])
 
 
@@ -379,7 +448,14 @@ def level_set_phi_alpha(G, phi, kernel, c_level, a):
     over an interval of t, the root is the interval's left end."""
     a = check_base_points(a, G.base_dim)
     _check_finite(a)
-    roots, *_ = _section_roots(G, phi, kernel, c_level, a.reshape(-1, G.base_dim))
+    _check_level(c_level)
+    A = a.reshape(-1, G.base_dim)
+    check_work_budget(A.shape[0] * kernel._conv_weights.size, "the level-set ramp table",
+                      "point-node pairs")
+    roots = np.empty(A.shape[0])
+    for rows, *_, g in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0),
+                                   _GRADIENT_OPS_LIMIT):
+        roots[rows] = _section_roots(kernel, c_level, g)[0]
     return _restore(roots, a.shape[:-1])
 
 
@@ -388,19 +464,13 @@ def _check_level(c_level):
         raise ValidationError("level c must lie in (0, 1)")
 
 
-def _section_roots(G, phi, kernel, c_level, A):
-    """Roots inf{t : f_alpha(i(a) * (t e1)) <= c} over the rows a of A, the
-    point evaluations of f_alpha spent, max |f - c| at the roots, and the
-    one table of g on the rows i(a) they are read from (the module
-    docstring's level set).  The table's point-node pairs go through the
-    work budget before it is built."""
-    _check_level(c_level)
-    count, size = A.shape[0], kernel._conv_weights.size
-    check_work_budget(count * size, "the level-set ramp table", "point-node pairs")
+def _section_roots(kernel, c_level, g):
+    """Roots inf{t : f_alpha(i(a) * (t e1)) <= c} of the rows of one block g
+    of the table of g on the rows i(a), the point evaluations of f_alpha
+    spent and max |f - c| at the roots (the module docstring's level set);
+    g is left as it is."""
+    count, size = g.shape
     delta = kernel.subcell_width
-    g = np.empty((count, size))
-    for block, _, _, g_block in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
-        g[block] = g_block
     # each row's kinks in order: the sorted g -+ delta/2, merged; the search
     # keeps f(kinks[lo]) > c >= f(kinks[hi]) on neighbouring kinks at the end
     kinks = np.empty((count, 2 * size))
@@ -451,7 +521,7 @@ def _section_roots(G, phi, kernel, c_level, A):
     t_lo, t_hi = kinks[rows, lo], kinks[rows, hi]
     roots = t_lo + (f_lo - c_level) / (f_lo - f_hi) * (t_hi - t_lo)
     f = _share(_ramp(g, delta, roots[:, None], out=frac), kernel)
-    return roots, evals + count, float(np.max(np.abs(f - c_level), initial=0.0)), g
+    return roots, evals + count, float(np.max(np.abs(f - c_level), initial=0.0))
 
 
 def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
@@ -467,8 +537,8 @@ def intrinsic_gradient_of_level_set(G, phi, kernel, A, phi_alpha_values):
                                 f"{A.shape[:-1]}, got {phi_alpha_values.shape}")
     if not np.all(np.isfinite(phi_alpha_values)):
         raise ValidationError("phi_alpha values must be finite")
-    grad = _shifted_gradient(G, phi, kernel, graph_point(G, A.reshape(-1, G.base_dim), 0.0),
-                             phi_alpha_values.reshape(-1, 1))
+    grad = _gradient_at_shifts(G, phi, kernel, graph_point(G, A.reshape(-1, G.base_dim), 0.0),
+                               phi_alpha_values.reshape(-1, 1))
     return _restore(_graph_gradient(grad[:, 0], grad[:, 1:]), A.shape[:-1])
 
 
@@ -488,7 +558,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     """
     rule = "alpha must be positive and finite"
     try:
-        alphas = sorted(check_positive(al, rule) for al in alpha_list)
+        alphas = sorted(_kernel_alpha(G, al) for al in alpha_list)
     except TypeError:
         raise ValidationError(f"{rule}, got {alpha_list!r}") from None
     if not alphas:
@@ -502,16 +572,25 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
     w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
-    sub = slice(None, None, max(1, len(A) // GRADIENT_SAMPLES))
-    P = graph_point(G, A[sub], 0.0)
+    stride = max(1, len(A) // GRADIENT_SAMPLES)
+    P = graph_point(G, A, 0.0)
     rows = []
     for alpha in alphas:
         kernel = MollifierKernel(G, alpha, points_per_axis=points_per_axis)
-        pa, section_evals, level_residual, g = _section_roots(
-            G, phi, kernel, c_level, A)
+        pa, grad = np.empty(len(A)), []
+        section_evals, level_residual = 0, 0.0
+        # one walk over the table of g on the rows i(a): each block's roots,
+        # then the level set's gradient at i(a) * (phi_alpha(a) e1) on the
+        # block's rows of the subsample, every stride-th grid point
+        for block, *table in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+            roots, evals, residual = _section_roots(kernel, c_level, table[2])
+            pa[block] = roots
+            section_evals += evals
+            level_residual = max(level_residual, residual)
+            pick = slice(-block.start % stride, None, stride)
+            grad.append(_shifted_gradient(G, phi, kernel, table, roots[pick, None], pick))
         sup_err = float(np.max(np.abs(pa - phi_vals)))
-        # the level set's gradient at i(a) * (phi_alpha(a) e1), off the roots' table
-        grad = _shifted_gradient(G, phi, kernel, P, pa[sub, None], g[sub])
+        grad = np.concatenate(grad)
         grad = _graph_gradient(grad[:, 0], grad[:, 1:])
         grad_sup = float(np.max(np.linalg.norm(grad, axis=-1)))
         rows.append({

@@ -21,10 +21,10 @@ both walks over the group's table of nonzero entries of B):
     phi(a)^-1 i(a)^-1 i(b) phi(a) = (g1, y_b - y_a - 1/2 <B x_a, x_b>
         + phi(a) <b_1, g1>),   g1 = x_b - x_a.
 
-One helper splits u^-1 p, from u-side terms computed once per anchor set
-(kernel nodes, a cone vertex, a translation q, the origin), for the points
-and anchors two broadcasting indices pick: a whole table, a slice of its
-anchors or chosen pairs, bit for bit alike.  The coordinate form
+One helper splits u^-1 p for every point against every anchor, from u-side
+terms computed once per anchor set (kernel nodes, a cone vertex, a
+translation q, the origin); a caller that needs some of the pairs again
+reads them off that table.  The coordinate form
 sigma_phi(b, a) is sum_s |y_s|^(1/2) of the second layer y of the
 quasi-distance's product with a and b swapped.
 """
@@ -74,26 +74,23 @@ def _anchor_terms(G, u):
     return ut, half_b @ ut[:G.m], half_b[:, 0, :] @ ut[:G.m]
 
 
-def _split(G, terms, p, rows=np.s_[:, None], cols=np.s_[:]):
-    """(base, t) of u^-1 p for the points ``rows`` of the (P, m+n) array p
-    against the anchors ``cols`` of terms, any numpy indices of the point
-    and anchor axes that broadcast: by default every point against every
-    anchor, t (P, K); index arrays give pairs.  Each entry has the bits of
-    the full table's.  base is a view of one (m+n-1, *t.shape) buffer,
-    written column by column."""
+def _split(G, terms, p):
+    """(base, t) of u^-1 p for every point of the (P, m+n) array p against
+    every anchor of terms, t (P, K).  base is a view of one
+    (m+n-1, P, K) buffer, written column by column."""
     u, half_bu, half_row1 = terms
-    pc = [c[rows] for c in p.T]
+    pc = [c[:, None] for c in p.T]
     p_half_row1 = 0.5 * G.B[:, 0, :] @ p.T[:G.m]
-    t = pc[0] - u[0, cols]
+    t = pc[0] - u[0]
     buf = np.empty((G.base_dim,) + t.shape)
     for c in range(1, G.dim):
-        np.subtract(pc[c], u[c, cols], out=buf[c - 1])
+        np.subtract(pc[c], u[c], out=buf[c - 1])
     scratch = np.empty_like(t)
     for s, col in enumerate(buf[G.m - 1:]):
         # p2 - u2 - <B^(s) u1, p1>/2 - t <b^(s)_{1.}, p1 - u1>/2
         for i in range(G.m):
-            col -= np.multiply(pc[i], half_bu[s, i, cols], out=scratch)
-        np.subtract(p_half_row1[s][rows], half_row1[s, cols], out=scratch)
+            col -= np.multiply(pc[i], half_bu[s, i], out=scratch)
+        np.subtract(p_half_row1[s][:, None], half_row1[s], out=scratch)
         col -= np.multiply(t, scratch, out=scratch)
     return np.moveaxis(buf, 0, -1), t
 

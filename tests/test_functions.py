@@ -86,6 +86,37 @@ def test_long_sum_compiles_and_keeps_its_order():
     assert phi.partials(np.array([0.3, 0.5])).tolist() == [45150.0, 0.0]
 
 
+def test_deep_sum_and_product_compile_and_fold_left_to_right():
+    # a left spine of one operator is parsed, printed and differentiated in
+    # a loop: 2000 terms or factors compile, and each evaluates to Python's
+    # left-to-right fold of the same float operations; the sum's partial is
+    # the fold of its coefficients, and a product that deep has none
+    rng = np.random.default_rng(41)
+    coefs = rng.uniform(0.9, 1.1, size=2000).tolist()
+    a = rng.uniform(-0.05, 0.05, size=(64, 2))
+    phis = {}
+    for op, term, fold in (("+", "{!r}*x2", lambda c, x2, y: c * x2),
+                           ("*", "({!r} + y)", lambda c, x2, y: c + y)):
+        phi = phis[op] = GraphFunction.from_expression(
+            f" {op} ".join(map(term.format, coefs)), unit_box(2), 2, 1)
+        want = []
+        for x2, y in a.tolist():
+            value = fold(coefs[0], x2, y)
+            for c in coefs[1:]:
+                value = value + fold(c, x2, y) if op == "+" else value * fold(c, x2, y)
+            want.append(value)
+        assert phi(a).tolist() == want
+        assert [phi.one_point(point) for point in a.tolist()] == want
+        assert phi.has_partials == (op == "+")
+    total = coefs[0]
+    for c in coefs[1:]:
+        total = total + c
+    assert phis["+"].partials(a).tolist() == [[total, 0.0]] * len(a)
+    # 5000 terms exceed Python's own parser
+    with pytest.raises(errors.ValidationError, match="maximum recursion depth"):
+        GraphFunction.from_expression(" + ".join(["x2"] * 5000), unit_box(2), 2, 1)
+
+
 def test_expression_derivative_constant_beyond_float_range_has_no_partials():
     # 2**1023 fits a float, the derivative's 3*2**1023 does not: its compiled
     # partials raised OverflowError at every call, so phi has none and its

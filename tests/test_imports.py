@@ -127,3 +127,15 @@ def test_no_command_loads_a_heavy_import():
     assert result["steps"] == {step: none for step in (
         "import", "group validate", "gradient", "mollify", "broadstar",
         "gradient on a grid")}
+
+
+def test_defaulted_parameter_count_is_pinned():
+    # each defaulted parameter is a mode that callers can reach and tests
+    # must cover; the count over src/carnot may not grow, and when a default
+    # goes this number goes down with it
+    count = 0
+    for path in pathlib.Path(carnot.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arguments):
+                count += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+    assert count == 42

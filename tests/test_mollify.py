@@ -1,3 +1,8 @@
+import gc
+import json
+import sys
+import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -138,6 +143,79 @@ def test_kernel_on_an_equal_group(heis1, phi_unit):
     scaled = make_group(2, 1, [[[0.0, 2.0], [-2.0, 0.0]]], epsilon=1.0)
     with pytest.raises(errors.ValidationError, match="the kernel was built on"):
         mollified_indicator(heis1, phi_unit, MollifierKernel(scaled, 0.2, 8), p)
+
+
+def _held_arrays(kern):
+    # the arrays of a kernel's axes and convolution set
+    return [*kern._axes, kern._conv_index, kern._conv_nodes, kern._conv_weights,
+            *kern._conv_terms]
+
+
+def test_kernel_memo_shares_read_only_arrays(heis1):
+    # a twin group, equal in m, n, epsilon and B but another object, gets the
+    # same arrays; another epsilon gets its own; none of them can be written,
+    # and the memo keeps no group alive
+    twin = standard_group("heisenberg", 1, epsilon=1.0)
+    assert twin is not heis1
+    held = _held_arrays(MollifierKernel(heis1, 0.125, 8))
+    shared = _held_arrays(MollifierKernel(twin, 0.125, 8))
+    assert all(a is b for a, b in zip(held, shared))
+    other = _held_arrays(MollifierKernel(standard_group("heisenberg", 1, epsilon=0.5),
+                                         0.125, 8))
+    assert not any(a is b for a, b in zip(held, other))
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 1.0
+    gone = weakref.ref(twin)
+    del twin
+    gc.collect()
+    assert gone() is None
+
+
+def test_kernel_memo_is_bounded(heis1):
+    # a set larger than the memo's bound is built but not kept
+    with mock.patch.object(mollify, "_KERNEL_MEMO_BYTES", 0):
+        first = _held_arrays(MollifierKernel(heis1, 0.0625, 8))
+        second = _held_arrays(MollifierKernel(heis1, 0.0625, 8))
+        assert not mollify._kernel_memo
+    assert not any(a is b for a, b in zip(first, second))
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_kernel_memo_under_concurrent_builds(heis1):
+    # eight threads on a short switch interval build the kernels of four
+    # alphas while a bound of two sets keeps evicting: every kernel holds
+    # the arrays of a build outside the memo, and the memo ends within bound
+    alphas = [0.05, 0.1, 0.2, 0.3]
+    with mock.patch.object(mollify, "_KERNEL_MEMO_BYTES", 0):
+        want = {alpha: _held_arrays(MollifierKernel(heis1, alpha, 6)) for alpha in alphas}
+    bound = 2 * sum(array.nbytes for array in want[0.05])
+    failures = []
+
+    def build(first):
+        try:
+            for i in range(40):
+                alpha = alphas[(first + i) % len(alphas)]
+                got = _held_arrays(MollifierKernel(heis1, alpha, 6))
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[alpha])):
+                    failures.append(alpha)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with mock.patch.object(mollify, "_KERNEL_MEMO_BYTES", bound):
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert 0 < sum(size for _, size in mollify._kernel_memo.values()) <= bound
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
 
 
 def test_kernel_symmetric(kernel01):
@@ -357,6 +435,13 @@ def test_gradient_from_ramp_table_property(request, index, seed, alpha):
         assert np.max(np.abs(xg[..., j - 1] - diff)) <= 9e-11
 
 
+def _table_roots(G, phi, kern, c_level, A):
+    # _section_roots on the one block of the table of g on the rows i(a): the
+    # roots, the evaluations of f, max |f - c| and the block (base, t, g)
+    (_, *table), = mollify._ramp_table(G, phi, kern, graph_point(G, A, 0.0))
+    return (*_section_roots(kern, c_level, table[2]), table)
+
+
 def _phi_as(G, phi, kind):
     # phi as an expression (analytic partials), a callable, or sampled on a
     # grid (both central differences)
@@ -396,7 +481,7 @@ def _dense_shifted_gradient(G, phi, kernel, P, shifts):
        case=st.sampled_from(["points", "slices", "level_set"]))
 def test_shifted_gradient_matches_dense_formula_property(request, index, kind, seed,
                                                         alpha, case):
-    # X_j g only on the band, split again pair by pair, and for the t-slices
+    # X_j g only on the band, read off the table pair by pair, and for the t-slices
     # on closed-form slice runs with analytic phi once per chunk, against
     # the formula over every pair; a row whose band is empty gives exactly 0
     G, _, phi = _group_case(request, index)
@@ -426,9 +511,10 @@ def test_shifted_gradient_matches_dense_formula_property(request, index, kind, s
         # table of g that the roots were found on
         A = np.concatenate([A, rng.uniform(0.0, 1.0, size=(4, G.base_dim))])
         P = graph_point(G, A, 0.0)
-        roots, _, _, g = _section_roots(G, phi, kern, 0.5, A)
+        roots, _, _, table = _table_roots(G, phi, kern, 0.5, A)
         shifts = [roots[:, None]]
-        got = mollify._shifted_gradient(G, phi, kern, P, roots[:, None], g)[:, None]
+        got = mollify._shifted_gradient(G, phi, kern, table, roots[:, None],
+                                        slice(None))[:, None]
     else:
         # points i(b) * (t e1) straddling the graph, each t drawn inside the
         # ramp band of one kernel node (|g_k(i(b)) - t| < 0.9 reach), so that
@@ -442,7 +528,7 @@ def test_shifted_gradient_matches_dense_formula_property(request, index, kind, s
         P = np.concatenate([section_point(G, B, t),
                             graph_point(G, A, phi.eval_extended(A) + [-2.0, 2.0])])
         shifts = [0.0]
-        got = mollify._shifted_gradient(G, phi, kern, P, 0.0)[:, None]
+        got = mollify._gradient_at_shifts(G, phi, kern, P, np.zeros((len(P), 1)))[:, None]
     ref, empty = _dense_shifted_gradient(G, phi, kern, P, shifts)
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     # every root sees a ramp; elsewhere some rows see none
@@ -516,7 +602,7 @@ def test_phi_evaluations_on_node_set_counted(request, index):
     kern = MollifierKernel(G, 0.2, points_per_axis=k)
     A = tensor_grid([0.0] * G.base_dim, [1.0] * G.base_dim, (2,) * G.base_dim)
     pairs = len(A) * kern._conv_weights.size
-    roots, evals, _, _ = _section_roots(G, phi, kern, 0.5, A)
+    roots, evals, _, _ = _table_roots(G, phi, kern, 0.5, A)
     # one split of every (base point, node) pair, however many passes; the
     # pairs are counted, so the node chunks do not matter
     assert sum(calls) == pairs
@@ -541,8 +627,9 @@ def test_phi_evaluations_on_node_set_counted(request, index):
 @pytest.mark.parametrize("index", range(4))
 def test_approximation_report_splits_each_pair_once(request, index):
     # per alpha the roots' table splits every (base point, node) pair once;
-    # the level-set gradient reads that table at the roots and splits and
-    # evaluates phi again only on the band pairs of its subsampled rows
+    # the level-set gradient reads that table at the roots, the base and t of
+    # its band included, and evaluates phi again only on the band pairs of
+    # its subsampled rows
     G, k, _ = _group_case(request, index)
     calls = []
     phi = _counted_phi(G, calls)
@@ -555,16 +642,15 @@ def test_approximation_report_splits_each_pair_once(request, index):
         approximation_report(G, phi, alphas, c_level=c, grid_per_axis=2,
                              points_per_axis=k)
     report_calls = sum(calls)
-    # a table call splits its rows against every node (the anchors of its
-    # terms), a band call takes arrays of pairs
-    tables = [call for call in split.call_args_list if "cols" not in call.kwargs]
-    split_pairs = sum(call.args[2].shape[0] * call.args[1][0].shape[1] for call in tables)
+    # each call splits its rows against every node (the anchors of its terms)
+    split_pairs = sum(call.args[2].shape[0] * call.args[1][0].shape[1]
+                      for call in split.call_args_list)
     assert split_pairs == len(alphas) * len(A) * nodes
     # the band of each alpha from the roots' own table
     bands = []
     for alpha in alphas:
         kern = MollifierKernel(G, alpha, points_per_axis=k)
-        roots, _, _, g = _section_roots(G, phi, kern, c, A)
+        roots, _, _, (_, _, g) = _table_roots(G, phi, kern, c, A)
         h, delta = kern.alpha / 64.0, kern.subcell_width
         shift = roots[sub, None]
         beta = kern._conv_weights * (
@@ -572,13 +658,50 @@ def test_approximation_report_splits_each_pair_once(request, index):
             - np.clip((g[sub] - (shift + h)) / delta + 0.5, 0.0, 1.0))
         bands.append(np.count_nonzero(beta))
         assert 0 < bands[-1] < g[sub].size // 2
-    assert [call.kwargs["cols"].size for call in split.call_args_list
-            if "cols" in call.kwargs] == bands
     # phi on the grid and its central differences for w_inf, then per alpha
     # g once per pair and the central differences along X_2..X_m on the band
     assert report_calls == ((2 + 2 * (G.m - 1)) * len(A)
                             + sum(len(A) * nodes + 2 * (G.m - 1) * band
                                   for band in bands))
+
+
+@pytest.mark.parametrize("group, k, per_axis, expr", [
+    ("heis1", 6, 23, "0.3*sin(3*x2) + 0.2*y"),
+    ("heis2", 4, 3, "0.5*x2 + 0.25*x4"),
+])
+def test_table_walks_do_not_depend_on_the_blocks(request, group, k, per_axis, expr):
+    # the report, the roots and both gradients over row blocks of 5 rows (3
+    # for any table at the batch limit) give the bits of the default blocks;
+    # on the 529 points of the heisenberg(1) grid the report's gradient reads
+    # every second row, so its first row in a block alternates between the
+    # first two
+    G = request.getfixturevalue(group)
+    d = G.base_dim
+    phi = GraphFunction.from_expression(expr, Box([-1.0] * d, [1.0] * d), G.m, G.n)
+    kern = MollifierKernel(G, 0.1, points_per_axis=k)
+    A = tensor_grid(phi.domain.lo, phi.domain.hi, (per_axis,) * d)
+    P = graph_point(G, A, phi.eval_extended(A)
+                    + np.random.default_rng(17).uniform(-0.1, 0.1, len(A)))
+
+    def calls():
+        report = approximation_report(G, phi, [0.2, 0.1], grid_per_axis=per_axis,
+                                      points_per_axis=k)
+        roots = level_set_phi_alpha(G, phi, kern, 0.5, A)
+        return (json.dumps(report), roots.tobytes(),
+                horizontal_gradient_mollified(G, phi, kern, P).tobytes(),
+                intrinsic_gradient_of_level_set(G, phi, kern, A, roots).tobytes())
+
+    want = calls()
+    nodes = kern._conv_weights.size
+    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", 3 * nodes), \
+            mock.patch.object(mollify, "_GRADIENT_OPS_LIMIT", 5 * nodes), \
+            mock.patch("carnot.mollify._section_roots", wraps=mollify._section_roots) as roots:
+        got = calls()
+    # two alphas and the roots, in blocks of 5 rows
+    assert roots.call_count == 3 * -(-len(A) // 5)
+    assert got == want
+    if per_axis == 23:
+        assert len(A) // mollify.GRADIENT_SAMPLES == 2
 
 
 def test_gradient_mass_evaluates_partials_once_per_chunk(heis1, phi_unit):
@@ -682,7 +805,7 @@ def test_level_set_no_more_evaluations_than_bisection(request, group, k, expr,
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     A = tensor_grid(box.lo, box.hi, (per_axis,) * d)
     t_tol = 1e-6 * alpha
-    roots, evals, resid, _ = _section_roots(G, phi, kern, c_level, A)
+    roots, evals, resid, _ = _table_roots(G, phi, kern, c_level, A)
     ref, ref_evals = _bisection_roots(G, phi, kern, c_level, A, t_tol)
     assert evals <= ref_evals
     assert np.max(np.abs(roots - ref)) <= t_tol
@@ -723,7 +846,7 @@ def _search_passes(G, phi, kernel, c_level, A):
     # _section_roots and the passes of its search: one share call per pass
     # over the rows still searching, and one at the roots
     with mock.patch("carnot.mollify._share", wraps=mollify._share) as sums:
-        roots, evals, resid, _ = _section_roots(G, phi, kernel, c_level, A)
+        roots, evals, resid, _ = _table_roots(G, phi, kernel, c_level, A)
     budget = int(np.ceil(np.log2(2 * kernel._conv_weights.size - 1)))
     return roots, evals, resid, sums.call_count - 1, budget
 

@@ -5,6 +5,8 @@ the wrong shape) exit 1 from ``cli.run``."""
 
 import json
 import os
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -166,6 +168,13 @@ def _level_set_over_budget(G, tmp):
             level_set_phi_alpha(G, _phi(), kernel, 0.5, A)
         finally:
             assert split.call_count == 0
+
+
+def _kernel_under_error_warnings(G, alpha):
+    # numpy's floating-point warnings raised, as under python -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        MollifierKernel(G, alpha, points_per_axis=4)
 
 
 def _on_log_phi(expr, call):
@@ -643,6 +652,26 @@ CASES = [
                  lambda G, phi: graph_quasidistance(G, phi, [0.25, 0.5], [0.75, 0.5]))),
     ("sigma-form-nan-phi", errors.NonFiniteState, "phi is not finite at a base point",
      _on_log_phi("log(x2 - 0.5)", lambda G, phi: sigma_form(G, phi, [0.25, 0.5], [0.75, 0.5]))),
+    # an alpha whose a^2 underflows gave NaN weights, and so NaN f_alpha and
+    # report rows; one whose support box overflows gave NaN weights or an
+    # untyped OverflowError; under -W error 1e-300 and 1e200 escaped as
+    # RuntimeWarnings
+    *[(f"kernel-alpha-{alpha:g}", errors.ValidationError,
+       "alpha must keep the kernel's support box .* got " + re.escape(repr(alpha)),
+       lambda G, tmp, alpha=alpha: MollifierKernel(G, alpha, points_per_axis=4))
+      for alpha in (1e-170, 1e154, 1e155)],
+    ("report-alpha-1e-170", errors.ValidationError,
+     "alpha must keep the kernel's support box .* got 1e-170",
+     lambda G, tmp: approximation_report(G, _phi(), [0.1, 1e-170], grid_per_axis=2,
+                                         points_per_axis=4)),
+    *[(f"kernel-alpha-{alpha:g}-under-W-error", errors.ValidationError,
+       "alpha must keep the kernel's support box .* got " + re.escape(repr(alpha)),
+       lambda G, tmp, alpha=alpha: _kernel_under_error_warnings(G, alpha))
+      for alpha in (1e-300, 1e200)],
+    # nested calls past Python's 200 parentheses escaped as a SyntaxError
+    ("expr-power-chain-250", errors.ValidationError, "too many nested parentheses",
+     lambda G, tmp: GraphFunction.from_expression("**".join(["x2"] * 250), Box(**UNIT),
+                                                  2, 1)),
     # an infinite point gave a level 0.5, a gradient [[1.]] and an f_alpha
     # of 0.98, or a RuntimeWarning from numpy; a NaN point read as phi not
     # finite within the kernel's reach (NonFiniteState)
