@@ -50,6 +50,7 @@ from .errors import (
 )
 from .functions import check_base_points, check_domain_dim
 from .quadrature import (
+    _coordinate_major,
     check_positive,
     default_points_per_axis,
     grid_from_axes,
@@ -93,9 +94,9 @@ def _frozen_coefficients(G, j, a, value):
 def _frozen_difference(G, phi, j, a, c, h, check_domain):
     """Central difference of phi along e_j + sum_s c_s e_{y_s}."""
     if h is None:
-        h = 1e-5 * (1.0 + np.linalg.norm(a, axis=-1))
+        h = 1e-5 * (1.0 + np.sqrt(gp._sum_of_squares(a)))
     h = np.asarray(h, dtype=float)
-    direction = np.zeros(a.shape)
+    direction = _coordinate_major(a.shape[:-1], a.shape[-1], 0.0)
     direction[..., j - 2] = 1.0
     direction[..., G.m - 1:] = c
     step = h[..., None] * direction
@@ -139,10 +140,12 @@ def _intrinsic_gradient(G, phi, a, value, h=None, check_domain=False):
     """:func:`intrinsic_gradient` with ``value`` in place of phi(a) in the
     frozen coefficients c_s of the directions e_j + sum_s c_s e_{y_s}."""
     if not phi.has_partials or h is not None:
-        return np.stack([_frozen_difference(G, phi, j, a,
-                                            _frozen_coefficients(G, j, a, value),
-                                            h, check_domain)
-                         for j in range(2, G.m + 1)], axis=-1)
+        columns = [_frozen_difference(G, phi, j, a, _frozen_coefficients(G, j, a, value),
+                                      h, check_domain) for j in range(2, G.m + 1)]
+        out = _coordinate_major(columns[0].shape, G.m - 1, None)
+        for j, column in enumerate(columns):
+            out[..., j] = column
+        return out
     return _frame_apply(G, a, value, phi.partials(a))
 
 
@@ -158,8 +161,8 @@ def _frame_apply(G, a, value, grad):
     # a value of 0 adds no terms; -0.0 is the identity of the final sum, so
     # a column without terms is its d/dx_j, signed zeros included
     with_value = not (value.ndim == 0 and value == 0)
-    out = np.full(np.broadcast_shapes(a.shape[:-1], value.shape, grad.shape[:-1])
-                  + (G.m - first,), -0.0)
+    out = _coordinate_major(np.broadcast_shapes(a.shape[:-1], value.shape, grad.shape[:-1]),
+                            G.m - first, -0.0)
     gy = grad[..., G.m - first:]
     half = 0.5 * a[..., :G.m - 1]
     # the entry b^(s)_{jl} adds (value b or x_l/2 b) d/dy_s to column j
@@ -172,7 +175,7 @@ def _frame_apply(G, a, value, grad):
 def _vertical_rate(G, grad_y):
     """sum_s b^(s)_{j1} d/dy_s for j = 2..m on the last axis: the frame's
     d/d value, from the vertical gradients ``grad_y``."""
-    return gp._walk(np.zeros(grad_y.shape[:-1] + (G.m - 1,)),
+    return gp._walk(_coordinate_major(grad_y.shape[:-1], G.m - 1, 0.0),
                     ((i - 1, grad_y[..., s], b, None) for s, i, l, b in G._terms
                      if l == 0))
 
@@ -234,7 +237,7 @@ class TestFunction:
 
     def _u2(self, a):
         u = (np.asarray(a, dtype=float) - self.center) / self.radius
-        return u, np.sum(u * u, axis=-1)
+        return u, gp._sum_of_squares(u)
 
     def _on_support(self, u, t):
         """Value and gradient from u and t = |u|^2 of points in the support
@@ -323,7 +326,7 @@ def residual_report(G, phi, w, zeta, points_per_axis=None):
     xj_zeta = _frame_apply(G, pts, 0.0, zg)
     vert = _vertical_rate(G, zg[..., k:])
     integrand = phi_v[..., None] * (xj_zeta + phi_v[..., None] * vert)
-    total = np.zeros(tuple(len(axis) for axis in axes) + (k,))
+    total = _coordinate_major(tuple(len(axis) for axis in axes), k, 0.0)
     total[tuple(cut)][inside.reshape([len(axis) for axis in sub])] = \
         integrand + w_v * zv[..., None]
     total = total.reshape(-1, k)

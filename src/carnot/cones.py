@@ -30,7 +30,13 @@ from .errors import (
     ValueNotRepresentable,
 )
 from .functions import Box
-from .quadrature import check_count, check_positive, check_work_budget, seeded_rng
+from .quadrature import (
+    _coordinate_major,
+    check_count,
+    check_positive,
+    check_work_budget,
+    seeded_rng,
+)
 from .splitting import Cone, _cone_membership, _split_from, cone_membership, graph_point
 
 
@@ -65,8 +71,10 @@ def parallelogram_vertices(z, h):
     for each z on the last axis."""
     z = np.asarray(z, dtype=float)
     z1, z2 = z[..., 0], z[..., 1]
-    zh1 = np.stack([(z2 + h * z1) / (2.0 * h), (z2 + h * z1) / 2.0], axis=-1)
-    zh2 = np.stack([(h * z1 - z2) / (2.0 * h), (z2 - h * z1) / 2.0], axis=-1)
+    zh1 = _coordinate_major(z.shape[:-1], 2, None)
+    zh2 = _coordinate_major(z.shape[:-1], 2, None)
+    zh1[..., 0], zh1[..., 1] = (z2 + h * z1) / (2.0 * h), (z2 + h * z1) / 2.0
+    zh2[..., 0], zh2[..., 1] = (h * z1 - z2) / (2.0 * h), (z2 - h * z1) / 2.0
     return zh1, zh2
 
 
@@ -143,20 +151,24 @@ def sample_cone_points_m2n1(G, k, count, seed=0):
     beta, h = cone_window(k, G.epsilon, abs(b12))
     cone = Cone(np.zeros(3), beta)
     size = min(count, 2 ** 16)
-    out = np.empty((0, 3))
+    out = _coordinate_major((0,), 3, None)
     while len(out) < count:
-        p1 = -rng.uniform(0.05, 1.0, size)
-        p2 = 0.9 * min(beta, h) * np.abs(p1) * rng.uniform(-1.0, 1.0, size)
-        z = np.stack([p1, p2], axis=-1)
+        p = _coordinate_major((size,), 3, None)
+        p1, p2 = p[:, 0], p[:, 1]
+        np.negative(rng.uniform(0.05, 1.0, size), out=p1)
+        p2[...] = 0.9 * min(beta, h) * np.abs(p1) * rng.uniform(-1.0, 1.0, size)
+        z = p[:, :2]
         v1, v2 = (_vertical_value(b12, v, z) for v in parallelogram_vertices(z, h))
         # cone window on the vertical value
         half = (beta * p1 / G.epsilon) ** 2
         center = 0.5 * b12 * p1 * p2
         lo = np.maximum(center - half, np.minimum(v1, v2)) * 0.9
         hi = np.minimum(center + half, np.maximum(v1, v2)) * 0.9
-        p = np.stack([p1, p2, lo + (hi - lo) * rng.random(size)], axis=-1)
-        # p1 < 0: the lower half-cone
-        out = np.concatenate([out, p[(hi > lo) & _cone_membership(G, cone, p)]])
+        p[:, 2] = lo + (hi - lo) * rng.random(size)
+        # p1 < 0: the lower half-cone; the accepted rows, coordinate-major
+        # as the batch they are taken from
+        keep = np.flatnonzero((hi > lo) & _cone_membership(G, cone, p))
+        out = np.concatenate([out, p.T[:, keep].T])
     return out[:count]
 
 
@@ -189,15 +201,18 @@ def check_cone_containment(G, phi, beta, samples=10_000, seed=0, radius=0.5):
     t = t * sides
     # W-component with homogeneous norm <= 0.95 beta |t|
     r_w = 0.95 * beta * np.abs(t)
-    xhat = rng.uniform(-1.0, 1.0, size=(samples, G.m - 1))
+    # (x-hat, y): each row-major draw transposed once into its block of w
+    w = _coordinate_major((samples,), G.base_dim, None)
+    xhat, yv = w[:, :G.m - 1], w[:, G.m - 1:]
+    xhat[...] = rng.uniform(-1.0, 1.0, size=(samples, G.m - 1))
     xhat *= (r_w / np.maximum(np.sqrt(gp._sum_of_squares(xhat)), 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
-    yv = rng.uniform(-1.0, 1.0, size=(samples, G.n))
+    yv[...] = rng.uniform(-1.0, 1.0, size=(samples, G.n))
     y_cap = (r_w / G.epsilon) ** 2
     yn = np.sqrt(gp._sum_of_squares(yv))
     yv *= (y_cap / np.maximum(yn, 1e-300))[:, None] \
         * rng.uniform(0.0, 1.0, size=samples)[:, None]
-    q = gp._multiply(G, P, graph_point(G, np.concatenate([xhat, yv], axis=-1), t))
+    q = gp._multiply(G, P, graph_point(G, w, t))
     inside = _subgraph_indicator(G, phi, q)
     expected = (sides < 0).astype(float)
     violations = int(np.count_nonzero(inside != expected))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain, ValidationError
-from .quadrature import check_count
+from .quadrature import _coordinate_major, check_count
 
 
 def base_coordinate_names(m, n):
@@ -252,8 +252,10 @@ def _compile_expression(expr, m, n):
     if grad is not None:
 
         def partials(a):
-            columns = grad(*[a[..., i] for i in range(len(params))])
-            return np.stack([np.broadcast_to(g, a.shape[:-1]) for g in columns], axis=-1)
+            out = _coordinate_major(a.shape[:-1], len(params), None)
+            for i, column in enumerate(grad(*[a[..., i] for i in range(len(params))])):
+                out[..., i] = column
+            return out
 
     def point(coords):
         try:
@@ -303,14 +305,17 @@ class Box:
         return np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
 
     def sample(self, count, rng):
-        """``count`` uniform points of the box: the bits and the generator
-        state of ``rng.uniform(lo, hi, (count, dim))``, which forms the same
-        lo + (hi - lo) * u through a broadcast over the short last axis that
-        costs several times more than these column passes."""
+        """``count`` uniform points of the box as a coordinate-major batch:
+        the bits and the generator state of ``rng.uniform(lo, hi, (count,
+        dim))``.  Each column of the batch forms the same lo + (hi - lo) * u
+        from its column of the row-major draw of ``rng.random``, so the draw
+        is transposed once, where ``uniform`` would broadcast over the short
+        last axis at several times the cost."""
         count = check_count(count, "sample count must be a positive integer")
-        out = rng.random((count, self.dim))
-        for col, lo, width in zip(out.T, self.lo, self.hi - self.lo):
-            col *= width
+        u = rng.random((count, self.dim))
+        out = _coordinate_major((count,), self.dim, None)
+        for i, (lo, width) in enumerate(zip(self.lo, self.hi - self.lo)):
+            col = np.multiply(u[:, i], width, out=out[:, i])
             col += lo
         return out
 
@@ -532,7 +537,11 @@ class VectorField:
         return cls([GraphFunction.constant(v, domain) for v in np.atleast_1d(values)])
 
     def __call__(self, a):
-        return np.stack([c.eval_extended(a) for c in self.components], axis=-1)
+        columns = [c.eval_extended(a) for c in self.components]
+        out = _coordinate_major(np.shape(columns[0]), len(columns), None)
+        for i, column in enumerate(columns):
+            out[..., i] = column
+        return out
 
 
 # -- JSON interface --------------------------------------------------------------

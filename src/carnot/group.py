@@ -25,9 +25,18 @@ no small matmul.  Two contractions are BLAS matmuls instead, B on the left
 and the long point axis last: the anchor terms of
 ``splitting._anchor_terms`` and the point terms ``p_half_row1`` of
 ``splitting._split``.  They stay matmuls so that the mollifier's results
-keep their bits.  Short sums over the last axis (the layer norms) run
-column by column too, in the order of ``np.sum``, so their results are
-bitwise those of ``np.sum`` and ``np.linalg.norm``.
+keep their bits.
+
+Every batch the package allocates is coordinate-major
+(``quadrature._coordinate_major``): a (..., k) array that is the
+``np.moveaxis`` view of a (k, ...) buffer, so each column these walks read
+or write is one contiguous block.  ``np.sum`` and ``np.linalg.norm`` over
+the last axis of such a batch take another order than over a contiguous
+last axis once it holds 8 or more entries (sequential column by column, not
+pairwise), so every sum over coordinates goes through :func:`_row_sum`,
+which keeps the order of a contiguous last axis on either layout: the sums
+and norms are bitwise those of ``np.sum`` and ``np.linalg.norm`` on a
+row-major batch, whatever the layout of the one given.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .quadrature import check_count, check_work_budget
+from .quadrature import _coordinate_major, check_count, check_work_budget
 
 # Absolute slack used when checking the triangle inequality numerically: the
 # inequality is tight (equality on collinear horizontal pairs), so exact
@@ -269,7 +278,7 @@ def bracket(G, x1, x2):
     the entries with i, j >= 2 enter.  Broadcasts over leading axes."""
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     k = G.m - x1.shape[-1]
-    out = np.zeros(np.broadcast_shapes(x1.shape[:-1], x2.shape[:-1]) + (G.n,))
+    out = _coordinate_major(np.broadcast_shapes(x1.shape[:-1], x2.shape[:-1]), G.n, 0.0)
     return _walk(out, ((s, x2[..., i - k], b, x1[..., j - k])
                        for s, i, j, b in G._terms if i >= k and j >= k))
 
@@ -279,7 +288,7 @@ def _row_dot(G, r, x):
     holds the whole first layer or omits x_1 (its j = 1 entry is then
     dropped)."""
     k = G.m - x.shape[-1]
-    return _walk(np.zeros(x.shape[:-1] + (G.n,)),
+    return _walk(_coordinate_major(x.shape[:-1], G.n, 0.0),
                  ((s, x[..., j - k], b, None) for s, i, j, b in G._terms
                   if i == r and j >= k))
 
@@ -306,7 +315,7 @@ def _multiply(G, p, q):
     """p * q of checked point arrays p and q."""
     x1, y1 = p[..., :G.m], p[..., G.m:]
     x2, y2 = q[..., :G.m], q[..., G.m:]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out = _coordinate_major(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]), G.dim, None)
     np.add(x1, x2, out=out[..., :G.m])
     y = np.add(y1, y2, out=out[..., G.m:])
     cross = bracket(G, x1, x2)
@@ -328,7 +337,10 @@ def dilate(G, lam, p):
         raise NonPositiveLambda(f"dilation factor must be positive and finite, got {lam}")
     p = _finite_point(G, p)
     lam = lam[..., None]
-    return np.concatenate([lam * p[..., :G.m], lam ** 2 * p[..., G.m:]], axis=-1)
+    out = _coordinate_major(np.broadcast_shapes(lam.shape[:-1], p.shape[:-1]), G.dim, None)
+    np.multiply(lam, p[..., :G.m], out=out[..., :G.m])
+    np.multiply(lam ** 2, p[..., G.m:], out=out[..., G.m:])
+    return out
 
 
 def homogeneous_norm(G, p):
@@ -342,12 +354,42 @@ def _norm(G, p):
     return _layer_norm(G, p[..., :G.m], p[..., G.m:])
 
 
+def _row_sum(x):
+    """Sum over the last axis of x, column by column in the order that
+    np.sum takes on a contiguous last axis, whatever x's layout: from +0.0
+    in turn below 8 entries; from 8 to 128, eight running sums over the
+    columns congruent mod 8, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
+    the rest in turn; beyond 128, the sum of two halves split at a
+    multiple of 8."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _row_sum(x[..., :half]) + _row_sum(x[..., half:])
+    if d == 0:
+        return np.zeros(x.shape[:-1])
+    # + 0.0: numpy's sum starts from +0.0, so that it is never -0.0
+    total = np.add(x[..., 0], 0.0)
+    if d < 8:
+        for c in range(1, d):
+            total += x[..., c]
+        return total
+    runs = [total] + [x[..., j].copy() for j in range(1, 8)]
+    for c in range(8, d - d % 8):
+        runs[c % 8] += x[..., c]
+    total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) \
+        + ((runs[4] + runs[5]) + (runs[6] + runs[7]))
+    for c in range(d - d % 8, d):
+        total += x[..., c]
+    return total
+
+
 def _sum_of_squares(x):
-    """Sum of x_c^2 over the last axis: column by column in np.sum's order,
-    which is sequential below 8 entries, and np.sum itself from 8 on."""
+    """Sum of x_c^2 over the last axis in :func:`_row_sum`'s order; below 8
+    entries each square is formed in one scratch column."""
     x = np.asarray(x, dtype=float)
     if not 0 < x.shape[-1] < 8:
-        return np.sum(x * x, axis=-1)
+        return _row_sum(x * x)
     total = x[..., 0] * x[..., 0]
     square = np.empty_like(total)
     for c in range(1, x.shape[-1]):
@@ -370,10 +412,12 @@ def distance(G, p, q):
 
 
 def _sample_unit_ball(G, count, rng):
-    """Sample points in the unit ball of the eps=1 norm (dilation-normalized)."""
-    p = rng.uniform(-1.0, 1.0, size=(count, G.dim))
-    nrm = np.maximum(np.linalg.norm(p[:, :G.m], axis=-1),
-                     np.sqrt(np.linalg.norm(p[:, G.m:], axis=-1)))
+    """Sample points in the unit ball of the eps=1 norm (dilation-normalized):
+    the row-major draw, transposed once into a coordinate-major batch."""
+    p = _coordinate_major((count,), G.dim, None)
+    p[...] = rng.uniform(-1.0, 1.0, size=(count, G.dim))
+    nrm = np.maximum(np.sqrt(_sum_of_squares(p[:, :G.m])),
+                     np.sqrt(np.sqrt(_sum_of_squares(p[:, G.m:]))))
     lam = 1.0 / np.maximum(nrm, 1.0)
     p[:, :G.m] *= lam[:, None]
     p[:, G.m:] *= (lam ** 2)[:, None]

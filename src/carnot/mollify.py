@@ -116,8 +116,9 @@ from .calculus import (
 )
 from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, ValidationError
 from .functions import check_base_points
-from .group import _check_finite, _finite_point
+from .group import _check_finite, _finite_point, _sum_of_squares
 from .quadrature import (
+    _coordinate_major,
     check_count,
     check_positive,
     check_work_budget,
@@ -170,7 +171,7 @@ def _block_bump(dim, k, half, unit, factor=1.0):
     [-half, half]^dim (C order): one factor of the kernel profile on its
     block of the kernel grid."""
     x = grid_from_axes(grid_axes(np.full(dim, -half), np.full(dim, half), (k,) * dim)) / unit
-    return _bump(factor * np.sum(x * x, axis=-1))
+    return _bump(factor * _sum_of_squares(x))
 
 
 def _nonzero_node_count(G, points_per_axis):
@@ -231,16 +232,20 @@ def _convolution_set(G, a, k):
         _block_bump(G.n, k, y_half, a ** 2, G.epsilon ** 4)).reshape(-1)
     weights /= np.sum(weights)
     keep = np.flatnonzero(weights)
-    cols = np.unravel_index(keep, (k,) * G.dim)
-    nodes = np.stack([axis[i] for axis, i in zip(axes, cols)], axis=-1)
+    nodes = _coordinate_major(keep.shape, G.dim, None)
+    for c, (axis, i) in enumerate(zip(axes, np.unravel_index(keep, (k,) * G.dim))):
+        nodes[:, c] = axis[i]
     w = weights[keep]
     terms = _anchor_terms(G, nodes)
     arrays = (*axes, keep, nodes, w, *terms)
     for array in arrays:
         array.flags.writeable = False
     conv = (axes, 2.0 * a / k, keep, nodes, w, float(np.vecdot(np.ones_like(w), w)), terms)
+    # the nodes and their transpose in the terms share one buffer, held once
+    held = {id(owner): owner.nbytes
+            for owner in (array if array.base is None else array.base for array in arrays)}
     with _kernel_memo_lock:
-        _kernel_memo[key] = conv, sum(array.nbytes for array in arrays)
+        _kernel_memo[key] = conv, sum(held.values())
         while sum(size for _, size in _kernel_memo.values()) > _KERNEL_MEMO_BYTES:
             _kernel_memo.popitem(last=False)
     return conv
@@ -364,7 +369,7 @@ def _shifted_gradient(G, phi, kernel, table, shift, pick):
     beta = _ramp(g, delta, shift - h)
     beta -= _ramp(g, delta, shift + h)
     beta *= kernel._conv_weights
-    out = np.zeros((g.shape[0], G.m))
+    out = _coordinate_major((g.shape[0],), G.m, 0.0)
     out[:, 0] -= np.sum(beta, axis=-1)
     band = np.flatnonzero(beta != 0.0)
     band_rows, cols = np.divmod(band, g.shape[1])
@@ -383,7 +388,7 @@ def _shifted_gradient(G, phi, kernel, table, shift, pick):
 def _gradient_at_shifts(G, phi, kernel, P, shift):
     """``_shifted_gradient`` on every row of P and its shift, a (P, 1)
     column, block by block of one table of g on P."""
-    out = np.empty((P.shape[0], G.m))
+    out = _coordinate_major((P.shape[0],), G.m, None)
     for rows, *table in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
         out[rows] = _shifted_gradient(G, phi, kernel, table, shift[rows], slice(None))
     return out
@@ -401,7 +406,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
     reach = 0.5 * delta + h
     width = min(int(2.0 * reach / dt) + 3, slices)
     first = np.reshape(first, (-1, 1))
-    out = np.zeros((P.shape[0], slices, G.m))
+    out = _coordinate_major((P.shape[0], slices), G.m, 0.0)
     for rows, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
         block = out[rows].reshape(-1, G.m)
         lowest = np.floor((g - reach - first[rows]) / dt).clip(0, slices - width).astype(int)
@@ -571,7 +576,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
                       "the level-set ramp table", "point-node pairs")
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
     phi_vals = phi.eval_extended(A)
-    w_inf = float(np.max(np.linalg.norm(intrinsic_gradient(G, phi, A), axis=-1)))
+    w_inf = float(np.max(np.sqrt(_sum_of_squares(intrinsic_gradient(G, phi, A)))))
     stride = max(1, len(A) // GRADIENT_SAMPLES)
     P = graph_point(G, A, 0.0)
     rows = []
@@ -592,7 +597,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
         sup_err = float(np.max(np.abs(pa - phi_vals)))
         grad = np.concatenate(grad)
         grad = _graph_gradient(grad[:, 0], grad[:, 1:])
-        grad_sup = float(np.max(np.linalg.norm(grad, axis=-1)))
+        grad_sup = float(np.max(np.sqrt(_sum_of_squares(grad))))
         rows.append({
             "alpha": alpha,
             "sup_error": sup_err,
@@ -646,6 +651,6 @@ def horizontal_gradient_mass(G, phi, kernel, base_per_axis=12):
     half = reach * (1.0 + 1e-12) * t_points / (t_points - 1)
     dt = 2.0 * half / t_points
     grad = _sliced_gradient(G, phi, kernel, P, phi_vals - half + 0.5 * dt, dt, t_points)
-    mags = np.linalg.norm(grad, axis=-1)
+    mags = np.sqrt(_sum_of_squares(grad))
     return {"mass": float(np.sum(mags)) * dt * cell_base, "window_halfwidth": half,
             "edge_gradient_max": float(np.max(mags[:, [0, -1]]))}

@@ -18,6 +18,12 @@ other argument checks that several modules share live here too:
 :func:`check_count`, :func:`check_positive` and :func:`seeded_rng` make a
 count, a positive scalar or a seed that is not one (a bool is none of
 them) a ValidationError.
+
+Every batch of points the package allocates, an array of shape (..., k)
+with k coordinates on the last axis, is coordinate-major: the
+``np.moveaxis`` view of a (k, ...) buffer, from :func:`_coordinate_major`.
+Callers see (..., k) arrays as before, and every kernel that walks a batch
+one coordinate column at a time reads each column as one contiguous block.
 """
 
 from __future__ import annotations
@@ -75,9 +81,19 @@ def seeded_rng(seed):
     raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _coordinate_major(lead, k, fill):
+    """A float array of shape (*lead, k) whose k coordinates are each one
+    contiguous block: the ``np.moveaxis`` view of a (k, *lead) buffer,
+    uninitialised when ``fill`` is None and filled with it otherwise."""
+    shape = (k, *lead)
+    buf = np.empty(shape) if fill is None else np.full(shape, fill)
+    return np.moveaxis(buf, 0, -1)
+
+
 def tensor_grid(lo, hi, shape, nodes="midpoint"):
     """All nodes of a tensor grid on the box [lo, hi] as an (N, d) array
-    (C order): :func:`grid_from_axes` of :func:`grid_axes`."""
+    (nodes in C order, coordinate-major): :func:`grid_from_axes` of
+    :func:`grid_axes`."""
     return grid_from_axes(grid_axes(lo, hi, shape, nodes))
 
 
@@ -104,10 +120,11 @@ def grid_axes(lo, hi, shape, nodes="midpoint"):
 
 
 def grid_from_axes(axes):
-    """The (N, d) nodes (C order) of the tensor product of d 1-D axes, each
-    broadcast straight into its column: one pass over the nodes."""
+    """The (N, d) nodes (in C order) of the tensor product of d 1-D axes,
+    each broadcast straight into its column, one contiguous block of the
+    coordinate-major batch: one pass over the nodes."""
     d = len(axes)
-    out = np.empty(tuple(len(axis) for axis in axes) + (d,))
+    out = _coordinate_major(tuple(len(axis) for axis in axes), d, None)
     for i, axis in enumerate(axes):
         out[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
     return out.reshape(-1, d)
@@ -131,11 +148,17 @@ def midpoint_rule(lo, hi, per_axis):
 
 def midpoint_axes(lo, hi, per_axis):
     """:func:`midpoint_rule` before its nodes are built: the
-    :func:`grid_axes` of its grid and the volume of one cell."""
+    :func:`grid_axes` of its grid and the volume of one cell.  A cell volume
+    beyond the float range is a ValidationError that names the box."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     axes = grid_axes(lo, hi, (per_axis,) * lo.size)
-    return axes, float(np.prod((hi - lo) / per_axis))
+    with np.errstate(over="ignore"):
+        cell = float(np.prod((hi - lo) / per_axis))
+    if not math.isfinite(cell):
+        raise ValidationError(f"the midpoint cell volume of the box [{lo.tolist()}, "
+                              f"{hi.tolist()}] at {per_axis} cells per axis overflows")
+    return axes, cell
 
 
 def richardson_order(coarse, mid, fine):

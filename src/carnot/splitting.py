@@ -45,7 +45,14 @@ from .errors import (
     ValidationError,
 )
 from .functions import Box, GraphFunction, check_base_points, check_domain_dim
-from .quadrature import check_count, check_positive, check_work_budget, seeded_rng, tensor_grid
+from .quadrature import (
+    _coordinate_major,
+    check_count,
+    check_positive,
+    check_work_budget,
+    seeded_rng,
+    tensor_grid,
+)
 
 # Pairs whose quasi-distance falls below this are skipped in ratio estimates
 # (the a = b limit), not reported as errors.
@@ -58,7 +65,7 @@ def graph_point(G, a, t):
     a = check_base_points(a, G.base_dim)
     t = np.asarray(t, dtype=float)
     xhat, y = a[..., :G.m - 1], a[..., G.m - 1:]
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], t.shape) + (G.dim,))
+    out = _coordinate_major(np.broadcast_shapes(a.shape[:-1], t.shape), G.dim, None)
     out[..., 0] = t
     out[..., 1:G.m] = xhat
     np.add(y, 0.5 * t[..., None] * gp._row_dot(G, 0, xhat), out=out[..., G.m:])
@@ -76,23 +83,24 @@ def _anchor_terms(G, u):
 
 def _split(G, terms, p):
     """(base, t) of u^-1 p for every point of the (P, m+n) array p against
-    every anchor of terms, t (P, K).  base is a view of one
-    (m+n-1, P, K) buffer, written column by column."""
+    every anchor of terms, t (P, K).  base is a coordinate-major (P, K,
+    m+n-1) batch, written column by column."""
     u, half_bu, half_row1 = terms
     pc = [c[:, None] for c in p.T]
     p_half_row1 = 0.5 * G.B[:, 0, :] @ p.T[:G.m]
     t = pc[0] - u[0]
-    buf = np.empty((G.base_dim,) + t.shape)
+    base = _coordinate_major(t.shape, G.base_dim, None)
     for c in range(1, G.dim):
-        np.subtract(pc[c], u[c], out=buf[c - 1])
+        np.subtract(pc[c], u[c], out=base[..., c - 1])
     scratch = np.empty_like(t)
-    for s, col in enumerate(buf[G.m - 1:]):
+    for s in range(G.n):
+        col = base[..., G.m - 1 + s]
         # p2 - u2 - <B^(s) u1, p1>/2 - t <b^(s)_{1.}, p1 - u1>/2
         for i in range(G.m):
             col -= np.multiply(pc[i], half_bu[s, i], out=scratch)
         np.subtract(p_half_row1[s][:, None], half_row1[s], out=scratch)
         col -= np.multiply(t, scratch, out=scratch)
-    return np.moveaxis(buf, 0, -1), t
+    return base, t
 
 
 def _anchor(G, u):
@@ -249,7 +257,7 @@ def sigma_form(G, phi, b, a):
     a, b = check_base_points(a, G.base_dim), check_base_points(b, G.base_dim)
     gp._check_finite(a, b)
     _, y = _conjugated_layers(G, _finite_phi(phi.eval_extended(b)), b, a)
-    return np.sum(np.sqrt(np.abs(y)), axis=-1)
+    return gp._row_sum(np.sqrt(np.abs(y)))
 
 
 def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
@@ -271,13 +279,14 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     target_points = max(2, int((2.0 * pair_samples) ** 0.5))
     per_axis = max(2, int(target_points ** (1.0 / box.dim)))
     pts = tensor_grid(box.lo, box.hi, (per_axis,) * box.dim, nodes="endpoint")
-    first, second = np.triu_indices(len(pts), k=1)
-    a = pts[first[:pair_samples]]
-    b = pts[second[:pair_samples]]
-    extra = pair_samples - len(a)
-    if extra > 0:
-        a = np.concatenate([a, box.sample(extra, rng)])
-        b = np.concatenate([b, box.sample(extra, rng)])
+    first, second = _first_pairs(len(pts), pair_samples)
+    a = _coordinate_major((pair_samples,), box.dim, None)
+    b = _coordinate_major((pair_samples,), box.dim, None)
+    a[:len(first)] = pts[first]
+    b[:len(first)] = pts[second]
+    if len(first) < pair_samples:
+        a[len(first):] = box.sample(pair_samples - len(first), rng)
+        b[len(first):] = box.sample(pair_samples - len(first), rng)
     phi_a = phi.eval_extended(a)
     qd = _quasidistance(G, phi_a, a, b)
     dphi = np.abs(phi.eval_extended(b) - phi_a)
@@ -287,6 +296,19 @@ def estimate_intrinsic_lipschitz(G, phi, pair_samples=10_000, seed=0):
     if not np.any(keep):
         raise DegenerateSample("all sampled pairs coincide")
     return float(np.max(dphi[keep] / qd[keep]))
+
+
+def _first_pairs(count, limit):
+    """The first ``limit`` index pairs (i, j), i < j < count, in row order
+    (all of them if there are fewer): those of ``np.triu_indices(count,
+    k=1)``, without building the rest."""
+    lengths = np.arange(count - 1, 0, -1)
+    rows = int(np.searchsorted(np.cumsum(lengths), limit)) + 1
+    lengths = lengths[:rows]
+    first = np.repeat(np.arange(len(lengths)), lengths)[:limit]
+    # each pair's place in its row, from the row's first pair (i, i + 1)
+    starts = np.cumsum(lengths) - lengths
+    return first, np.arange(len(first)) - starts[first] + first + 1
 
 
 def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
@@ -330,7 +352,7 @@ def vertical_holder_modulus(phi, r_list, grid_per_axis=None, n_vertical=1):
     spacing = (box.hi[d - n_vertical:] - box.lo[d - n_vertical:]) / max(g - 1, 1)
     lags = [lag for lag in itertools.product(range(1 - g, g), repeat=n_vertical)
             if lag > (0,) * n_vertical]
-    dy = np.linalg.norm(np.reshape(lags, (-1, n_vertical)) * spacing, axis=-1)
+    dy = np.sqrt(gp._sum_of_squares(np.reshape(lags, (-1, n_vertical)) * spacing))
     dv = np.empty(len(lags))
     for i, lag in enumerate(lags):
         # index k on every vertical axis against index k + lag

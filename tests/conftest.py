@@ -42,6 +42,21 @@ def all_groups(heis1, heis2, free3, quat):
     return [heis1, heis2, free3, quat]
 
 
+# groups with a layer of 8 or more coordinates, where np.sum and
+# np.linalg.norm over the last axis depend on the layout of a batch:
+# heisenberg(4) has a first layer (and a base) of 8, free_step2(5) a second
+# layer of 10
+
+@pytest.fixture(scope="session")
+def heis4():
+    return standard_group("heisenberg", 4, epsilon=1.0)
+
+
+@pytest.fixture(scope="session")
+def free5():
+    return standard_group("free_step2", 5, epsilon=1.0)
+
+
 def unit_box(dim, half=1.0):
     return Box([-half] * dim, [half] * dim)
 

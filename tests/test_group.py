@@ -19,6 +19,7 @@ from carnot.group import (
     multiply,
     standard_group,
     triangle_violations,
+    _row_sum,
     _sample_unit_ball,
 )
 
@@ -277,13 +278,29 @@ def test_memoised_calibration_property(family):
 
 @pytest.mark.parametrize("name, param", [("heisenberg", 2), ("free_step2", 5)])
 def test_norm_is_bitwise_its_linalg_form(name, param):
-    # the layer sums run column by column below 8 entries and through np.sum
-    # from 8 on (free_step2(5) has n = 10): bitwise np.linalg.norm either way
+    # the layer sums run column by column in np.sum's order, sequential
+    # below 8 entries and pairwise from 8 on (free_step2(5) has n = 10):
+    # bitwise np.linalg.norm either way
     G = standard_group(name, param, epsilon=0.5)
     p = np.random.default_rng(5).normal(size=(100, G.dim))
     want = np.maximum(np.linalg.norm(p[:, :G.m], axis=-1),
                       0.5 * np.sqrt(np.linalg.norm(p[:, G.m:], axis=-1)))
     assert homogeneous_norm(G, p).tobytes() == want.tobytes()
+
+
+def test_row_sum_is_bitwise_np_sum_on_either_layout():
+    # np.sum over a contiguous last axis is pairwise from 8 entries and
+    # splits beyond 128; _row_sum takes that order on a row-major and on a
+    # coordinate-major batch alike, signed zeros included
+    rng = np.random.default_rng(9)
+    for width in [*range(0, 41), 63, 64, 65, 127, 128, 129, 136, 140, 257]:
+        x = rng.normal(size=(300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
+        x[:5] = -0.0
+        x[5:10, ::2] = 0.0
+        want = np.sum(x, axis=-1)
+        columns = np.moveaxis(np.ascontiguousarray(x.T), 0, -1)
+        for got in (_row_sum(x), _row_sum(columns)):
+            assert got.tobytes() == want.tobytes(), width
 
 
 _STANDARD = [("heisenberg", 1), ("heisenberg", 2), ("free_step2", 3),

@@ -139,3 +139,94 @@ def test_defaulted_parameter_count_is_pinned():
             if isinstance(node, ast.arguments):
                 count += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
     assert count == 42
+
+
+# Point batches stay coordinate-major: every (..., k) batch of k coordinates
+# is allocated by quadrature._coordinate_major, as the np.moveaxis view of a
+# (k, ...) buffer.  These sites keep a row-major one, each for its reason.
+ROW_MAJOR = {
+    "characteristics._rk4_path": "the curve is written one state, one row, per RK4 step",
+}
+# attributes that hold a coordinate count (G.m, G.n, G.dim, G.base_dim,
+# box.dim), and the package's names for a dimension
+COUNT_ATTRIBUTES = {"m", "n", "dim", "base_dim"}
+COUNT_NAMES = {"d", "dim"}
+
+
+def _scopes(tree):
+    """(name, node) of each top-level function and method of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _count_names(scope):
+    """The local names a scope binds to an expression of coordinate counts
+    (k = G.m - 1, v0 = d - G.n), to a fixpoint."""
+    names, grown = set(COUNT_NAMES), True
+    while grown:
+        grown = False
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name) \
+                    and node.targets[0].id not in names and _has_count(node.value, names):
+                names.add(node.targets[0].id)
+                grown = True
+    return names
+
+
+def _has_count(node, names):
+    return any(isinstance(x, ast.Attribute) and x.attr in COUNT_ATTRIBUTES
+               or isinstance(x, ast.Name) and x.id in names for x in ast.walk(node))
+
+
+def _ends_in_count(shape, names):
+    """Whether a shape argument has several axes and a coordinate count last:
+    a tuple display or a sum that ends in a tuple that ends in one, a whole
+    ``.shape`` (of a batch, say), or np.broadcast_shapes of such shapes."""
+    if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Add):
+        right = shape.right
+        return _has_count(right.elts[-1], names) if isinstance(right, ast.Tuple) \
+            else isinstance(right, ast.BinOp) and _ends_in_count(right, names)
+    if isinstance(shape, ast.Tuple):
+        return len(shape.elts) > 1 and _has_count(shape.elts[-1], names)
+    if isinstance(shape, ast.Call) and getattr(shape.func, "attr", "") == "broadcast_shapes":
+        return any(_ends_in_count(arg, names) for arg in shape.args)
+    return isinstance(shape, ast.Attribute) and shape.attr == "shape"
+
+
+def _on_last_axis(call):
+    """Whether an np.stack or np.concatenate call joins on axis -1."""
+    axis = [kw.value for kw in call.keywords if kw.arg == "axis"] + call.args[1:2]
+    return any(isinstance(a, ast.UnaryOp) and isinstance(a.op, ast.USub)
+               and getattr(a.operand, "value", None) == 1 for a in axis)
+
+
+def test_point_batches_are_coordinate_major():
+    # np.stack or np.concatenate on the last axis, or an np.empty, np.zeros,
+    # np.full or np.ones whose shape ends in a coordinate count, would
+    # allocate a row-major batch, whose columns every kernel reads at a
+    # stride of k entries
+    found = set()
+    for path in pathlib.Path(carnot.__file__).parent.glob("*.py"):
+        for name, scope in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            site = f"{path.stem}.{name}"
+            if site == "quadrature._coordinate_major":
+                continue
+            names = _count_names(scope)
+            for node in ast.walk(scope):
+                func = getattr(node, "func", None)
+                if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                        and getattr(func.value, "id", None) == "np"):
+                    continue
+                if func.attr in ("stack", "concatenate") and _on_last_axis(node) \
+                        or func.attr in ("empty", "zeros", "full", "ones") and node.args \
+                        and _ends_in_count(node.args[0], names):
+                    found.add(site)
+                    assert site in ROW_MAJOR, f"{site}: np.{func.attr} builds a row-major batch"
+    # a listed site that no longer keeps a row-major batch leaves the list
+    assert found == set(ROW_MAJOR)

@@ -12,6 +12,7 @@ from carnot.group import dilate, homogeneous_norm, inverse, multiply
 from carnot.splitting import (
     Cone,
     _anchor_terms,
+    _first_pairs,
     _split,
     cone_membership,
     estimate_intrinsic_lipschitz,
@@ -327,6 +328,26 @@ def test_vertical_holder_modulus_memory_bounded():
     assert peak < 64 * 2 ** 20
     # the largest quotient is across the whole y1 range: 0.25 * 4 / sqrt(4)
     assert table[0][1] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_lipschitz_estimate_builds_only_the_pairs_it_reads(free5):
+    # the first pairs of its grid in np.triu_indices order; free_step2(5)'s
+    # 14-axis base has a grid of 2^14 points, and all their 134M index pairs
+    # took 2 GB where 2000 are read
+    for count in (1, 2, 3, 10, 121):
+        want = np.triu_indices(count, k=1)
+        for limit in (1, 2, 7, 100, 10_000):
+            got = _first_pairs(count, limit)
+            assert all(np.array_equal(g, w[:limit]) for g, w in zip(got, want))
+    phi = GraphFunction.from_expression("0.2*x3 + 0.1*y4", Box([0.0] * 14, [1.0] * 14), 5, 10)
+    tracemalloc.start()
+    try:
+        estimate = estimate_intrinsic_lipschitz(free5, phi, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert math.isfinite(estimate) and estimate > 0.0
 
 
 def test_c0_inequality(heis1_calibrated):

@@ -158,6 +158,16 @@ def _area_of_overflow(G, tmp):
         area_integral(G, phi, points_per_axis=8)
 
 
+# a box whose midpoint cells at 8 per axis have a volume of 6.25e318, beyond
+# the float range
+HUGE = {"lo": [-1e160, -1e160], "hi": [1e160, 1e160]}
+
+
+def _on_huge_box(call):
+    """``call(G, phi)`` for phi = 0.5 on the box HUGE."""
+    return lambda G, tmp: call(G, GraphFunction.from_expression("0.5", Box(**HUGE), 2, 1))
+
+
 def _level_set_over_budget(G, tmp):
     # one base point more than the budget allows in the level set's ramp
     # table, which must be refused before any of it is split
@@ -687,6 +697,21 @@ CASES = [
            lambda G, phi, k, a: intrinsic_gradient_of_level_set(G, phi, k, [a], [0.5]),
            _BAD_BASE_POINTS))
       for kind, x in points],
+    # the midpoint cell volume overflowed to inf: the area integral was inf
+    # (a RuntimeWarning under -W error), and `carnot area` leaked the
+    # warning and exited 2 on a report value of inf
+    ("area-cell-volume-overflow", errors.ValidationError, "the midpoint cell volume of the box",
+     _on_huge_box(lambda G, phi: area_integral(G, phi, points_per_axis=8))),
+    ("residual-cell-volume-overflow", errors.ValidationError,
+     "the midpoint cell volume of the box",
+     _on_huge_box(lambda G, phi: distributional_residual(
+         G, phi, VectorField.constant([1.0], phi.domain), TestFunction([0.0, 0.0], 1.0), 8))),
+    ("mass-cell-volume-overflow", errors.ValidationError, "the midpoint cell volume of the box",
+     _on_huge_box(lambda G, phi: horizontal_gradient_mass(
+         G, phi, MollifierKernel(G, 0.1, points_per_axis=4), base_per_axis=8))),
+    ("cli-area-cell-volume-overflow", 1, "the midpoint cell volume of the box",
+     _cli(["area", "--group", GROUP, "--phi", "BAD", "--grid", "8"],
+          json.dumps({"kind": "expr", "domain": HUGE, "expr": "0.5"}))),
     # True and False ran as the seeds 1 and 0
     *[(f"lipschitz-seed-{seed}", errors.ValidationError, "seed must be a non-negative integer",
        lambda G, tmp, seed=seed: estimate_intrinsic_lipschitz(G, _phi(), 10, seed=seed))
