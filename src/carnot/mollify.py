@@ -29,7 +29,9 @@ each row's vecdot of ramps and weights over the same vecdot of ones, the
 kernel's total.  Rounding is monotone and every r_k <= 1, so f_alpha lies
 in [0, 1], exactly 1 where every ramp is 1 (deep inside the subgraph) and
 exactly 0 where every ramp is 0 (far above it, phi read through its
-extension beyond its box).  Tables come in blocks of whole rows, each row
+extension beyond its box).  Tables come in blocks of whole rows of one
+size, at most ``_BLOCK_PAIRS`` point-node pairs or one row, so a call's
+scratch memory is bounded by one block whatever its batch.  Each row is
 reduced on its own, so a point's values depend neither on the other points
 of the call, nor on the blocks, nor on the leading axes of the batch.
 Right multiplication by s e1 moves only the V-part of the splitting
@@ -118,6 +120,7 @@ from .errors import DimensionMismatch, NonFiniteState, QuadratureUnderflow, Vali
 from .functions import check_base_points
 from .group import _check_finite, _finite_point, _sum_of_squares
 from .quadrature import (
+    _GRID_COUNT_RULE,
     _coordinate_major,
     check_count,
     check_positive,
@@ -129,11 +132,9 @@ from .quadrature import (
 )
 from .splitting import _anchor_terms, _split, graph_point
 
-_BATCH_OPS_LIMIT = 2 ** 21
-# point-node pairs per row block of the two gradients and of the level-set
-# walks, which hold several arrays of that size per block: the split, g, the
-# sorted kinks and the ramps
-_GRADIENT_OPS_LIMIT = 2 ** 16
+# point-node pairs per row block of every ramp-table walk, which holds a few
+# arrays of that size per block: the split, g, the sorted kinks, the ramps
+_BLOCK_PAIRS = 2 ** 16
 # the ramp slopes of the gradient are averaged over h = alpha * _SLOPE_STEP
 _SLOPE_STEP = 1.0 / 64.0
 
@@ -302,18 +303,18 @@ class MollifierKernel:
         return out
 
 
-def _ramp_table(G, phi, kernel, P, limit=None):
-    """Per block of whole rows of P, one row or at most ``limit`` (default
-    ``_BATCH_OPS_LIMIT``) point-node pairs: its slice of rows, (base, t) of
-    u^-1 p for those rows p and all nonzero kernel nodes u, and g = phi(base)
-    - t, a fresh array the caller may overwrite; a non-finite g raises
-    NonFiniteState.  The kernel holds the bracket terms of its nodes, so it must be built on
-    G or on a group of the same m, n, epsilon and B (a ValidationError)."""
+def _ramp_table(G, phi, kernel, P):
+    """Per block of whole rows of P, at most ``_BLOCK_PAIRS`` point-node
+    pairs or one row: its slice of rows, (base, t) of u^-1 p for those rows
+    p and all nonzero kernel nodes u, and g = phi(base) - t, a fresh array
+    the caller may overwrite; a non-finite g raises NonFiniteState.  The
+    kernel holds its nodes' bracket terms, so it must be built on G or on a
+    group of the same m, n, epsilon and B (a ValidationError)."""
     K = kernel.G
     if K is not G and not (K.m == G.m and K.n == G.n and K.epsilon == G.epsilon
                            and np.array_equal(K.B, G.B)):
         raise ValidationError(f"the kernel was built on {K}, not on {G}")
-    step = max(1, (limit or _BATCH_OPS_LIMIT) // kernel._conv_weights.size)
+    step = max(1, _BLOCK_PAIRS // kernel._conv_weights.size)
     for start in range(0, P.shape[0], step):
         rows = slice(start, start + step)
         base, t = _split(G, kernel._conv_terms, P[rows])
@@ -389,7 +390,7 @@ def _gradient_at_shifts(G, phi, kernel, P, shift):
     """``_shifted_gradient`` on every row of P and its shift, a (P, 1)
     column, block by block of one table of g on P."""
     out = _coordinate_major((P.shape[0],), G.m, None)
-    for rows, *table in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+    for rows, *table in _ramp_table(G, phi, kernel, P):
         out[rows] = _shifted_gradient(G, phi, kernel, table, shift[rows], slice(None))
     return out
 
@@ -407,7 +408,7 @@ def _sliced_gradient(G, phi, kernel, P, first, dt, slices):
     width = min(int(2.0 * reach / dt) + 3, slices)
     first = np.reshape(first, (-1, 1))
     out = _coordinate_major((P.shape[0], slices), G.m, 0.0)
-    for rows, base, t, g in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+    for rows, base, t, g in _ramp_table(G, phi, kernel, P):
         block = out[rows].reshape(-1, G.m)
         lowest = np.floor((g - reach - first[rows]) / dt).clip(0, slices - width).astype(int)
         # every pair's base point, column by column off base's buffer
@@ -458,8 +459,7 @@ def level_set_phi_alpha(G, phi, kernel, c_level, a):
     check_work_budget(A.shape[0] * kernel._conv_weights.size, "the level-set ramp table",
                       "point-node pairs")
     roots = np.empty(A.shape[0])
-    for rows, *_, g in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0),
-                                   _GRADIENT_OPS_LIMIT):
+    for rows, *_, g in _ramp_table(G, phi, kernel, graph_point(G, A, 0.0)):
         roots[rows] = _section_roots(kernel, c_level, g)[0]
     return _restore(roots, a.shape[:-1])
 
@@ -569,9 +569,8 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
     if not alphas:
         raise ValidationError("alpha_list must hold at least one alpha")
     _check_level(c_level)
-    # one ramp argument per grid point and nonzero kernel node, checked
-    # before anything is built; tensor_grid rejects a count below 1
-    check_work_budget(max(grid_per_axis, 0) ** phi.domain.dim
+    grid_per_axis = check_count(grid_per_axis, _GRID_COUNT_RULE)
+    check_work_budget(grid_per_axis ** phi.domain.dim
                       * _nonzero_node_count(G, points_per_axis),
                       "the level-set ramp table", "point-node pairs")
     A = tensor_grid(phi.domain.lo, phi.domain.hi, (grid_per_axis,) * phi.domain.dim)
@@ -587,7 +586,7 @@ def approximation_report(G, phi, alpha_list, c_level=0.5, grid_per_axis=32,
         # one walk over the table of g on the rows i(a): each block's roots,
         # then the level set's gradient at i(a) * (phi_alpha(a) e1) on the
         # block's rows of the subsample, every stride-th grid point
-        for block, *table in _ramp_table(G, phi, kernel, P, _GRADIENT_OPS_LIMIT):
+        for block, *table in _ramp_table(G, phi, kernel, P):
             roots, evals, residual = _section_roots(kernel, c_level, table[2])
             pa[block] = roots
             section_evals += evals

@@ -41,6 +41,7 @@ from .errors import GridTooLarge, ValidationError
 # it (the finest area grid on a 4-D base has 32^4 ~ 1.05M nodes), and a
 # free_step2(3) kernel at 16 points per axis (16.7M nodes) is rejected.
 MAX_GRID_NODES = 2 ** 23
+_GRID_COUNT_RULE = "shape must give a positive count per axis"
 
 
 def check_work_budget(count, what, unit):
@@ -108,8 +109,7 @@ def grid_axes(lo, hi, shape, nodes="midpoint"):
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    shape = tuple(check_count(k, "shape must give a positive count per axis")
-                  for k in shape)
+    shape = tuple(check_count(k, _GRID_COUNT_RULE) for k in shape)
     check_work_budget(math.prod(shape), "tensor grid", "nodes")
     if nodes == "midpoint":
         h = (hi - lo) / np.asarray(shape, dtype=float)
@@ -130,11 +130,11 @@ def grid_from_axes(axes):
     return out.reshape(-1, d)
 
 
-def default_points_per_axis(dim, count=None):
-    """``count`` when it is not None, else by dimension: 64 per axis in 1-2 D,
-    24 in 3 D, 8 beyond (cost grows as N^dim)."""
+def default_points_per_axis(dim, count):
+    """``count``, checked as a grid's count, when it is not None, else by
+    dimension: 64 per axis in 1-2 D, 24 in 3 D, 8 beyond (cost grows as N^dim)."""
     if count is not None:
-        return count
+        return check_count(count, _GRID_COUNT_RULE)
     return 64 if dim <= 2 else 24 if dim == 3 else 8
 
 

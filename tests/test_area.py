@@ -57,6 +57,14 @@ def test_area_quadrature_order(heis1):
     assert report["area_integral"] == pytest.approx(ref, abs=1e-4)
 
 
+def test_area_report_grids_are_ints(heis1):
+    # a numpy count is checked into an int, so the echoed grids are ints
+    report = area_report(heis1, GraphFunction.from_expression("0.3*sin(x2)", unit_box(2), 2, 1),
+                         points_per_axis=np.int64(4))
+    assert report["grids"] == [4, 8, 16]
+    assert all(type(k) is int for k in report["grids"])
+
+
 def test_area_lower_bound_volume(heis1):
     box = unit_box(2)
     phi = GraphFunction.from_expression("0.2*x2*y", box, 2, 1)

@@ -138,7 +138,7 @@ def test_defaulted_parameter_count_is_pinned():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.arguments):
                 count += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
-    assert count == 42
+    assert count == 40
 
 
 # Point batches stay coordinate-major: every (..., k) batch of k coordinates

@@ -387,12 +387,12 @@ def _straddling_points(G, phi, alpha, count, seed):
 def test_indicator_bitwise_matches_one_pass_loop_property(request, index, seed, alpha,
                                                    count, chunked):
     # the s = 0 share of the ramp arguments is the one-pass loop's f_alpha
-    # bit for bit; a small limit splits every batch of points into row blocks
+    # bit for bit; a small block size splits every batch into row blocks
     G, k, phi = _group_case(request, index)
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     P = _straddling_points(G, phi, alpha, count, seed)
-    limit = 2 ** 12 if chunked else mollify._BATCH_OPS_LIMIT
-    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", limit), \
+    limit = 2 ** 12 if chunked else mollify._BLOCK_PAIRS
+    with mock.patch.object(mollify, "_BLOCK_PAIRS", limit), \
             mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         f = mollified_indicator(G, phi, kern, P)
         if chunked and count > 1:
@@ -436,11 +436,23 @@ def test_gradient_from_ramp_table_property(request, index, seed, alpha):
         assert np.max(np.abs(xg[..., j - 1] - diff)) <= 9e-11
 
 
+def _block_roots(G, phi, kern, c_level, A):
+    # _section_roots on each row block of the table of g on the rows i(a), in
+    # turn: the roots, the evaluations of f, max |f - c| and the block (base, t, g)
+    for _, *table in mollify._ramp_table(G, phi, kern, graph_point(G, A, 0.0)):
+        yield (*_section_roots(kern, c_level, table[2]), table)
+
+
+def _joined(blocks):
+    # the blocks of _block_roots as one: the roots, the evaluations of f,
+    # max |f - c| and the table (base, t, g) of every row
+    roots, evals, resid, tables = zip(*blocks)
+    return (np.concatenate(roots), sum(evals), max(resid),
+            tuple(np.concatenate(part) for part in zip(*tables)))
+
+
 def _table_roots(G, phi, kern, c_level, A):
-    # _section_roots on the one block of the table of g on the rows i(a): the
-    # roots, the evaluations of f, max |f - c| and the block (base, t, g)
-    (_, *table), = mollify._ramp_table(G, phi, kern, graph_point(G, A, 0.0))
-    return (*_section_roots(kern, c_level, table[2]), table)
+    return _joined(_block_roots(G, phi, kern, c_level, A))
 
 
 def _phi_as(G, phi, kind):
@@ -671,11 +683,10 @@ def test_approximation_report_splits_each_pair_once(request, index):
     ("heis2", 4, 3, "0.5*x2 + 0.25*x4"),
 ])
 def test_table_walks_do_not_depend_on_the_blocks(request, group, k, per_axis, expr):
-    # the report, the roots and both gradients over row blocks of 5 rows (3
-    # for any table at the batch limit) give the bits of the default blocks;
-    # on the 529 points of the heisenberg(1) grid the report's gradient reads
-    # every second row, so its first row in a block alternates between the
-    # first two
+    # the report, the roots and both gradients over row blocks of 5 rows give
+    # the bits of the default blocks; on the 529 points of the heisenberg(1)
+    # grid the report's gradient reads every second row, so its first row in a
+    # block alternates between the first two
     G = request.getfixturevalue(group)
     d = G.base_dim
     phi = GraphFunction.from_expression(expr, Box([-1.0] * d, [1.0] * d), G.m, G.n)
@@ -694,8 +705,7 @@ def test_table_walks_do_not_depend_on_the_blocks(request, group, k, per_axis, ex
 
     want = calls()
     nodes = kern._conv_weights.size
-    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", 3 * nodes), \
-            mock.patch.object(mollify, "_GRADIENT_OPS_LIMIT", 5 * nodes), \
+    with mock.patch.object(mollify, "_BLOCK_PAIRS", 5 * nodes), \
             mock.patch("carnot.mollify._section_roots", wraps=mollify._section_roots) as roots:
         got = calls()
     # two alphas and the roots, in blocks of 5 rows
@@ -710,7 +720,7 @@ def test_gradient_mass_evaluates_partials_once_per_chunk(heis1, phi_unit):
     # partials per row block serves all 48 t-slices; a block holds whole rows
     kern = MollifierKernel(heis1, 0.05)
     nodes = kern._conv_weights.size
-    blocks = -(-8 * 8 // (mollify._GRADIENT_OPS_LIMIT // nodes))
+    blocks = -(-8 * 8 // (mollify._BLOCK_PAIRS // nodes))
     assert blocks > 1
     with mock.patch.object(phi_unit, "partials", wraps=phi_unit.partials) as partials:
         rep = horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
@@ -822,7 +832,7 @@ def _kink_bisection_roots(G, phi, kernel, c_level, A):
     # roots, the evaluations of f (with the pass at the roots) and max |f - c|
     delta = kernel.subcell_width
     g = np.concatenate([g for *_, g in mollify._ramp_table(G, phi, kernel,
-                                                           graph_point(G, A, 0.0))], axis=1)
+                                                           graph_point(G, A, 0.0))])
     count, size = g.shape
     kinks = np.sort(np.concatenate([g - 0.5 * delta, g + 0.5 * delta], axis=1), axis=1)
     lo, hi = np.zeros(count, dtype=int), np.full(count, 2 * size - 1)
@@ -844,12 +854,17 @@ def _kink_bisection_roots(G, phi, kernel, c_level, A):
 
 
 def _search_passes(G, phi, kernel, c_level, A):
-    # _section_roots and the passes of its search: one share call per pass
-    # over the rows still searching, and one at the roots
+    # _section_roots and the most passes its search took on a row block: one
+    # share call per pass over the rows still searching, and one at the roots
+    blocks, passes = [], 0
     with mock.patch("carnot.mollify._share", wraps=mollify._share) as sums:
-        roots, evals, resid, _ = _table_roots(G, phi, kernel, c_level, A)
+        for block in _block_roots(G, phi, kernel, c_level, A):
+            blocks.append(block)
+            passes = max(passes, sums.call_count - 1)
+            sums.reset_mock()
+    roots, evals, resid, _ = _joined(blocks)
     budget = int(np.ceil(np.log2(2 * kernel._conv_weights.size - 1)))
-    return roots, evals, resid, sums.call_count - 1, budget
+    return roots, evals, resid, passes, budget
 
 
 @pytest.mark.parametrize("kind", ["expr", "callable", "grid"])
@@ -983,6 +998,15 @@ def test_approximation_report_rejects_negative_grid(heis1, phi_unit):
         approximation_report(heis1, phi_unit, [0.1], grid_per_axis=-5000)
 
 
+def test_approximation_report_echoes_its_grid_count_as_an_int(heis1, phi_unit):
+    # a numpy count is echoed as the int it was checked as, so the report
+    # stays plain JSON (it echoed numpy.int64, which json.dumps refuses)
+    rep = approximation_report(heis1, phi_unit, [0.2], grid_per_axis=np.int64(3),
+                               points_per_axis=8)
+    assert type(rep["grid_per_axis"]) is int
+    json.dumps(rep)
+
+
 @pytest.mark.parametrize("args", [{"c_level": 0.0}, {"c_level": 1.0},
                                   {"c_level": float("nan")}, {"c_level": "0.5"}],
                          ids=lambda args: "{}={!r}".format(*next(iter(args.items()))))
@@ -1103,19 +1127,48 @@ def test_gradient_mass_edge_gradient_is_exactly_zero(request, group, k, alpha,
 
 
 def test_gradient_mass_splits_one_table(heis1, phi_unit):
-    # one split of the base rows i(a) sizes the window, and one more, in row
-    # blocks for the gradient, serves all 48 t-slices
+    # one pass over the table of the base rows i(a) sizes the window, and one
+    # more serves all 48 t-slices, each in row blocks of at most _BLOCK_PAIRS
     kern = MollifierKernel(heis1, 0.05)
     rows, nodes = 8 * 8, kern._conv_weights.size
     with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
         horizontal_gradient_mass(heis1, phi_unit, kern, base_per_axis=8)
-    blocks = -(-rows // (mollify._GRADIENT_OPS_LIMIT // nodes))
+    blocks = -(-rows // (mollify._BLOCK_PAIRS // nodes))
     assert blocks > 1
-    assert split.call_count == 1 + blocks
+    assert split.call_count == 2 * blocks
     # each call splits whole rows against every node (the anchors of its terms)
     pairs = [call.args[2].shape[0] * call.args[1][0].shape[1]
              for call in split.call_args_list]
-    assert pairs[0] == rows * nodes and sum(pairs) == 2 * rows * nodes
+    assert max(pairs) <= mollify._BLOCK_PAIRS and sum(pairs) == 2 * rows * nodes
+
+
+_ENTRY_POINTS = {
+    "indicator": lambda G, phi, kern, A, P: mollified_indicator(G, phi, kern, P),
+    "gradient": lambda G, phi, kern, A, P: horizontal_gradient_mollified(G, phi, kern, P),
+    "level-set": lambda G, phi, kern, A, P: level_set_phi_alpha(G, phi, kern, 0.5, A),
+    "level-set-gradient": lambda G, phi, kern, A, P: intrinsic_gradient_of_level_set(
+        G, phi, kern, A, phi.eval_extended(A)),
+    "report": lambda G, phi, kern, A, P: approximation_report(G, phi, [0.1], grid_per_axis=7),
+    "mass": lambda G, phi, kern, A, P: horizontal_gradient_mass(G, phi, kern),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_walk_splits_at_most_one_block(heis1, phi_unit, entry):
+    # each entry point walks its table in row blocks of at most _BLOCK_PAIRS
+    # point-node pairs (or one row) however large its batch: here f_alpha on
+    # 40 points and the gradient mass on its default 12 x 12 base, 133k and
+    # 479k pairs at k = 16, and the others on 40 or 49 rows
+    kern = MollifierKernel(heis1, 0.1, points_per_axis=16)
+    A = tensor_grid([0.0, 0.0], [1.0, 1.0], (8, 5))
+    P = graph_point(heis1, A, phi_unit.eval_extended(A))
+    with mock.patch("carnot.mollify._split", wraps=mollify._split) as split:
+        _ENTRY_POINTS[entry](heis1, phi_unit, kern, A, P)
+    # each call splits whole rows against every node (the anchors of its terms)
+    shapes = [(call.args[2].shape[0], call.args[1][0].shape[1])
+              for call in split.call_args_list]
+    assert len(shapes) > 1
+    assert all(rows == 1 or rows * nodes <= mollify._BLOCK_PAIRS for rows, nodes in shapes)
 
 
 def test_gradient_mass_work_is_budgeted(heis2):
@@ -1144,7 +1197,7 @@ def _four_calls(G, phi, kern, P, A, values):
 def test_results_do_not_depend_on_the_batch_property(request, index, seed, alpha):
     # a point's f_alpha, gradient, root and level-set gradient are its own,
     # bit for bit: alone, in sub-batches, under leading axes (2, 3) and with
-    # both table limits so small that every row block is one row
+    # a block size so small that every row block is one row
     G, k, phi = _group_case(request, index)
     kern = MollifierKernel(G, alpha, points_per_axis=k)
     P = _straddling_points(G, phi, alpha, 6, seed)
@@ -1156,8 +1209,7 @@ def test_results_do_not_depend_on_the_batch_property(request, index, seed, alpha
               for i in (0, 3)]
     shaped = _four_calls(G, phi, kern, P.reshape(2, 3, -1), A.reshape(2, 3, -1),
                          values.reshape(2, 3))
-    with mock.patch.object(mollify, "_BATCH_OPS_LIMIT", 1), \
-            mock.patch.object(mollify, "_GRADIENT_OPS_LIMIT", 1):
+    with mock.patch.object(mollify, "_BLOCK_PAIRS", 1):
         small = _four_calls(G, phi, kern, P, A, values)
     for j, want in enumerate(whole):
         assert np.array_equal(np.stack([np.asarray(out[j]) for out in alone]), want)

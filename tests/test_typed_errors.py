@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from carnot import cli, errors
-from carnot.area import area_integral
+from carnot.area import area_integral, area_report
 from carnot.calculus import (
     TestFunction,
     distributional_residual,
@@ -351,6 +351,17 @@ CASES = [
      "points_per_axis must be a positive integer",
      lambda G, tmp: approximation_report(G, _phi(), [0.1], grid_per_axis=4,
                                          points_per_axis=6.5)),
+    # a string or None reached max(count, 0) and was a TypeError; area_report
+    # repeated "4" into "44" and "4444" (a TypeError) and ran True as 1
+    *[(f"report-grid-count-{count!r}", errors.ValidationError,
+       "positive count per axis, got " + re.escape(repr(count)),
+       lambda G, tmp, count=count: approximation_report(G, _phi(), [0.1],
+                                                        grid_per_axis=count))
+      for count in ("3", None)],
+    *[(f"area-report-count-{count!r}", errors.ValidationError,
+       "positive count per axis, got " + re.escape(repr(count)),
+       lambda G, tmp, count=count: area_report(G, _phi(), points_per_axis=count))
+      for count in ("4", True)],
     *[(f"holder-n-vertical-{k}", errors.ValidationError, "n_vertical must be an integer",
        lambda G, tmp, k=k: vertical_holder_modulus(_phi(), [0.5], grid_per_axis=5,
                                                    n_vertical=k))
